@@ -105,17 +105,7 @@ func (c *Chain) MaxExitRate() float64 {
 // Generator returns the full generator matrix Q (including the diagonal) in
 // CSR form.
 func (c *Chain) Generator() *linalg.CSR {
-	coo := linalg.NewCOO(c.N(), c.N())
-	for i := 0; i < c.N(); i++ {
-		cols, vals := c.Rates.Row(i)
-		for k, j := range cols {
-			coo.Add(i, j, vals[k])
-		}
-		if c.Exit[i] != 0 {
-			coo.Add(i, i, -c.Exit[i])
-		}
-	}
-	return coo.ToCSR()
+	return c.withDiagonal(1, func(i int) float64 { return -c.Exit[i] })
 }
 
 // Uniformized returns the uniformised DTMC P = I + Q/q and the
@@ -130,20 +120,54 @@ func (c *Chain) Uniformized(factor float64) (*dtmc.Chain, float64, error) {
 	if q == 0 {
 		q = 1
 	}
-	n := c.N()
-	coo := linalg.NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		cols, vals := c.Rates.Row(i)
-		for k, j := range cols {
-			coo.Add(i, j, vals[k]/q)
-		}
-		coo.Add(i, i, 1-c.Exit[i]/q)
-	}
-	ch, err := dtmc.New(coo.ToCSR(), 1e-9)
+	p := c.withDiagonal(q, func(i int) float64 { return 1 - c.Exit[i]/q })
+	ch, err := dtmc.New(p, 1e-9)
 	if err != nil {
 		return nil, 0, fmt.Errorf("ctmc: uniformisation produced invalid DTMC: %w", err)
 	}
 	return ch, q, nil
+}
+
+// withDiagonal returns the matrix with entries R(i,j)/div off the diagonal
+// and diag(i) added on it, as a COO assembly of the same entries would: the
+// rows of Rates are already sorted, so each row is copied with the diagonal
+// merged in at its place, and zero entries are dropped.
+func (c *Chain) withDiagonal(div float64, diag func(i int) float64) *linalg.CSR {
+	n := c.N()
+	r := c.Rates
+	m := &linalg.CSR{
+		Rows: n, Cols: n,
+		RowPtr: make([]int, n+1),
+		ColIdx: make([]int, 0, r.NNZ()+n),
+		Val:    make([]float64, 0, r.NNZ()+n),
+	}
+	push := func(j int, v float64) {
+		if v != 0 {
+			m.ColIdx = append(m.ColIdx, j)
+			m.Val = append(m.Val, v)
+		}
+	}
+	for i := 0; i < n; i++ {
+		cols, vals := r.Row(i)
+		d, placed := diag(i), false
+		for k, j := range cols {
+			v := vals[k] / div
+			switch {
+			case j == i:
+				v += d
+				placed = true
+			case j > i && !placed:
+				push(i, d)
+				placed = true
+			}
+			push(j, v)
+		}
+		if !placed {
+			push(i, d)
+		}
+		m.RowPtr[i+1] = len(m.Val)
+	}
+	return m
 }
 
 // Embedded returns the embedded (jump) DTMC: P(i,j) = R(i,j)/exit_i, with a

@@ -39,7 +39,7 @@ func Compile(e Expr) EvalFunc {
 			if err != nil {
 				return Value{}, err
 			}
-			return (Unary{Op: op, X: Lit{v}}).Eval(nil)
+			return applyUnary(op, v)
 		}
 	case Binary:
 		l := Compile(x.L)
@@ -126,7 +126,7 @@ func Compile(e Expr) EvalFunc {
 			if err != nil {
 				return Value{}, err
 			}
-			return (Binary{Op: op, L: Lit{lv}, R: Lit{rv}}).Eval(nil)
+			return applyBinary(op, lv, rv)
 		}
 	case ITE:
 		cond := Compile(x.Cond)
@@ -153,15 +153,21 @@ func Compile(e Expr) EvalFunc {
 		}
 		fn := x.Fn
 		return func(st []int) (Value, error) {
-			lits := make([]Expr, len(args))
-			for i, a := range args {
+			// Built-ins take at most a handful of arguments; evaluate them
+			// into a stack buffer so a call allocates nothing.
+			var buf [4]Value
+			vals := buf[:0]
+			if len(args) > len(buf) {
+				vals = make([]Value, 0, len(args))
+			}
+			for _, a := range args {
 				v, err := a(st)
 				if err != nil {
 					return Value{}, err
 				}
-				lits[i] = Lit{v}
+				vals = append(vals, v)
 			}
-			return (Call{Fn: fn, Args: lits}).Eval(nil)
+			return applyCall(fn, vals)
 		}
 	default:
 		return e.Eval

@@ -1,10 +1,12 @@
 package modular
 
 import (
+	"cmp"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/ctmc"
 	"repro/internal/linalg"
@@ -62,15 +64,12 @@ type ExploreOpts struct {
 // Explored is the result of state-space exploration: the reachable states,
 // the compiled CTMC over them, and evaluators for labels and rewards.
 type Explored struct {
-	Model  *Model
+	Model *Model
+	// States[i] is the vector of state i, a capped view into one slab
+	// shared by all states; callers must not modify it.
 	States [][]int
 	Chain  *ctmc.Chain
-	index  map[string]int
-}
-
-type pendingTransition struct {
-	from, to int
-	rate     float64
+	keys   *stateIndex
 }
 
 // Explore performs breadth-first exploration of the composed model from its
@@ -83,6 +82,11 @@ func (m *Model) Explore(opts ExploreOpts) (*Explored, error) {
 // recording the reachable state count, the transition count and the number
 // of dedup hits (successors that were already known), plus periodic
 // progress events while the frontier drains.
+//
+// States are numbered in BFS order and indexed by packed keys (statekey.go);
+// each state's outgoing row is sorted, merged and appended to the CSR as soon
+// as the state is expanded, so exploration allocates only when one of its
+// flat buffers grows.
 func (m *Model) ExploreContext(ctx context.Context, opts ExploreOpts) (*Explored, error) {
 	_, sp := obs.Start(ctx, "modular.explore")
 	defer sp.End()
@@ -93,82 +97,148 @@ func (m *Model) ExploreContext(ctx context.Context, opts ExploreOpts) (*Explored
 	if maxStates <= 0 {
 		maxStates = 5_000_000
 	}
+	maxStates = min(maxStates, maxIndexedStates)
 	maxTransitions := opts.MaxTransitions
 	if maxTransitions <= 0 {
 		maxTransitions = 20_000_000
 	}
-	ex := &Explored{Model: m, index: make(map[string]int)}
-	init := m.InitState()
-	ex.States = append(ex.States, init)
-	ex.index[encodeState(init)] = 0
+	n := len(m.Vars)
+	idx := newStateIndex(m.Vars)
+	key := make([]uint64, idx.layout.words)
+	slab := m.InitState()
+	idx.layout.pack(slab, key)
+	_, slot := idx.find(key)
+	idx.insert(slot, key)
 
-	syncActions := m.syncActions()
-	compiled := m.compileCommands()
-	var transitions []pendingTransition
-	dedupHits := 0
-	for head := 0; head < len(ex.States); head++ {
-		st := ex.States[head]
-		succs, err := m.successors(st, syncActions, compiled)
-		if err != nil {
+	gen := m.newSuccessorGen()
+	rates := &linalg.CSR{RowPtr: []int{0}}
+	var exit linalg.Vector
+	var row []rowEntry
+	transitions, dedupHits := 0, 0
+	for head := 0; head < idx.len(); head++ {
+		st := slab[head*n : (head+1)*n]
+		if err := gen.successors(st); err != nil {
 			return nil, fmt.Errorf("modular: exploring state %s: %w", m.FormatState(st), err)
 		}
-		for _, s := range succs {
-			key := encodeState(s.state)
-			to, seen := ex.index[key]
-			if !seen {
-				if len(ex.States) >= maxStates {
+		row = row[:0]
+		for k, rate := range gen.rates {
+			next := gen.succ[k*n : (k+1)*n]
+			idx.layout.pack(next, key)
+			to, slot := idx.find(key)
+			if to < 0 {
+				if idx.len() >= maxStates {
 					return nil, &BudgetError{Resource: "states", Limit: maxStates}
 				}
-				to = len(ex.States)
-				ex.States = append(ex.States, s.state)
-				ex.index[key] = to
+				to = idx.insert(slot, key)
+				slab = append(grow(slab, n), next...)
 			} else {
 				dedupHits++
 			}
-			if len(transitions) >= maxTransitions {
+			if transitions >= maxTransitions {
 				return nil, &BudgetError{Resource: "transitions", Limit: maxTransitions}
 			}
-			transitions = append(transitions, pendingTransition{from: head, to: to, rate: s.rate})
+			transitions++
+			row = append(row, rowEntry{to, rate})
 		}
+		e, err := appendRow(rates, head, row)
+		if err != nil {
+			return nil, err
+		}
+		exit = append(grow(exit, 1), e)
 		// Total is unknown until the frontier drains; report the explored
 		// head against the current frontier size.
 		if sp != nil && head%1024 == 0 {
-			sp.Progress(int64(head), int64(len(ex.States)))
+			sp.Progress(int64(head), int64(idx.len()))
 		}
 	}
-	sp.Int("states", int64(len(ex.States)))
-	sp.Int("transitions", int64(len(transitions)))
+	sp.Int("states", int64(idx.len()))
+	sp.Int("transitions", int64(transitions))
 	sp.Int("dedup_hits", int64(dedupHits))
-	b := ctmc.NewBuilder(len(ex.States))
-	for _, tr := range transitions {
-		b.Add(tr.from, tr.to, tr.rate)
+	rates.Rows, rates.Cols = idx.len(), idx.len()
+	ex := &Explored{
+		Model:  m,
+		States: make([][]int, idx.len()),
+		Chain:  &ctmc.Chain{Rates: rates, Exit: exit},
+		keys:   idx,
 	}
-	chain, err := b.Build()
-	if err != nil {
-		return nil, err
+	for i := range ex.States {
+		ex.States[i] = slab[i*n : (i+1)*n : (i+1)*n]
 	}
-	ex.Chain = chain
 	return ex, nil
 }
 
-type successor struct {
-	state []int
-	rate  float64
+// rowEntry is one raw transition of the row being built.
+type rowEntry struct {
+	to   int
+	rate float64
 }
 
-// syncActions returns, per action name, the module indices that participate
-// in that action.
-func (m *Model) syncActions() map[string][]int {
-	out := make(map[string][]int)
+// appendRow appends state from's outgoing transitions to the CSR, with the
+// semantics of ctmc.Builder: rates must be finite and non-negative,
+// self-loops are dropped, duplicate targets are summed (in generation
+// order) and sums of zero are dropped. It returns the row's exit rate,
+// summed in column order as linalg.CSR.RowSums does.
+func appendRow(m *linalg.CSR, from int, row []rowEntry) (float64, error) {
+	for _, e := range row {
+		if e.rate < 0 || math.IsNaN(e.rate) || math.IsInf(e.rate, 0) {
+			return 0, fmt.Errorf("%w: rate(%d→%d) = %v", ctmc.ErrBadRate, from, e.to, e.rate)
+		}
+	}
+	slices.SortStableFunc(row, func(a, b rowEntry) int { return cmp.Compare(a.to, b.to) })
+	m.ColIdx, m.Val = grow(m.ColIdx, len(row)), grow(m.Val, len(row))
+	var exit float64
+	for k := 0; k < len(row); {
+		to, v := row[k].to, row[k].rate
+		for k++; k < len(row) && row[k].to == to; k++ {
+			v += row[k].rate
+		}
+		if to == from || v == 0 {
+			continue
+		}
+		m.ColIdx = append(m.ColIdx, to)
+		m.Val = append(m.Val, v)
+		exit += v
+	}
+	m.RowPtr = append(grow(m.RowPtr, 1), len(m.Val))
+	return exit, nil
+}
+
+// grow returns s with room for n more elements, at least doubling its
+// capacity when it must reallocate. Past a few hundred elements append
+// grows a slice by only about 1.25×, which copies a multi-megabyte slab or
+// CSR array four to five times over while it is built; doubling copies it
+// about once.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(n, len(s)))
+}
+
+// syncAction is one synchronising action and the modules taking part in it.
+type syncAction struct {
+	name string
+	mods []int
+}
+
+// syncActions returns the model's synchronising actions sorted by name, so
+// successor order, and with it state numbering, is the same on every run.
+func (m *Model) syncActions() []syncAction {
+	byName := make(map[string][]int)
 	for mi := range m.Modules {
 		seen := make(map[string]bool)
 		for _, c := range m.Modules[mi].Commands {
 			if c.Action != "" && !seen[c.Action] {
 				seen[c.Action] = true
-				out[c.Action] = append(out[c.Action], mi)
+				byName[c.Action] = append(byName[c.Action], mi)
 			}
 		}
 	}
+	out := make([]syncAction, 0, len(byName))
+	for name, mods := range byName {
+		out = append(out, syncAction{name, mods})
+	}
+	slices.SortFunc(out, func(a, b syncAction) int { return cmp.Compare(a.name, b.name) })
 	return out
 }
 
@@ -214,117 +284,137 @@ func (m *Model) compileCommands() [][]compiledCommand {
 	return out
 }
 
+// successorGen enumerates successors into buffers owned by one exploration:
+// after successors(st), successor k is succ[k*n:(k+1)*n] with rate rates[k].
+type successorGen struct {
+	m        *Model
+	compiled [][]compiledCommand
+	actions  []syncAction
+	succ     []int
+	rates    []float64
+	written  []uint64 // bitset of variables assigned by the current update
+	// Synchronised-action scratch: the enabled updates of participating
+	// module d are enabled[bounds[d]:bounds[d+1]], pick[d] indexes the one
+	// in the current combination and combo holds that combination.
+	enabled []*compiledUpdate
+	bounds  []int
+	pick    []int
+	combo   []*compiledUpdate
+}
+
+func (m *Model) newSuccessorGen() *successorGen {
+	return &successorGen{
+		m:        m,
+		compiled: m.compileCommands(),
+		actions:  m.syncActions(),
+		written:  make([]uint64, (len(m.Vars)+63)/64),
+	}
+}
+
 // successors enumerates all rate-weighted successor states of st.
-func (m *Model) successors(st []int, syncActions map[string][]int, compiled [][]compiledCommand) ([]successor, error) {
-	var out []successor
+func (g *successorGen) successors(st []int) error {
+	g.succ, g.rates = g.succ[:0], g.rates[:0]
 	// Asynchronous commands.
-	for mi := range compiled {
-		for ci := range compiled[mi] {
-			cmd := &compiled[mi][ci]
+	for mi := range g.compiled {
+		for ci := range g.compiled[mi] {
+			cmd := &g.compiled[mi][ci]
 			if cmd.action != "" {
 				continue
 			}
 			enabled, err := cmd.guard(st)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !enabled {
 				continue
 			}
 			for ui := range cmd.updates {
-				s, err := m.applyUpdate(st, []*compiledUpdate{&cmd.updates[ui]})
-				if err != nil {
-					return nil, err
-				}
-				if s != nil {
-					out = append(out, *s)
+				g.combo = append(g.combo[:0], &cmd.updates[ui])
+				if err := g.applyUpdate(st, g.combo); err != nil {
+					return err
 				}
 			}
 		}
 	}
 	// Synchronised actions: cross product of enabled commands (and their
 	// updates) over participating modules; rates multiply.
-	for action, mods := range syncActions {
-		perModule := make([][]*compiledUpdate, 0, len(mods))
-		blocked := false
-		for _, mi := range mods {
-			var enabledUpdates []*compiledUpdate
-			for ci := range compiled[mi] {
-				cmd := &compiled[mi][ci]
-				if cmd.action != action {
+actions:
+	for _, act := range g.actions {
+		g.enabled, g.bounds = g.enabled[:0], append(g.bounds[:0], 0)
+		for _, mi := range act.mods {
+			for ci := range g.compiled[mi] {
+				cmd := &g.compiled[mi][ci]
+				if cmd.action != act.name {
 					continue
 				}
 				enabled, err := cmd.guard(st)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if enabled {
 					for ui := range cmd.updates {
-						enabledUpdates = append(enabledUpdates, &cmd.updates[ui])
+						g.enabled = append(g.enabled, &cmd.updates[ui])
 					}
 				}
 			}
-			if len(enabledUpdates) == 0 {
-				blocked = true
+			if len(g.enabled) == g.bounds[len(g.bounds)-1] {
+				continue actions // a participant has nothing enabled
+			}
+			g.bounds = append(g.bounds, len(g.enabled))
+		}
+		// Odometer over the combinations, last module fastest.
+		depth := len(act.mods)
+		g.pick = append(g.pick[:0], make([]int, depth)...)
+		g.combo = append(g.combo[:0], make([]*compiledUpdate, depth)...)
+		for {
+			for d := range g.pick {
+				g.combo[d] = g.enabled[g.bounds[d]+g.pick[d]]
+			}
+			if err := g.applyUpdate(st, g.combo); err != nil {
+				return err
+			}
+			d := depth - 1
+			for ; d >= 0; d-- {
+				if g.pick[d]++; g.bounds[d]+g.pick[d] < g.bounds[d+1] {
+					break
+				}
+				g.pick[d] = 0
+			}
+			if d < 0 {
 				break
 			}
-			perModule = append(perModule, enabledUpdates)
-		}
-		if blocked {
-			continue
-		}
-		combo := make([]*compiledUpdate, len(perModule))
-		var rec func(depth int) error
-		rec = func(depth int) error {
-			if depth == len(perModule) {
-				s, err := m.applyUpdate(st, combo)
-				if err != nil {
-					return err
-				}
-				if s != nil {
-					out = append(out, *s)
-				}
-				return nil
-			}
-			for _, u := range perModule[depth] {
-				combo[depth] = u
-				if err := rec(depth + 1); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := rec(0); err != nil {
-			return nil, err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // applyUpdate evaluates the combined updates in state st, multiplying rates
-// and merging assignments. It returns nil (no transition) for zero rates.
-func (m *Model) applyUpdate(st []int, updates []*compiledUpdate) (*successor, error) {
+// and merging assignments, and appends the successor to the buffers unless
+// its rate is zero.
+func (g *successorGen) applyUpdate(st []int, updates []*compiledUpdate) error {
 	rate := 1.0
-	next := make([]int, len(st))
-	copy(next, st)
-	written := make(map[int]bool)
+	base := len(g.succ)
+	g.succ = append(g.succ, st...)
+	next := g.succ[base:]
+	clear(g.written)
 	for _, u := range updates {
 		r, err := u.rate(st)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if r < 0 {
-			return nil, fmt.Errorf("%w: rate %v", ctmc.ErrBadRate, r)
+			return fmt.Errorf("%w: rate %v", ctmc.ErrBadRate, r)
 		}
 		rate *= r
 		for _, a := range u.assigns {
-			if written[a.varIdx] {
-				return nil, fmt.Errorf("%w: variable %q", ErrAssignConflict, m.Vars[a.varIdx].Name)
+			word, bit := a.varIdx/64, uint64(1)<<(a.varIdx%64)
+			if g.written[word]&bit != 0 {
+				return fmt.Errorf("%w: variable %q", ErrAssignConflict, g.m.Vars[a.varIdx].Name)
 			}
-			written[a.varIdx] = true
+			g.written[word] |= bit
 			v, err := a.expr(st)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			var iv int
 			switch v.Kind {
@@ -335,19 +425,21 @@ func (m *Model) applyUpdate(st []int, updates []*compiledUpdate) (*successor, er
 					iv = 1
 				}
 			default:
-				return nil, fmt.Errorf("%w: assignment to %q must be int or bool, got %s", ErrType, m.Vars[a.varIdx].Name, v.Kind)
+				return fmt.Errorf("%w: assignment to %q must be int or bool, got %s", ErrType, g.m.Vars[a.varIdx].Name, v.Kind)
 			}
-			d := m.Vars[a.varIdx]
+			d := g.m.Vars[a.varIdx]
 			if iv < d.Min || iv > d.Max {
-				return nil, fmt.Errorf("%w: %q := %d outside [%d..%d]", ErrRangeViolation, d.Name, iv, d.Min, d.Max)
+				return fmt.Errorf("%w: %q := %d outside [%d..%d]", ErrRangeViolation, d.Name, iv, d.Min, d.Max)
 			}
 			next[a.varIdx] = iv
 		}
 	}
 	if rate == 0 {
-		return nil, nil
+		g.succ = g.succ[:base]
+		return nil
 	}
-	return &successor{state: next, rate: rate}, nil
+	g.rates = append(g.rates, rate)
+	return nil
 }
 
 func evalGuard(g Expr, st []int) (bool, error) {
@@ -356,14 +448,6 @@ func evalGuard(g Expr, st []int) (bool, error) {
 		return false, err
 	}
 	return v.Bool()
-}
-
-func encodeState(st []int) string {
-	buf := make([]byte, 4*len(st))
-	for i, v := range st {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(int32(v)))
-	}
-	return string(buf)
 }
 
 // N returns the number of reachable states.
@@ -437,10 +521,7 @@ func (e *Explored) RewardVector(name string) (linalg.Vector, error) {
 
 // StateIndex looks up a state vector, returning -1 when unreachable.
 func (e *Explored) StateIndex(st []int) int {
-	if i, ok := e.index[encodeState(st)]; ok {
-		return i
-	}
-	return -1
+	return e.keys.lookup(st)
 }
 
 // FormatState renders a state vector as "(name=value, ...)".

@@ -72,7 +72,13 @@ func (u Unary) Eval(state []int) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	switch u.Op {
+	return applyUnary(u.Op, x)
+}
+
+// applyUnary applies a unary operator to an evaluated operand. Unary.Eval
+// and the compiled closures share it, so both agree on typing and errors.
+func applyUnary(op UnOp, x Value) (Value, error) {
+	switch op {
 	case OpNot:
 		b, err := x.Bool()
 		if err != nil {
@@ -89,7 +95,7 @@ func (u Unary) Eval(state []int) (Value, error) {
 		}
 		return DoubleV(-f), nil
 	default:
-		return Value{}, fmt.Errorf("modular: unknown unary op %d", u.Op)
+		return Value{}, fmt.Errorf("modular: unknown unary op %d", op)
 	}
 }
 
@@ -185,7 +191,14 @@ func (b Binary) Eval(state []int) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	switch b.Op {
+	return applyBinary(b.Op, l, r)
+}
+
+// applyBinary applies a non-short-circuit binary operator to evaluated
+// operands. Binary.Eval and the compiled closures share it, so evaluating
+// an operator never boxes its operands back into expressions.
+func applyBinary(op BinOp, l, r Value) (Value, error) {
+	switch op {
 	case OpImplies:
 		lb, err := l.Bool()
 		if err != nil {
@@ -211,7 +224,7 @@ func (b Binary) Eval(state []int) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		if b.Op == OpNeq {
+		if op == OpNeq {
 			eq = !eq
 		}
 		return BoolV(eq), nil
@@ -225,7 +238,7 @@ func (b Binary) Eval(state []int) (Value, error) {
 			return Value{}, err
 		}
 		var res bool
-		switch b.Op {
+		switch op {
 		case OpLt:
 			res = lf < rf
 		case OpLe:
@@ -238,7 +251,7 @@ func (b Binary) Eval(state []int) (Value, error) {
 		return BoolV(res), nil
 	case OpAdd, OpSub, OpMul:
 		if l.Kind == KindInt && r.Kind == KindInt {
-			switch b.Op {
+			switch op {
 			case OpAdd:
 				return IntV(l.I + r.I), nil
 			case OpSub:
@@ -255,7 +268,7 @@ func (b Binary) Eval(state []int) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		switch b.Op {
+		switch op {
 		case OpAdd:
 			return DoubleV(lf + rf), nil
 		case OpSub:
@@ -273,11 +286,11 @@ func (b Binary) Eval(state []int) (Value, error) {
 			return Value{}, err
 		}
 		if rf == 0 {
-			return Value{}, fmt.Errorf("modular: division by zero in %s", b.String())
+			return Value{}, fmt.Errorf("modular: division by zero in %s / %s", l, r)
 		}
 		return DoubleV(lf / rf), nil
 	default:
-		return Value{}, fmt.Errorf("modular: unknown binary op %d", b.Op)
+		return Value{}, fmt.Errorf("modular: unknown binary op %d", op)
 	}
 }
 
@@ -326,10 +339,16 @@ func (c Call) Eval(state []int) (Value, error) {
 		}
 		args[i] = v
 	}
-	switch c.Fn {
+	return applyCall(c.Fn, args)
+}
+
+// applyCall evaluates built-in fn on evaluated arguments. Call.Eval and the
+// compiled closures share it; it does not retain args.
+func applyCall(fn string, args []Value) (Value, error) {
+	switch fn {
 	case "min", "max":
 		if len(args) < 2 {
-			return Value{}, fmt.Errorf("modular: %s needs at least 2 arguments", c.Fn)
+			return Value{}, fmt.Errorf("modular: %s needs at least 2 arguments", fn)
 		}
 		allInt := true
 		best, err := args[0].Num()
@@ -346,7 +365,7 @@ func (c Call) Eval(state []int) (Value, error) {
 			if err != nil {
 				return Value{}, err
 			}
-			if (c.Fn == "min" && f < best) || (c.Fn == "max" && f > best) {
+			if (fn == "min" && f < best) || (fn == "max" && f > best) {
 				best = f
 			}
 		}
@@ -356,13 +375,13 @@ func (c Call) Eval(state []int) (Value, error) {
 		return DoubleV(best), nil
 	case "floor", "ceil":
 		if len(args) != 1 {
-			return Value{}, fmt.Errorf("modular: %s needs 1 argument", c.Fn)
+			return Value{}, fmt.Errorf("modular: %s needs 1 argument", fn)
 		}
 		f, err := args[0].Num()
 		if err != nil {
 			return Value{}, err
 		}
-		if c.Fn == "floor" {
+		if fn == "floor" {
 			return IntV(int(math.Floor(f))), nil
 		}
 		return IntV(int(math.Ceil(f))), nil
@@ -409,7 +428,7 @@ func (c Call) Eval(state []int) (Value, error) {
 		}
 		return DoubleV(math.Log(a) / math.Log(b)), nil
 	default:
-		return Value{}, fmt.Errorf("modular: unknown function %q", c.Fn)
+		return Value{}, fmt.Errorf("modular: unknown function %q", fn)
 	}
 }
 

@@ -138,9 +138,15 @@ func (m *Model) InitState() []int {
 	return st
 }
 
-// Validate performs static checks: variable indices in range, guards and
-// rates evaluable in the initial state with the right types.
+// Validate performs static checks: initial values within their declared
+// ranges, variable indices in range, guards and rates evaluable in the
+// initial state with the right types.
 func (m *Model) Validate() error {
+	for _, d := range m.Vars {
+		if d.Init < d.Min || d.Init > d.Max {
+			return fmt.Errorf("modular: variable %q init %d outside [%d..%d]", d.Name, d.Init, d.Min, d.Max)
+		}
+	}
 	init := m.InitState()
 	for mi := range m.Modules {
 		mod := &m.Modules[mi]

@@ -119,6 +119,7 @@ func scanJournal(path string) ([]Entry, error) {
 	defer f.Close()
 	var order []string
 	submits := make(map[string]Entry)
+	done := make(map[string]bool)
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
 	for sc.Scan() {
@@ -132,12 +133,19 @@ func scanJournal(path string) ([]Entry, error) {
 		}
 		switch e.Op {
 		case OpSubmit:
+			if done[e.ID] {
+				// A job can finish before its submission is journaled
+				// (the server enqueues first); the done record retires
+				// it all the same.
+				continue
+			}
 			if _, ok := submits[e.ID]; !ok {
 				order = append(order, e.ID)
 			}
 			submits[e.ID] = e
 		case OpDone:
 			delete(submits, e.ID)
+			done[e.ID] = true
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -104,6 +104,31 @@ func TestJournalIgnoresDoneWithoutSubmit(t *testing.T) {
 	}
 }
 
+// A job can finish before the server journals its submission; the done
+// record written first must still retire it.
+func TestJournalDoneBeforeSubmitRetires(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Done("fast"); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Submit("fast", []byte(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if got := j2.Pending(); len(got) != 0 {
+		t.Fatalf("pending = %+v, want none", got)
+	}
+}
+
 func TestJournalAppendAfterCloseFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.journal")
 	j, err := OpenJournal(path)
