@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -92,13 +93,7 @@ func (s *Server) nodeStatus() NodeStatus {
 		if own := rt.Ring().Ownership(); own != nil {
 			ns.RingOwnership = own[rt.Self()]
 		}
-		if rt.Breakers != nil {
-			states := rt.Breakers.States()
-			ns.Breakers = make(map[string]string, len(states))
-			for node, st := range states {
-				ns.Breakers[node] = st.String()
-			}
-		}
+		ns.Breakers = m.Shard.Breakers
 	}
 	if q := s.cfg.Hints; q != nil {
 		ns.HintDepths = q.Depths()
@@ -159,9 +154,10 @@ type UnreachableNode struct {
 }
 
 // gatherCluster fans out to every ring peer's /v1/node/status (self is read
-// in-process), respecting open breakers — a peer the ring already considers
-// down is reported unreachable without burning a scrape on it. Scrapes run
-// in parallel; results come back in node order.
+// in-process) through the peers' breakers — a peer the ring already
+// considers down is reported unreachable (reason "breaker_open") without
+// burning a scrape on it. Scrapes run in parallel; results come back in
+// node order.
 func (s *Server) gatherCluster() ([]NodeStatus, []UnreachableNode) {
 	rt := s.cfg.Shard
 	if rt == nil {
@@ -177,16 +173,16 @@ func (s *Server) gatherCluster() ([]NodeStatus, []UnreachableNode) {
 			statuses[i] = &ns
 			continue
 		}
-		if rt.Breakers != nil && rt.Breakers.State(node) == shard.BreakerOpen {
-			failures[i] = &UnreachableNode{Node: node, Reason: "breaker_open"}
-			continue
-		}
 		wg.Add(1)
 		go func(i int, node string) {
 			defer wg.Done()
 			ns, err := s.scrapeNode(node)
 			if err != nil {
-				failures[i] = &UnreachableNode{Node: node, Reason: err.Error()}
+				reason := err.Error()
+				if errors.Is(err, shard.ErrBreakerOpen) {
+					reason = "breaker_open"
+				}
+				failures[i] = &UnreachableNode{Node: node, Reason: reason}
 				return
 			}
 			if ns.Node == "" {

@@ -121,9 +121,8 @@ func TestQueuedHintCarriesClientTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for rt.Breakers.State("n2") != shard.BreakerOpen {
-		rt.Breakers.Fail("n2")
-	}
+	rt.Breakers = shard.NewBreakerSet(shard.BreakerOptions{Now: newTestClock().Now})
+	tripBreaker(t, rt, "n2")
 	srv := New(Config{Workers: 2, Shard: rt, Replication: 2})
 	stubEngine(srv.engine, func(ctx context.Context) (*Outcome, error) { return stubOutcome(), nil })
 	go srv.Serve(l)
@@ -306,11 +305,11 @@ func TestClusterEndpointsFederateRing(t *testing.T) {
 // TestClusterReportsBreakerOpenPeer: a peer the ring already considers down
 // is reported unreachable (reason breaker_open) without a scrape attempt.
 func TestClusterReportsBreakerOpenPeer(t *testing.T) {
-	nodes := bootFleet(t, []string{"n1", "n2", "n3"}, nil)
+	nodes := bootFleet(t, []string{"n1", "n2", "n3"}, func(name string, cfg *Config, rt *shard.Router) {
+		rt.Breakers = shard.NewBreakerSet(shard.BreakerOptions{Now: newTestClock().Now})
+	})
 	rt := nodes["n1"].srv.cfg.Shard
-	for rt.Breakers.State("n3") != shard.BreakerOpen {
-		rt.Breakers.Fail("n3")
-	}
+	tripBreaker(t, rt, "n3")
 	resp, err := http.Get(nodes["n1"].url + "/v1/cluster/status")
 	if err != nil {
 		t.Fatal(err)

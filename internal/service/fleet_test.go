@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,8 +25,65 @@ type fleetNode struct {
 	url      string
 	addr     string
 	listener net.Listener
+	served   chan struct{} // closed when the first Serve returns
 	runs     *atomic.Int64
 	store    *store.Store
+}
+
+// stop shuts the node down and waits for its Serve to return, which frees
+// its address for a restart.
+func (fn *fleetNode) stop(t *testing.T) {
+	t.Helper()
+	if err := fn.srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-fn.served
+}
+
+// testClock is an injected breaker clock that tests advance by hand, so a
+// tripped breaker stays open until the test recovers it.
+type testClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func newTestClock() *testClock { return &testClock{t: time.Unix(1000, 0)} }
+
+func (c *testClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *testClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+// errInjectedPeer fails the guarded calls tripBreaker makes.
+var errInjectedPeer = errors.New("injected peer failure")
+
+// tripBreaker fails guarded calls to node until its breaker is open.
+func tripBreaker(t *testing.T, rt *shard.Router, node string) {
+	t.Helper()
+	for i := 0; rt.Breakers.State(node) != shard.BreakerOpen; i++ {
+		if i == 100 {
+			t.Fatalf("breaker for %s still %v after %d failures", node, rt.Breakers.State(node), i)
+		}
+		rt.Breakers.Do(context.Background(), node, func(context.Context) error { return errInjectedPeer })
+	}
+}
+
+// recoverBreaker expires node's open period on clk and closes its breaker
+// with a successful half-open trial.
+func recoverBreaker(t *testing.T, rt *shard.Router, clk *testClock, node string) {
+	t.Helper()
+	clk.Advance(time.Hour)
+	err := rt.Breakers.Do(context.Background(), node, func(context.Context) error { return nil })
+	if st := rt.Breakers.State(node); err != nil || st != shard.BreakerClosed {
+		t.Fatalf("recovery trial for %s: err=%v state=%v, want closed", node, err, st)
+	}
 }
 
 // bootFleet is bootRing with per-node configuration: mut may adjust the
@@ -64,10 +122,14 @@ func bootFleet(t *testing.T, names []string, mut func(name string, cfg *Config, 
 			time.Sleep(20 * time.Millisecond)
 			return stubOutcome(), nil
 		}
-		go srv.Serve(listeners[n])
+		served := make(chan struct{})
+		go func(l net.Listener) {
+			srv.Serve(l)
+			close(served)
+		}(listeners[n])
 		nodes[n] = &fleetNode{
 			srv: srv, url: peers[n], addr: listeners[n].Addr().String(),
-			listener: listeners[n], runs: runs, store: st,
+			listener: listeners[n], served: served, runs: runs, store: st,
 		}
 		t.Cleanup(func() { srv.Close() })
 	}
@@ -139,8 +201,10 @@ func TestReplicationWritesToSuccessor(t *testing.T) {
 // a hinted handoff, delivered to the owner once it returns and its breaker
 // closes.
 func TestFailoverComputesLocallyAndQueuesHandoff(t *testing.T) {
+	clk := newTestClock()
 	nodes := bootFleet(t, []string{"n1", "n2"}, func(name string, cfg *Config, rt *shard.Router) {
 		cfg.Replication = 2
+		rt.Breakers = shard.NewBreakerSet(shard.BreakerOptions{Now: clk.Now})
 	})
 	owner := "n2"
 	entry := nodes["n1"]
@@ -150,15 +214,8 @@ func TestFailoverComputesLocallyAndQueuesHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	ownerAddr := nodes[owner].addr
-	if err := nodes[owner].srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Close may race the Serve goroutine registering the http server;
-	// closing the listener directly guarantees the address frees up.
-	nodes[owner].listener.Close()
-	for i := 0; i < 3; i++ {
-		entry.srv.cfg.Shard.Breakers.Fail(owner)
-	}
+	nodes[owner].stop(t)
+	tripBreaker(t, entry.srv.cfg.Shard, owner)
 
 	// The open breaker reroutes ownership to n1 itself: no forward attempt,
 	// no transport timeout, the client just gets its answer.
@@ -200,7 +257,7 @@ func TestFailoverComputesLocallyAndQueuesHandoff(t *testing.T) {
 	go srv2.Serve(l2)
 	t.Cleanup(func() { srv2.Close() })
 
-	entry.srv.cfg.Shard.Breakers.OK(owner)
+	recoverBreaker(t, entry.srv.cfg.Shard, clk, owner)
 	entry.srv.deliverHints()
 	if depth := entry.srv.cfg.Hints.Depth(); depth != 0 {
 		t.Fatalf("hint queue depth = %d after delivery, want 0", depth)
@@ -242,10 +299,7 @@ func TestProberDrivenRecovery(t *testing.T) {
 	entry := nodes["n1"]
 	req := requestOwnedBy(t, entry.srv.engine, entry.srv.cfg.Shard, owner)
 	ownerAddr := nodes[owner].addr
-	if err := nodes[owner].srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	nodes[owner].listener.Close()
+	nodes[owner].stop(t)
 	waitUntil(t, "prober to open the dead peer's breaker", 10*time.Second, func() bool {
 		return entry.srv.cfg.Shard.Breakers.State(owner) == shard.BreakerOpen
 	})
@@ -300,7 +354,10 @@ func TestProberDrivenRecovery(t *testing.T) {
 // transport-failure and open-breaker paths — and recovers once the owner
 // returns.
 func TestOwnerUnavailablePollTypedError(t *testing.T) {
-	nodes := bootFleet(t, []string{"n1", "n2"}, nil)
+	clk := newTestClock()
+	nodes := bootFleet(t, []string{"n1", "n2"}, func(name string, cfg *Config, rt *shard.Router) {
+		rt.Breakers = shard.NewBreakerSet(shard.BreakerOptions{Now: clk.Now})
+	})
 	req := requestOwnedBy(t, nodes["n2"].srv.engine, nodes["n2"].srv.cfg.Shard, "n2")
 	_, v := postAnalysis(t, nodes["n2"].url, analysisBody(req, 20))
 	if v.Status != StatusDone || !strings.HasPrefix(v.ID, "n2:") {
@@ -325,9 +382,7 @@ func TestOwnerUnavailablePollTypedError(t *testing.T) {
 	}
 	// Trip the breaker fully open: the poll now fails fast off the breaker
 	// with the same typed kind, no transport attempt.
-	for i := 0; i < 3; i++ {
-		nodes["n1"].srv.cfg.Shard.Breakers.Fail("n2")
-	}
+	tripBreaker(t, nodes["n1"].srv.cfg.Shard, "n2")
 	if code, kind := pollKind(); code != http.StatusBadGateway || kind != errKindOwnerUnavailable {
 		t.Fatalf("poll with breaker open: code=%d kind=%q, want 502/%s", code, kind, errKindOwnerUnavailable)
 	}
@@ -339,7 +394,7 @@ func TestOwnerUnavailablePollTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	go nodes["n2"].srv.Serve(l2)
-	nodes["n1"].srv.cfg.Shard.Breakers.OK("n2")
+	recoverBreaker(t, nodes["n1"].srv.cfg.Shard, clk, "n2")
 	waitUntil(t, "poll to recover", 5*time.Second, func() bool {
 		resp, err := http.Get(nodes["n1"].url + "/v1/analyses/" + v.ID)
 		if err != nil {
@@ -681,6 +736,7 @@ func TestTenantFairnessUnderNoisyNeighbor(t *testing.T) {
 func TestFleetPromExposition(t *testing.T) {
 	nodes := bootFleet(t, []string{"n1", "n2"}, func(name string, cfg *Config, rt *shard.Router) {
 		cfg.Replication = 2
+		rt.Breakers = shard.NewBreakerSet(shard.BreakerOptions{Now: newTestClock().Now})
 		if name == "n1" {
 			cfg.Tenants = &TenantPolicy{Tenants: map[string]TenantConfig{"t1": {Rate: 1, Burst: 1}}}
 		}
@@ -689,9 +745,7 @@ func TestFleetPromExposition(t *testing.T) {
 	owner := "n2"
 	req := requestOwnedBy(t, entry.srv.engine, entry.srv.cfg.Shard, owner)
 	nodes[owner].srv.Close()
-	for i := 0; i < 3; i++ {
-		entry.srv.cfg.Shard.Breakers.Fail(owner)
-	}
+	tripBreaker(t, entry.srv.cfg.Shard, owner)
 	post := func() int {
 		hreq, _ := http.NewRequest(http.MethodPost, entry.url+"/v1/analyses", strings.NewReader(analysisBody(req, 20)))
 		hreq.Header.Set("Content-Type", "application/json")

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -30,11 +31,13 @@ const errKindOwnerUnavailable = "owner_unavailable"
 // Ownership consults the per-peer circuit breakers: an owner with an open
 // breaker is skipped deterministically in favour of the next healthy ring
 // successor, so every peer with a converged breaker view routes the key to
-// the same failover owner and single-flight dedup reassembles there. When
-// this node computes a key it doesn't primarily own, handoffOwner names
-// the skipped primary so the result is handed off to it on recovery. key
-// is the request's canonical content address when it was computed ("" on
-// the forwarded-in and no-fingerprint paths).
+// the same failover owner and single-flight dedup reassembles there. A
+// forward refused because another call holds the owner's half-open trial
+// fails over to this node the same way. When this node computes a key it
+// doesn't primarily own, handoffOwner names the skipped primary so the
+// result is handed off to it on recovery. key is the request's canonical
+// content address when it was computed ("" on the forwarded-in and
+// no-fingerprint paths).
 func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, req *AnalysisRequest, body []byte) (handled bool, key, handoffOwner string) {
 	rt := s.cfg.Shard
 	if rt == nil {
@@ -52,6 +55,22 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, req *Analy
 	}
 	primary, _ := rt.Owner(key)
 	node, self, failover := rt.HealthyOwner(key)
+	var resp *http.Response
+	if !self {
+		// The tenant identity travels with the forward so the owner's
+		// metrics attribute the work, but admission is only charged here at
+		// the entry.
+		var extra http.Header
+		if t := r.Header.Get(TenantHeader); t != "" {
+			extra = http.Header{TenantHeader: []string{t}}
+		}
+		resp, err = rt.ForwardHeaders(ctx, node, http.MethodPost, "/v1/analyses", body, "application/json", extra)
+		if errors.Is(err, shard.ErrBreakerOpen) {
+			// Another call took the owner's half-open trial after the
+			// lookup: fail over to this node.
+			node, self, failover = rt.Self(), true, true
+		}
+	}
 	if failover {
 		s.shardFailover.Add(1)
 		obs.Count(ctx, "service.shard.failover", 1)
@@ -70,13 +89,6 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, req *Analy
 		}
 		return false, key, ""
 	}
-	// The tenant identity travels with the forward so the owner's metrics
-	// attribute the work, but admission is only charged here at the entry.
-	var extra http.Header
-	if t := r.Header.Get(TenantHeader); t != "" {
-		extra = http.Header{TenantHeader: []string{t}}
-	}
-	resp, err := rt.ForwardHeaders(ctx, node, http.MethodPost, "/v1/analyses", body, "application/json", extra)
 	if err == nil && resp.StatusCode >= http.StatusInternalServerError {
 		// The owner answered but cannot take the work (draining, full
 		// queue, internal failure). The analysis is deterministic and
@@ -128,23 +140,15 @@ func (s *Server) proxyJobGet(w http.ResponseWriter, r *http.Request, id string) 
 	if _, known := rt.URL(node); !known {
 		return false
 	}
-	if rt.Breakers.State(node) == shard.BreakerOpen {
-		// Fail fast off the breaker instead of paying the transport
-		// timeout for a node already known to be down.
-		s.shardForwardFail.Add(1)
-		obs.Count(r.Context(), "service.shard.forward_failed", 1)
-		s.stampNode(w)
-		writeErrorKind(w, http.StatusBadGateway, errKindOwnerUnavailable,
-			fmt.Errorf("job %s lives on node %s, which is unavailable (circuit open)", id, node))
-		return true
-	}
+	// An open breaker fails the forward fast instead of paying the
+	// transport timeout for a node already known to be down.
 	resp, err := rt.Forward(r.Context(), node, http.MethodGet, r.URL.Path, nil, "")
 	if err != nil {
 		s.shardForwardFail.Add(1)
 		obs.Count(r.Context(), "service.shard.forward_failed", 1)
 		s.stampNode(w)
 		writeErrorKind(w, http.StatusBadGateway, errKindOwnerUnavailable,
-			fmt.Errorf("job %s lives on node %s, which is unreachable: %v", id, node, err))
+			fmt.Errorf("job %s lives on node %s, which is unavailable: %v", id, node, err))
 		return true
 	}
 	defer resp.Body.Close()

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -41,17 +42,17 @@ func (s *Server) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("replica payload is not an outcome: %w", err))
 		return
 	}
-	s.replicaReceived.Add(1)
+	// Warm both tiers (the in-memory result cache answers the next poll
+	// without touching disk, the store survives a restart), then count.
 	ctx := r.Context()
-	obs.Count(ctx, "service.replica.received", 1)
-	// Warm both tiers: the in-memory result cache answers the next poll
-	// without touching disk, the store survives a restart.
 	s.engine.putResult(ctx, key, &out)
 	if s.cfg.Store != nil {
 		if err := s.cfg.Store.Put(key, payload); err != nil {
 			obs.Count(ctx, "service.replica.store_error", 1)
 		}
 	}
+	s.replicaReceived.Add(1)
+	obs.Count(ctx, "service.replica.received", 1)
 	s.stampNode(w)
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -112,12 +113,11 @@ func (s *Server) replicateOutcome(job *Job, out *Outcome, cache CacheState) {
 // pushReplica attempts one replica write, falling back to a hint when the
 // peer's breaker refuses the call or the call fails.
 func (s *Server) pushReplica(ctx context.Context, node, key string, payload []byte) {
-	rt := s.cfg.Shard
-	if !rt.Breakers.Allow(node) {
+	resp, err := s.cfg.Shard.Forward(ctx, node, http.MethodPut, "/v1/replica/"+key, payload, "application/json")
+	if errors.Is(err, shard.ErrBreakerOpen) {
 		s.queueHint(ctx, node, key, payload)
 		return
 	}
-	resp, err := rt.Forward(ctx, node, http.MethodPut, "/v1/replica/"+key, payload, "application/json")
 	if err == nil {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
@@ -184,15 +184,16 @@ func (s *Server) startFleet() {
 				obs.Attr{Key: "detail", Kind: obs.KindString, Str: node + ": " + from.String() + " -> " + to.String()})
 		}
 	}
-	if s.cfg.ProbeInterval > 0 {
-		s.prober = shard.NewProber(rt, s.cfg.ProbeInterval)
-		s.prober.OnHealthy = func(node string) { s.kickHandoff() }
-		s.prober.Start()
-	}
+	// Before the prober: its first successful probe calls kickHandoff.
 	if s.cfg.Hints != nil {
 		s.handoffKick = make(chan struct{}, 1)
 		s.fleetWG.Add(1)
 		go s.handoffLoop()
+	}
+	if s.cfg.ProbeInterval > 0 {
+		s.prober = shard.NewProber(rt, s.cfg.ProbeInterval)
+		s.prober.OnHealthy = func(node string) { s.kickHandoff() }
+		s.prober.Start()
 	}
 }
 
@@ -209,6 +210,12 @@ func (s *Server) stopFleet() {
 	s.fleetWG.Wait()
 	if s.fleetSpan != nil {
 		s.fleetSpan.End()
+	}
+	// A probe canceled mid-dial can leave a never-used connection in the
+	// pool, which the peer's http.Server counts as active for 5s, stalling
+	// its Shutdown.
+	if rt := s.cfg.Shard; rt != nil {
+		rt.HTTP.CloseIdleConnections()
 	}
 }
 

@@ -335,6 +335,7 @@ func New(cfg Config) *Server {
 		// The handler tolerates a disabled (nil) recorder by serving 404.
 		s.mux.Handle("GET /debug/flight", s.flight.Handler())
 	}
+	s.httpSrv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	s.admission = newAdmission(cfg.Tenants)
 	s.startFleet()
 	for i := 0; i < cfg.Workers; i++ {
@@ -388,16 +389,10 @@ func (s *Server) ListenAndServe() error {
 	return s.Serve(l)
 }
 
-// Serve serves the API on l until Shutdown.
+// Serve serves the API on l until Shutdown. After Shutdown it closes l and
+// returns at once.
 func (s *Server) Serve(l net.Listener) error {
-	srv := &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	s.mu.Lock()
-	s.httpSrv = srv
-	s.mu.Unlock()
-	err := srv.Serve(l)
+	err := s.httpSrv.Serve(l)
 	if errors.Is(err, http.ErrServerClosed) {
 		return nil
 	}
@@ -417,7 +412,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// under mu before enqueueing.
 		close(s.queue)
 	}
-	httpSrv := s.httpSrv
 	s.mu.Unlock()
 	// Jobs parked on backoff timers fail now with their original errors
 	// rather than stalling the drain for up to a full backoff period.
@@ -439,12 +433,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// After the job drain so results finished during it still replicate.
 	s.stopFleet()
 	s.baseCancel()
-	if httpSrv != nil {
-		shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if herr := httpSrv.Shutdown(shCtx); herr != nil && err == nil {
-			err = herr
-		}
+	shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if herr := s.httpSrv.Shutdown(shCtx); herr != nil && err == nil {
+		err = herr
 	}
 	return err
 }
@@ -1202,12 +1194,10 @@ func (s *Server) Metrics() Metrics {
 			Failovers:          s.shardFailover.Load(),
 			BreakerTransitions: s.breakerTransitions.Load(),
 		}
-		if s.cfg.Shard.Breakers != nil {
-			states := s.cfg.Shard.Breakers.States()
-			m.Shard.Breakers = make(map[string]string, len(states))
-			for node, st := range states {
-				m.Shard.Breakers[node] = st.String()
-			}
+		states := s.cfg.Shard.Breakers.States()
+		m.Shard.Breakers = make(map[string]string, len(states))
+		for node, st := range states {
+			m.Shard.Breakers[node] = st.String()
 		}
 		m.Shard.Probes, m.Shard.ProbeFailures = s.prober.Stats()
 		if f := s.replication(); f > 1 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -414,6 +415,36 @@ func TestResultCacheEviction(t *testing.T) {
 	if ev := e.results.Stats().Evictions; ev < 1 {
 		t.Fatalf("evictions = %d, want ≥1", ev)
 	}
+}
+
+// TestServeAfterCloseReturns: a Serve that starts after Shutdown returns at
+// once and closes its listener, instead of serving a shut-down server
+// forever.
+func TestServeAfterCloseReturns(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(l) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve after Close = %v, want nil", err)
+		}
+	case <-time.After(time.Second):
+		l.Close()
+		t.Fatal("Serve after Close was still serving after 1s")
+	}
+	l2, err := net.Listen("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatalf("Serve after Close left its address bound: %v", err)
+	}
+	l2.Close()
 }
 
 // TestGracefulShutdownDrainsJobs checks Shutdown lets in-flight jobs

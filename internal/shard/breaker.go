@@ -1,10 +1,17 @@
 package shard
 
 import (
+	"context"
+	"errors"
 	"math"
 	"sync"
 	"time"
 )
+
+// ErrBreakerOpen is returned by BreakerSet.Do when a peer's breaker refuses
+// the call: it is open inside its backoff window, or half-open with its
+// single trial already out.
+var ErrBreakerOpen = errors.New("shard: circuit breaker open")
 
 // BreakerState is the lifecycle state of one peer's circuit breaker.
 type BreakerState int32
@@ -14,8 +21,8 @@ type BreakerState int32
 const (
 	// BreakerClosed: the peer is healthy; requests flow normally.
 	BreakerClosed BreakerState = iota
-	// BreakerHalfOpen: the open period elapsed; exactly one trial request
-	// (a forwarded submission or an active health probe) is allowed through
+	// BreakerHalfOpen: the open period elapsed; exactly one trial call
+	// (a forwarded request or an active health probe) is allowed through
 	// to decide whether the peer recovered.
 	BreakerHalfOpen
 	// BreakerOpen: consecutive failures tripped the breaker; requests are
@@ -45,8 +52,9 @@ type BreakerOptions struct {
 	OpenBase time.Duration
 	OpenMax  time.Duration
 
-	// now substitutes the clock in tests.
-	now func() time.Time
+	// Now is a test clock that replaces time.Now, so tests can expire an
+	// open period without sleeping. Production code leaves it nil.
+	Now func() time.Time
 }
 
 func (o BreakerOptions) withDefaults() BreakerOptions {
@@ -59,19 +67,20 @@ func (o BreakerOptions) withDefaults() BreakerOptions {
 	if o.OpenMax <= 0 {
 		o.OpenMax = 30 * time.Second
 	}
-	if o.now == nil {
-		o.now = time.Now
+	if o.Now == nil {
+		o.Now = time.Now
 	}
 	return o
 }
 
-// Breaker is one peer's circuit breaker: closed while the peer behaves,
-// open (refusing requests locally, so callers fail over without paying a
+// breaker is one peer's circuit breaker: closed while the peer behaves,
+// open (refusing calls locally, so callers fail over without paying a
 // transport timeout) after FailureThreshold consecutive failures, and
 // half-open — admitting a single trial — once the capped-backoff open
-// period elapses. Safe for concurrent use.
-type Breaker struct {
-	opts BreakerOptions
+// period elapses.
+type breaker struct {
+	set  *BreakerSet
+	node string
 
 	mu          sync.Mutex
 	state       BreakerState
@@ -81,213 +90,175 @@ type Breaker struct {
 	probing     bool      // the half-open trial slot is taken
 }
 
-func newBreaker(opts BreakerOptions) *Breaker {
-	return &Breaker{opts: opts}
-}
-
-// Allow reports whether a request to the peer may proceed, moving an
-// expired open breaker to half-open. In half-open exactly one caller wins
-// the trial slot; everyone else is refused until the trial reports OK or
-// Fail. A nil breaker allows everything.
-func (b *Breaker) Allow() bool {
-	if b == nil {
-		return true
-	}
+// admits reports whether acquire would let a call through, without taking
+// the trial slot or moving an expired open breaker to half-open.
+func (b *breaker) admits() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if b.opts.now().Before(b.until) {
-			return false
+		return !b.set.opts.Now().Before(b.until)
+	default: // BreakerHalfOpen
+		return !b.probing
+	}
+}
+
+// acquire admits a call, reporting whether it holds the half-open trial
+// slot. An expired open breaker moves to half-open and hands the slot to
+// this call; while the slot is out every other call is refused.
+func (b *breaker) acquire() (trial, ok bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch b.state {
+	case BreakerClosed:
+		return false, true
+	case BreakerOpen:
+		if b.set.opts.Now().Before(b.until) {
+			return false, false
 		}
-		b.state = BreakerHalfOpen
-		b.probing = true
-		return true
+		b.setLocked(BreakerHalfOpen)
 	default: // BreakerHalfOpen
 		if b.probing {
-			return false
+			return false, false
 		}
-		b.probing = true
-		return true
 	}
+	b.probing = true
+	return true, true
 }
 
-// OK records a successful request: the breaker closes and all failure
-// history resets.
-func (b *Breaker) OK() {
-	if b == nil {
-		return
-	}
+// settle records an admitted call's outcome. Success closes the breaker
+// and resets all failure history. A call abandoned because its caller's
+// context ended says nothing about the peer: a trial returns its slot, so
+// the breaker stays half-open for the next caller. Any other failure counts
+// towards FailureThreshold while closed and re-opens a half-open breaker
+// with doubled backoff.
+func (b *breaker) settle(trial, canceled bool, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.state = BreakerClosed
-	b.consecFails = 0
-	b.opens = 0
-	b.probing = false
-}
-
-// Release returns an unused half-open trial slot without judging the peer.
-// Callers whose request was aborted for reasons unrelated to the peer's
-// health (the client canceled mid-forward) must call this instead of OK or
-// Fail: leaving the slot taken would wedge the breaker half-open forever,
-// since every later Allow — including the health prober's — is refused
-// while a trial is nominally in flight.
-func (b *Breaker) Release() {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == BreakerHalfOpen {
-		b.probing = false
-	}
-}
-
-// Fail records a failed request (transport error or 5xx). A closed breaker
-// opens after FailureThreshold consecutive failures; a half-open trial
-// failure re-opens with doubled backoff.
-func (b *Breaker) Fail() {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerClosed:
+	switch {
+	case err == nil:
+		b.consecFails, b.opens, b.probing = 0, 0, false
+		b.setLocked(BreakerClosed)
+	case canceled:
+		if trial && b.state == BreakerHalfOpen {
+			b.probing = false
+		}
+	case b.state == BreakerClosed:
 		b.consecFails++
-		if b.consecFails >= b.opts.FailureThreshold {
+		if b.consecFails >= b.set.opts.FailureThreshold {
 			b.openLocked()
 		}
-	case BreakerHalfOpen:
+	case b.state == BreakerHalfOpen:
 		b.openLocked()
-	case BreakerOpen:
-		// Failures while open (a racing request that was already in flight
-		// when the breaker tripped) neither extend nor escalate the backoff.
 	}
+	// A failure while open (a call already in flight when the breaker
+	// tripped) neither extends nor escalates the backoff.
 }
 
 // openLocked starts an open period with capped exponential backoff.
-func (b *Breaker) openLocked() {
+func (b *breaker) openLocked() {
 	b.opens++
-	d := b.opts.OpenBase
+	d := b.set.opts.OpenBase
 	if shift := b.opens - 1; shift > 0 {
-		if shift > 30 || float64(d)*math.Pow(2, float64(shift)) > float64(b.opts.OpenMax) {
-			d = b.opts.OpenMax
+		if shift > 30 || float64(d)*math.Pow(2, float64(shift)) > float64(b.set.opts.OpenMax) {
+			d = b.set.opts.OpenMax
 		} else {
 			d <<= shift
 		}
 	}
-	if d > b.opts.OpenMax {
-		d = b.opts.OpenMax
+	if d > b.set.opts.OpenMax {
+		d = b.set.opts.OpenMax
 	}
-	b.state = BreakerOpen
-	b.until = b.opts.now().Add(d)
+	b.until = b.set.opts.Now().Add(d)
 	b.consecFails = 0
 	b.probing = false
+	b.setLocked(BreakerOpen)
 }
 
-// State returns the breaker's current state without side effects (an
-// expired open period still reads as open until someone calls Allow).
-func (b *Breaker) State() BreakerState {
-	if b == nil {
-		return BreakerClosed
+// setLocked moves the breaker to state to and reports a change through the
+// set's OnTransition while b.mu is held, so observers see one node's
+// transitions exactly once each and in the order they happened.
+func (b *breaker) setLocked(to BreakerState) {
+	from := b.state
+	if from == to {
+		return
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
+	b.state = to
+	if b.set.OnTransition != nil {
+		b.set.OnTransition(b.node, from, to)
+	}
 }
 
 // BreakerSet holds one breaker per peer node, creating them on first use.
-// OnTransition, when set before traffic starts, observes every state
-// change (breaker trip, half-open trial, recovery) for logging and the
-// flight recorder.
+// Every call to a peer goes through Do, which is the only way breaker
+// state changes. A nil set admits everything.
 type BreakerSet struct {
 	opts BreakerOptions
 
-	// OnTransition is invoked (outside the per-breaker lock) whenever a
-	// node's breaker changes state. Set before concurrent use.
+	// OnTransition, when set before traffic starts, observes every state
+	// change (breaker trip, half-open trial, recovery) for logging and the
+	// flight recorder. It runs under the node's breaker lock and must not
+	// call back into the set.
 	OnTransition func(node string, from, to BreakerState)
 
 	mu sync.Mutex
-	m  map[string]*Breaker
+	m  map[string]*breaker
 }
 
 // NewBreakerSet builds a set with the given options.
 func NewBreakerSet(opts BreakerOptions) *BreakerSet {
-	return &BreakerSet{opts: opts.withDefaults(), m: make(map[string]*Breaker)}
+	return &BreakerSet{opts: opts.withDefaults(), m: make(map[string]*breaker)}
 }
 
-// breaker returns (creating if needed) the breaker for node. Nil-safe.
-func (s *BreakerSet) breaker(node string) *Breaker {
-	if s == nil {
-		return nil
-	}
+// breaker returns (creating if needed) the breaker for node.
+func (s *BreakerSet) breaker(node string) *breaker {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.m[node]
 	if !ok {
-		b = newBreaker(s.opts)
+		b = &breaker{set: s, node: node}
 		s.m[node] = b
 	}
 	return b
 }
 
-// Allow reports whether a request to node may proceed (see Breaker.Allow).
-func (s *BreakerSet) Allow(node string) bool {
+// Do runs fn as one guarded call to node. While node's breaker is open, or
+// half-open with its trial already out, Do refuses with ErrBreakerOpen and
+// fn never runs. Otherwise fn's result settles the call: nil records a
+// success, an error after ctx has ended returns the slot without judging
+// the peer, and any other error records a failure. Do returns fn's error.
+func (s *BreakerSet) Do(ctx context.Context, node string, fn func(context.Context) error) error {
 	if s == nil {
-		return true
+		return fn(ctx)
 	}
 	b := s.breaker(node)
-	before := b.State()
-	ok := b.Allow()
-	s.notify(node, before, b.State())
-	return ok
-}
-
-// OK records a successful request to node.
-func (s *BreakerSet) OK(node string) {
-	if s == nil {
-		return
+	trial, ok := b.acquire()
+	if !ok {
+		return ErrBreakerOpen
 	}
-	b := s.breaker(node)
-	before := b.State()
-	b.OK()
-	s.notify(node, before, b.State())
+	err := fn(ctx)
+	b.settle(trial, ctx.Err() != nil, err)
+	return err
 }
 
-// Release returns node's unused half-open trial slot (see Breaker.Release).
-func (s *BreakerSet) Release(node string) {
-	if s == nil {
-		return
-	}
-	s.breaker(node).Release()
+// admits reports whether Do would currently let a call to node through,
+// without changing any breaker state.
+func (s *BreakerSet) admits(node string) bool {
+	return s == nil || s.breaker(node).admits()
 }
 
-// Fail records a failed request to node.
-func (s *BreakerSet) Fail(node string) {
-	if s == nil {
-		return
-	}
-	b := s.breaker(node)
-	before := b.State()
-	b.Fail()
-	s.notify(node, before, b.State())
-}
-
-func (s *BreakerSet) notify(node string, from, to BreakerState) {
-	if from != to && s.OnTransition != nil {
-		s.OnTransition(node, from, to)
-	}
-}
-
-// State returns node's breaker state without side effects.
+// State returns node's breaker state without side effects (an expired open
+// period still reads as open until the next Do takes the trial).
 func (s *BreakerSet) State(node string) BreakerState {
 	if s == nil {
 		return BreakerClosed
 	}
-	return s.breaker(node).State()
+	b := s.breaker(node)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
 }
 
 // States snapshots every known breaker, keyed by node.
@@ -299,7 +270,9 @@ func (s *BreakerSet) States() map[string]BreakerState {
 	defer s.mu.Unlock()
 	out := make(map[string]BreakerState, len(s.m))
 	for n, b := range s.m {
-		out[n] = b.State()
+		b.mu.Lock()
+		out[n] = b.state
+		b.mu.Unlock()
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"sync"
@@ -11,7 +12,7 @@ import (
 // Prober actively checks peer health so dead nodes are discovered (and
 // recovered nodes welcomed back) without a live request paying the
 // transport timeout. Each cycle it probes every peer whose breaker admits
-// a request — for an open breaker that is exactly the half-open trial, so
+// a call — for an open breaker that is exactly the half-open trial, so
 // the prober drives the breaker lifecycle even when no traffic flows:
 // a dead peer's breaker stays open between backoff-paced probes, and the
 // first successful probe after recovery closes it.
@@ -93,37 +94,32 @@ func (p *Prober) loop(ctx context.Context) {
 	}
 }
 
-// cycle probes every peer (except self) whose breaker currently admits a
-// request.
+// cycle probes every peer except self through its breaker: Do skips an
+// open breaker inside its backoff window, and for an expired one the probe
+// is the half-open trial. A Stop mid-probe cancels ctx, which returns the
+// trial slot instead of recording a failure.
 func (p *Prober) cycle(ctx context.Context) {
 	for _, node := range p.router.Nodes() {
 		if node == p.router.Self() || ctx.Err() != nil {
 			continue
 		}
-		if !p.router.Breakers.Allow(node) {
-			continue // open breaker inside its backoff window: not yet
-		}
-		if p.probe(ctx, node) {
-			p.router.Breakers.OK(node)
-			if p.OnHealthy != nil {
-				p.OnHealthy(node)
-			}
-		} else {
-			p.router.Breakers.Fail(node)
+		err := p.router.Breakers.Do(ctx, node, func(ctx context.Context) error { return p.probe(ctx, node) })
+		if err == nil && p.OnHealthy != nil {
+			p.OnHealthy(node)
 		}
 	}
 }
 
-// probe issues one health check, reporting whether the node answered 200.
-// A node that answers anything else (degraded is still 200; draining is
-// 503) is treated as unable to take forwarded work.
-func (p *Prober) probe(ctx context.Context, node string) bool {
+// probe issues one health check, failing unless the node answers 200. A
+// node that answers anything else (degraded is still 200; draining is 503)
+// is treated as unable to take forwarded work.
+func (p *Prober) probe(ctx context.Context, node string) error {
 	p.mu.Lock()
 	p.probes++
 	p.mu.Unlock()
 	base, ok := p.router.URL(node)
 	if !ok {
-		return false
+		return fmt.Errorf("shard: unknown node %q", node)
 	}
 	timeout := p.Timeout
 	if timeout <= 0 {
@@ -137,24 +133,22 @@ func (p *Prober) probe(ctx context.Context, node string) bool {
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, base+path, nil)
 	if err != nil {
-		return false
+		return err
 	}
-	resp, err := p.router.httpClient().Do(req)
+	resp, err := p.router.HTTP.Do(req)
+	if err == nil {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("shard: probe of %s answered %s", node, resp.Status)
+		}
+	}
 	if err != nil {
 		p.mu.Lock()
 		p.failed++
 		p.mu.Unlock()
-		return false
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		p.mu.Lock()
-		p.failed++
-		p.mu.Unlock()
-		return false
-	}
-	return true
+	return err
 }
 
 // Stats reports lifetime probe counts (total, failed).

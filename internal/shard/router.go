@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -66,26 +67,17 @@ type Router struct {
 	ring *Ring
 	urls map[string]string
 
-	// HTTP is the transport for peer calls. The default dials with a short
-	// timeout so an unreachable owner fails fast into local fallback, but
-	// leaves the overall request bounded only by the caller's context (a
-	// forwarded analysis may legitimately hold the connection for its
-	// synchronous wait).
+	// HTTP is the client for peer calls. NewRouter installs one per router
+	// that dials with a short timeout, so an unreachable owner fails fast
+	// into local fallback, but leaves the overall request bounded only by
+	// the caller's context (a forwarded analysis may legitimately hold the
+	// connection for its synchronous wait).
 	HTTP *http.Client
 
-	// Breakers holds the per-peer circuit breakers Forward reports into and
-	// HealthyOwner consults. NewRouter installs a default set; replace it
-	// (before traffic starts) to tune thresholds and backoff.
+	// Breakers holds the per-peer circuit breakers every peer call goes
+	// through and HealthyOwner reads. NewRouter installs a default set;
+	// replace it (before traffic starts) to tune thresholds and backoff.
 	Breakers *BreakerSet
-}
-
-// defaultTransport fails fast on dead peers without capping response time.
-var defaultHTTPClient = &http.Client{
-	Transport: &http.Transport{
-		DialContext:         (&net.Dialer{Timeout: 2 * time.Second}).DialContext,
-		MaxIdleConnsPerHost: 16,
-		IdleConnTimeout:     90 * time.Second,
-	},
 }
 
 // NewRouter builds a router for node self over the peers map (name→base
@@ -105,9 +97,14 @@ func NewRouter(self string, peers map[string]string, vnodes int) (*Router, error
 	}
 	sort.Strings(names)
 	return &Router{
-		self:     self,
-		ring:     NewRing(names, vnodes),
-		urls:     urls,
+		self: self,
+		ring: NewRing(names, vnodes),
+		urls: urls,
+		HTTP: &http.Client{Transport: &http.Transport{
+			DialContext:         (&net.Dialer{Timeout: 2 * time.Second}).DialContext,
+			MaxIdleConnsPerHost: 16,
+			IdleConnTimeout:     90 * time.Second,
+		}},
 		Breakers: NewBreakerSet(BreakerOptions{}),
 	}, nil
 }
@@ -147,24 +144,22 @@ func (r *Router) Owner(key string) (node string, self bool) {
 }
 
 // HealthyOwner returns the first node in the key's ring-successor order
-// whose circuit breaker admits a request (this node always admits itself),
+// whose circuit breaker admits a call (this node always admits itself),
 // and whether that node is this one. failover reports that the primary
 // owner was skipped over an open breaker — ownership has failed over to a
 // successor, and every peer with a converged breaker view picks the same
 // one, so single-flight dedup reassembles on the failover owner. When every
 // breaker is open the primary owner is returned anyway (the caller's
-// transport error then falls back to local compute). A nil router owns
-// everything itself.
-//
-// Note that Allow on a half-open breaker consumes its single trial slot:
-// the request the caller is about to forward IS the trial.
+// forward then fails over to local compute). HealthyOwner never changes
+// breaker state: the forward that follows takes any half-open trial. A nil
+// router owns everything itself.
 func (r *Router) HealthyOwner(key string) (node string, self, failover bool) {
 	if r == nil {
 		return "", true, false
 	}
 	order := r.ring.Successors(key, r.ring.Size())
 	for i, n := range order {
-		if n == r.self || r.Breakers.Allow(n) {
+		if n == r.self || r.Breakers.admits(n) {
 			return n, n == r.self, i > 0
 		}
 	}
@@ -192,19 +187,14 @@ func (r *Router) URL(node string) (string, bool) {
 	return u, ok
 }
 
-func (r *Router) httpClient() *http.Client {
-	if r.HTTP != nil {
-		return r.HTTP
-	}
-	return defaultHTTPClient
-}
-
 // Forward sends an HTTP request to a peer node, marked with the forwarding
 // node's name and carrying the caller's trace context as a traceparent
 // header (so the peer's request and job spans stitch into the originating
-// trace). The peer's circuit breaker records the outcome: a transport
-// error or 5xx response counts as a failure, anything else as a success.
-// The caller owns the returned response body.
+// trace). The call goes through the peer's circuit breaker: an error
+// wrapping ErrBreakerOpen means it was refused without touching the
+// network. A transport error or 5xx response counts as a failure, anything
+// else as a success; a 5xx response is still returned to the caller, who
+// owns its body.
 func (r *Router) Forward(ctx context.Context, node, method, path string, body []byte, contentType string) (*http.Response, error) {
 	return r.ForwardHeaders(ctx, node, method, path, body, contentType, nil)
 }
@@ -241,23 +231,19 @@ func (r *Router) ForwardHeaders(ctx context.Context, node, method, path string, 
 	}
 	req.Header.Set(ForwardedHeader, r.self)
 	obs.Inject(ctx, req.Header)
-	resp, err := r.httpClient().Do(req)
-	if err != nil {
-		// A caller-side cancellation says nothing about the peer's health;
-		// only count failures the peer (or the network to it) caused. The
-		// trial slot this call may hold is returned either way so a canceled
-		// forward cannot wedge the breaker half-open.
-		if ctx.Err() == nil {
-			r.Breakers.Fail(node)
-		} else {
-			r.Breakers.Release(node)
+	var resp *http.Response
+	err = r.Breakers.Do(ctx, node, func(context.Context) error {
+		var err error
+		if resp, err = r.HTTP.Do(req); err == nil && resp.StatusCode >= http.StatusInternalServerError {
+			return errServerError
 		}
+		return err
+	})
+	if resp == nil {
 		return nil, fmt.Errorf("shard: forwarding to %s: %w", node, err)
-	}
-	if resp.StatusCode >= http.StatusInternalServerError {
-		r.Breakers.Fail(node)
-	} else {
-		r.Breakers.OK(node)
 	}
 	return resp, nil
 }
+
+// errServerError settles a peer call that got a 5xx answer as a failure.
+var errServerError = errors.New("shard: peer answered 5xx")
