@@ -114,7 +114,6 @@ cluster-smoke:
 
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/steadystate
 	$(GO) run ./examples/archcompare
 	$(GO) run ./examples/paramsweep
 	$(GO) run ./examples/prismmodel

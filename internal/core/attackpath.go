@@ -1,10 +1,8 @@
 package core
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/arch"
@@ -40,89 +38,14 @@ type AttackPath struct {
 var ErrNoAttackPath = errors.New("core: no attack path to a violated state")
 
 // MostProbableAttackPath finds the maximum-probability path (over the
-// embedded jump chain) from the initial state to any violated state, via
-// Dijkstra on −log probabilities.
+// embedded jump chain) from the initial state to any violated state: the
+// first of AttackPaths.
 func (a Analyzer) MostProbableAttackPath(ar *arch.Architecture, msgName string, cat transform.Category, prot transform.Protection) (*AttackPath, error) {
-	a = a.withDefaults()
-	res, err := transform.Build(ar, msgName, a.options(cat, prot))
+	paths, err := a.AttackPaths(ar, msgName, cat, prot, 1)
 	if err != nil {
 		return nil, err
 	}
-	ex, err := res.Model.Explore(modular.ExploreOpts{MaxStates: a.MaxStates})
-	if err != nil {
-		return nil, err
-	}
-	violated, err := ex.LabelMask(transform.LabelViolated)
-	if err != nil {
-		return nil, err
-	}
-	chain := ex.Chain
-	n := chain.N()
-
-	// Dijkstra over edge weights −log(rate_ij / exit_i).
-	dist := make([]float64, n)
-	prev := make([]int, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
-	}
-	start := ex.InitIndex()
-	dist[start] = 0
-	pq := &pathHeap{{node: start, dist: 0}}
-	visited := make([]bool, n)
-	goal := -1
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(pathItem)
-		u := item.node
-		if visited[u] {
-			continue
-		}
-		visited[u] = true
-		if violated[u] {
-			goal = u
-			break
-		}
-		if chain.Exit[u] == 0 {
-			continue
-		}
-		cols, vals := chain.Rates.Row(u)
-		for k, v := range cols {
-			p := vals[k] / chain.Exit[u]
-			if p <= 0 || visited[v] {
-				continue
-			}
-			w := item.dist - math.Log(p)
-			if w < dist[v] {
-				dist[v] = w
-				prev[v] = u
-				heap.Push(pq, pathItem{node: v, dist: w})
-			}
-		}
-	}
-	if goal < 0 {
-		return nil, fmt.Errorf("%w (%s, %s, %s)", ErrNoAttackPath, ar.Name, cat, prot)
-	}
-
-	// Reconstruct and describe.
-	var order []int
-	for v := goal; v != -1; v = prev[v] {
-		order = append(order, v)
-	}
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	path := &AttackPath{Probability: math.Exp(-dist[goal])}
-	for k := 1; k < len(order); k++ {
-		from, to := order[k-1], order[k]
-		rate := chain.Rates.At(from, to)
-		path.Steps = append(path.Steps, AttackStep{
-			Description: describeTransition(res.Model, ex.States[from], ex.States[to]),
-			Rate:        rate,
-			Probability: rate / chain.Exit[from],
-			State:       res.Model.FormatState(ex.States[to]),
-		})
-	}
-	return path, nil
+	return paths[0], nil
 }
 
 // describeTransition names the state change in component terms.
@@ -161,25 +84,6 @@ func describeTransition(m *modular.Model, from, to []int) string {
 		return "(no state change)"
 	}
 	return strings.Join(parts, ", ")
-}
-
-type pathItem struct {
-	node int
-	dist float64
-}
-
-type pathHeap []pathItem
-
-func (h pathHeap) Len() int            { return len(h) }
-func (h pathHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h pathHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pathHeap) Push(x interface{}) { *h = append(*h, x.(pathItem)) }
-func (h *pathHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }
 
 // String renders the path as a numbered exploit narrative.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"container/heap"
+	"context"
+	"fmt"
 	"math"
 	"sort"
 
@@ -19,37 +21,29 @@ func (a Analyzer) AttackPaths(ar *arch.Architecture, msgName string, cat transfo
 	if k <= 0 {
 		k = 1
 	}
-	res, err := transform.Build(ar, msgName, a.options(cat, prot))
+	p, err := a.PrepareContext(context.Background(), ar, msgName, cat, prot)
 	if err != nil {
 		return nil, err
 	}
-	ex, err := res.Model.Explore(modular.ExploreOpts{MaxStates: a.MaxStates})
-	if err != nil {
-		return nil, err
-	}
-	violated, err := ex.LabelMask(transform.LabelViolated)
-	if err != nil {
-		return nil, err
-	}
-	g := newPathGraph(ex, violated)
-	routes := g.yen(ex.InitIndex(), k)
+	ex, model := p.Explored, p.Transform.Model
+	routes := newPathGraph(ex, p.mask).yen(ex.InitIndex(), k)
 	if len(routes) == 0 {
-		return nil, ErrNoAttackPath
+		return nil, fmt.Errorf("%w (%s, %s, %s)", ErrNoAttackPath, ar.Name, cat, prot)
 	}
 	out := make([]*AttackPath, 0, len(routes))
 	for _, route := range routes {
-		p := &AttackPath{Probability: math.Exp(-route.dist)}
+		path := &AttackPath{Probability: math.Exp(-route.dist)}
 		for i := 1; i < len(route.nodes); i++ {
 			from, to := route.nodes[i-1], route.nodes[i]
 			rate := ex.Chain.Rates.At(from, to)
-			p.Steps = append(p.Steps, AttackStep{
-				Description: describeTransition(res.Model, ex.States[from], ex.States[to]),
+			path.Steps = append(path.Steps, AttackStep{
+				Description: describeTransition(model, ex.States[from], ex.States[to]),
 				Rate:        rate,
 				Probability: rate / ex.Chain.Exit[from],
-				State:       res.Model.FormatState(ex.States[to]),
+				State:       model.FormatState(ex.States[to]),
 			})
 		}
-		out = append(out, p)
+		out = append(out, path)
 	}
 	return out, nil
 }
@@ -145,6 +139,26 @@ func (g *pathGraph) dijkstra(src int, bannedEdge map[[2]int]bool, bannedNode []b
 		nodes[i], nodes[j] = nodes[j], nodes[i]
 	}
 	return &route{nodes: nodes[:len(nodes)-1], dist: dist[g.sink]} // strip sink
+}
+
+type pathItem struct {
+	node int
+	dist float64
+}
+
+// pathHeap is dijkstra's priority queue, ordered by distance.
+type pathHeap []pathItem
+
+func (h pathHeap) Len() int            { return len(h) }
+func (h pathHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
+func (h pathHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *pathHeap) Push(x interface{}) { *h = append(*h, x.(pathItem)) }
+func (h *pathHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	it := old[n-1]
+	*h = old[:n-1]
+	return it
 }
 
 // yen enumerates up to k loopless shortest routes src → sink.
@@ -259,26 +273,20 @@ func (a Analyzer) CriticalComponents(ar *arch.Architecture, msgName string, cat 
 	analyzeHardened := func(mutate func(*arch.Architecture)) (CriticalComponent, error) {
 		c := ar.Clone()
 		mutate(c)
-		r, err := a.Analyze(c, msgName, cat, prot)
+		ctx := context.Background()
+		p, err := a.PrepareContext(ctx, c, msgName, cat, prot)
+		if err != nil {
+			return CriticalComponent{}, err
+		}
+		r, err := a.AnalyzePreparedContext(ctx, p)
 		if err != nil {
 			return CriticalComponent{}, err
 		}
 		// Graph reachability of a violated state decides Blocks; no
 		// quantitative solve needed.
-		res, err := transform.Build(c, msgName, a.withDefaults().options(cat, prot))
-		if err != nil {
-			return CriticalComponent{}, err
-		}
-		ex, err := res.Model.Explore(modular.ExploreOpts{MaxStates: a.MaxStates})
-		if err != nil {
-			return CriticalComponent{}, err
-		}
-		violated, err := ex.LabelMask(transform.LabelViolated)
-		if err != nil {
-			return CriticalComponent{}, err
-		}
+		ex := p.Explored
 		var targets []int
-		for i, v := range violated {
+		for i, v := range p.mask {
 			if v {
 				targets = append(targets, i)
 			}

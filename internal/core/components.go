@@ -1,11 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"repro/internal/arch"
-	"repro/internal/modular"
 	"repro/internal/transform"
 )
 
@@ -28,25 +28,22 @@ type ComponentResult struct {
 // bus under the model generated for the given message/category/protection.
 func (a Analyzer) AnalyzeComponents(ar *arch.Architecture, msgName string, cat transform.Category, prot transform.Protection) ([]ComponentResult, error) {
 	a = a.withDefaults()
-	res, err := transform.Build(ar, msgName, a.options(cat, prot))
+	p, err := a.PrepareContext(context.Background(), ar, msgName, cat, prot)
 	if err != nil {
 		return nil, err
 	}
-	ex, err := res.Model.Explore(modular.ExploreOpts{MaxStates: a.MaxStates})
-	if err != nil {
-		return nil, err
-	}
+	ex := p.Explored
 	var out []ComponentResult
 	add := func(label, name, kind string) error {
 		mask, err := ex.LabelMask(label)
 		if err != nil {
 			return err
 		}
-		frac, err := ex.Chain.ExpectedTimeFraction(ex.InitDistribution(), mask, a.Horizon, a.Accuracy)
+		frac, err := ex.Chain.ExpectedTimeFraction(p.init, mask, a.Horizon, a.Accuracy)
 		if err != nil {
 			return fmt.Errorf("core: component %s: %w", name, err)
 		}
-		ever, err := ex.Chain.TimeBoundedReachability(ex.InitDistribution(), mask, a.Horizon, a.Accuracy)
+		ever, err := ex.Chain.TimeBoundedReachability(p.init, mask, a.Horizon, a.Accuracy)
 		if err != nil {
 			return fmt.Errorf("core: component %s: %w", name, err)
 		}

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/csl"
-	"repro/internal/modular"
 	"repro/internal/obs"
 	"repro/internal/transform"
 )
@@ -337,24 +336,17 @@ func (a Analyzer) CheckPropertyContext(ctx context.Context, ar *arch.Architectur
 		sp.Str("arch", ar.Name)
 		sp.Str("property", property)
 	}
-	a = a.withDefaults()
-	_, bsp := obs.Start(ctx, "transform.build")
-	res, err := transform.Build(ar, msgName, a.options(cat, prot))
-	bsp.End()
+	p, err := a.PrepareContext(ctx, ar, msgName, cat, prot)
 	if err != nil {
 		return csl.Result{}, err
 	}
-	ex, err := res.Model.ExploreContext(ctx, modular.ExploreOpts{MaxStates: a.MaxStates, MaxTransitions: a.MaxTransitions})
+	prop, err := csl.Parse(property, csl.Environment{Model: p.Transform.Model})
 	if err != nil {
 		return csl.Result{}, err
 	}
-	p, err := csl.Parse(property, csl.Environment{Model: res.Model})
-	if err != nil {
-		return csl.Result{}, err
-	}
-	checker := csl.NewChecker(ex)
+	checker := csl.NewChecker(p.Explored)
 	checker.Accuracy = a.Accuracy
-	return checker.CheckContext(ctx, p)
+	return checker.CheckContext(ctx, prop)
 }
 
 // SweepParam selects which rate the parameter exploration varies.

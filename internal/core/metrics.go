@@ -1,11 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/arch"
 	"repro/internal/linalg"
-	"repro/internal/modular"
 	"repro/internal/sim"
 	"repro/internal/transform"
 )
@@ -32,20 +32,11 @@ type SecurityMetrics struct {
 // architecture / message / category / protection combination.
 func (a Analyzer) Metrics(ar *arch.Architecture, msgName string, cat transform.Category, prot transform.Protection) (*SecurityMetrics, error) {
 	a = a.withDefaults()
-	res, err := transform.Build(ar, msgName, a.options(cat, prot))
+	p, err := a.PrepareContext(context.Background(), ar, msgName, cat, prot)
 	if err != nil {
 		return nil, err
 	}
-	ex, err := res.Model.Explore(modular.ExploreOpts{MaxStates: a.MaxStates})
-	if err != nil {
-		return nil, err
-	}
-	violated, err := ex.LabelMask(transform.LabelViolated)
-	if err != nil {
-		return nil, err
-	}
-	chain := ex.Chain
-	init := ex.InitDistribution()
+	chain, violated, init := p.Explored.Chain, p.mask, p.init
 
 	frac, err := chain.ExpectedTimeFraction(init, violated, a.Horizon, a.Accuracy)
 	if err != nil {
@@ -98,18 +89,10 @@ func (a Analyzer) Metrics(ar *arch.Architecture, msgName string, cat transform.C
 // seed makes the run reproducible.
 func (a Analyzer) TestViolationProbability(ar *arch.Architecture, msgName string, cat transform.Category, prot transform.Protection, theta float64, seed int64, opts sim.SPRTOptions) (sim.SPRTResult, error) {
 	a = a.withDefaults()
-	res, err := transform.Build(ar, msgName, a.options(cat, prot))
+	p, err := a.PrepareContext(context.Background(), ar, msgName, cat, prot)
 	if err != nil {
 		return sim.SPRTResult{}, err
 	}
-	ex, err := res.Model.Explore(modular.ExploreOpts{MaxStates: a.MaxStates})
-	if err != nil {
-		return sim.SPRTResult{}, err
-	}
-	violated, err := ex.LabelMask(transform.LabelViolated)
-	if err != nil {
-		return sim.SPRTResult{}, err
-	}
-	s := sim.New(ex.Chain, seed)
-	return s.TestReachabilityWithin(ex.InitIndex(), violated, a.Horizon, theta, opts)
+	s := sim.New(p.Explored.Chain, seed)
+	return s.TestReachabilityWithin(p.Explored.InitIndex(), p.mask, a.Horizon, theta, opts)
 }

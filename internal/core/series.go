@@ -1,11 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"repro/internal/arch"
-	"repro/internal/modular"
 	"repro/internal/transform"
 )
 
@@ -36,22 +36,14 @@ func (a Analyzer) TimeSeries(ar *arch.Architecture, msgName string, cat transfor
 	if times[0] <= 0 {
 		return nil, fmt.Errorf("core: sampling times must be positive, got %v", times[0])
 	}
-	res, err := transform.Build(ar, msgName, a.options(cat, prot))
+	p, err := a.PrepareContext(context.Background(), ar, msgName, cat, prot)
 	if err != nil {
 		return nil, err
 	}
-	ex, err := res.Model.Explore(modular.ExploreOpts{MaxStates: a.MaxStates})
-	if err != nil {
-		return nil, err
-	}
-	mask, err := ex.LabelMask(transform.LabelViolated)
-	if err != nil {
-		return nil, err
-	}
-	init := ex.InitDistribution()
+	chain, mask, init := p.Explored.Chain, p.mask, p.init
 	out := make([]TimePoint, 0, len(times))
 	for _, t := range times {
-		pi, err := ex.Chain.Transient(init, t, a.Accuracy)
+		pi, err := chain.Transient(init, t, a.Accuracy)
 		if err != nil {
 			return nil, err
 		}
@@ -61,11 +53,11 @@ func (a Analyzer) TimeSeries(ar *arch.Architecture, msgName string, cat transfor
 				inst += pi[i]
 			}
 		}
-		ever, err := ex.Chain.TimeBoundedReachability(init, mask, t, a.Accuracy)
+		ever, err := chain.TimeBoundedReachability(init, mask, t, a.Accuracy)
 		if err != nil {
 			return nil, err
 		}
-		frac, err := ex.Chain.ExpectedTimeFraction(init, mask, t, a.Accuracy)
+		frac, err := chain.ExpectedTimeFraction(init, mask, t, a.Accuracy)
 		if err != nil {
 			return nil, err
 		}

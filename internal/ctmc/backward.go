@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/foxglynn"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 )
@@ -30,45 +29,24 @@ func (c *Chain) BackwardTransientContext(ctx context.Context, values linalg.Vect
 	if err := checkTime(t); err != nil {
 		return nil, err
 	}
-	if accuracy <= 0 {
-		accuracy = DefaultAccuracy
-	}
 	if t == 0 {
 		return values.Clone(), nil
 	}
-	uni, q, err := c.Uniformized(0)
-	if err != nil {
-		return nil, err
-	}
-	fg, err := foxglynn.Compute(q*t, accuracy)
-	if err != nil {
-		return nil, err
-	}
-	uniSetup(sp, c.N(), t, q, fg)
 	out := linalg.NewVector(c.N())
-	cur := values.Clone()
-	next := linalg.NewVector(c.N())
-	matvecs := 0
-	for k := 0; k <= fg.Right; k++ {
-		if k >= fg.Left {
-			out.AddScaled(fg.Weights[k-fg.Left], cur)
+	err := c.uniformise(sp, values, t, accuracy, true, func(w, _, _ float64, cur linalg.Vector) {
+		if w > 0 {
+			out.AddScaled(w, cur)
 		}
-		if k == fg.Right {
-			break
-		}
-		if _, err := uni.P.MulVec(cur, next); err != nil {
-			return nil, err
-		}
-		matvecs++
-		cur, next = next, cur
+	})
+	if err != nil {
+		return nil, err
 	}
-	sp.Int("matvecs", int64(matvecs))
 	return out, nil
 }
 
 // TimeBoundedReachabilityVector computes, for every state simultaneously,
-// P_i[reach target within t] by making the target absorbing and running one
-// backward pass from the target indicator.
+// P_i[reach target within t]: BoundedUntilVector with φ1 = true and
+// φ2 = target.
 func (c *Chain) TimeBoundedReachabilityVector(target []bool, t, accuracy float64) (linalg.Vector, error) {
 	return c.TimeBoundedReachabilityVectorContext(context.Background(), target, t, accuracy)
 }
@@ -79,28 +57,7 @@ func (c *Chain) TimeBoundedReachabilityVectorContext(ctx context.Context, target
 	if len(target) != c.N() {
 		return nil, fmt.Errorf("ctmc: target mask length %d, want %d", len(target), c.N())
 	}
-	mod, err := c.Absorbing(target)
-	if err != nil {
-		return nil, err
-	}
-	v := linalg.NewVector(c.N())
-	for i, in := range target {
-		if in {
-			v[i] = 1
-		}
-	}
-	out, err := mod.BackwardTransientContext(ctx, v, t, accuracy)
-	if err != nil {
-		return nil, err
-	}
-	for i := range out {
-		if target[i] {
-			out[i] = 1 // absorbing target: exact, independent of truncation
-		} else {
-			out[i] = clampUnit(out[i])
-		}
-	}
-	return out, nil
+	return c.boundedUntilVector(ctx, target, target, t, accuracy)
 }
 
 // BoundedUntilVector computes P_i[φ1 U≤t φ2] for every state i.
@@ -110,21 +67,23 @@ func (c *Chain) BoundedUntilVector(phi1, phi2 []bool, t, accuracy float64) (lina
 
 // BoundedUntilVectorContext is BoundedUntilVector with span propagation.
 func (c *Chain) BoundedUntilVectorContext(ctx context.Context, phi1, phi2 []bool, t, accuracy float64) (linalg.Vector, error) {
-	n := c.N()
-	if len(phi1) != n || len(phi2) != n {
-		return nil, fmt.Errorf("ctmc: formula mask length mismatch (want %d)", n)
+	absorb, err := untilAbsorbing(c.N(), phi1, phi2)
+	if err != nil {
+		return nil, err
 	}
-	absorb := make([]bool, n)
-	for i := 0; i < n; i++ {
-		absorb[i] = phi2[i] || !phi1[i]
-	}
+	return c.boundedUntilVector(ctx, absorb, phi2, t, accuracy)
+}
+
+// boundedUntilVector makes the absorb states absorbing and runs one
+// backward pass from the goal indicator.
+func (c *Chain) boundedUntilVector(ctx context.Context, absorb, goal []bool, t, accuracy float64) (linalg.Vector, error) {
 	mod, err := c.Absorbing(absorb)
 	if err != nil {
 		return nil, err
 	}
-	v := linalg.NewVector(n)
-	for i := range v {
-		if phi2[i] {
+	v := linalg.NewVector(c.N())
+	for i, in := range goal {
+		if in {
 			v[i] = 1
 		}
 	}
@@ -133,8 +92,8 @@ func (c *Chain) BoundedUntilVectorContext(ctx context.Context, phi1, phi2 []bool
 		return nil, err
 	}
 	for i := range out {
-		if phi2[i] {
-			out[i] = 1 // satisfied immediately
+		if goal[i] {
+			out[i] = 1 // absorbing goal: exact, independent of truncation
 		} else {
 			out[i] = clampUnit(out[i])
 		}
@@ -158,22 +117,64 @@ func (c *Chain) IntervalUntil(init linalg.Vector, phi1, phi2 []bool, t1, t2, acc
 // IntervalUntilContext is IntervalUntil with span propagation (both backward
 // passes appear as child spans).
 func (c *Chain) IntervalUntilContext(ctx context.Context, init linalg.Vector, phi1, phi2 []bool, t1, t2, accuracy float64) (float64, error) {
-	n := c.N()
 	if err := c.checkInit(init); err != nil {
 		return 0, err
 	}
-	if len(phi1) != n || len(phi2) != n {
-		return 0, fmt.Errorf("ctmc: formula mask length mismatch (want %d)", n)
-	}
-	if t1 < 0 || t2 < t1 {
-		return 0, fmt.Errorf("%w: interval [%v, %v]", ErrBadTime, t1, t2)
+	if err := c.checkInterval(phi1, phi2, t1, t2); err != nil {
+		return 0, err
 	}
 	if t1 == 0 {
 		return c.BoundedUntilContext(ctx, init, phi1, phi2, t2, accuracy)
 	}
-	y, err := c.BoundedUntilVectorContext(ctx, phi1, phi2, t2-t1, accuracy)
+	u, err := c.intervalUntil(ctx, phi1, phi2, t1, t2, accuracy)
 	if err != nil {
 		return 0, err
+	}
+	return clampUnit(init.Dot(u)), nil
+}
+
+// IntervalUntilVector computes P_i[φ1 U[t1,t2] φ2] for every state i (the
+// per-state form of IntervalUntil; see there for the construction).
+func (c *Chain) IntervalUntilVector(phi1, phi2 []bool, t1, t2, accuracy float64) (linalg.Vector, error) {
+	return c.IntervalUntilVectorContext(context.Background(), phi1, phi2, t1, t2, accuracy)
+}
+
+// IntervalUntilVectorContext is IntervalUntilVector with span propagation.
+func (c *Chain) IntervalUntilVectorContext(ctx context.Context, phi1, phi2 []bool, t1, t2, accuracy float64) (linalg.Vector, error) {
+	if err := c.checkInterval(phi1, phi2, t1, t2); err != nil {
+		return nil, err
+	}
+	if t1 == 0 {
+		return c.BoundedUntilVectorContext(ctx, phi1, phi2, t2, accuracy)
+	}
+	u, err := c.intervalUntil(ctx, phi1, phi2, t1, t2, accuracy)
+	if err != nil {
+		return nil, err
+	}
+	for i := range u {
+		u[i] = clampUnit(u[i])
+	}
+	return u, nil
+}
+
+func (c *Chain) checkInterval(phi1, phi2 []bool, t1, t2 float64) error {
+	if n := c.N(); len(phi1) != n || len(phi2) != n {
+		return fmt.Errorf("ctmc: formula mask length mismatch (want %d)", n)
+	}
+	if t1 < 0 || t2 < t1 {
+		return fmt.Errorf("%w: interval [%v, %v]", ErrBadTime, t1, t2)
+	}
+	return nil
+}
+
+// intervalUntil is the t1 > 0 half of the interval-until construction: the
+// unclamped per-state values u = e^{Q'·t1}·(y masked to φ1), with Q' the
+// generator with ¬φ1 states absorbing.
+func (c *Chain) intervalUntil(ctx context.Context, phi1, phi2 []bool, t1, t2, accuracy float64) (linalg.Vector, error) {
+	n := c.N()
+	y, err := c.BoundedUntilVectorContext(ctx, phi1, phi2, t2-t1, accuracy)
+	if err != nil {
+		return nil, err
 	}
 	notPhi1 := make([]bool, n)
 	masked := linalg.NewVector(n)
@@ -185,13 +186,9 @@ func (c *Chain) IntervalUntilContext(ctx context.Context, init linalg.Vector, ph
 	}
 	mod, err := c.Absorbing(notPhi1)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	u, err := mod.BackwardTransientContext(ctx, masked, t1, accuracy)
-	if err != nil {
-		return 0, err
-	}
-	return clampUnit(init.Dot(u)), nil
+	return mod.BackwardTransientContext(ctx, masked, t1, accuracy)
 }
 
 // CumulativeRewardVector computes, for every state simultaneously, the
@@ -214,43 +211,18 @@ func (c *Chain) CumulativeRewardVectorContext(ctx context.Context, reward linalg
 	if err := checkTime(t); err != nil {
 		return nil, err
 	}
-	if accuracy <= 0 {
-		accuracy = DefaultAccuracy
-	}
 	out := linalg.NewVector(n)
 	if t == 0 {
 		return out, nil
 	}
-	uni, q, err := c.Uniformized(0)
-	if err != nil {
-		return nil, err
-	}
-	fg, err := foxglynn.Compute(q*t, accuracy)
-	if err != nil {
-		return nil, err
-	}
-	uniSetup(sp, n, t, q, fg)
-	var cumWeight float64
-	cur := reward.Clone()
-	next := linalg.NewVector(n)
-	matvecs := 0
-	for k := 0; k <= fg.Right; k++ {
-		if k >= fg.Left {
-			cumWeight += fg.Weights[k-fg.Left]
-		}
-		if w := (1 - cumWeight) / q; w > 0 {
+	err := c.uniformise(sp, reward, t, accuracy, true, func(_, tail, q float64, cur linalg.Vector) {
+		if w := tail / q; w > 0 {
 			out.AddScaled(w, cur)
 		}
-		if k == fg.Right {
-			break
-		}
-		if _, err := uni.P.MulVec(cur, next); err != nil {
-			return nil, err
-		}
-		matvecs++
-		cur, next = next, cur
+	})
+	if err != nil {
+		return nil, err
 	}
-	sp.Int("matvecs", int64(matvecs))
 	return out, nil
 }
 

@@ -249,6 +249,55 @@ func uniSetup(sp *obs.Span, n int, t, q float64, fg *foxglynn.Result) {
 	sp.Int("fg_terms", int64(st.Terms))
 }
 
+// uniformise runs the uniformisation series every transient and cumulative
+// analysis shares. With P = I + Q/q and the Fox–Glynn Poisson(qt) weights
+// γ_k, it walks the iterates v·Pᵏ (or Pᵏ·v when backward) for k = 0 … R
+// and hands each to term with γ_k (0 left of the window), the tail
+// 1 − Σ_{i≤k} γ_i and q. The uniformisation parameters and the
+// matrix–vector product count go on sp. accuracy ≤ 0 selects
+// DefaultAccuracy.
+func (c *Chain) uniformise(sp *obs.Span, v linalg.Vector, t, accuracy float64, backward bool, term func(weight, tail, q float64, cur linalg.Vector)) error {
+	if accuracy <= 0 {
+		accuracy = DefaultAccuracy
+	}
+	uni, q, err := c.Uniformized(0)
+	if err != nil {
+		return err
+	}
+	fg, err := foxglynn.Compute(q*t, accuracy)
+	if err != nil {
+		return err
+	}
+	uniSetup(sp, c.N(), t, q, fg)
+	cur := v.Clone()
+	next := linalg.NewVector(c.N())
+	var cum float64 // Σ_{i≤k} γ_i so far
+	matvecs := 0
+	for k := 0; ; k++ {
+		var w float64
+		if k >= fg.Left {
+			w = fg.Weights[k-fg.Left]
+			cum += w
+		}
+		term(w, 1-cum, q, cur)
+		if k == fg.Right {
+			break
+		}
+		if backward {
+			_, err = uni.P.MulVec(cur, next)
+		} else {
+			_, err = uni.Step(cur, next)
+		}
+		if err != nil {
+			return err
+		}
+		matvecs++
+		cur, next = next, cur
+	}
+	sp.Int("matvecs", int64(matvecs))
+	return nil
+}
+
 // Transient computes the state distribution at time t from init using
 // uniformisation: π(t) = Σ_k Poisson(qt, k) · init·Pᵏ. accuracy ≤ 0 selects
 // DefaultAccuracy.
@@ -268,39 +317,18 @@ func (c *Chain) TransientContext(ctx context.Context, init linalg.Vector, t, acc
 	if err := checkTime(t); err != nil {
 		return nil, err
 	}
-	if accuracy <= 0 {
-		accuracy = DefaultAccuracy
-	}
 	if t == 0 {
 		return init.Clone(), nil
 	}
-	uni, q, err := c.Uniformized(0)
-	if err != nil {
-		return nil, err
-	}
-	fg, err := foxglynn.Compute(q*t, accuracy)
-	if err != nil {
-		return nil, err
-	}
-	uniSetup(sp, c.N(), t, q, fg)
 	out := linalg.NewVector(c.N())
-	cur := init.Clone()
-	next := linalg.NewVector(c.N())
-	matvecs := 0
-	for k := 0; k <= fg.Right; k++ {
-		if k >= fg.Left {
-			out.AddScaled(fg.Weights[k-fg.Left], cur)
+	err := c.uniformise(sp, init, t, accuracy, false, func(w, _, _ float64, cur linalg.Vector) {
+		if w > 0 {
+			out.AddScaled(w, cur)
 		}
-		if k == fg.Right {
-			break
-		}
-		if _, err := uni.Step(cur, next); err != nil {
-			return nil, err
-		}
-		matvecs++
-		cur, next = next, cur
+	})
+	if err != nil {
+		return nil, err
 	}
-	sp.Int("matvecs", int64(matvecs))
 	// Guard against truncation drift.
 	out.Normalize1()
 	return out, nil
@@ -329,44 +357,18 @@ func (c *Chain) CumulativeRewardContext(ctx context.Context, init linalg.Vector,
 	if len(reward) != c.N() {
 		return 0, fmt.Errorf("ctmc: reward vector length %d, want %d", len(reward), c.N())
 	}
-	if accuracy <= 0 {
-		accuracy = DefaultAccuracy
-	}
 	if t == 0 {
 		return 0, nil
 	}
-	uni, q, err := c.Uniformized(0)
-	if err != nil {
-		return 0, err
-	}
-	fg, err := foxglynn.Compute(q*t, accuracy)
-	if err != nil {
-		return 0, err
-	}
-	uniSetup(sp, c.N(), t, q, fg)
 	var total float64
-	var cumWeight float64 // Σ_{i≤k} γ_i so far
-	cur := init.Clone()
-	next := linalg.NewVector(c.N())
-	matvecs := 0
-	for k := 0; k <= fg.Right; k++ {
-		if k >= fg.Left {
-			cumWeight += fg.Weights[k-fg.Left]
-		}
-		w := (1 - cumWeight) / q
-		if w > 0 {
+	err := c.uniformise(sp, init, t, accuracy, false, func(_, tail, q float64, cur linalg.Vector) {
+		if w := tail / q; w > 0 {
 			total += w * cur.Dot(reward)
 		}
-		if k == fg.Right {
-			break
-		}
-		if _, err := uni.Step(cur, next); err != nil {
-			return 0, err
-		}
-		matvecs++
-		cur, next = next, cur
+	})
+	if err != nil {
+		return 0, err
 	}
-	sp.Int("matvecs", int64(matvecs))
 	return total, nil
 }
 
@@ -388,8 +390,7 @@ func (c *Chain) InstantaneousRewardContext(ctx context.Context, init linalg.Vect
 }
 
 // TimeBoundedReachability computes P[reach a target state within t] from
-// init by making the target states absorbing and running transient
-// analysis.
+// init: BoundedUntil with φ1 = true and φ2 = target.
 func (c *Chain) TimeBoundedReachability(init linalg.Vector, target []bool, t, accuracy float64) (float64, error) {
 	return c.TimeBoundedReachabilityContext(context.Background(), init, target, t, accuracy)
 }
@@ -400,24 +401,7 @@ func (c *Chain) TimeBoundedReachabilityContext(ctx context.Context, init linalg.
 	if len(target) != c.N() {
 		return 0, fmt.Errorf("ctmc: target mask length %d, want %d", len(target), c.N())
 	}
-	mod, err := c.Absorbing(target)
-	if err != nil {
-		return 0, err
-	}
-	pi, err := mod.TransientContext(ctx, init, t, accuracy)
-	if err != nil {
-		return 0, err
-	}
-	var p float64
-	for i, isT := range target {
-		if isT {
-			p += pi[i]
-		}
-	}
-	if p > 1 {
-		p = 1
-	}
-	return p, nil
+	return c.boundedUntil(ctx, init, target, target, t, accuracy)
 }
 
 // BoundedUntil computes P[φ1 U≤t φ2] from init: the probability of reaching
@@ -431,14 +415,28 @@ func (c *Chain) BoundedUntil(init linalg.Vector, phi1, phi2 []bool, t, accuracy 
 
 // BoundedUntilContext is BoundedUntil with span propagation.
 func (c *Chain) BoundedUntilContext(ctx context.Context, init linalg.Vector, phi1, phi2 []bool, t, accuracy float64) (float64, error) {
-	n := c.N()
+	absorb, err := untilAbsorbing(c.N(), phi1, phi2)
+	if err != nil {
+		return 0, err
+	}
+	return c.boundedUntil(ctx, init, absorb, phi2, t, accuracy)
+}
+
+// untilAbsorbing returns the states φ1 U φ2 stops in: φ2 ∨ ¬φ1.
+func untilAbsorbing(n int, phi1, phi2 []bool) ([]bool, error) {
 	if len(phi1) != n || len(phi2) != n {
-		return 0, fmt.Errorf("ctmc: formula mask length mismatch (want %d)", n)
+		return nil, fmt.Errorf("ctmc: formula mask length mismatch (want %d)", n)
 	}
 	absorb := make([]bool, n)
 	for i := 0; i < n; i++ {
 		absorb[i] = phi2[i] || !phi1[i]
 	}
+	return absorb, nil
+}
+
+// boundedUntil is the transient mass in goal at time t once the absorb
+// states are made absorbing.
+func (c *Chain) boundedUntil(ctx context.Context, init linalg.Vector, absorb, goal []bool, t, accuracy float64) (float64, error) {
 	mod, err := c.Absorbing(absorb)
 	if err != nil {
 		return 0, err
@@ -448,8 +446,8 @@ func (c *Chain) BoundedUntilContext(ctx context.Context, init linalg.Vector, phi
 		return 0, err
 	}
 	var p float64
-	for i := 0; i < n; i++ {
-		if phi2[i] {
+	for i, in := range goal {
+		if in {
 			p += pi[i]
 		}
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // The paper's worked example (Section 3.3): build the three-state chain,
-// compute its stationary distribution and the reward-based exploitable
-// time.
+// compute its stationary distribution, the reward-based exploitable time
+// and the probability of reaching the exploited state within a year.
 func Example() {
 	b := ctmc.NewBuilder(3)
 	b.Add(0, 1, 2)  // η_3G: telematics exploited
@@ -34,9 +34,16 @@ func Example() {
 		log.Fatal(err)
 	}
 	fmt.Printf("exploitable within first year: %.4f%%\n", 100*frac)
+
+	reach, err := chain.TimeBoundedReachability(chain.DiracInit(0), []bool{false, false, true}, 1, 1e-12)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("P[reach s2 within 1 year] = %.2f%%\n", 100*reach)
 	// Output:
 	// stationary: (0.96296, 0.036338, 0.000699)
 	// exploitable within first year: 0.0679%
+	// P[reach s2 within 1 year] = 6.78%
 }
 
 // ExampleChain_TimeBoundedReachability computes the probability of a pure

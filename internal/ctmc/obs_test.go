@@ -44,6 +44,33 @@ func TestTransientNoopObsZeroAllocs(t *testing.T) {
 	}
 }
 
+// parentCumulativeRewardAllocs is the allocation count of
+// Chain.CumulativeReward on midChain measured before the transient and
+// cumulative series were folded into one uniformisation kernel. The kernel
+// sits on the Figure-5 hot path (ctmc.cumulative_reward) and must not add
+// allocations to it.
+const parentCumulativeRewardAllocs = 10
+
+// TestCumulativeRewardNoopObsAllocs pins CumulativeReward's allocation
+// count with observability disabled.
+func TestCumulativeRewardNoopObsAllocs(t *testing.T) {
+	c := midChain(t)
+	init := c.DiracInit(0)
+	reward := make([]float64, c.N())
+	for i := range reward {
+		reward[i] = float64(i % 2)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := c.CumulativeReward(init, reward, 8, 1e-10); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > parentCumulativeRewardAllocs {
+		t.Fatalf("CumulativeReward allocates %v times with obs disabled; baseline is %d",
+			allocs, parentCumulativeRewardAllocs)
+	}
+}
+
 // BenchmarkTransientObsOff is the committed evidence that the disabled
 // instrumentation path is within noise of the seed (compare ns/op against
 // BenchmarkTransientObsOn to see the cost of a live sink).

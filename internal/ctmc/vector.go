@@ -8,50 +8,6 @@ import (
 	"repro/internal/obs"
 )
 
-// IntervalUntilVector computes P_i[φ1 U[t1,t2] φ2] for every state i (the
-// per-state form of IntervalUntil; see there for the construction).
-func (c *Chain) IntervalUntilVector(phi1, phi2 []bool, t1, t2, accuracy float64) (linalg.Vector, error) {
-	return c.IntervalUntilVectorContext(context.Background(), phi1, phi2, t1, t2, accuracy)
-}
-
-// IntervalUntilVectorContext is IntervalUntilVector with span propagation.
-func (c *Chain) IntervalUntilVectorContext(ctx context.Context, phi1, phi2 []bool, t1, t2, accuracy float64) (linalg.Vector, error) {
-	n := c.N()
-	if len(phi1) != n || len(phi2) != n {
-		return nil, fmt.Errorf("ctmc: formula mask length mismatch (want %d)", n)
-	}
-	if t1 < 0 || t2 < t1 {
-		return nil, fmt.Errorf("%w: interval [%v, %v]", ErrBadTime, t1, t2)
-	}
-	if t1 == 0 {
-		return c.BoundedUntilVectorContext(ctx, phi1, phi2, t2, accuracy)
-	}
-	y, err := c.BoundedUntilVectorContext(ctx, phi1, phi2, t2-t1, accuracy)
-	if err != nil {
-		return nil, err
-	}
-	notPhi1 := make([]bool, n)
-	masked := linalg.NewVector(n)
-	for i := 0; i < n; i++ {
-		notPhi1[i] = !phi1[i]
-		if phi1[i] {
-			masked[i] = y[i]
-		}
-	}
-	mod, err := c.Absorbing(notPhi1)
-	if err != nil {
-		return nil, err
-	}
-	u, err := mod.BackwardTransientContext(ctx, masked, t1, accuracy)
-	if err != nil {
-		return nil, err
-	}
-	for i := range u {
-		u[i] = clampUnit(u[i])
-	}
-	return u, nil
-}
-
 // NextVector computes P_i[X φ] for every state: the probability that the
 // first jump lands in φ (0 for absorbing states).
 func (c *Chain) NextVector(phi []bool) (linalg.Vector, error) {

@@ -11,50 +11,37 @@ import (
 	"repro/internal/obs"
 )
 
-// Solver method names, used in fallback chains and attempt records.
+// Solver method names, as recorded in attempt records.
 const (
 	MethodGaussSeidel = "gauss-seidel"
 	MethodJacobi      = "jacobi"
 	MethodDense       = "dense"
 )
 
-// FallbackStep is one stage of a RobustSolve chain: a method plus budget
-// relaxations applied relative to the base IterOpts.
-type FallbackStep struct {
-	// Method selects the solver (MethodGaussSeidel, MethodJacobi,
-	// MethodDense).
-	Method string
-	// IterFactor multiplies the base MaxIter (values ≤ 1 keep it).
-	IterFactor int
-	// TolFactor multiplies the base Tol (values ≤ 1 keep it).
-	TolFactor float64
-}
-
-// DefaultFallbackChain is the escalation RobustSolve uses when none is
-// configured: the fast sweep first, then Jacobi with a doubled iteration
-// budget and a relaxed tolerance (Jacobi converges on some systems where
-// the Gauss–Seidel sweep order cycles), and finally dense Gaussian
-// elimination, which does not iterate at all but only fits small systems.
-func DefaultFallbackChain() []FallbackStep {
-	return []FallbackStep{
-		{Method: MethodGaussSeidel},
-		{Method: MethodJacobi, IterFactor: 2, TolFactor: 10},
-		{Method: MethodDense},
-	}
-}
-
 // DefaultDenseLimit bounds the system size eligible for the dense fallback
 // (an n×n expansion; 1024² floats ≈ 8 MB).
 const DefaultDenseLimit = 1024
+
+// fallbackChain is RobustSolve's escalation: the fast sweep first, then
+// Jacobi with a doubled iteration budget and a relaxed tolerance (Jacobi
+// converges on some systems where the Gauss–Seidel sweep order cycles), and
+// finally dense Gaussian elimination, which does not iterate at all but only
+// fits systems up to DefaultDenseLimit.
+var fallbackChain = []struct {
+	method     string
+	iterFactor int     // multiplies the base MaxIter
+	tolFactor  float64 // multiplies the base Tol
+	solve      func(*CSR, Vector, IterOpts) (Vector, error)
+}{
+	{MethodGaussSeidel, 1, 1, GaussSeidel},
+	{MethodJacobi, 2, 10, Jacobi},
+	{MethodDense, 1, 1, func(a *CSR, b Vector, _ IterOpts) (Vector, error) { return SolveDense(a.ToDense(), b) }},
+}
 
 // RobustOpts configures RobustSolve.
 type RobustOpts struct {
 	// Opts is the base iterative budget; chain steps relax it.
 	Opts IterOpts
-	// Chain overrides DefaultFallbackChain.
-	Chain []FallbackStep
-	// DenseLimit overrides DefaultDenseLimit.
-	DenseLimit int
 	// Stats, when non-nil, receives the attempt history.
 	Stats *RobustStats
 }
@@ -89,44 +76,32 @@ type RobustStats struct {
 	Method string
 }
 
-// RobustSolve solves A·x = b through a fallback chain: each step runs an
-// iterative method under (possibly relaxed) budgets, and a step failing
-// with a *ConvergenceError escalates to the next; any other error (singular
+// RobustSolve solves A·x = b through a fixed fallback chain: each step
+// runs its method under (possibly relaxed) budgets, and a step failing with
+// a *ConvergenceError escalates to the next; any other error (singular
 // matrix, dimension mismatch) aborts immediately since no amount of
 // escalation repairs it. The dense step is skipped for systems larger than
-// DenseLimit. Every executed step is recorded in opts.Stats and in the
-// context's obs.AttemptRecorder, so run manifests show which solvers were
-// tried. The fault.PointSolverDiverge injection point, when armed, replaces
-// a step's real solve with a synthetic convergence failure.
+// DefaultDenseLimit. Every executed step is recorded in opts.Stats and in
+// the context's obs.AttemptRecorder, so run manifests show which solvers
+// were tried. The fault.PointSolverDiverge injection point, when armed,
+// replaces a step's real solve with a synthetic convergence failure.
 func RobustSolve(ctx context.Context, a *CSR, b Vector, opts RobustOpts) (Vector, error) {
-	chain := opts.Chain
-	if len(chain) == 0 {
-		chain = DefaultFallbackChain()
-	}
-	denseLimit := opts.DenseLimit
-	if denseLimit <= 0 {
-		denseLimit = DefaultDenseLimit
-	}
 	base := opts.Opts.withDefaults()
 	ctx, sp := obs.Start(ctx, "linalg.robust_solve")
 	defer sp.End()
 	var lastErr error
 	try := 0
-	for _, step := range chain {
+	for _, step := range fallbackChain {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if step.Method == MethodDense && a.Rows > denseLimit {
+		if step.method == MethodDense && a.Rows > DefaultDenseLimit {
 			continue
 		}
 		try++
 		stepOpts := base
-		if step.IterFactor > 1 {
-			stepOpts.MaxIter = base.MaxIter * step.IterFactor
-		}
-		if step.TolFactor > 1 {
-			stepOpts.Tol = base.Tol * step.TolFactor
-		}
+		stepOpts.MaxIter = base.MaxIter * step.iterFactor
+		stepOpts.Tol = base.Tol * step.tolFactor
 		var stats IterStats
 		stepOpts.Stats = &stats
 		// Convergence curves are always collected here: the chain only runs
@@ -141,21 +116,12 @@ func RobustSolve(ctx context.Context, a *CSR, b Vector, opts RobustOpts) (Vector
 		)
 		if fault.Should(fault.PointSolverDiverge) {
 			injected = true
-			err = &ConvergenceError{Method: step.Method, Iterations: stepOpts.MaxIter, Residual: math.Inf(1), Tol: stepOpts.Tol}
+			err = &ConvergenceError{Method: step.method, Iterations: stepOpts.MaxIter, Residual: math.Inf(1), Tol: stepOpts.Tol}
 		} else {
-			switch step.Method {
-			case MethodGaussSeidel:
-				x, err = GaussSeidel(a, b, stepOpts)
-			case MethodJacobi:
-				x, err = Jacobi(a, b, stepOpts)
-			case MethodDense:
-				x, err = SolveDense(a.ToDense(), b)
-			default:
-				return nil, fmt.Errorf("linalg: unknown fallback method %q", step.Method)
-			}
+			x, err = step.solve(a, b, stepOpts)
 		}
 		attempt := SolveAttempt{
-			Method:     step.Method,
+			Method:     step.method,
 			Iterations: stats.Iterations,
 			Residual:   stats.Residual,
 			Trace:      stats.Trace,
@@ -172,7 +138,7 @@ func RobustSolve(ctx context.Context, a *CSR, b Vector, opts RobustOpts) (Vector
 				attempt.Stagnation = &sg
 				obs.Count(ctx, "solver.stagnation", 1)
 				obs.LogAttrs(ctx, "solver.stagnation",
-					obs.Attr{Key: "method", Kind: obs.KindString, Str: step.Method},
+					obs.Attr{Key: "method", Kind: obs.KindString, Str: step.method},
 					obs.Attr{Key: "from_iteration", Kind: obs.KindInt, Int: int64(sg.FromIteration)},
 					obs.Attr{Key: "to_iteration", Kind: obs.KindInt, Int: int64(sg.ToIteration)},
 					obs.Attr{Key: "residual", Kind: obs.KindFloat, Flt: sg.ToResidual},
@@ -186,7 +152,7 @@ func RobustSolve(ctx context.Context, a *CSR, b Vector, opts RobustOpts) (Vector
 		rec := obs.Attempt{
 			Stage:      "solver",
 			Try:        try,
-			Method:     step.Method,
+			Method:     step.method,
 			Outcome:    obs.AttemptOK,
 			Iterations: stats.Iterations,
 			Seconds:    time.Since(start).Seconds(),
@@ -203,9 +169,9 @@ func RobustSolve(ctx context.Context, a *CSR, b Vector, opts RobustOpts) (Vector
 		obs.RecordAttempt(ctx, rec)
 		if err == nil {
 			if opts.Stats != nil {
-				opts.Stats.Method = step.Method
+				opts.Stats.Method = step.method
 			}
-			sp.Str("method", step.Method)
+			sp.Str("method", step.method)
 			sp.Int("attempts", int64(try))
 			sp.Int("iterations", int64(stats.Iterations))
 			sp.Float("residual", stats.Residual)
@@ -217,9 +183,6 @@ func RobustSolve(ctx context.Context, a *CSR, b Vector, opts RobustOpts) (Vector
 			return nil, err
 		}
 		lastErr = err
-	}
-	if lastErr == nil {
-		return nil, fmt.Errorf("linalg: fallback chain has no applicable step for a %dx%d system", a.Rows, a.Cols)
 	}
 	return nil, fmt.Errorf("linalg: fallback chain exhausted after %d attempts: %w", try, lastErr)
 }

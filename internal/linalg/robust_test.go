@@ -132,18 +132,18 @@ func TestRobustSolveFatalErrorsDoNotEscalate(t *testing.T) {
 	}
 }
 
-// TestRobustSolveDenseSkippedAboveLimit: systems beyond DenseLimit exhaust
-// the chain without attempting the dense expansion, and the error still
-// unwraps to ErrNoConvergence.
+// TestRobustSolveDenseSkippedAboveLimit: systems beyond DefaultDenseLimit
+// exhaust the chain without attempting the dense expansion, and the error
+// still unwraps to ErrNoConvergence.
 func TestRobustSolveDenseSkippedAboveLimit(t *testing.T) {
-	a := diagonallyDominantCSR(rand.New(rand.NewSource(9)), 5)
-	b := NewVector(5)
+	n := DefaultDenseLimit + 1
+	a := diagonallyDominantCSR(rand.New(rand.NewSource(9)), n)
+	b := NewVector(n)
 	b[0] = 1
 	var stats RobustStats
 	_, err := RobustSolve(context.Background(), a, b, RobustOpts{
-		Opts:       IterOpts{Tol: 1e-15, MaxIter: 1},
-		DenseLimit: 2,
-		Stats:      &stats,
+		Opts:  IterOpts{Tol: 1e-15, MaxIter: 1},
+		Stats: &stats,
 	})
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("err = %v, want ErrNoConvergence", err)
