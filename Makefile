@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race fleet-race chaos explore attacktree check cover bench bench-smoke shard-smoke fleet-chaos cluster-smoke examples experiments serve fuzz clean
+.PHONY: all build vet lint test race fleet-race chaos explore attacktree check cover bench-smoke shard-smoke fleet-chaos cluster-smoke examples experiments serve fuzz clean
 
 all: check
 
@@ -75,20 +75,11 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# Regenerates every table and figure of the paper (see EXPERIMENTS.md),
-# then the secbench regression suite (full iterations, BENCH_<date>.json).
-bench:
-	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/secbench
-
-# bench-smoke is the CI gate: one iteration per secbench workload, compared
-# against the committed baseline with a generous threshold (quick runs on
-# shared runners are noisy — this catches order-of-magnitude regressions,
-# `make bench` catches the rest locally).
-BENCH_BASELINE ?= $(firstword $(wildcard BENCH_*.json))
+# bench-smoke is the CI benchmark gate: every benchmark/run.sh workload for
+# 5 s at seed 1, failing on a wrong output, a failed op or a headline metric
+# past its fixed 3x ceiling (see scripts/bench_smoke.sh).
 bench-smoke:
-	$(GO) run ./cmd/secbench -quick -out bench-smoke.json \
-		$(if $(BENCH_BASELINE),-compare $(BENCH_BASELINE) -threshold 3.0)
+	./scripts/bench_smoke.sh
 
 # shard-smoke boots a three-node consistent-hash ring on loopback, pushes a
 # mixed batch of analyses through one node, and asserts the majority was

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/attacktree/fleetgen"
 	"repro/internal/core"
 	"repro/internal/csl"
 	"repro/internal/ctmc"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/prismlang"
 	"repro/internal/service"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/transform"
 )
 
@@ -439,7 +441,9 @@ func BenchmarkAblationLumping(b *testing.B) {
 // rebuilds the caches every iteration — the price a one-shot CLI run pays —
 // while "cached" re-serves the identical request from the content-addressed
 // result cache. The ratio is the speedup a resident secserved gives
-// repeated and sweep-style traffic.
+// repeated and sweep-style traffic. "disk-warm" opens a fresh engine over a
+// populated persistent store every iteration: the warm-restart price (index
+// walk, disk read, checksum, decode) between the two.
 func BenchmarkServiceCachedVsCold(b *testing.B) {
 	req := &service.AnalysisRequest{Architecture: "builtin:1", SkipSteadyState: true}
 	ctx := context.Background()
@@ -469,4 +473,50 @@ func BenchmarkServiceCachedVsCold(b *testing.B) {
 			}
 		}
 	})
+
+	b.Run("disk-warm", func(b *testing.B) {
+		dir := b.TempDir()
+		st, err := store.Open(store.Options{Dir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := service.NewEngine(service.EngineOptions{Store: st}).Run(ctx, req); err != nil {
+			b.Fatal(err) // populate the store
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st, err := store.Open(store.Options{Dir: dir})
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, state, err := service.NewEngine(service.EngineOptions{Store: st}).Run(ctx, req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if state != service.CacheDisk {
+				b.Fatalf("cache state = %q, want disk", state)
+			}
+		}
+	})
+}
+
+// BenchmarkAttackTreeFleet batch-solves a seeded 32-vehicle attack-tree
+// fleet on a fresh engine per iteration: the generator → compile → CTMC
+// solve path under the batch worker pool, with no cache reuse across
+// iterations.
+func BenchmarkAttackTreeFleet(b *testing.B) {
+	reqs, err := fleetgen.Requests(fleetgen.Spec{Seed: 1, Count: 32}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := service.NewEngine(service.EngineOptions{})
+		for j, item := range e.RunBatch(ctx, reqs, 0) {
+			if item.Err != nil {
+				b.Fatalf("fleet request %d: %v", j, item.Err)
+			}
+		}
+	}
 }

@@ -226,8 +226,8 @@ func runRank(ctx context.Context, sv *solver, path string, base []string, horizo
 }
 
 // runFleet generates a seeded fleet and solves every vehicle, reporting
-// aggregate risk — the heavy-traffic batch shape the secbench
-// attacktree-fleet workload measures.
+// aggregate risk — the heavy-traffic batch shape BenchmarkAttackTreeFleet
+// measures.
 func runFleet(ctx context.Context, sv *solver, count int, seed int64, horizon float64, asJSON bool, out io.Writer) error {
 	reqs, err := fleetgen.Requests(fleetgen.Spec{Seed: seed, Count: count}, horizon)
 	if err != nil {

@@ -2,8 +2,8 @@
 // trees — the IoV-style heavy-traffic workload (Lauinger et al., PAPERS.md)
 // for the distributed analysis service. A Spec is fully deterministic: the
 // same seed always yields byte-identical trees, so fleets double as
-// reproducible benchmark corpora (secbench's attacktree-fleet workload) and
-// as batch load for a running secserved ring.
+// reproducible benchmark corpora (the root package's
+// BenchmarkAttackTreeFleet) and as batch load for a running secserved ring.
 package fleetgen
 
 import (

@@ -74,8 +74,8 @@ func TestGenerateRejectsBadSpec(t *testing.T) {
 }
 
 // TestFleetBatchSolves pushes a small generated fleet through the engine's
-// batch path — the generator → batch solve round trip the secbench
-// workload measures.
+// batch path — the generator → batch solve round trip
+// BenchmarkAttackTreeFleet measures.
 func TestFleetBatchSolves(t *testing.T) {
 	reqs, err := Requests(Spec{Seed: 11, Count: 8, MaxLeaves: 6}, 1)
 	if err != nil {

@@ -62,7 +62,7 @@ func WritePrometheus(w io.Writer, c *Collector, namespace string) error {
 	}
 	for _, stage := range sortedKeys(hists) {
 		s := hists[stage].Snapshot()
-		label := promLabel(stage)
+		label := PromLabelValue(stage)
 		var cum uint64
 		for i, n := range s.Counts {
 			cum += n
@@ -76,11 +76,11 @@ func WritePrometheus(w io.Writer, c *Collector, namespace string) error {
 			if b := HistogramBucketBound(i); !math.IsInf(b, 1) {
 				le = promFloat(b)
 			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{stage=%q,le=%q} %d\n", family, label, le, cum); err != nil {
+			if _, err := fmt.Fprintf(w, "%s_bucket{stage=\"%s\",le=\"%s\"} %d\n", family, label, le, cum); err != nil {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "%s_sum{stage=%q} %s\n%s_count{stage=%q} %d\n",
+		if _, err := fmt.Fprintf(w, "%s_sum{stage=\"%s\"} %s\n%s_count{stage=\"%s\"} %d\n",
 			family, label, promFloat(s.Sum), family, label, s.Count); err != nil {
 			return err
 		}
@@ -110,11 +110,18 @@ func promName(s string) string {
 	return b.String()
 }
 
-// promLabel sanitises a label value (quotes/backslashes/newlines would break
-// the line-oriented format; %q at the call site escapes them, this just
-// strips newlines that %q would render as \n literals — fine — so it only
-// needs to pass the value through).
-func promLabel(s string) string { return s }
+// promLabelEscaper escapes the three characters the text exposition format
+// requires escaped inside a quoted label value.
+var promLabelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// PromLabelValue renders s as the body of a quoted label value in text
+// format 0.0.4: invalid UTF-8 becomes U+FFFD, then backslash, double quote
+// and line feed are escaped. Every other character (a tab included) is
+// written as is. Go's %q is no substitute: the format rejects its \t and
+// \x escapes, and one bad value fails the whole scrape.
+func PromLabelValue(s string) string {
+	return promLabelEscaper.Replace(strings.ToValidUTF8(s, "\uFFFD"))
+}
 
 // promFloat renders a float the way Prometheus expects (shortest exact
 // form; integral values without exponent where possible).

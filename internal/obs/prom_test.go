@@ -123,6 +123,21 @@ func TestPromNameSanitisation(t *testing.T) {
 	}
 }
 
+func TestPromLabelValueEscaping(t *testing.T) {
+	cases := map[string]string{
+		"service.job": "service.job",
+		"a\tb":        "a\tb",
+		"caf\xe9":     "caf\uFFFD",
+		`q"b\s`:       `q\"b\\s`,
+		"line\nbreak": `line\nbreak`,
+	}
+	for in, want := range cases {
+		if got := PromLabelValue(in); got != want {
+			t.Errorf("PromLabelValue(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
 // TestMetricsHandlerContentType pins the JSON manifest endpoint's header —
 // the Prometheus endpoint serves text, this one must stay application/json.
 func TestMetricsHandlerContentType(t *testing.T) {

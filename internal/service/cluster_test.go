@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -324,6 +325,42 @@ func TestClusterReportsBreakerOpenPeer(t *testing.T) {
 	}
 	if len(cs.Unreachable) != 1 || cs.Unreachable[0].Node != "n3" || cs.Unreachable[0].Reason != "breaker_open" {
 		t.Fatalf("unreachable = %+v, want n3/breaker_open", cs.Unreachable)
+	}
+}
+
+// BenchmarkClusterScrape polls GET /v1/cluster/metrics on a node with three
+// solved jobs behind it: status assembly, histogram wire encoding, merge
+// and trace assembly per refresh — the steady cost a sectop watcher or
+// metrics pipeline imposes on a serving node.
+func BenchmarkClusterScrape(b *testing.B) {
+	srv := New(Config{Workers: 2, NodeID: "bench"})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	// Seed solved jobs so the scrape carries real histograms, spans and
+	// tenant usage, not an empty document.
+	for nmax := 0; nmax <= 2; nmax++ {
+		resp, _ := postAnalysis(b, ts.URL, fmt.Sprintf(
+			`{"architecture":"builtin:1","skip_steady_state":true,"nmax":%d,"horizon":1,"wait_seconds":120}`, nmax))
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("seed job nmax=%d: status %d", nmax, resp.StatusCode)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := http.Get(ts.URL + "/v1/cluster/metrics")
+		if err != nil {
+			b.Fatal(err)
+		}
+		var cm ClusterMetrics
+		err = readJSONBody(resp, &cm)
+		resp.Body.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(cm.Nodes) == 0 || cm.JobsCompleted < 3 {
+			b.Fatalf("scrape returned an empty cluster document: nodes=%v completed=%d", cm.Nodes, cm.JobsCompleted)
+		}
 	}
 }
 

@@ -119,12 +119,12 @@ type Engine struct {
 	maxTransitions int
 	store          *store.Store // nil = no persistence tier
 
-	// solves counts pipeline executions; hits, diskHits and shared count
-	// requests served without one. solves+misses in the result cache
-	// differ only when single-flight collapses concurrent identical
-	// requests or the disk tier answers a miss.
+	// solves counts pipeline executions; diskHits and shared (with the
+	// result cache's own hit counter) count requests served without one.
+	// solves+misses in the result cache differ only when single-flight
+	// collapses concurrent identical requests or the disk tier answers a
+	// miss.
 	solves   int64
-	hits     int64
 	diskHits int64
 	shared   int64
 
@@ -170,13 +170,14 @@ type EngineStats struct {
 
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() EngineStats {
+	rc := e.results.Stats()
 	s := EngineStats{
 		Solves:      atomic.LoadInt64(&e.solves),
-		Hits:        atomic.LoadInt64(&e.hits),
+		Hits:        rc.Hits,
 		DiskHits:    atomic.LoadInt64(&e.diskHits),
 		Shared:      atomic.LoadInt64(&e.shared),
 		ModelCache:  e.models.Stats(),
-		ResultCache: e.results.Stats(),
+		ResultCache: rc,
 	}
 	if e.store != nil {
 		st := e.store.Stats()
@@ -226,7 +227,6 @@ func (e *Engine) Run(ctx context.Context, req *AnalysisRequest) (*Outcome, Cache
 	rkey := rr.key()
 	for {
 		if v, ok := e.results.Get(rkey); ok {
-			atomic.AddInt64(&e.hits, 1)
 			obs.Count(ctx, "service.cache.result.hit", 1)
 			return v.(*Outcome), CacheHit, nil
 		}

@@ -68,8 +68,8 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 		if len(sh.Breakers) > 0 {
 			fmt.Fprintf(w, "# HELP secserved_shard_breaker_state Peer circuit-breaker state (0=closed, 1=half-open, 2=open).\n# TYPE secserved_shard_breaker_state gauge\n")
 			for _, peer := range sortedKeys(sh.Breakers) {
-				fmt.Fprintf(w, "secserved_shard_breaker_state{peer=%q} %d\n",
-					peer, breakerStateValue(sh.Breakers[peer]))
+				fmt.Fprintf(w, "secserved_shard_breaker_state{peer=\"%s\"} %d\n",
+					obs.PromLabelValue(peer), breakerStateValue(sh.Breakers[peer]))
 			}
 		}
 	}
@@ -85,19 +85,19 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(m.Tenants) > 0 {
 		fmt.Fprintf(w, "# HELP secserved_tenant_admitted_total Submissions admitted per tenant.\n# TYPE secserved_tenant_admitted_total counter\n")
-		names := tenantNames(m.Tenants)
+		names := sortedKeys(m.Tenants)
 		for _, name := range names {
-			fmt.Fprintf(w, "secserved_tenant_admitted_total{tenant=%q} %d\n", name, m.Tenants[name].Admitted)
+			fmt.Fprintf(w, "secserved_tenant_admitted_total{tenant=\"%s\"} %d\n", obs.PromLabelValue(name), m.Tenants[name].Admitted)
 		}
 		fmt.Fprintf(w, "# HELP secserved_tenant_in_flight Accepted-but-unfinished jobs per tenant.\n# TYPE secserved_tenant_in_flight gauge\n")
 		for _, name := range names {
-			fmt.Fprintf(w, "secserved_tenant_in_flight{tenant=%q} %d\n", name, m.Tenants[name].InFlight)
+			fmt.Fprintf(w, "secserved_tenant_in_flight{tenant=\"%s\"} %d\n", obs.PromLabelValue(name), m.Tenants[name].InFlight)
 		}
 		fmt.Fprintf(w, "# HELP secserved_tenant_shed_total Submissions shed per tenant and reason.\n# TYPE secserved_tenant_shed_total counter\n")
 		for _, name := range names {
 			shed := m.Tenants[name].Shed
-			for _, reason := range sortedKeysInt(shed) {
-				fmt.Fprintf(w, "secserved_tenant_shed_total{tenant=%q,reason=%q} %d\n", name, reason, shed[reason])
+			for _, reason := range sortedKeys(shed) {
+				fmt.Fprintf(w, "secserved_tenant_shed_total{tenant=\"%s\",reason=\"%s\"} %d\n", obs.PromLabelValue(name), obs.PromLabelValue(reason), shed[reason])
 			}
 		}
 	}
@@ -122,16 +122,9 @@ func breakerStateValue(state string) int {
 	}
 }
 
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedKeysInt(m map[string]int64) []string {
+// sortedKeys returns the map's keys in ascending order (stable metric
+// emission order).
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

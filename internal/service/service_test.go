@@ -92,6 +92,9 @@ func TestEndToEndMatchesPipeline(t *testing.T) {
 	if m.Engine.Hits < 1 || m.Engine.Solves < 1 {
 		t.Fatalf("metrics engine = %+v, want ≥1 solve and ≥1 hit", m.Engine)
 	}
+	if m.Engine.Hits != m.Engine.ResultCache.Hits {
+		t.Fatalf("engine hits = %d, result cache hits = %d, want equal", m.Engine.Hits, m.Engine.ResultCache.Hits)
+	}
 	if m.JobsCompleted < 2 {
 		t.Fatalf("jobs completed = %d, want ≥2", m.JobsCompleted)
 	}

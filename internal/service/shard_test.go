@@ -82,7 +82,7 @@ func requestOwnedBy(t *testing.T, e *Engine, rt *shard.Router, owner string) *An
 	return nil
 }
 
-func postAnalysis(t *testing.T, base string, body string) (*http.Response, *JobView) {
+func postAnalysis(t testing.TB, base string, body string) (*http.Response, *JobView) {
 	t.Helper()
 	resp, err := http.Post(base+"/v1/analyses", "application/json", strings.NewReader(body))
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/obs"
 )
@@ -61,6 +62,88 @@ func TestPrometheusEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	if t.Failed() {
+		t.Logf("page:\n%s", page)
+	}
+}
+
+// TestPrometheusLabelValuesFromHostileTenants submits under tenant names
+// holding a tab and a non-UTF-8 byte, then scrapes GET /metrics: every
+// quoted label value must be valid UTF-8 and use only the three escapes
+// text format 0.0.4 allows (\\, \" and \n), or the whole page fails to
+// scrape.
+func TestPrometheusLabelValuesFromHostileTenants(t *testing.T) {
+	srv := New(Config{Workers: 1, Tenants: &TenantPolicy{}})
+	stubEngine(srv.engine, func(ctx context.Context) (*Outcome, error) { return stubOutcome(), nil })
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, tenant := range []string{"a\tb", "caf\xe9"} {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/analyses",
+			strings.NewReader(`{"architecture":"builtin:1","skip_steady_state":true,"wait_seconds":5}`))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(TenantHeader, tenant)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("tenant %q submit: status %d", tenant, resp.StatusCode)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := string(body)
+	for _, want := range []string{
+		"secserved_tenant_admitted_total{tenant=\"a\tb\"} 1",
+		"secserved_tenant_admitted_total{tenant=\"caf\uFFFD\"} 1",
+	} {
+		if !strings.Contains(page, want) {
+			t.Errorf("page missing %q", want)
+		}
+	}
+	for _, line := range strings.Split(page, "\n") {
+		open := strings.IndexByte(line, '{')
+		if strings.HasPrefix(line, "#") || open < 0 {
+			continue
+		}
+		// Walk the label set: name="value" pairs up to the closing brace.
+		rest := line[open+1:]
+		for rest != "" && rest[0] != '}' {
+			eq := strings.Index(rest, "=\"")
+			if eq < 0 {
+				t.Fatalf("malformed label set in %q", line)
+			}
+			var value strings.Builder
+			i := eq + 2
+			for ; i < len(rest) && rest[i] != '"'; i++ {
+				if rest[i] == '\\' {
+					i++
+					if i == len(rest) || !strings.ContainsRune(`\"n`, rune(rest[i])) {
+						t.Fatalf("label value escape outside \\\\, \\\" and \\n in %q", line)
+					}
+				}
+				value.WriteByte(rest[i])
+			}
+			if i == len(rest) {
+				t.Fatalf("unterminated label value in %q", line)
+			}
+			if !utf8.ValidString(value.String()) {
+				t.Fatalf("label value %q is not valid UTF-8 in %q", value.String(), line)
+			}
+			rest = strings.TrimPrefix(rest[i+1:], ",")
 		}
 	}
 	if t.Failed() {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"sort"
 	"sync"
 	"time"
 )
@@ -230,17 +229,6 @@ func (a *admission) stats() map[string]TenantStats {
 		out[name] = TenantStats{Admitted: st.admitted, InFlight: st.inflight, Shed: shed, Priority: prio}
 	}
 	return out
-}
-
-// tenantNames returns the tenants seen so far, sorted (stable metric
-// emission order).
-func tenantNames(stats map[string]TenantStats) []string {
-	names := make([]string, 0, len(stats))
-	for n := range stats {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // tenantOf extracts the tenant identity from a request.
