@@ -42,10 +42,11 @@ race:
 # fleet-race hammers the fleet-resilience paths — circuit breakers, the
 # health prober, replication/hinted handoff and tenant admission — under
 # the race detector with fresh (uncached) runs, then repeats the breaker,
-# prober and Serve/Shutdown tests ten times to catch ordering flakes.
+# prober and Serve/Shutdown tests, the golden endpoint bodies and the
+# collector-backed counters ten times to catch ordering flakes.
 fleet-race:
 	$(GO) test -race -count=1 ./internal/shard/ ./internal/service/
-	$(GO) test -race -count=10 -run 'Prober|Breaker|Fleet|Serve' ./internal/shard ./internal/service
+	$(GO) test -race -count=10 -run 'Prober|Breaker|Fleet|Serve|Golden|Counted' ./internal/shard ./internal/service
 
 # chaos drives the fault-injection stack end to end under the race detector:
 # injected worker panics, solver divergence, slow solves, exploration-budget

@@ -123,12 +123,10 @@ func TestRobustSolveAttemptTraces(t *testing.T) {
 	b := Vector{1, 1}
 
 	flight := obs.NewFlight(64)
-	tracer := obs.NewTracer(obs.MultiSink{flight}, false)
 	rec := &obs.AttemptRecorder{}
+	tracer := obs.NewTracer(obs.MultiSink{flight, rec}, false)
 	ctx, root := tracer.StartSpan(context.Background(), "test")
 	defer root.End()
-	ctx = obs.WithAttempts(ctx, rec)
-	ctx = obs.WithFlight(ctx, flight)
 
 	var stats RobustStats
 	x, err := RobustSolve(ctx, a, b, RobustOpts{
@@ -191,5 +189,35 @@ func TestRobustSolveAttemptTraces(t *testing.T) {
 	}
 	if stagnationSeqs[1] >= seqOfAttempt[3] {
 		t.Errorf("second stagnation (seq %d) not before fallback attempt 3 (seq %d)", stagnationSeqs[1], seqOfAttempt[3])
+	}
+}
+
+// TestRobustSolveAttemptReachesRunFlight: with no span in the context, a
+// fallback attempt travels through the default tracer a StartRun session
+// installs, into the session's flight ring.
+func TestRobustSolveAttemptReachesRunFlight(t *testing.T) {
+	r, err := obs.StartRun(obs.RunOptions{FlightSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	// Far from diagonally dominant: Gauss–Seidel diverges, so the chain
+	// falls back.
+	coo := NewCOO(2, 2)
+	coo.Add(0, 0, 1)
+	coo.Add(0, 1, 2)
+	coo.Add(1, 0, 3)
+	coo.Add(1, 1, 1)
+	if _, err := RobustSolve(context.Background(), coo.ToCSR(), Vector{1, 1}, RobustOpts{Opts: IterOpts{MaxIter: 100}}); err != nil {
+		t.Fatalf("RobustSolve: %v", err)
+	}
+	var tries []float64
+	for _, ev := range r.Flight.Snapshot() {
+		if ev.Kind == "attempt" && ev.Name == "solver" {
+			tries = append(tries, ev.Value)
+		}
+	}
+	if len(tries) < 2 || tries[0] != 1 || tries[1] != 2 {
+		t.Fatalf("ring solver attempts = %v, want the failed first try and its fallback", tries)
 	}
 }

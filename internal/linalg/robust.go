@@ -81,9 +81,9 @@ type RobustStats struct {
 // a *ConvergenceError escalates to the next; any other error (singular
 // matrix, dimension mismatch) aborts immediately since no amount of
 // escalation repairs it. The dense step is skipped for systems larger than
-// DefaultDenseLimit. Every executed step is recorded in opts.Stats and in
-// the context's obs.AttemptRecorder, so run manifests show which solvers
-// were tried. The fault.PointSolverDiverge injection point, when armed,
+// DefaultDenseLimit. Every executed step is recorded in opts.Stats and
+// emitted as an attempt event (obs.RecordAttempt), so run manifests and the
+// flight ring show which solvers were tried. The fault.PointSolverDiverge injection point, when armed,
 // replaces a step's real solve with a synthetic convergence failure.
 func RobustSolve(ctx context.Context, a *CSR, b Vector, opts RobustOpts) (Vector, error) {
 	base := opts.Opts.withDefaults()

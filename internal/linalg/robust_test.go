@@ -90,7 +90,8 @@ func TestRobustSolveInjectedDivergence(t *testing.T) {
 	b[2] = 1
 	var stats RobustStats
 	rec := &obs.AttemptRecorder{}
-	ctx := obs.WithAttempts(context.Background(), rec)
+	ctx, root := obs.NewTracer(rec, false).StartSpan(context.Background(), "test")
+	defer root.End()
 	x, err := RobustSolve(ctx, a, b, RobustOpts{Stats: &stats})
 	if err != nil {
 		t.Fatalf("RobustSolve: %v", err)

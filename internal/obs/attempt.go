@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"sync"
+	"time"
 )
 
 // Attempt outcomes.
@@ -19,10 +20,10 @@ const (
 )
 
 // Attempt is one try of a fault-tolerant stage — a solver in a fallback
-// chain, or a job execution in a retry loop. The recovery machinery records
-// attempts into the run manifest so a chaos run's history (which methods
-// were tried, what failed, what finally succeeded) is auditable after the
-// fact.
+// chain, or a job execution in a retry loop. The recovery machinery emits
+// attempts as events (RecordAttempt) that reach the run manifest, so a chaos
+// run's history (which methods were tried, what failed, what finally
+// succeeded) is auditable after the fact.
 type Attempt struct {
 	// Stage names the retrying layer ("solver", "job").
 	Stage string `json:"stage"`
@@ -57,22 +58,23 @@ type ResidualPoint struct {
 	Residual  float64 `json:"residual"`
 }
 
-// AttemptRecorder accumulates attempts across the layers of one job. It is
-// carried through the context (WithAttempts) so a deep solver fallback can
-// report into the same history as the worker-level retry loop. Safe for
-// concurrent use.
+// AttemptRecorder accumulates the attempt events of one job. It is a sink:
+// installed in the job's tracer, it collects the history of every layer —
+// the worker-level retry loop and the deep solver fallback chain alike —
+// from the one event stream. Safe for concurrent use; a nil recorder
+// ignores events.
 type AttemptRecorder struct {
 	mu       sync.Mutex
 	attempts []Attempt
 }
 
-// Record appends one attempt.
-func (r *AttemptRecorder) Record(a Attempt) {
-	if r == nil {
+// Emit implements Sink, keeping attempt events and ignoring the rest.
+func (r *AttemptRecorder) Emit(e *Event) {
+	if r == nil || e.Kind != EventAttempt {
 		return
 	}
 	r.mu.Lock()
-	r.attempts = append(r.attempts, a)
+	r.attempts = append(r.attempts, *e.Attempt)
 	r.mu.Unlock()
 }
 
@@ -88,23 +90,14 @@ func (r *AttemptRecorder) Attempts() []Attempt {
 	return out
 }
 
-type attemptKey struct{}
-
-// WithAttempts returns a context carrying the recorder.
-func WithAttempts(ctx context.Context, r *AttemptRecorder) context.Context {
-	return context.WithValue(ctx, attemptKey{}, r)
-}
-
-// AttemptsFrom extracts the context's recorder, or nil.
-func AttemptsFrom(ctx context.Context) *AttemptRecorder {
-	r, _ := ctx.Value(attemptKey{}).(*AttemptRecorder)
-	return r
-}
-
-// RecordAttempt records into the context's recorder, a no-op without one.
-// When the context (or the process default) carries a flight recorder the
-// attempt also lands in the black-box ring.
+// RecordAttempt emits one attempt event through the tracer resolved from ctx
+// (or the default), reaching every sink: the job's AttemptRecorder, the
+// flight ring, a JSON-lines trace. A no-op when observability is off.
 func RecordAttempt(ctx context.Context, a Attempt) {
-	AttemptsFrom(ctx).Record(a)
-	FlightFrom(ctx).AppendAttempt(a)
+	if tr := resolve(ctx); tr != nil {
+		// A copy declared here, not &a: taking the parameter's address would
+		// move it to the heap on every call, disabled or not.
+		rec := a
+		tr.sink.Emit(&Event{Kind: EventAttempt, Time: time.Now(), Name: a.Stage, Attempt: &rec})
+	}
 }

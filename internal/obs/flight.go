@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"sort"
@@ -42,7 +41,7 @@ type flightSlot struct {
 const DefaultFlightSize = 256
 
 // FlightEvent is one recorded entry. It is a flattened, fixed-size view of
-// Event/Attempt (no attribute slice) so slot writes cannot allocate.
+// an Event (no attribute slice) so slot writes cannot allocate.
 type FlightEvent struct {
 	// Seq is the global 1-based append order; snapshots sort by it.
 	Seq uint64 `json:"seq"`
@@ -111,7 +110,8 @@ func (f *Flight) Append(ev FlightEvent) {
 
 // Emit implements Sink, flattening the event into the ring. The flight
 // recorder is meant to sit inside a MultiSink next to the collector so every
-// span end, counter and histogram observation leaves a trace in the ring.
+// span end, counter, histogram observation and attempt leaves a trace in the
+// ring.
 func (f *Flight) Emit(e *Event) {
 	if f == nil {
 		return
@@ -125,6 +125,14 @@ func (f *Flight) Emit(e *Event) {
 	case EventSpan:
 		ev.Span = e.ID
 		ev.DurationUS = float64(e.Duration) / float64(time.Microsecond)
+	case EventAttempt:
+		a := e.Attempt
+		ev.DurationUS = a.Seconds * 1e6
+		ev.Value = float64(a.Try)
+		ev.Detail = a.Error
+		if ev.Detail == "" {
+			ev.Detail = a.Method
+		}
 	case EventProgress:
 		ev.Span = e.ID
 		ev.Value = float64(e.Done)
@@ -144,28 +152,6 @@ func (f *Flight) Emit(e *Event) {
 		if ev.Detail == "" && (a.Key == "method" || a.Key == "detail") {
 			ev.Detail = a.Str
 		}
-	}
-	f.Append(ev)
-}
-
-// AppendAttempt records one fault-tolerance attempt (solver fallback try,
-// job retry) into the ring. RecordAttempt feeds this automatically when the
-// context carries a flight recorder.
-func (f *Flight) AppendAttempt(a Attempt) {
-	if f == nil {
-		return
-	}
-	ev := FlightEvent{
-		TimeUnixNano: time.Now().UnixNano(),
-		Kind:         "attempt",
-		Name:         a.Stage,
-		DurationUS:   a.Seconds * 1e6,
-		Value:        float64(a.Try),
-	}
-	if a.Error != "" {
-		ev.Detail = a.Error
-	} else {
-		ev.Detail = a.Method
 	}
 	f.Append(ev)
 }
@@ -217,32 +203,3 @@ func (f *Flight) Handler() http.Handler {
 		})
 	})
 }
-
-type flightKey struct{}
-
-// WithFlight returns a context carrying the flight recorder, so deep layers
-// (RecordAttempt in the solver fallback chain) can reach the ring without
-// plumbing.
-func WithFlight(ctx context.Context, f *Flight) context.Context {
-	return context.WithValue(ctx, flightKey{}, f)
-}
-
-// FlightFrom extracts the context's flight recorder, falling back to the
-// process default (nil when neither is set).
-func FlightFrom(ctx context.Context) *Flight {
-	if f, ok := ctx.Value(flightKey{}).(*Flight); ok {
-		return f
-	}
-	return defaultFlight.Load()
-}
-
-// defaultFlight is the process-wide fallback ring, installed by CLIs that
-// pass -flight (mirrors the default tracer).
-var defaultFlight atomic.Pointer[Flight]
-
-// SetDefaultFlight installs (or, with nil, removes) the process-wide flight
-// recorder.
-func SetDefaultFlight(f *Flight) { defaultFlight.Store(f) }
-
-// DefaultFlight returns the process-wide flight recorder (nil when none).
-func DefaultFlight() *Flight { return defaultFlight.Load() }

@@ -15,7 +15,7 @@ func TestFlightNilIsNoOp(t *testing.T) {
 	var f *Flight
 	f.Append(FlightEvent{Name: "x"})
 	f.Emit(&Event{Kind: EventCounter, Name: "c", Value: 1})
-	f.AppendAttempt(Attempt{Stage: "solver"})
+	f.Emit(&Event{Kind: EventAttempt, Name: "solver", Attempt: &Attempt{Stage: "solver"}})
 	if f.Snapshot() != nil || f.Size() != 0 || f.Dropped() != 0 {
 		t.Fatal("nil flight recorder is not inert")
 	}
@@ -56,8 +56,12 @@ func TestFlightEmitFlattens(t *testing.T) {
 		ID: 7, Duration: 1500 * time.Microsecond})
 	f.Emit(&Event{Kind: EventCounter, Name: "solver.stagnation", Value: 1,
 		Attrs: []Attr{{Key: "method", Kind: KindString, Str: "jacobi"}}})
-	f.AppendAttempt(Attempt{Stage: "solver", Try: 2, Method: "jacobi", Seconds: 0.25})
-	f.AppendAttempt(Attempt{Stage: "solver", Try: 1, Error: "no convergence"})
+	for _, a := range []Attempt{
+		{Stage: "solver", Try: 2, Method: "jacobi", Seconds: 0.25},
+		{Stage: "solver", Try: 1, Method: "gauss-seidel", Error: "no convergence"},
+	} {
+		f.Emit(&Event{Kind: EventAttempt, Name: a.Stage, Attempt: &a})
+	}
 
 	got := f.Snapshot()
 	if len(got) != 4 {
@@ -168,41 +172,15 @@ func TestFlightHandler(t *testing.T) {
 	}
 }
 
-// TestFlightContextAndDefault: FlightFrom prefers the context's recorder
-// and falls back to the process default; RecordAttempt feeds whichever is
-// live.
-func TestFlightContextAndDefault(t *testing.T) {
-	ctxRing := NewFlight(8)
-	defRing := NewFlight(8)
-	SetDefaultFlight(defRing)
-	defer SetDefaultFlight(nil)
-
-	ctx := WithFlight(context.Background(), ctxRing)
-	if FlightFrom(ctx) != ctxRing {
-		t.Fatal("context recorder not preferred")
-	}
-	if FlightFrom(context.Background()) != defRing {
-		t.Fatal("default recorder not used as fallback")
-	}
-	RecordAttempt(ctx, Attempt{Stage: "solver", Try: 1, Method: "gauss-seidel"})
-	RecordAttempt(context.Background(), Attempt{Stage: "job", Try: 1})
-	if got := ctxRing.Snapshot(); len(got) != 1 || got[0].Name != "solver" {
-		t.Fatalf("context ring = %+v", got)
-	}
-	if got := defRing.Snapshot(); len(got) != 1 || got[0].Name != "job" {
-		t.Fatalf("default ring = %+v", got)
-	}
-}
-
 // TestRunFlightManifest: a StartRun session with FlightSize dumps the ring
-// into the manifest and uninstalls the default recorder on Close.
+// into the manifest, and the ring stops receiving events on Close.
 func TestRunFlightManifest(t *testing.T) {
 	r, err := StartRun(RunOptions{FlightSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Active() || DefaultFlight() != r.Flight {
-		t.Fatal("flight run not active or default ring not installed")
+	if !r.Active() || r.Flight == nil {
+		t.Fatal("flight run not active or ring not installed")
 	}
 	_, sp := Start(context.Background(), "phase.one")
 	sp.End()
@@ -214,7 +192,8 @@ func TestRunFlightManifest(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if DefaultFlight() != nil {
-		t.Fatal("default flight recorder survived Close")
+	RecordAttempt(context.Background(), Attempt{Stage: "job", Try: 1})
+	if n := len(r.Flight.Snapshot()); n != 2 {
+		t.Fatalf("ring has %d events after Close, want 2", n)
 	}
 }

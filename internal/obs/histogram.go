@@ -37,14 +37,12 @@ func histBucketIndex(v float64) int {
 	if !(v > histMinValue) { // also catches NaN
 		return 0
 	}
-	idx := int(math.Ceil(math.Log2(v / histMinValue)))
-	if idx < 0 {
-		return 0
-	}
-	if idx > histNumBuckets {
+	// Checked before the logarithm: for +Inf (and values whose quotient
+	// overflows) the float-to-int conversion below is undefined.
+	if v > HistogramBucketBound(histNumBuckets-1) {
 		return histNumBuckets
 	}
-	return idx
+	return int(math.Ceil(math.Log2(v / histMinValue)))
 }
 
 // HistogramBucketBound returns the inclusive upper bound of bucket i in the

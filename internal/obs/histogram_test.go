@@ -208,3 +208,37 @@ func BenchmarkHistogramObserveDisabled(b *testing.B) {
 		Observe(ctx, "bench.stage", 0.001)
 	}
 }
+
+// TestHistBucketIndexEdges pins the bucket of every edge value: nothing
+// invalid or tiny escapes bucket 0, and nothing beyond the last finite bound
+// — +Inf and values whose quotient by the first bound overflows included —
+// lands anywhere but the overflow bucket.
+func TestHistBucketIndexEdges(t *testing.T) {
+	last := HistogramBucketBound(histNumBuckets - 1)
+	cases := []struct {
+		name string
+		v    float64
+		want int
+	}{
+		{"+Inf", math.Inf(1), histNumBuckets},
+		{"NaN", math.NaN(), 0},
+		{"zero", 0, 0},
+		{"negative", -1, 0},
+		{"first bound", 1e-6, 0},
+		{"MaxFloat64", math.MaxFloat64, histNumBuckets},
+		{"last bound - 1ulp", math.Nextafter(last, 0), histNumBuckets - 1},
+		{"last bound", last, histNumBuckets - 1},
+		{"last bound + 1ulp", math.Nextafter(last, math.Inf(1)), histNumBuckets},
+	}
+	for _, c := range cases {
+		if got := histBucketIndex(c.v); got != c.want {
+			t.Errorf("histBucketIndex(%s = %g) = %d, want %d", c.name, c.v, got, c.want)
+		}
+	}
+	// An infinite observation must not drag quantiles down to bucket 0.
+	h := NewHistogram()
+	h.Observe(math.Inf(1))
+	if s := h.Snapshot(); s.Counts[histNumBuckets] != 1 || s.P50() != last {
+		t.Errorf("+Inf observation: overflow count %d, p50 %g (want 1, %g)", s.Counts[histNumBuckets], s.P50(), last)
+	}
+}

@@ -70,6 +70,14 @@ func (c *Collector) Histogram(name string) (HistogramSnapshot, bool) {
 	return h.Snapshot(), true
 }
 
+// Counter returns the running total of one named counter (0 when nothing
+// was counted under the name).
+func (c *Collector) Counter(name string) float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.counters[name]
+}
+
 // Histograms snapshots every histogram, keyed by name.
 func (c *Collector) Histograms() map[string]HistogramSnapshot {
 	c.mu.Lock()

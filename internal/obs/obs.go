@@ -92,6 +92,9 @@ const (
 	// the same histograms implicitly (duration), so EventHistogram exists for
 	// stages that are not spans — queue waits, cache lookups.
 	EventHistogram
+	// EventAttempt is one try of a fault-tolerant stage (a solver in the
+	// fallback chain, a job execution); the event carries it in Attempt.
+	EventAttempt
 )
 
 func (k EventKind) String() string {
@@ -106,6 +109,8 @@ func (k EventKind) String() string {
 		return "progress"
 	case EventHistogram:
 		return "hist"
+	case EventAttempt:
+		return "attempt"
 	default:
 		return "log"
 	}
@@ -113,7 +118,7 @@ func (k EventKind) String() string {
 
 // Event is the unit handed to sinks. Span events carry ID/Parent/Start/
 // Duration/Allocs; counter and gauge events carry Value; progress events
-// carry Done/Total.
+// carry Done/Total; attempt events carry Attempt.
 type Event struct {
 	Kind   EventKind
 	Time   time.Time
@@ -132,6 +137,7 @@ type Event struct {
 	Done     int64
 	Total    int64
 	Attrs    []Attr
+	Attempt  *Attempt // attempt events only
 }
 
 // Sink consumes events. Emit must be safe for concurrent use.
@@ -373,8 +379,15 @@ func (s *Span) Progress(done, total int64) {
 // Count emits a monotonic counter increment against the tracer resolved
 // from ctx (or the default).
 func Count(ctx context.Context, name string, delta int64) {
-	if tr := resolve(ctx); tr != nil {
-		tr.sink.Emit(&Event{Kind: EventCounter, Time: time.Now(), Name: name, Value: float64(delta)})
+	resolve(ctx).Count(name, delta)
+}
+
+// Count emits a monotonic counter increment on this tracer's sinks, whatever
+// span a context carries: a component that owns a tracer counts into its
+// own sinks from any call path. Nil-safe.
+func (t *Tracer) Count(name string, delta int64) {
+	if t != nil {
+		t.sink.Emit(&Event{Kind: EventCounter, Time: time.Now(), Name: name, Value: float64(delta)})
 	}
 }
 

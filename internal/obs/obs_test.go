@@ -53,6 +53,7 @@ func TestDisabledPathIsZeroAlloc(t *testing.T) {
 		sp.End()
 		Count(cctx, "c", 1)
 		Gauge(cctx, "g", 1)
+		RecordAttempt(cctx, Attempt{Stage: "solver", Try: 1, Method: "jacobi"})
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled obs path allocates %v times per op, want 0", allocs)
@@ -116,6 +117,33 @@ func TestCountersAndGauges(t *testing.T) {
 	}
 	if g := sink.byKind(EventGauge); len(g) != 1 || g[0].Value != 0.25 {
 		t.Fatalf("gauge lost: %+v", g)
+	}
+}
+
+// TestJSONLAttemptRoundTrip: an attempt event written by JSONLSink decodes
+// back with its stage, try, method, outcome, error, residual and trace.
+func TestJSONLAttemptRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	in := Attempt{
+		Stage: "solver", Try: 2, Method: "jacobi", Outcome: AttemptError,
+		Error: "no convergence", Iterations: 400, Seconds: 0.5, Residual: 3.25e-9,
+		Trace: []ResidualPoint{{Iteration: 1, Residual: 0.5}, {Iteration: 400, Residual: 3.25e-9}},
+	}
+	NewJSONLSink(&buf).Emit(&Event{Kind: EventAttempt, Time: time.Now(), Name: in.Stage, Attempt: &in})
+	e, err := DecodeJSONL(bytes.TrimSpace(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("decode %q: %v", buf.String(), err)
+	}
+	if e.Kind != EventAttempt || e.Name != "solver" || e.Attempt == nil {
+		t.Fatalf("attempt event lost: %+v", e)
+	}
+	got := *e.Attempt
+	if got.Stage != in.Stage || got.Try != in.Try || got.Method != in.Method ||
+		got.Outcome != in.Outcome || got.Error != in.Error || got.Residual != in.Residual {
+		t.Fatalf("attempt = %+v, want %+v", got, in)
+	}
+	if len(got.Trace) != len(in.Trace) || got.Trace[1] != in.Trace[1] {
+		t.Fatalf("trace = %+v, want %+v", got.Trace, in.Trace)
 	}
 }
 

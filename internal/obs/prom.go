@@ -1,10 +1,9 @@
 package obs
 
 import (
-	"fmt"
 	"io"
+	"maps"
 	"math"
-	"net/http"
 	"strconv"
 	"strings"
 )
@@ -12,6 +11,63 @@ import (
 // PromContentType is the Prometheus text exposition format version this
 // package renders.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
+
+// PromWriter writes metric families in the Prometheus text exposition
+// format. It is the one place exposition syntax is produced: HELP and TYPE
+// lines, label escaping and number formatting. The first write error sticks
+// and later writes are skipped.
+type PromWriter struct {
+	w   io.Writer
+	err error
+}
+
+// NewPromWriter returns a writer rendering onto w.
+func NewPromWriter(w io.Writer) *PromWriter { return &PromWriter{w: w} }
+
+// Family opens a metric family: a # HELP line when help is non-empty, then
+// the # TYPE line (typ is "counter", "gauge" or "histogram").
+func (p *PromWriter) Family(name, typ, help string) {
+	if help != "" {
+		p.write("# HELP " + name + " " + help + "\n")
+	}
+	p.write("# TYPE " + name + " " + typ + "\n")
+}
+
+// Int writes one sample with an integer value. labels alternate label names
+// and raw values; values are escaped here.
+func (p *PromWriter) Int(name string, v int64, labels ...string) {
+	p.sample(name, strconv.FormatInt(v, 10), labels)
+}
+
+// Float writes one sample with a float value in its shortest exact form
+// (1e+06 rather than 1000000).
+func (p *PromWriter) Float(name string, v float64, labels ...string) {
+	p.sample(name, promFloat(v), labels)
+}
+
+func (p *PromWriter) sample(name, value string, labels []string) {
+	var b strings.Builder
+	b.WriteString(name)
+	for i := 0; i+1 < len(labels); i += 2 {
+		sep := byte(',')
+		if i == 0 {
+			sep = '{'
+		}
+		b.WriteByte(sep)
+		b.WriteString(labels[i] + `="` + PromLabelValue(labels[i+1]) + `"`)
+	}
+	if len(labels) > 0 {
+		b.WriteByte('}')
+	}
+	b.WriteString(" " + value + "\n")
+	p.write(b.String())
+}
+
+func (p *PromWriter) write(s string) {
+	if p.err == nil {
+		_, p.err = io.WriteString(p.w, s)
+	}
+}
 
 // WritePrometheus renders the collector's aggregate state in the Prometheus
 // text exposition format, dependency-free: counters as `<ns>_<name>_total`,
@@ -27,42 +83,28 @@ func WritePrometheus(w io.Writer, c *Collector, namespace string) error {
 	ns := promName(namespace)
 
 	c.mu.Lock()
-	counters := make(map[string]float64, len(c.counters))
-	for k, v := range c.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]float64, len(c.gauges))
-	for k, v := range c.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(c.hists))
-	for k, h := range c.hists {
-		hists[k] = h
-	}
+	counters, gauges := maps.Clone(c.counters), maps.Clone(c.gauges)
 	c.mu.Unlock()
+	hists := c.Histograms()
 
+	p := NewPromWriter(w)
 	for _, k := range sortedKeys(counters) {
 		name := ns + "_" + promName(k) + "_total"
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %s\n", name, name, promFloat(counters[k])); err != nil {
-			return err
-		}
+		p.Family(name, "counter", "")
+		p.Float(name, counters[k])
 	}
 	for _, k := range sortedKeys(gauges) {
 		name := ns + "_" + promName(k)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", name, name, promFloat(gauges[k])); err != nil {
-			return err
-		}
+		p.Family(name, "gauge", "")
+		p.Float(name, gauges[k])
 	}
 	if len(hists) == 0 {
-		return nil
+		return p.err
 	}
 	family := ns + "_stage_duration_seconds"
-	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", family); err != nil {
-		return err
-	}
+	p.Family(family, "histogram", "")
 	for _, stage := range sortedKeys(hists) {
-		s := hists[stage].Snapshot()
-		label := PromLabelValue(stage)
+		s := hists[stage]
 		var cum uint64
 		for i, n := range s.Counts {
 			cum += n
@@ -76,16 +118,12 @@ func WritePrometheus(w io.Writer, c *Collector, namespace string) error {
 			if b := HistogramBucketBound(i); !math.IsInf(b, 1) {
 				le = promFloat(b)
 			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{stage=\"%s\",le=\"%s\"} %d\n", family, label, le, cum); err != nil {
-				return err
-			}
+			p.Int(family+"_bucket", int64(cum), "stage", stage, "le", le)
 		}
-		if _, err := fmt.Fprintf(w, "%s_sum{stage=\"%s\"} %s\n%s_count{stage=\"%s\"} %d\n",
-			family, label, promFloat(s.Sum), family, label, s.Count); err != nil {
-			return err
-		}
+		p.Float(family+"_sum", s.Sum, "stage", stage)
+		p.Int(family+"_count", int64(s.Count), "stage", stage)
 	}
-	return nil
+	return p.err
 }
 
 // promName maps an internal dotted metric name onto the Prometheus
@@ -127,20 +165,4 @@ func PromLabelValue(s string) string {
 // form; integral values without exponent where possible).
 func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// PromHandler serves the collector in Prometheus text format at GET (and
-// HEAD) — the standard `/metrics` scrape endpoint.
-func PromHandler(c *Collector, namespace string) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", PromContentType)
-		if r.Method == http.MethodHead {
-			return
-		}
-		_ = WritePrometheus(w, c, namespace)
-	})
 }

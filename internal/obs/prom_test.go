@@ -87,25 +87,21 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 	}
 }
 
-func TestPromHandler(t *testing.T) {
-	h := PromHandler(promCollector(t), "secserved")
-
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-	if rr.Code != 200 {
-		t.Fatalf("status %d", rr.Code)
-	}
-	if ct := rr.Header().Get("Content-Type"); ct != PromContentType {
-		t.Fatalf("Content-Type = %q, want %q", ct, PromContentType)
-	}
-	if !strings.Contains(rr.Body.String(), "_bucket{") {
-		t.Fatalf("no bucket series in body:\n%s", rr.Body.String())
-	}
-
-	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("POST", "/metrics", nil))
-	if rr.Code != 405 {
-		t.Fatalf("POST status %d, want 405", rr.Code)
+// TestPromWriter pins the one family writer's syntax: HELP only when given,
+// integers in plain decimal, floats in shortest form, labels escaped.
+func TestPromWriter(t *testing.T) {
+	var b strings.Builder
+	p := NewPromWriter(&b)
+	p.Family("x_total", "counter", "Things counted.")
+	p.Int("x_total", 1234567)
+	p.Family("y", "gauge", "")
+	p.Float("y", 1234567)
+	p.Int("z", 2, "peer", `n"1`, "le", "+Inf")
+	want := "# HELP x_total Things counted.\n# TYPE x_total counter\nx_total 1234567\n" +
+		"# TYPE y gauge\ny 1.234567e+06\n" +
+		`z{peer="n\"1",le="+Inf"} 2` + "\n"
+	if got := b.String(); got != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", got, want)
 	}
 }
 

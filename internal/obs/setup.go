@@ -32,8 +32,8 @@ type RunOptions struct {
 	// timings and model size.
 	Collect bool
 	// FlightSize, when positive, keeps a black-box ring of the last N events
-	// (see Flight) and dumps it into the run manifest. The ring is installed
-	// as the process default so solver attempts reach it too.
+	// (see Flight) and dumps it into the run manifest. The ring is a sink of
+	// the default tracer, so solver attempts reach it like every other event.
 	FlightSize int
 }
 
@@ -82,7 +82,6 @@ func StartRun(opts RunOptions) (*Run, error) {
 	if opts.FlightSize > 0 {
 		r.Flight = NewFlight(opts.FlightSize)
 		sinks = append(sinks, r.Flight)
-		SetDefaultFlight(r.Flight)
 		enabled = true
 	}
 	if opts.PprofAddr != "" {
@@ -153,9 +152,6 @@ func (r *Run) Close() error {
 	if r.active {
 		SetDefault(nil)
 		r.active = false
-	}
-	if r.Flight != nil && DefaultFlight() == r.Flight {
-		SetDefaultFlight(nil)
 	}
 	if r.trace != nil {
 		err := r.trace.Close()

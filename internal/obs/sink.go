@@ -15,19 +15,20 @@ import (
 // object per line. Attrs serialise as a key→value object so downstream
 // tooling (jq, pandas) reads them without schema knowledge.
 type jsonEvent struct {
-	Kind   string         `json:"kind"`
-	Time   string         `json:"time"`
-	Name   string         `json:"name"`
-	ID     uint64         `json:"id,omitempty"`
-	Parent uint64         `json:"parent,omitempty"`
-	Trace  string         `json:"trace,omitempty"`
-	Depth  int            `json:"depth,omitempty"`
-	DurUS  float64        `json:"dur_us,omitempty"`
-	Allocs uint64         `json:"allocs,omitempty"`
-	Value  *float64       `json:"value,omitempty"`
-	Done   *int64         `json:"done,omitempty"`
-	Total  *int64         `json:"total,omitempty"`
-	Attrs  map[string]any `json:"attrs,omitempty"`
+	Kind    string         `json:"kind"`
+	Time    string         `json:"time"`
+	Name    string         `json:"name"`
+	ID      uint64         `json:"id,omitempty"`
+	Parent  uint64         `json:"parent,omitempty"`
+	Trace   string         `json:"trace,omitempty"`
+	Depth   int            `json:"depth,omitempty"`
+	DurUS   float64        `json:"dur_us,omitempty"`
+	Allocs  uint64         `json:"allocs,omitempty"`
+	Value   *float64       `json:"value,omitempty"`
+	Done    *int64         `json:"done,omitempty"`
+	Total   *int64         `json:"total,omitempty"`
+	Attrs   map[string]any `json:"attrs,omitempty"`
+	Attempt *Attempt       `json:"attempt,omitempty"`
 }
 
 // JSONLSink writes one JSON object per event. Safe for concurrent Emit.
@@ -66,6 +67,8 @@ func (s *JSONLSink) Emit(e *Event) {
 			je.Total = &t
 		}
 		je.ID = e.ID
+	case EventAttempt:
+		je.Attempt = e.Attempt
 	}
 	if len(e.Attrs) > 0 {
 		je.Attrs = make(map[string]any, len(e.Attrs))
@@ -102,6 +105,9 @@ func DecodeJSONL(line []byte) (*Event, error) {
 		e.Kind = EventProgress
 	case "log":
 		e.Kind = EventLog
+	case "attempt":
+		e.Kind = EventAttempt
+		e.Attempt = je.Attempt
 	default:
 		return nil, fmt.Errorf("obs: unknown event kind %q", je.Kind)
 	}

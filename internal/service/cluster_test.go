@@ -173,7 +173,7 @@ func TestClusterEndpointsFederateRing(t *testing.T) {
 	waitUntil(t, "replica pushes to land", 5*time.Second, func() bool {
 		var pushed int64
 		for _, n := range nodes {
-			pushed += n.srv.replicaPushed.Load()
+			pushed += n.srv.counted("service.replica.pushed")
 		}
 		return pushed >= 2
 	})

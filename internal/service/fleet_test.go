@@ -173,7 +173,7 @@ func TestReplicationWritesToSuccessor(t *testing.T) {
 		t.Fatalf("job status=%s error=%s", v.Status, v.Error)
 	}
 	waitUntil(t, "replica on successor "+succ, 5*time.Second, func() bool {
-		return nodes[succ].srv.replicaReceived.Load() >= 1
+		return nodes[succ].srv.counted("service.replica.received") >= 1
 	})
 	if _, ok := nodes[succ].store.Get(key); !ok {
 		t.Fatalf("successor %s store has no replica of %s", succ, key[:12])
@@ -181,7 +181,7 @@ func TestReplicationWritesToSuccessor(t *testing.T) {
 	// The push counter increments after the receiver answers; wait rather
 	// than assert-race it.
 	waitUntil(t, "owner push counter", 5*time.Second, func() bool {
-		return nodes[owner].srv.replicaPushed.Load() == 1
+		return nodes[owner].srv.counted("service.replica.pushed") == 1
 	})
 	// The successor can now answer the same request from cache without
 	// solving.
@@ -226,10 +226,10 @@ func TestFailoverComputesLocallyAndQueuesHandoff(t *testing.T) {
 	if got := resp.Header.Get(shard.ServedByHeader); got != "n1" {
 		t.Fatalf("failover served by %q, want n1", got)
 	}
-	if fails := entry.srv.shardForwardFail.Load(); fails != 0 {
+	if fails := entry.srv.counted("service.shard.forward_failed"); fails != 0 {
 		t.Fatalf("forward failures = %d, want 0 (breaker should skip the dead owner)", fails)
 	}
-	if fo := entry.srv.shardFailover.Load(); fo != 1 {
+	if fo := entry.srv.counted("service.shard.failover"); fo != 1 {
 		t.Fatalf("failover count = %d, want 1", fo)
 	}
 	waitUntil(t, "handoff hint queued for "+owner, 5*time.Second, func() bool {
@@ -262,7 +262,7 @@ func TestFailoverComputesLocallyAndQueuesHandoff(t *testing.T) {
 	if depth := entry.srv.cfg.Hints.Depth(); depth != 0 {
 		t.Fatalf("hint queue depth = %d after delivery, want 0", depth)
 	}
-	if got := srv2.replicaReceived.Load(); got != 1 {
+	if got := srv2.counted("service.replica.received"); got != 1 {
 		t.Fatalf("recovered owner received %d replicas, want 1", got)
 	}
 	if _, ok := st2.Get(key); !ok {
@@ -274,7 +274,7 @@ func TestFailoverComputesLocallyAndQueuesHandoff(t *testing.T) {
 	if v2.Status != StatusDone || v2.Cache != CacheHit || *runs2 != 0 {
 		t.Fatalf("recovered owner: status=%s cache=%s runs=%d, want done/hit/0", v2.Status, v2.Cache, *runs2)
 	}
-	if del := entry.srv.hintsDelivered.Load(); del != 1 {
+	if del := entry.srv.Metrics().Replication.HandoffDelivered; del != 1 {
 		t.Fatalf("hints delivered = %d, want 1", del)
 	}
 }
@@ -311,7 +311,7 @@ func TestProberDrivenRecovery(t *testing.T) {
 	if got := resp.Header.Get(shard.ServedByHeader); got == owner {
 		t.Fatalf("request served by the dead owner %q", got)
 	}
-	if fails := entry.srv.shardForwardFail.Load(); fails != 0 {
+	if fails := entry.srv.counted("service.shard.forward_failed"); fails != 0 {
 		t.Fatalf("forward failures = %d, want 0 during breaker-covered outage", fails)
 	}
 	waitUntil(t, "handoff hint queued", 5*time.Second, func() bool {
@@ -342,9 +342,9 @@ func TestProberDrivenRecovery(t *testing.T) {
 		return entry.srv.cfg.Shard.Breakers.State(owner) == shard.BreakerClosed
 	})
 	waitUntil(t, "handoff to drain to the recovered owner", 10*time.Second, func() bool {
-		return entry.srv.cfg.Hints.Depth() == 0 && srv2.replicaReceived.Load() >= 1
+		return entry.srv.cfg.Hints.Depth() == 0 && srv2.counted("service.replica.received") >= 1
 	})
-	if tr := entry.srv.breakerTransitions.Load(); tr < 2 {
+	if tr := entry.srv.counted("service.fleet.breaker.transition"); tr < 2 {
 		t.Fatalf("breaker transitions observed = %d, want >= 2 (open and close)", tr)
 	}
 }

@@ -45,8 +45,7 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, req *Analy
 	}
 	ctx := r.Context()
 	if from := r.Header.Get(shard.ForwardedHeader); from != "" {
-		s.shardReceivedFwd.Add(1)
-		obs.Count(ctx, "service.shard.received_forwarded", 1)
+		s.tracer.Count("service.shard.received_forwarded", 1)
 		return false, "", ""
 	}
 	key, err := s.engine.Fingerprint(req)
@@ -72,8 +71,7 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, req *Analy
 		}
 	}
 	if failover {
-		s.shardFailover.Add(1)
-		obs.Count(ctx, "service.shard.failover", 1)
+		s.tracer.Count("service.shard.failover", 1)
 		obs.LogAttrs(ctx, "shard.failover",
 			obs.Attr{Key: "key", Kind: obs.KindString, Str: key},
 			obs.Attr{Key: "owner", Kind: obs.KindString, Str: primary},
@@ -81,8 +79,7 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, req *Analy
 			obs.Attr{Key: "detail", Kind: obs.KindString, Str: primary + " -> " + node})
 	}
 	if self {
-		s.shardOwned.Add(1)
-		obs.Count(ctx, "service.shard.owned", 1)
+		s.tracer.Count("service.shard.owned", 1)
 		if failover {
 			// Computing on behalf of the down primary: owe it the result.
 			return false, key, primary
@@ -98,8 +95,7 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, req *Analy
 		resp.Body.Close()
 	}
 	if err != nil {
-		s.shardForwardFail.Add(1)
-		obs.Count(ctx, "service.shard.forward_failed", 1)
+		s.tracer.Count("service.shard.forward_failed", 1)
 		// The log event lands in the flight ring (the request context's
 		// tracer sinks include it), so the black box records the failover.
 		obs.LogAttrs(ctx, "shard.forward.failed",
@@ -111,8 +107,7 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, req *Analy
 		return false, key, node
 	}
 	defer resp.Body.Close()
-	s.shardForwarded.Add(1)
-	obs.Count(ctx, "service.shard.forwarded", 1)
+	s.tracer.Count("service.shard.forwarded", 1)
 	relayResponse(w, resp, node)
 	return true, key, ""
 }
@@ -144,8 +139,7 @@ func (s *Server) proxyJobGet(w http.ResponseWriter, r *http.Request, id string) 
 	// transport timeout for a node already known to be down.
 	resp, err := rt.Forward(r.Context(), node, http.MethodGet, r.URL.Path, nil, "")
 	if err != nil {
-		s.shardForwardFail.Add(1)
-		obs.Count(r.Context(), "service.shard.forward_failed", 1)
+		s.tracer.Count("service.shard.forward_failed", 1)
 		s.stampNode(w)
 		writeErrorKind(w, http.StatusBadGateway, errKindOwnerUnavailable,
 			fmt.Errorf("job %s lives on node %s, which is unavailable: %v", id, node, err))

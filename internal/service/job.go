@@ -153,9 +153,11 @@ type Job struct {
 	// and the job manifest is stamped with its trace ID.
 	trace obs.TraceContext
 
-	// collector and recorder accumulate spans and retry/fallback attempts
+	// tracer feeds the server's sink chain plus the job's collector and
+	// attempt recorder, which accumulate spans and retry/fallback attempts
 	// across every execution of the job, so the manifest of a retried job
 	// covers its whole history.
+	tracer    *obs.Tracer
 	collector *obs.Collector
 	recorder  *obs.AttemptRecorder
 
@@ -200,8 +202,10 @@ type Job struct {
 	done chan struct{}
 }
 
-func newJob(id string, req *AnalysisRequest) *Job {
-	return &Job{
+// newJob returns a queued job whose tracer emits to sinks (the server's
+// chain) and to the job's own collector and attempt recorder.
+func newJob(id string, req *AnalysisRequest, sinks obs.Sink) *Job {
+	j := &Job{
 		id:        id,
 		req:       req,
 		created:   time.Now(),
@@ -210,6 +214,8 @@ func newJob(id string, req *AnalysisRequest) *Job {
 		status:    StatusQueued,
 		done:      make(chan struct{}),
 	}
+	j.tracer = obs.NewTracer(obs.MultiSink{sinks, j.collector, j.recorder}, false)
+	return j
 }
 
 // Done returns a channel closed when the job reaches a terminal status.

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"net/http"
 	"sort"
 
@@ -16,13 +15,14 @@ import (
 func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.PromContentType)
 	m := s.Metrics()
+	p := obs.NewPromWriter(w)
 	counter := func(name string, v int64, help string) {
-		fmt.Fprintf(w, "# HELP secserved_%s %s\n# TYPE secserved_%s counter\nsecserved_%s %d\n",
-			name, help, name, name, v)
+		p.Family("secserved_"+name, "counter", help)
+		p.Int("secserved_"+name, v)
 	}
 	gauge := func(name string, v float64, help string) {
-		fmt.Fprintf(w, "# HELP secserved_%s %s\n# TYPE secserved_%s gauge\nsecserved_%s %g\n",
-			name, help, name, name, v)
+		p.Family("secserved_"+name, "gauge", help)
+		p.Float("secserved_"+name, v)
 	}
 	gauge("uptime_seconds", m.UptimeSeconds, "Seconds since the server started.")
 	gauge("workers", float64(m.Workers), "Size of the analysis worker pool.")
@@ -66,10 +66,9 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 		counter("shard_probes_total", sh.Probes, "Active peer health probes issued.")
 		counter("shard_probe_failures_total", sh.ProbeFailures, "Active peer health probes that failed.")
 		if len(sh.Breakers) > 0 {
-			fmt.Fprintf(w, "# HELP secserved_shard_breaker_state Peer circuit-breaker state (0=closed, 1=half-open, 2=open).\n# TYPE secserved_shard_breaker_state gauge\n")
+			p.Family("secserved_shard_breaker_state", "gauge", "Peer circuit-breaker state (0=closed, 1=half-open, 2=open).")
 			for _, peer := range sortedKeys(sh.Breakers) {
-				fmt.Fprintf(w, "secserved_shard_breaker_state{peer=\"%s\"} %d\n",
-					obs.PromLabelValue(peer), breakerStateValue(sh.Breakers[peer]))
+				p.Int("secserved_shard_breaker_state", breakerStateValue(sh.Breakers[peer]), "peer", peer)
 			}
 		}
 	}
@@ -84,20 +83,20 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 		counter("handoff_dropped_total", rp.HandoffDropped, "Hinted-handoff records displaced by the per-node bound.")
 	}
 	if len(m.Tenants) > 0 {
-		fmt.Fprintf(w, "# HELP secserved_tenant_admitted_total Submissions admitted per tenant.\n# TYPE secserved_tenant_admitted_total counter\n")
 		names := sortedKeys(m.Tenants)
+		p.Family("secserved_tenant_admitted_total", "counter", "Submissions admitted per tenant.")
 		for _, name := range names {
-			fmt.Fprintf(w, "secserved_tenant_admitted_total{tenant=\"%s\"} %d\n", obs.PromLabelValue(name), m.Tenants[name].Admitted)
+			p.Int("secserved_tenant_admitted_total", m.Tenants[name].Admitted, "tenant", name)
 		}
-		fmt.Fprintf(w, "# HELP secserved_tenant_in_flight Accepted-but-unfinished jobs per tenant.\n# TYPE secserved_tenant_in_flight gauge\n")
+		p.Family("secserved_tenant_in_flight", "gauge", "Accepted-but-unfinished jobs per tenant.")
 		for _, name := range names {
-			fmt.Fprintf(w, "secserved_tenant_in_flight{tenant=\"%s\"} %d\n", obs.PromLabelValue(name), m.Tenants[name].InFlight)
+			p.Int("secserved_tenant_in_flight", m.Tenants[name].InFlight, "tenant", name)
 		}
-		fmt.Fprintf(w, "# HELP secserved_tenant_shed_total Submissions shed per tenant and reason.\n# TYPE secserved_tenant_shed_total counter\n")
+		p.Family("secserved_tenant_shed_total", "counter", "Submissions shed per tenant and reason.")
 		for _, name := range names {
 			shed := m.Tenants[name].Shed
 			for _, reason := range sortedKeys(shed) {
-				fmt.Fprintf(w, "secserved_tenant_shed_total{tenant=\"%s\",reason=\"%s\"} %d\n", obs.PromLabelValue(name), obs.PromLabelValue(reason), shed[reason])
+				p.Int("secserved_tenant_shed_total", shed[reason], "tenant", name, "reason", reason)
 			}
 		}
 	}
@@ -111,7 +110,7 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 }
 
 // breakerStateValue maps a breaker state name to its numeric gauge value.
-func breakerStateValue(state string) int {
+func breakerStateValue(state string) int64 {
 	switch state {
 	case "half-open":
 		return 1

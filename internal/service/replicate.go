@@ -51,8 +51,7 @@ func (s *Server) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 			obs.Count(ctx, "service.replica.store_error", 1)
 		}
 	}
-	s.replicaReceived.Add(1)
-	obs.Count(ctx, "service.replica.received", 1)
+	s.tracer.Count("service.replica.received", 1)
 	s.stampNode(w)
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -122,14 +121,12 @@ func (s *Server) pushReplica(ctx context.Context, node, key string, payload []by
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode < http.StatusMultipleChoices {
-			s.replicaPushed.Add(1)
-			obs.Count(ctx, "service.replica.pushed", 1)
+			s.tracer.Count("service.replica.pushed", 1)
 			return
 		}
 		err = fmt.Errorf("replica target %s returned %s", node, resp.Status)
 	}
-	s.replicaFailed.Add(1)
-	obs.Count(ctx, "service.replica.failed", 1)
+	s.tracer.Count("service.replica.failed", 1)
 	s.queueHint(ctx, node, key, payload)
 }
 
@@ -173,8 +170,7 @@ func (s *Server) startFleet() {
 
 	if rt.Breakers != nil {
 		rt.Breakers.OnTransition = func(node string, from, to shard.BreakerState) {
-			s.breakerTransitions.Add(1)
-			obs.Count(s.fleetCtx, "service.fleet.breaker.transition", 1)
+			s.tracer.Count("service.fleet.breaker.transition", 1)
 			// The "detail" attribute is what the flight recorder surfaces,
 			// so the black box shows which peer moved where.
 			obs.LogAttrs(s.fleetCtx, "fleet.breaker.transition",
@@ -298,7 +294,6 @@ func (s *Server) deliverHints() {
 				break // node relapsed: stop this drain, breaker state reflects it
 			}
 			_ = q.Delivered(node, h.Key)
-			s.hintsDelivered.Add(1)
 			obs.Count(s.fleetCtx, "service.handoff.delivered", 1)
 			obs.LogAttrs(s.fleetCtx, "fleet.handoff.delivered",
 				obs.Attr{Key: "node", Kind: obs.KindString, Str: node},

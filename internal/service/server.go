@@ -69,9 +69,9 @@ type Config struct {
 	// EngineOptions).
 	MaxStates      int
 	MaxTransitions int
-	// ExtraSink, when set, additionally receives every span/counter the
-	// server emits (per-request and per-job) — secserved passes the sinks
-	// of its -trace/-progress session here.
+	// ExtraSink, when set, additionally receives every event the server
+	// emits (per-request and per-job spans, counters, attempts) — secserved
+	// passes the sinks of its -trace/-progress session here.
 	ExtraSink obs.Sink
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the service
 	// mux. Off by default: profiling endpoints expose heap contents and
@@ -201,6 +201,7 @@ type Server struct {
 	cfg       Config
 	engine    *Engine
 	collector *obs.Collector
+	sinks     obs.MultiSink // the one sink chain: collector, flight ring, span log, extra sink
 	tracer    *obs.Tracer
 	flight    *obs.Flight
 	slow      *slowLog
@@ -231,14 +232,7 @@ type Server struct {
 	retried        atomic.Int64
 	panics         atomic.Int64
 	consecFailures atomic.Int64
-
-	// Shard-tier counters (zero when Config.Shard is nil).
-	shardOwned       atomic.Int64 // requests this node owned and ran
-	shardForwarded   atomic.Int64 // requests proxied to their owner
-	shardReceivedFwd atomic.Int64 // forwarded requests received from peers
-	shardForwardFail atomic.Int64 // forward attempts that fell back to local compute
-	journalErrors    atomic.Int64 // journal appends that failed (persistence degraded)
-	journalReplayed  atomic.Int64 // jobs re-enqueued from the journal at startup
+	journalErrors  atomic.Int64 // journal appends that failed (persistence degraded)
 
 	// Fleet-resilience machinery (see replicate.go; zero when Shard is nil).
 	admission   *admission
@@ -248,13 +242,6 @@ type Server struct {
 	fleetSpan   *obs.Span
 	fleetWG     sync.WaitGroup
 	handoffKick chan struct{}
-
-	shardFailover      atomic.Int64 // submissions routed past an open-breaker owner
-	breakerTransitions atomic.Int64 // peer breaker state changes observed
-	replicaPushed      atomic.Int64 // replica writes delivered to peers
-	replicaFailed      atomic.Int64 // replica writes that fell back to a hint
-	replicaReceived    atomic.Int64 // replica writes accepted from peers
-	hintsDelivered     atomic.Int64 // hinted-handoff records replayed successfully
 }
 
 // pendingRetry is a job waiting out its backoff. Ownership protocol:
@@ -299,17 +286,17 @@ func New(cfg Config) *Server {
 		}
 	}
 	s.usage = newUsageTracker(cfg.SLOTarget)
-	sinks := obs.MultiSink{s.collector}
+	s.sinks = obs.MultiSink{s.collector}
 	if s.flight != nil {
-		sinks = append(sinks, s.flight)
+		s.sinks = append(s.sinks, s.flight)
 	}
 	if s.spanLog != nil {
-		sinks = append(sinks, s.spanLog)
+		s.sinks = append(s.sinks, s.spanLog)
 	}
 	if cfg.ExtraSink != nil {
-		sinks = append(sinks, cfg.ExtraSink)
+		s.sinks = append(s.sinks, cfg.ExtraSink)
 	}
-	s.tracer = obs.NewTracer(sinks, false)
+	s.tracer = obs.NewTracer(s.sinks, false)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/analyses", s.handleSubmit)
@@ -476,32 +463,16 @@ func (s *Server) runJob(job *Job) {
 	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
 	defer cancel()
 
-	// Per-job tracer: events flow to the job's own collector (the per-job
-	// manifest, accumulated across attempts) and to the server-wide sinks.
-	// The attempt recorder rides the context so deep solver fallbacks
-	// report into the same history.
-	sinks := obs.MultiSink{s.collector, job.collector}
-	if s.flight != nil {
-		sinks = append(sinks, s.flight)
-	}
-	if s.spanLog != nil {
-		sinks = append(sinks, s.spanLog)
-	}
-	if s.cfg.ExtraSink != nil {
-		sinks = append(sinks, s.cfg.ExtraSink)
-	}
-	tr := obs.NewTracer(sinks, false)
+	// The job's tracer feeds its manifest collector and attempt recorder
+	// besides the server-wide sinks, so a deep solver fallback reports into
+	// the same history as this retry loop.
 	if job.trace.Valid() {
 		ctx = obs.WithRemote(ctx, job.trace)
 	}
-	ctx, sp := tr.StartSpan(ctx, "service.job")
+	ctx, sp := job.tracer.StartSpan(ctx, "service.job")
 	sp.Str("job", job.id)
 	sp.Int("attempt", int64(attempt))
 	job.setSelfTrace(obs.TraceContext{TraceID: sp.TraceID(), SpanID: sp.ID()})
-	ctx = obs.WithAttempts(ctx, job.recorder)
-	if s.flight != nil {
-		ctx = obs.WithFlight(ctx, s.flight)
-	}
 	if attempt == 1 {
 		// Queue wait is submission-to-first-execution; retries wait on their
 		// backoff timers, which the attempt history already records.
@@ -534,8 +505,6 @@ func (s *Server) runJob(job *Job) {
 			rec.Outcome = obs.AttemptInjected
 		}
 	}
-	// RecordAttempt (rather than the recorder directly) so the attempt also
-	// lands in the flight ring the context carries.
 	obs.RecordAttempt(ctx, rec)
 	sp.End()
 
@@ -744,7 +713,7 @@ func (s *Server) submitMeta(req *AnalysisRequest, tc obs.TraceContext, meta subm
 		// Node-prefixed IDs let any peer route a poll to the owning node.
 		id = s.cfg.NodeID + ":" + id
 	}
-	job := newJob(id, req)
+	job := newJob(id, req, s.sinks)
 	job.tenant = meta.tenant
 	job.key = meta.key
 	job.handoffOwner = meta.handoffOwner
@@ -820,7 +789,7 @@ func (s *Server) ReplayJournal() int {
 		if seq, ok := seqOfID(ent.ID); ok && seq > maxSeq {
 			maxSeq = seq
 		}
-		job := newJob(ent.ID, &req)
+		job := newJob(ent.ID, &req, s.sinks)
 		if !s.enqueueReplayed(job) {
 			break // draining: remaining entries stay pending for next start
 		}
@@ -832,9 +801,8 @@ func (s *Server) ReplayJournal() int {
 	}
 	s.mu.Unlock()
 	s.accepted.Add(int64(replayed))
-	s.journalReplayed.Add(int64(replayed))
 	sp.Int("replayed", int64(replayed))
-	obs.Count(ctx, "service.journal.replayed", int64(replayed))
+	s.tracer.Count("service.journal.replayed", int64(replayed))
 	return replayed
 }
 
@@ -1163,7 +1131,8 @@ type JournalMetrics struct {
 	Errors int64 `json:"errors"`
 }
 
-// Metrics snapshots the server counters.
+// Metrics snapshots the server counters. Quantities the server also emits as
+// events are counted once, in the collector, and read back from it.
 func (s *Server) Metrics() Metrics {
 	s.mu.Lock()
 	pending := len(s.retries)
@@ -1187,12 +1156,12 @@ func (s *Server) Metrics() Metrics {
 		m.Shard = &ShardMetrics{
 			Node:               s.cfg.NodeID,
 			Nodes:              s.cfg.Shard.Nodes(),
-			Owned:              s.shardOwned.Load(),
-			Forwarded:          s.shardForwarded.Load(),
-			ReceivedForwarded:  s.shardReceivedFwd.Load(),
-			ForwardFailed:      s.shardForwardFail.Load(),
-			Failovers:          s.shardFailover.Load(),
-			BreakerTransitions: s.breakerTransitions.Load(),
+			Owned:              s.counted("service.shard.owned"),
+			Forwarded:          s.counted("service.shard.forwarded"),
+			ReceivedForwarded:  s.counted("service.shard.received_forwarded"),
+			ForwardFailed:      s.counted("service.shard.forward_failed"),
+			Failovers:          s.counted("service.shard.failover"),
+			BreakerTransitions: s.counted("service.fleet.breaker.transition"),
 		}
 		states := s.cfg.Shard.Breakers.States()
 		m.Shard.Breakers = make(map[string]string, len(states))
@@ -1204,9 +1173,9 @@ func (s *Server) Metrics() Metrics {
 			hs := s.cfg.Hints.Stats()
 			m.Replication = &ReplicationMetrics{
 				Factor:           f,
-				Pushed:           s.replicaPushed.Load(),
-				Failed:           s.replicaFailed.Load(),
-				Received:         s.replicaReceived.Load(),
+				Pushed:           s.counted("service.replica.pushed"),
+				Failed:           s.counted("service.replica.failed"),
+				Received:         s.counted("service.replica.received"),
 				HandoffPending:   hs.Pending,
 				HandoffQueued:    hs.Queued,
 				HandoffDelivered: hs.Delivered,
@@ -1219,12 +1188,17 @@ func (s *Server) Metrics() Metrics {
 		js := s.cfg.Journal.Stats()
 		m.Journal = &JournalMetrics{
 			PendingAtOpen: js.PendingAtOpen,
-			Replayed:      s.journalReplayed.Load(),
+			Replayed:      s.counted("service.journal.replayed"),
 			Appends:       js.Appends,
 			Errors:        s.journalErrors.Load(),
 		}
 	}
 	return m
+}
+
+// counted reads a counter the server emitted through its tracer.
+func (s *Server) counted(name string) int64 {
+	return int64(s.collector.Counter(name))
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -176,11 +176,11 @@ func TestShardForwardingDedupsOnOwner(t *testing.T) {
 		if got := nodes[n].runs.Load(); got != 0 {
 			t.Fatalf("non-owner %s solved %d times, want 0", n, got)
 		}
-		if fwd := nodes[n].srv.shardForwarded.Load(); fwd != 1 {
+		if fwd := nodes[n].srv.counted("service.shard.forwarded"); fwd != 1 {
 			t.Fatalf("node %s forwarded %d, want 1", n, fwd)
 		}
 	}
-	if rcv := nodes[owner].srv.shardReceivedFwd.Load(); rcv != 2 {
+	if rcv := nodes[owner].srv.counted("service.shard.received_forwarded"); rcv != 2 {
 		t.Fatalf("owner received %d forwarded submissions, want 2", rcv)
 	}
 
@@ -233,7 +233,7 @@ func TestShardFallsBackWhenOwnerDown(t *testing.T) {
 	if runs := nodes["n1"].runs.Load(); runs != 1 {
 		t.Fatalf("fallback ran %d local solves, want 1", runs)
 	}
-	if fails := nodes["n1"].srv.shardForwardFail.Load(); fails != 1 {
+	if fails := nodes["n1"].srv.counted("service.shard.forward_failed"); fails != 1 {
 		t.Fatalf("forward failures = %d, want 1", fails)
 	}
 }

@@ -79,7 +79,6 @@ type SlowRecord struct {
 type slowLog struct {
 	mu  sync.Mutex
 	enc *json.Encoder
-	n   int64
 }
 
 func newSlowLog(w io.Writer) *slowLog {
@@ -89,7 +88,6 @@ func newSlowLog(w io.Writer) *slowLog {
 func (l *slowLog) write(rec SlowRecord) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.n++
 	_ = l.enc.Encode(rec)
 }
 
