@@ -310,6 +310,36 @@ func BenchmarkEngineTransient(b *testing.B) {
 	}
 }
 
+// BenchmarkSteadyStateSynthetic isolates the long-run metric (BSCC
+// decomposition and balance-equation solve) on the 19,683-state synthetic
+// chain of the synthetic-20k benchmark workload; run it with -benchmem to
+// see its allocations.
+func BenchmarkSteadyStateSynthetic(b *testing.B) {
+	ar, err := arch.Synthetic(arch.SyntheticSpec{ECUs: 7, Buses: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := core.Analyzer{NMax: 2}.PrepareContext(context.Background(), ar, arch.MessageM, transform.Availability, transform.Unencrypted)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ex := p.Explored
+	mask, err := ex.LabelMask(transform.LabelViolated)
+	if err != nil {
+		b.Fatal(err)
+	}
+	init := ex.InitDistribution()
+	b.ResetTimer()
+	var steady float64
+	for i := 0; i < b.N; i++ {
+		if steady, err = ex.Chain.SteadyStateProbability(init, mask); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(ex.N()), "states")
+	b.ReportMetric(steady, "steady")
+}
+
 // BenchmarkEngineExplore isolates state-space exploration.
 func BenchmarkEngineExplore(b *testing.B) {
 	res, err := transform.Build(arch.Architecture2(), arch.MessageM, transform.Options{

@@ -8,7 +8,8 @@
 // The implementation is layered (see DESIGN.md for the full inventory):
 //
 //   - internal/linalg, internal/graph, internal/foxglynn, internal/expm —
-//     numerical and graph kernels;
+//     numerical and graph kernels; CSR is the one sparse format, and the
+//     graph algorithms run on it directly;
 //   - internal/dtmc, internal/ctmc — Markov-chain analyses (uniformisation,
 //     steady state, rewards, reachability);
 //   - internal/modular, internal/prismlang, internal/csl — a PRISM-style

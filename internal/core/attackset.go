@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"repro/internal/arch"
+	"repro/internal/graph"
 	"repro/internal/modular"
 	"repro/internal/transform"
 )
@@ -285,15 +286,13 @@ func (a Analyzer) CriticalComponents(ar *arch.Architecture, msgName string, cat 
 		// Graph reachability of a violated state decides Blocks; no
 		// quantitative solve needed.
 		ex := p.Explored
-		var targets []int
-		for i, v := range p.mask {
-			if v {
-				targets = append(targets, i)
-			}
-		}
+		reach := graph.Reachable(ex.Chain.Rates, []int{ex.InitIndex()}, nil)
 		blocks := true
-		if len(targets) > 0 {
-			blocks = !ex.Chain.Digraph().CanReach(targets)[ex.InitIndex()]
+		for i, v := range p.mask {
+			if v && reach[i] {
+				blocks = false
+				break
+			}
 		}
 		return CriticalComponent{
 			Blocks:               blocks,

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/dtmc"
 	"repro/internal/foxglynn"
-	"repro/internal/graph"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 )
@@ -134,76 +133,39 @@ func (c *Chain) Uniformized(factor float64) (*dtmc.Chain, float64, error) {
 // merged in at its place, and zero entries are dropped.
 func (c *Chain) withDiagonal(div float64, diag func(i int) float64) *linalg.CSR {
 	n := c.N()
-	r := c.Rates
-	m := &linalg.CSR{
-		Rows: n, Cols: n,
-		RowPtr: make([]int, n+1),
-		ColIdx: make([]int, 0, r.NNZ()+n),
-		Val:    make([]float64, 0, r.NNZ()+n),
-	}
-	push := func(j int, v float64) {
-		if v != 0 {
-			m.ColIdx = append(m.ColIdx, j)
-			m.Val = append(m.Val, v)
-		}
-	}
+	m := linalg.NewRowBuilder(n, n, c.Rates.NNZ()+n)
 	for i := 0; i < n; i++ {
-		cols, vals := r.Row(i)
-		d, placed := diag(i), false
+		m.Diagonal(i, diag(i))
+		cols, vals := c.Rates.Row(i)
 		for k, j := range cols {
-			v := vals[k] / div
-			switch {
-			case j == i:
-				v += d
-				placed = true
-			case j > i && !placed:
-				push(i, d)
-				placed = true
-			}
-			push(j, v)
+			m.Add(j, vals[k]/div)
 		}
-		if !placed {
-			push(i, d)
-		}
-		m.RowPtr[i+1] = len(m.Val)
+		m.EndRow()
 	}
-	return m
+	return m.CSR()
 }
 
 // Embedded returns the embedded (jump) DTMC: P(i,j) = R(i,j)/exit_i, with a
 // self-loop on absorbing states.
 func (c *Chain) Embedded() (*dtmc.Chain, error) {
 	n := c.N()
-	coo := linalg.NewCOO(n, n)
+	p := linalg.NewRowBuilder(n, n, c.Rates.NNZ())
 	for i := 0; i < n; i++ {
 		if c.Exit[i] == 0 {
-			coo.Add(i, i, 1)
-			continue
+			p.Add(i, 1)
+		} else {
+			cols, vals := c.Rates.Row(i)
+			for k, j := range cols {
+				p.Add(j, vals[k]/c.Exit[i])
+			}
 		}
-		cols, vals := c.Rates.Row(i)
-		for k, j := range cols {
-			coo.Add(i, j, vals[k]/c.Exit[i])
-		}
+		p.EndRow()
 	}
-	ch, err := dtmc.New(coo.ToCSR(), 1e-9)
+	ch, err := dtmc.New(p.CSR(), 1e-9)
 	if err != nil {
 		return nil, fmt.Errorf("ctmc: embedded chain invalid: %w", err)
 	}
 	return ch, nil
-}
-
-// Digraph returns the transition digraph (positive-rate edges).
-func (c *Chain) Digraph() *graph.Digraph {
-	g := graph.New(c.N())
-	for i := 0; i < c.N(); i++ {
-		cols, vals := c.Rates.Row(i)
-		for k, j := range cols {
-			if vals[k] > 0 {
-				g.AddEdge(i, j)
-			}
-		}
-	}
-	return g
 }
 
 // DiracInit returns the point distribution on state s.
@@ -475,20 +437,25 @@ func (c *Chain) UnboundedReachability(init linalg.Vector, target []bool) (float6
 }
 
 // Absorbing returns a copy of the chain in which every state in mask has all
-// outgoing transitions removed.
+// outgoing transitions removed. Like Builder, the copy drops self-loops and
+// zero rates.
 func (c *Chain) Absorbing(mask []bool) (*Chain, error) {
-	if len(mask) != c.N() {
-		return nil, fmt.Errorf("ctmc: mask length %d, want %d", len(mask), c.N())
+	n := c.N()
+	if len(mask) != n {
+		return nil, fmt.Errorf("ctmc: mask length %d, want %d", len(mask), n)
 	}
-	b := NewBuilder(c.N())
-	for i := 0; i < c.N(); i++ {
-		if mask[i] {
-			continue
+	b := linalg.NewRowBuilder(n, n, c.Rates.NNZ())
+	for i := 0; i < n; i++ {
+		if !mask[i] {
+			cols, vals := c.Rates.Row(i)
+			for k, j := range cols {
+				if j != i {
+					b.Add(j, vals[k])
+				}
+			}
 		}
-		cols, vals := c.Rates.Row(i)
-		for k, j := range cols {
-			b.Add(i, j, vals[k])
-		}
+		b.EndRow()
 	}
-	return b.Build()
+	rates := b.CSR()
+	return &Chain{Rates: rates, Exit: rates.RowSums()}, nil
 }

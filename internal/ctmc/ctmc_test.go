@@ -356,6 +356,45 @@ func TestReachabilityRewardInfinite(t *testing.T) {
 	}
 }
 
+// A rare escape into a trap still makes the expectation infinite: the
+// target is reached with probability 1/(1+1e-12) < 1. A numeric cut-off
+// near 1 would call state 0 almost-sure and then trip over the trap.
+func TestReachabilityRewardRareEscapeIsInfinite(t *testing.T) {
+	b := NewBuilder(3)
+	b.Add(0, 1, 1)
+	b.Add(0, 2, 1e-12)
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.ReachabilityReward(c.DiracInit(0), linalg.Vector{1, 1, 1}, []bool{false, true, false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(got, 1) {
+		t.Fatalf("got %v, want +Inf", got)
+	}
+}
+
+// A trap behind the target does not matter: every path from 0 hits the
+// target first, so the expected reward stays finite.
+func TestReachabilityRewardTrapBehindTargetIsFinite(t *testing.T) {
+	b := NewBuilder(3)
+	b.Add(0, 1, 4)
+	b.Add(1, 2, 1)
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := c.ReachabilityRewardVector(linalg.Vector{1, 1, 1}, []bool{false, true, false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x[0] != 0.25 || x[1] != 0 || !math.IsInf(x[2], 1) {
+		t.Fatalf("x = %v, want [0.25 0 +Inf]", x)
+	}
+}
+
 func TestExpectedTimeFractionMatchesSteadyStateLongRun(t *testing.T) {
 	// Over a very long horizon the time fraction approaches the stationary
 	// probability.

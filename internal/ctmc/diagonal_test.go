@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/linalg"
 )
 
@@ -43,27 +44,217 @@ func sparseRandomChain(t *testing.T, r *rand.Rand) *Chain {
 	return c
 }
 
+// storedDiagonal returns c with a random self-rate stored on some rows of
+// Rates, as a hand-made chain may carry; Builder never stores one.
+func storedDiagonal(c *Chain, r *rand.Rand) *Chain {
+	coo := linalg.NewCOO(c.N(), c.N())
+	for i := 0; i < c.N(); i++ {
+		cols, vals := c.Rates.Row(i)
+		for k, j := range cols {
+			coo.Add(i, j, vals[k])
+		}
+		if r.Intn(3) == 0 {
+			coo.Add(i, i, r.ExpFloat64())
+		}
+	}
+	rates := coo.ToCSR()
+	return &Chain{Rates: rates, Exit: rates.RowSums()}
+}
+
+// cooEmbedded is the COO assembly Embedded used before building rows
+// directly.
+func cooEmbedded(c *Chain) *linalg.CSR {
+	coo := linalg.NewCOO(c.N(), c.N())
+	for i := 0; i < c.N(); i++ {
+		if c.Exit[i] == 0 {
+			coo.Add(i, i, 1)
+			continue
+		}
+		cols, vals := c.Rates.Row(i)
+		for k, j := range cols {
+			coo.Add(i, j, vals[k]/c.Exit[i])
+		}
+	}
+	return coo.ToCSR()
+}
+
+// cooAbsorbing is the Builder (COO) assembly Absorbing used before
+// building rows directly.
+func cooAbsorbing(t *testing.T, c *Chain, mask []bool) *Chain {
+	b := NewBuilder(c.N())
+	for i := 0; i < c.N(); i++ {
+		if mask[i] {
+			continue
+		}
+		cols, vals := c.Rates.Row(i)
+		for k, j := range cols {
+			b.Add(i, j, vals[k])
+		}
+	}
+	out, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// cooBalance is the COO assembly of the balance system stationaryIterative
+// used before building the restriction and transposing it.
+func cooBalance(c *Chain, set []int, ref int) (*linalg.CSR, linalg.Vector) {
+	m := len(set)
+	idx := make(map[int]int, m)
+	for k, s := range set {
+		idx[s] = k
+	}
+	pos := make([]int, m)
+	for k := range set {
+		pos[k] = unknown(k, ref)
+	}
+	pos[ref] = -1
+	coo := linalg.NewCOO(m-1, m-1)
+	b := linalg.NewVector(m - 1)
+	for k, s := range set {
+		cols, vals := c.Rates.Row(s)
+		for ci, j := range cols {
+			kj := idx[j]
+			if pos[kj] < 0 {
+				continue
+			}
+			if k == ref {
+				b[pos[kj]] += vals[ci]
+			} else {
+				coo.Add(pos[kj], pos[k], -vals[ci])
+			}
+		}
+		if pos[k] >= 0 {
+			coo.Add(pos[k], pos[k], c.Exit[s])
+		}
+	}
+	return coo.ToCSR(), b
+}
+
+// cooReward is the COO assembly of the reachability-reward system used
+// before building rows directly.
+func cooReward(c *Chain, reward linalg.Vector, target []bool, unknowns, idx []int) (*linalg.CSR, linalg.Vector) {
+	coo := linalg.NewCOO(len(unknowns), len(unknowns))
+	b := linalg.NewVector(len(unknowns))
+	for ui, i := range unknowns {
+		e := c.Exit[i]
+		coo.Add(ui, ui, 1)
+		b[ui] = reward[i] / e
+		cols, vals := c.Rates.Row(i)
+		for k, j := range cols {
+			p := vals[k] / e
+			if target[j] || p == 0 {
+				continue
+			}
+			coo.Add(ui, idx[j], -p)
+		}
+	}
+	return coo.ToCSR(), b
+}
+
+func bitsEqual(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+
+func assertSameVector(t *testing.T, what string, got, want linalg.Vector) {
+	t.Helper()
+	if !slices.EqualFunc(got, want, bitsEqual) {
+		t.Fatalf("%s differs from the COO assembly:\n got %v\nwant %v", what, got, want)
+	}
+}
+
 func assertSameCSR(t *testing.T, what string, got, want *linalg.CSR) {
 	t.Helper()
-	bits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	if got.Rows != want.Rows || got.Cols != want.Cols || !slices.Equal(got.RowPtr, want.RowPtr) ||
-		!slices.Equal(got.ColIdx, want.ColIdx) || !slices.EqualFunc(got.Val, want.Val, bits) {
+		!slices.Equal(got.ColIdx, want.ColIdx) || !slices.EqualFunc(got.Val, want.Val, bitsEqual) {
 		t.Fatalf("%s differs from the COO assembly:\n got %+v\nwant %+v", what, got, want)
 	}
 }
 
-// Generator and Uniformized merge the diagonal into the copied rows; the
-// result is bit-identical to assembling the same entries through a COO.
+// Every matrix derived row by row from Rates — Generator and Uniformized
+// (diagonal merged into the copied rows), Embedded, Absorbing, and the
+// restricted reachability-reward and transposed balance systems — is
+// bit-identical to assembling the same entries through a COO, on chains
+// with and without a stored diagonal.
 func TestDiagonalMergeMatchesCOO(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 400; trial++ {
 		c := sparseRandomChain(t, r)
+		if trial%2 == 1 {
+			c = storedDiagonal(c, r)
+		}
 		assertSameCSR(t, "Generator", c.Generator(), cooWithDiagonal(c, 1, func(i int) float64 { return -c.Exit[i] }))
 		uni, q, err := c.Uniformized(0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameCSR(t, "Uniformized", uni.P, cooWithDiagonal(c, q, func(i int) float64 { return 1 - c.Exit[i]/q }))
+		emb, err := c.Embedded()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameCSR(t, "Embedded", emb.P, cooEmbedded(c))
+
+		mask := make([]bool, c.N())
+		for i := range mask {
+			mask[i] = r.Intn(3) == 0
+		}
+		abs, err := c.Absorbing(mask)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := cooAbsorbing(t, c, mask)
+		assertSameCSR(t, "Absorbing", abs.Rates, want.Rates)
+		assertSameVector(t, "Absorbing exit rates", abs.Exit, want.Exit)
+
+		lr := c.longRun(nil)
+		for _, set := range lr.bsccs {
+			if len(set) < 2 {
+				continue
+			}
+			ref := r.Intn(len(set))
+			a, b, err := c.balanceSystem(set, lr.pos, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantA, wantB := cooBalance(c, set, ref)
+			assertSameCSR(t, "balance system", a, wantA)
+			assertSameVector(t, "balance right-hand side", b, wantB)
+		}
+
+		// The reward system over the finite non-target states, classified
+		// as reachabilityRewardAll does.
+		target := make([]bool, c.N())
+		target[r.Intn(c.N())] = true
+		var targets, never []int
+		for i, in := range target {
+			if in {
+				targets = append(targets, i)
+			}
+		}
+		for i, can := range graph.CanReach(c.Rates, targets, nil) {
+			if !can {
+				never = append(never, i)
+			}
+		}
+		infinite := graph.CanReach(c.Rates, never, target)
+		idx := make([]int, c.N())
+		var unknowns []int
+		for i := range idx {
+			idx[i] = -1
+			if !infinite[i] && !target[i] {
+				idx[i] = len(unknowns)
+				unknowns = append(unknowns, i)
+			}
+		}
+		reward := linalg.NewVector(c.N())
+		for i := range reward {
+			reward[i] = r.Float64()
+		}
+		a, b := c.rewardSystem(reward, target, unknowns, idx)
+		wantA, wantB := cooReward(c, reward, target, unknowns, idx)
+		assertSameCSR(t, "reward system", a, wantA)
+		assertSameVector(t, "reward right-hand side", b, wantB)
 	}
 	// A hand-made chain whose Rates carry a diagonal entry, which the
 	// merge must sum with the generator's diagonal as the COO does.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/graph"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 )
@@ -60,87 +61,85 @@ func (c *Chain) reachabilityRewardAll(ctx context.Context, reward linalg.Vector,
 		return nil, fmt.Errorf("ctmc: target mask length %d, want %d", len(target), n)
 	}
 	sp.Int("states", int64(n))
-	emb, err := c.Embedded()
-	if err != nil {
-		return nil, err
-	}
-	reach, err := emb.Reachability(target, linalg.IterOpts{})
-	if err != nil {
-		return nil, err
-	}
-	// Classify: finite states reach the target with probability one.
-	finite := make([]bool, n)
-	for i := 0; i < n; i++ {
-		finite[i] = target[i] || reach[i] > 1-1e-9
-	}
-	idx := make([]int, n)
-	var unknowns []int
-	for i := 0; i < n; i++ {
-		if finite[i] && !target[i] {
-			idx[i] = len(unknowns)
-			unknowns = append(unknowns, i)
-		} else {
-			idx[i] = -1
+	// Classify qualitatively: a state reaches the target with probability
+	// one iff no path avoiding the target leads to a state that cannot
+	// reach it. However rare the escape, such a path makes the expectation
+	// infinite.
+	var targets, never []int
+	for i, t := range target {
+		if t {
+			targets = append(targets, i)
 		}
 	}
+	for i, can := range graph.CanReach(c.Rates, targets, nil) {
+		if !can {
+			never = append(never, i)
+		}
+	}
+	infinite := graph.CanReach(c.Rates, never, target)
+	idx := make([]int, n)
+	var unknowns []int
 	x := linalg.NewVector(n)
 	for i := 0; i < n; i++ {
-		if !finite[i] {
+		idx[i] = -1
+		switch {
+		case infinite[i]:
 			x[i] = math.Inf(1)
+		case !target[i]:
+			idx[i] = len(unknowns)
+			unknowns = append(unknowns, i)
 		}
 	}
 	sp.Int("unknowns", int64(len(unknowns)))
-	if len(unknowns) > 0 {
-		coo := linalg.NewCOO(len(unknowns), len(unknowns))
-		b := linalg.NewVector(len(unknowns))
-		for ui, i := range unknowns {
-			e := c.Exit[i]
-			if e == 0 {
-				// Absorbing non-target state that "reaches" the target with
-				// probability 1 is impossible; guard anyway.
-				return nil, fmt.Errorf("ctmc: inconsistent reachability classification at state %d", i)
-			}
-			coo.Add(ui, ui, 1)
-			b[ui] = reward[i] / e
-			cols, vals := c.Rates.Row(i)
-			for k, j := range cols {
-				p := vals[k] / e
-				if target[j] || p == 0 {
-					continue // x_j = 0 for target states
-				}
-				uj := idx[j]
-				if uj < 0 {
-					// j is an infinite state; but then i could not reach the
-					// target almost surely unless the rate is zero.
-					return nil, fmt.Errorf("ctmc: almost-sure state %d has positive rate into divergent state %d", i, j)
-				}
-				coo.Add(ui, uj, -p)
-			}
-		}
-		// Slow-mixing chains (rare escapes out of a strongly recurrent
-		// secure region) need generous sweep budgets; the relative
-		// tolerance keeps the criterion meaningful for large expected
-		// rewards.
-		var rstats linalg.RobustStats
-		y, err := linalg.RobustSolve(ctx, coo.ToCSR(), b, linalg.RobustOpts{
-			Opts:  linalg.IterOpts{Tol: 1e-10, MaxIter: 2_000_000},
-			Stats: &rstats,
-		})
-		sp.Str("method", rstats.Method)
-		if n := len(rstats.Attempts); n > 0 {
-			last := rstats.Attempts[n-1]
-			sp.Int("iterations", int64(last.Iterations))
-			sp.Float("residual", last.Residual)
-			sp.Int("trace_points", int64(len(last.Trace)))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("ctmc: reachability-reward solve: %w", err)
-		}
-		for ui, i := range unknowns {
-			x[i] = y[ui]
-		}
+	if len(unknowns) == 0 {
+		return x, nil
+	}
+	a, b := c.rewardSystem(reward, target, unknowns, idx)
+	// Slow-mixing chains (rare escapes out of a strongly recurrent secure
+	// region) need generous sweep budgets; the relative tolerance keeps the
+	// criterion meaningful for large expected rewards.
+	var rstats linalg.RobustStats
+	y, err := linalg.RobustSolve(ctx, a, b, linalg.RobustOpts{
+		Opts:  linalg.IterOpts{Tol: 1e-10, MaxIter: 2_000_000},
+		Stats: &rstats,
+	})
+	sp.Str("method", rstats.Method)
+	if n := len(rstats.Attempts); n > 0 {
+		last := rstats.Attempts[n-1]
+		sp.Int("iterations", int64(last.Iterations))
+		sp.Float("residual", last.Residual)
+		sp.Int("trace_points", int64(len(last.Trace)))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("ctmc: reachability-reward solve: %w", err)
+	}
+	for ui, i := range unknowns {
+		x[i] = y[ui]
 	}
 	return x, nil
+}
+
+// rewardSystem builds x_u − Σ_j P(u,j)·x_j = r_u/E_u over the finite
+// non-target states u (idx maps a state to its unknown index), with
+// P(i,j) = R(i,j)/E_i and x_j = 0 on target states. Every state a finite
+// state moves to is finite or a target. Unknowns keep the state order, so
+// each row comes out sorted.
+func (c *Chain) rewardSystem(reward linalg.Vector, target []bool, unknowns, idx []int) (*linalg.CSR, linalg.Vector) {
+	a := linalg.NewRowBuilder(len(unknowns), len(unknowns), 0)
+	b := linalg.NewVector(len(unknowns))
+	for ui, i := range unknowns {
+		e := c.Exit[i]
+		a.Diagonal(ui, 1)
+		b[ui] = reward[i] / e
+		cols, vals := c.Rates.Row(i)
+		for k, j := range cols {
+			if p := vals[k] / e; !target[j] && p != 0 {
+				a.Add(idx[j], -p)
+			}
+		}
+		a.EndRow()
+	}
+	return a.CSR(), b
 }
 
 // ExpectedTimeFraction returns the expected fraction of the interval [0, t]

@@ -4,13 +4,15 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/dtmc"
+	"repro/internal/graph"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 )
 
 // directSolveThreshold is the BSCC size below which the stationary
-// distribution is computed by dense Gaussian elimination instead of power
-// iteration on the uniformised chain.
+// distribution is computed by dense Gaussian elimination instead of the
+// iterative balance-equation solve.
 const directSolveThreshold = 256
 
 // SteadyState computes the long-run state distribution from the given
@@ -32,35 +34,24 @@ func (c *Chain) SteadyStateContext(ctx context.Context, init linalg.Vector) (lin
 	if err := c.checkInit(init); err != nil {
 		return nil, err
 	}
-	n := c.N()
-	_, bsccs := c.Digraph().BSCCs()
-	sp.Int("states", int64(n))
-	sp.Int("bsccs", int64(len(bsccs)))
-	out := linalg.NewVector(n)
-	if len(bsccs) == 1 {
+	lr := c.longRun(sp)
+	out := linalg.NewVector(c.N())
+	if len(lr.bsccs) == 1 {
 		// Irreducible, or a single BSCC that absorbs all probability mass
 		// regardless of the initial distribution: the (potentially
 		// ill-conditioned) reachability solve is only needed when the mass
 		// splits between several BSCCs.
-		pi, err := c.stationaryOfClosedSet(ctx, bsccs[0])
+		pi, err := lr.stationary(ctx, 0)
 		if err != nil {
 			return nil, err
 		}
-		for k, s := range bsccs[0] {
+		for k, s := range lr.bsccs[0] {
 			out[s] = pi[k]
 		}
 		return out, nil
 	}
-	emb, err := c.Embedded()
-	if err != nil {
-		return nil, err
-	}
-	for _, b := range bsccs {
-		target := make([]bool, n)
-		for _, s := range b {
-			target[s] = true
-		}
-		reach, err := emb.Reachability(target, linalg.IterOpts{Tol: 1e-10, MaxIter: 500000})
+	for b, set := range lr.bsccs {
+		reach, err := lr.absorption(b)
 		if err != nil {
 			return nil, err
 		}
@@ -68,11 +59,11 @@ func (c *Chain) SteadyStateContext(ctx context.Context, init linalg.Vector) (lin
 		if pAbsorb == 0 {
 			continue
 		}
-		pi, err := c.stationaryOfClosedSet(ctx, b)
+		pi, err := lr.stationary(ctx, b)
 		if err != nil {
 			return nil, err
 		}
-		for k, s := range b {
+		for k, s := range set {
 			out[s] += pAbsorb * pi[k]
 		}
 	}
@@ -81,35 +72,84 @@ func (c *Chain) SteadyStateContext(ctx context.Context, init linalg.Vector) (lin
 	return out, nil
 }
 
-// stationaryOfClosedSet computes the stationary distribution of the chain
-// restricted to a closed (no outgoing rates) set of states. The result is
-// indexed like the set slice.
-func (c *Chain) stationaryOfClosedSet(ctx context.Context, set []int) (linalg.Vector, error) {
-	m := len(set)
-	if m == 1 {
+// longRun is the bottom-SCC decomposition the long-run analyses share:
+// π∞ folds each BSCC's stationary distribution π_B with the probability of
+// being absorbed into B.
+type longRun struct {
+	c     *Chain
+	bsccs [][]int
+	pos   []int       // state -> position in its BSCC, -1 for transient states
+	emb   *dtmc.Chain // embedded chain, built by the first absorption solve
+}
+
+// longRun decomposes the chain and records the state and BSCC counts on sp.
+func (c *Chain) longRun(sp *obs.Span) *longRun {
+	n := c.N()
+	_, bsccs := graph.BSCCs(c.Rates)
+	sp.Int("states", int64(n))
+	sp.Int("bsccs", int64(len(bsccs)))
+	pos := make([]int, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for _, set := range bsccs {
+		for k, s := range set {
+			pos[s] = k
+		}
+	}
+	return &longRun{c: c, bsccs: bsccs, pos: pos}
+}
+
+// stationary returns π_B of BSCC b, indexed like its member slice.
+func (l *longRun) stationary(ctx context.Context, b int) (linalg.Vector, error) {
+	set := l.bsccs[b]
+	if len(set) == 1 {
 		return linalg.Vector{1}, nil
 	}
-	idx := make(map[int]int, m)
-	for k, s := range set {
-		idx[s] = k
+	if len(set) <= directSolveThreshold {
+		return l.c.stationaryDirect(set, l.pos)
 	}
-	if m <= directSolveThreshold {
-		return c.stationaryDirect(set, idx)
+	return l.c.stationaryIterative(ctx, set, l.pos)
+}
+
+// absorption returns, for every state, the probability of eventually
+// being absorbed into BSCC b.
+func (l *longRun) absorption(b int) (linalg.Vector, error) {
+	if l.emb == nil {
+		emb, err := l.c.Embedded()
+		if err != nil {
+			return nil, err
+		}
+		l.emb = emb
 	}
-	return c.stationaryIterative(ctx, set, idx)
+	target := make([]bool, l.c.N())
+	for _, s := range l.bsccs[b] {
+		target[s] = true
+	}
+	return l.emb.Reachability(target, linalg.IterOpts{Tol: 1e-10, MaxIter: 500000})
+}
+
+// inSet returns the position of state j in set, given pos (state ->
+// position in its BSCC), or an error naming the transition s→j that leaves
+// the set.
+func inSet(set, pos []int, s, j int) (int, error) {
+	if k := pos[j]; k >= 0 && set[k] == j {
+		return k, nil
+	}
+	return 0, fmt.Errorf("ctmc: state set not closed: %d → %d leaves the set", s, j)
 }
 
 // stationaryDirect solves πQᵀ = 0 with the normalisation Σπ = 1 replacing
 // the last (redundant) balance equation.
-func (c *Chain) stationaryDirect(set []int, idx map[int]int) (linalg.Vector, error) {
+func (c *Chain) stationaryDirect(set, pos []int) (linalg.Vector, error) {
 	m := len(set)
 	a := linalg.NewDense(m, m)
 	for k, s := range set {
 		cols, vals := c.Rates.Row(s)
 		for ci, j := range cols {
-			kj, ok := idx[j]
-			if !ok {
-				return nil, fmt.Errorf("ctmc: state set not closed: %d → %d leaves the set", s, j)
+			kj, err := inSet(set, pos, s, j)
+			if err != nil {
+				return nil, err
 			}
 			// Column k of Qᵀ is row k of Q: balance equation for state kj
 			// receives rate from state k.
@@ -142,7 +182,7 @@ func (c *Chain) stationaryDirect(set []int, idx map[int]int) (linalg.Vector, err
 // power iteration on the uniformised chain, this stays fast on stiff chains
 // whose rates span many orders of magnitude (the Figure-6 sweeps go from
 // 0.1 to 8760 per year).
-func (c *Chain) stationaryIterative(ctx context.Context, set []int, idx map[int]int) (linalg.Vector, error) {
+func (c *Chain) stationaryIterative(ctx context.Context, set, pos []int) (linalg.Vector, error) {
 	ctx, sp := obs.Start(ctx, "ctmc.steadystate.solve")
 	defer sp.End()
 	m := len(set)
@@ -161,46 +201,14 @@ func (c *Chain) stationaryIterative(ctx context.Context, set []int, idx map[int]
 			ref = k
 		}
 	}
-	// Unknown ordering: all set positions except ref.
-	unk := make([]int, 0, m-1) // position in set
-	pos := make([]int, m)      // set position -> unknown index (-1 for ref)
-	for k := range set {
-		if k == ref {
-			pos[k] = -1
-			continue
-		}
-		pos[k] = len(unk)
-		unk = append(unk, k)
-	}
-	// Balance equation for state j (column j of Q):
-	//   Σ_i π_i R(i,j) − π_j·exit_j = 0.
-	// Build A x = b with x the unknown π values and π_ref = 1 moved to b.
-	coo := linalg.NewCOO(m-1, m-1)
-	b := linalg.NewVector(m - 1)
-	for k, s := range set {
-		cols, vals := c.Rates.Row(s)
-		for ci, j := range cols {
-			kj, ok := idx[j]
-			if !ok {
-				return nil, fmt.Errorf("ctmc: state set not closed: %d → %d leaves the set", s, j)
-			}
-			if pos[kj] < 0 {
-				continue // balance equation of ref is dropped (redundant)
-			}
-			if k == ref {
-				b[pos[kj]] += vals[ci] // π_ref·R(ref,j) with π_ref = 1
-			} else {
-				coo.Add(pos[kj], pos[k], -vals[ci])
-			}
-		}
-		if pos[k] >= 0 {
-			coo.Add(pos[k], pos[k], c.Exit[s])
-		}
+	a, b, err := c.balanceSystem(set, pos, ref)
+	if err != nil {
+		return nil, err
 	}
 	// The fallback chain escalates gauss-seidel → jacobi → dense on
 	// *ConvergenceError; each attempt lands in the run manifest.
 	var rstats linalg.RobustStats
-	y, err := linalg.RobustSolve(ctx, coo.ToCSR(), b, linalg.RobustOpts{
+	y, err := linalg.RobustSolve(ctx, a, b, linalg.RobustOpts{
 		Opts:  linalg.IterOpts{Tol: 1e-11, MaxIter: 500000},
 		Stats: &rstats,
 	})
@@ -219,8 +227,11 @@ func (c *Chain) stationaryIterative(ctx context.Context, set []int, idx map[int]
 	}
 	pi := linalg.NewVector(m)
 	pi[ref] = 1
-	for u, k := range unk {
-		v := y[u]
+	for k := range set {
+		if k == ref {
+			continue
+		}
+		v := y[unknown(k, ref)]
 		if v < 0 {
 			v = 0
 		}
@@ -228,6 +239,55 @@ func (c *Chain) stationaryIterative(ctx context.Context, set []int, idx map[int]
 	}
 	pi.Normalize1()
 	return pi, nil
+}
+
+// unknown is the index of set position k ≠ ref among the balance system's
+// unknowns: every set position except ref, in set order.
+func unknown(k, ref int) int {
+	if k > ref {
+		return k - 1
+	}
+	return k
+}
+
+// balanceSystem builds A·x = b over the unknowns (see unknown) from the
+// balance equation of each state j ≠ ref (column j of Q):
+//
+//	Σ_i π_i R(i,j) − π_j·exit_j = 0,
+//
+// with π_ref = 1 moved to b. Row u of the restriction M holds the negated
+// rates out of the state with unknown index u and its exit rate on the
+// diagonal; A = Mᵀ. M's columns follow the set order, not the state order,
+// so its rows are unsorted; the transpose sorts them.
+func (c *Chain) balanceSystem(set, pos []int, ref int) (*linalg.CSR, linalg.Vector, error) {
+	m := len(set)
+	r := linalg.NewRowBuilder(m-1, m-1, 0)
+	b := linalg.NewVector(m - 1)
+	for k, s := range set {
+		cols, vals := c.Rates.Row(s)
+		d := c.Exit[s]
+		for ci, j := range cols {
+			kj, err := inSet(set, pos, s, j)
+			if err != nil {
+				return nil, nil, err
+			}
+			switch {
+			case kj == ref:
+				// The balance equation of ref is dropped (redundant).
+			case k == ref:
+				b[unknown(kj, ref)] += vals[ci] // π_ref·R(ref,j) with π_ref = 1
+			case kj == k:
+				d -= vals[ci] // a stored self-rate sums into the diagonal
+			default:
+				r.Add(unknown(kj, ref), -vals[ci])
+			}
+		}
+		if k != ref {
+			r.Add(unknown(k, ref), d)
+			r.EndRow()
+		}
+	}
+	return r.CSR().Transpose(), b, nil
 }
 
 // SteadyStateProbability returns the long-run probability of being in the

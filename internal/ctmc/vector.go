@@ -71,47 +71,28 @@ func (c *Chain) SteadyStateVectorContext(ctx context.Context, mask []bool) (lina
 	if len(mask) != n {
 		return nil, fmt.Errorf("ctmc: mask length %d, want %d", len(mask), n)
 	}
-	_, bsccs := c.Digraph().BSCCs()
-	sp.Int("states", int64(n))
-	sp.Int("bsccs", int64(len(bsccs)))
+	lr := c.longRun(sp)
 	out := linalg.NewVector(n)
-	if len(bsccs) == 1 {
-		pi, err := c.stationaryOfClosedSet(ctx, bsccs[0])
+	for b, set := range lr.bsccs {
+		pi, err := lr.stationary(ctx, b)
 		if err != nil {
 			return nil, err
 		}
 		var v float64
-		for k, s := range bsccs[0] {
+		for k, s := range set {
 			if mask[s] {
 				v += pi[k]
 			}
 		}
-		out.Fill(v)
-		return out, nil
-	}
-	emb, err := c.Embedded()
-	if err != nil {
-		return nil, err
-	}
-	for _, b := range bsccs {
-		pi, err := c.stationaryOfClosedSet(ctx, b)
-		if err != nil {
-			return nil, err
-		}
-		var v float64
-		for k, s := range b {
-			if mask[s] {
-				v += pi[k]
-			}
+		if len(lr.bsccs) == 1 {
+			// Every state is absorbed into the one BSCC.
+			out.Fill(v)
+			return out, nil
 		}
 		if v == 0 {
 			continue
 		}
-		target := make([]bool, n)
-		for _, s := range b {
-			target[s] = true
-		}
-		reach, err := emb.Reachability(target, linalg.IterOpts{Tol: 1e-10, MaxIter: 500000})
+		reach, err := lr.absorption(b)
 		if err != nil {
 			return nil, err
 		}

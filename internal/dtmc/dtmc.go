@@ -1,7 +1,7 @@
-// Package dtmc implements discrete-time Markov chains: transient step
-// distributions, stationary distributions and unbounded reachability
-// probabilities. The CTMC engine reduces its computations to these
-// primitives via uniformisation and the embedded chain.
+// Package dtmc implements discrete-time Markov chains: one transient step
+// and unbounded reachability probabilities. The CTMC engine reduces its
+// computations to these primitives via uniformisation and the embedded
+// chain.
 package dtmc
 
 import (
@@ -15,10 +15,6 @@ import (
 
 // ErrNotStochastic reports a transition matrix whose rows do not sum to one.
 var ErrNotStochastic = errors.New("dtmc: transition matrix rows must sum to 1")
-
-// ErrBadDistribution reports an initial distribution that is not a
-// probability distribution over the state space.
-var ErrBadDistribution = errors.New("dtmc: initial distribution invalid")
 
 // Chain is a finite DTMC with transition matrix P (row-stochastic CSR).
 type Chain struct {
@@ -55,37 +51,6 @@ func (c *Chain) Step(pi, dst linalg.Vector) (linalg.Vector, error) {
 	return c.P.VecMul(pi, dst)
 }
 
-// Transient returns the distribution after n steps from init.
-func (c *Chain) Transient(init linalg.Vector, n int) (linalg.Vector, error) {
-	if err := c.checkDist(init); err != nil {
-		return nil, err
-	}
-	cur := init.Clone()
-	next := linalg.NewVector(c.N())
-	for k := 0; k < n; k++ {
-		if _, err := c.P.VecMul(cur, next); err != nil {
-			return nil, err
-		}
-		cur, next = next, cur
-	}
-	return cur, nil
-}
-
-// Digraph returns the underlying transition digraph (edges with positive
-// probability).
-func (c *Chain) Digraph() *graph.Digraph {
-	g := graph.New(c.N())
-	for i := 0; i < c.N(); i++ {
-		cols, vals := c.P.Row(i)
-		for k, j := range cols {
-			if vals[k] > 0 {
-				g.AddEdge(i, j)
-			}
-		}
-	}
-	return g
-}
-
 // Reachability computes, for every state, the probability of eventually
 // reaching the target set. It performs the standard qualitative
 // precomputations first — prob-0 states via backward reachability, prob-1
@@ -110,11 +75,10 @@ func (c *Chain) Reachability(target []bool, opts linalg.IterOpts) (linalg.Vector
 	if len(targets) == 0 {
 		return x, nil
 	}
-	g := c.Digraph()
-	canReach := g.CanReach(targets)
+	canReach := graph.CanReach(c.P, targets, nil)
 	// Prob-1: states that can reach the target but cannot reach any "bad"
 	// BSCC (one containing no target state) hit the target almost surely.
-	_, bsccs := g.BSCCs()
+	_, bsccs := graph.BSCCs(c.P)
 	var badStates []int
 	for _, b := range bsccs {
 		bad := true
@@ -130,7 +94,7 @@ func (c *Chain) Reachability(target []bool, opts linalg.IterOpts) (linalg.Vector
 	}
 	var canReachBad []bool
 	if len(badStates) > 0 {
-		canReachBad = g.CanReach(badStates)
+		canReachBad = graph.CanReach(c.P, badStates, nil)
 	} else {
 		canReachBad = make([]bool, n)
 	}
@@ -154,26 +118,8 @@ func (c *Chain) Reachability(target []bool, opts linalg.IterOpts) (linalg.Vector
 	if len(unknowns) == 0 {
 		return x, nil
 	}
-	// Build (I - P_uu)·y = P_u·x_known where u are unknowns and x_known is
-	// 1 on target and almost-sure states.
-	coo := linalg.NewCOO(len(unknowns), len(unknowns))
-	b := linalg.NewVector(len(unknowns))
-	for ui, i := range unknowns {
-		coo.Add(ui, ui, 1)
-		cols, vals := c.P.Row(i)
-		for k, j := range cols {
-			p := vals[k]
-			if p == 0 {
-				continue
-			}
-			if uj := idx[j]; uj >= 0 {
-				coo.Add(ui, uj, -p)
-			} else if x[j] == 1 {
-				b[ui] += p
-			}
-		}
-	}
-	y, err := linalg.GaussSeidel(coo.ToCSR(), b, opts)
+	a, b := c.fractionalSystem(unknowns, idx, x)
+	y, err := linalg.GaussSeidel(a, b, opts)
 	if err != nil {
 		return nil, fmt.Errorf("dtmc: reachability solve: %w", err)
 	}
@@ -183,79 +129,30 @@ func (c *Chain) Reachability(target []bool, opts linalg.IterOpts) (linalg.Vector
 	return x, nil
 }
 
-// Stationary computes the stationary distribution of an irreducible,
-// aperiodic chain by power iteration. For general chains use the BSCC
-// decomposition in the ctmc package.
-func (c *Chain) Stationary(opts linalg.IterOpts) (linalg.Vector, error) {
-	return linalg.PowerStationary(c.P, opts)
-}
-
-// ExpectedVisits computes, for an absorbing chain, the expected number of
-// visits to each transient state before absorption, starting from init:
-// v = init·(I − P_tt)⁻¹ over the transient states. Absorbing states (and
-// states inside bottom SCCs generally) report +Inf only if init can reach
-// them with positive probability and they are recurrent — the caller is
-// expected to pass a mask of transient states.
-func (c *Chain) ExpectedVisits(init linalg.Vector, transient []bool, opts linalg.IterOpts) (linalg.Vector, error) {
-	n := c.N()
-	if err := c.checkDist(init); err != nil {
-		return nil, err
-	}
-	if len(transient) != n {
-		return nil, fmt.Errorf("dtmc: transient mask length %d, want %d", len(transient), n)
-	}
-	idx := make([]int, n)
-	var trans []int
-	for i := 0; i < n; i++ {
-		if transient[i] {
-			idx[i] = len(trans)
-			trans = append(trans, i)
-		} else {
-			idx[i] = -1
-		}
-	}
-	out := linalg.NewVector(n)
-	if len(trans) == 0 {
-		return out, nil
-	}
-	// Solve vᵀ(I − P_tt) = initᵀ  ⇔  (I − P_tt)ᵀ v = init_t.
-	coo := linalg.NewCOO(len(trans), len(trans))
-	b := linalg.NewVector(len(trans))
-	for ti, i := range trans {
-		coo.Add(ti, ti, 1)
-		b[ti] = init[i]
+// fractionalSystem builds (I − P_uu)·y = P_u·x_known, where u are the
+// unknowns (idx maps a state to its unknown index, -1 if known) and x_known
+// is 1 on target and almost-sure states. Unknowns keep the state order, so
+// each row comes out sorted.
+func (c *Chain) fractionalSystem(unknowns, idx []int, x linalg.Vector) (*linalg.CSR, linalg.Vector) {
+	a := linalg.NewRowBuilder(len(unknowns), len(unknowns), 0)
+	b := linalg.NewVector(len(unknowns))
+	for ui, i := range unknowns {
+		a.Diagonal(ui, 1)
 		cols, vals := c.P.Row(i)
 		for k, j := range cols {
-			if tj := idx[j]; tj >= 0 && vals[k] != 0 {
-				coo.Add(tj, ti, -vals[k]) // transposed entry
+			p := vals[k]
+			if p == 0 {
+				continue
+			}
+			if uj := idx[j]; uj >= 0 {
+				a.Add(uj, -p)
+			} else if x[j] == 1 {
+				b[ui] += p
 			}
 		}
+		a.EndRow()
 	}
-	v, err := linalg.GaussSeidel(coo.ToCSR(), b, opts)
-	if err != nil {
-		return nil, fmt.Errorf("dtmc: expected-visits solve: %w", err)
-	}
-	for ti, i := range trans {
-		out[i] = v[ti]
-	}
-	return out, nil
-}
-
-func (c *Chain) checkDist(d linalg.Vector) error {
-	if len(d) != c.N() {
-		return fmt.Errorf("%w: length %d, want %d", ErrBadDistribution, len(d), c.N())
-	}
-	var sum float64
-	for _, p := range d {
-		if p < 0 || math.IsNaN(p) {
-			return fmt.Errorf("%w: negative or NaN mass", ErrBadDistribution)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		return fmt.Errorf("%w: mass sums to %v", ErrBadDistribution, sum)
-	}
-	return nil
+	return a.CSR(), b
 }
 
 func clamp01(x float64) float64 {

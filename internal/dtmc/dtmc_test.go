@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -41,37 +42,25 @@ func TestNewRejectsNonSquare(t *testing.T) {
 	}
 }
 
+// steps returns the distribution after n steps from init.
+func steps(t *testing.T, c *Chain, init linalg.Vector, n int) linalg.Vector {
+	t.Helper()
+	cur, next := init.Clone(), linalg.NewVector(c.N())
+	for k := 0; k < n; k++ {
+		if _, err := c.Step(cur, next); err != nil {
+			t.Fatal(err)
+		}
+		cur, next = next, cur
+	}
+	return cur
+}
+
 func TestTransientTwoState(t *testing.T) {
 	c := chainFromRows(t, [][]float64{{0.5, 0.5}, {0, 1}})
-	pi, err := c.Transient(linalg.Vector{1, 0}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pi := steps(t, c, linalg.Vector{1, 0}, 3)
 	// After 3 steps from state 0: P[still in 0] = 0.125.
 	if math.Abs(pi[0]-0.125) > 1e-15 || math.Abs(pi[1]-0.875) > 1e-15 {
 		t.Fatalf("pi = %v", pi)
-	}
-}
-
-func TestTransientZeroSteps(t *testing.T) {
-	c := chainFromRows(t, [][]float64{{1, 0}, {0, 1}})
-	init := linalg.Vector{0.3, 0.7}
-	pi, err := c.Transient(init, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pi.MaxDiff(init) != 0 {
-		t.Fatalf("pi = %v", pi)
-	}
-}
-
-func TestTransientRejectsBadInit(t *testing.T) {
-	c := chainFromRows(t, [][]float64{{1, 0}, {0, 1}})
-	if _, err := c.Transient(linalg.Vector{0.5, 0.1}, 1); !errors.Is(err, ErrBadDistribution) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := c.Transient(linalg.Vector{1}, 1); !errors.Is(err, ErrBadDistribution) {
-		t.Fatalf("err = %v", err)
 	}
 }
 
@@ -128,46 +117,7 @@ func TestReachabilityBadMask(t *testing.T) {
 	}
 }
 
-func TestStationaryTwoState(t *testing.T) {
-	c := chainFromRows(t, [][]float64{{0.9, 0.1}, {0.2, 0.8}})
-	pi, err := c.Stationary(linalg.IterOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pi[0]-2.0/3) > 1e-9 {
-		t.Fatalf("pi = %v", pi)
-	}
-}
-
-func TestExpectedVisits(t *testing.T) {
-	// Transient state 0 loops with p=0.5, exits to absorbing 1 otherwise.
-	// Expected visits to 0 starting at 0: 1/(1-0.5) = 2.
-	c := chainFromRows(t, [][]float64{{0.5, 0.5}, {0, 1}})
-	v, err := c.ExpectedVisits(linalg.Vector{1, 0}, []bool{true, false}, linalg.IterOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v[0]-2) > 1e-9 {
-		t.Fatalf("visits = %v", v)
-	}
-	if v[1] != 0 {
-		t.Fatalf("absorbing state got visits: %v", v)
-	}
-}
-
-func TestExpectedVisitsChain(t *testing.T) {
-	// 0 -> 1 -> 2 (absorbing), deterministic: one visit each.
-	c := chainFromRows(t, [][]float64{{0, 1, 0}, {0, 0, 1}, {0, 0, 1}})
-	v, err := c.ExpectedVisits(linalg.Vector{1, 0, 0}, []bool{true, true, false}, linalg.IterOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v[0]-1) > 1e-9 || math.Abs(v[1]-1) > 1e-9 {
-		t.Fatalf("visits = %v", v)
-	}
-}
-
-// Property: transient distributions remain distributions (non-negative,
+// Property: n-step distributions remain distributions (non-negative,
 // sum 1) for random stochastic matrices.
 func TestQuickTransientIsDistribution(t *testing.T) {
 	f := func(seed int64) bool {
@@ -191,10 +141,7 @@ func TestQuickTransientIsDistribution(t *testing.T) {
 		}
 		init := linalg.NewVector(n)
 		init[r.Intn(n)] = 1
-		pi, err := c.Transient(init, 1+r.Intn(30))
-		if err != nil {
-			return false
-		}
+		pi := steps(t, c, init, 1+r.Intn(30))
 		var sum float64
 		for _, p := range pi {
 			if p < -1e-12 {
@@ -343,5 +290,68 @@ func TestStepAdvancesDistribution(t *testing.T) {
 	}
 	if dst[0] != 0 || dst[1] != 1 {
 		t.Fatalf("dst = %v", dst)
+	}
+}
+
+// fractionalSystem builds its rows straight into CSR; the result is
+// bit-identical to the COO assembly of the same entries, including rows
+// where a self-loop sums into the identity's diagonal.
+func TestFractionalSystemMatchesCOO(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(30)
+		coo := linalg.NewCOO(n, n)
+		for i := 0; i < n; i++ {
+			w := make([]float64, n)
+			var sum float64
+			for k := 1 + r.Intn(5); k > 0; k-- {
+				v := r.ExpFloat64()
+				w[r.Intn(n)] += v
+				sum += v
+			}
+			for j := range w {
+				coo.Add(i, j, w[j]/sum)
+			}
+		}
+		c, err := New(coo.ToCSR(), 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := make([]int, n)
+		x := linalg.NewVector(n)
+		var unknowns []int
+		for i := range idx {
+			idx[i] = -1
+			switch r.Intn(3) {
+			case 0:
+				idx[i] = len(unknowns)
+				unknowns = append(unknowns, i)
+			case 1:
+				x[i] = 1
+			}
+		}
+		// The COO assembly Reachability used before building rows directly.
+		want := linalg.NewCOO(len(unknowns), len(unknowns))
+		wantB := linalg.NewVector(len(unknowns))
+		for ui, i := range unknowns {
+			want.Add(ui, ui, 1)
+			cols, vals := c.P.Row(i)
+			for k, j := range cols {
+				if p := vals[k]; p == 0 {
+					continue
+				} else if uj := idx[j]; uj >= 0 {
+					want.Add(ui, uj, -p)
+				} else if x[j] == 1 {
+					wantB[ui] += p
+				}
+			}
+		}
+		a, b := c.fractionalSystem(unknowns, idx, x)
+		w := want.ToCSR()
+		bits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+		if !slices.Equal(a.RowPtr, w.RowPtr) || !slices.Equal(a.ColIdx, w.ColIdx) ||
+			!slices.EqualFunc(a.Val, w.Val, bits) || !slices.EqualFunc(b, wantB, bits) {
+			t.Fatalf("trial %d: system differs from the COO assembly:\n got %+v %v\nwant %+v %v", trial, a, b, w, wantB)
+		}
 	}
 }

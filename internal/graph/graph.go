@@ -1,45 +1,22 @@
 // Package graph provides the directed-graph algorithms the model checker
-// needs: strongly connected components (Tarjan, iterative), bottom SCC
-// detection for steady-state analysis of reducible chains, and forward /
-// backward reachability used to precompute trivially-0 / trivially-1 states
-// for probabilistic reachability.
+// needs, run straight on a sparse matrix: strongly connected components
+// (Tarjan, iterative), bottom SCC detection for steady-state analysis of
+// reducible chains, and forward / backward reachability used to
+// precompute trivially-0 / trivially-1 states for probabilistic
+// reachability. The graph of a *linalg.CSR has an edge i→j for every
+// stored entry (i, j) with a positive value.
 package graph
 
-// Digraph is a directed graph in adjacency-list form over vertices 0..N-1.
-type Digraph struct {
-	N   int
-	Adj [][]int
-}
+import "repro/internal/linalg"
 
-// New returns an empty digraph on n vertices.
-func New(n int) *Digraph {
-	return &Digraph{N: n, Adj: make([][]int, n)}
-}
-
-// AddEdge inserts the edge u→v. Parallel edges are permitted and harmless.
-func (g *Digraph) AddEdge(u, v int) {
-	g.Adj[u] = append(g.Adj[u], v)
-}
-
-// Reverse returns the graph with every edge flipped.
-func (g *Digraph) Reverse() *Digraph {
-	r := New(g.N)
-	for u, outs := range g.Adj {
-		for _, v := range outs {
-			r.Adj[v] = append(r.Adj[v], u)
-		}
-	}
-	return r
-}
-
-// SCCs computes the strongly connected components with an iterative Tarjan
-// algorithm (no recursion, so million-state chains cannot overflow the
-// stack). It returns the component index of each vertex and the components
-// themselves in reverse topological order (Tarjan emits a component only
-// after all components it can reach).
-func (g *Digraph) SCCs() (comp []int, comps [][]int) {
+// SCCs computes the strongly connected components of m with an iterative
+// Tarjan algorithm (no recursion, so million-state chains cannot overflow
+// the stack). It returns the component index of each vertex and the
+// components themselves in reverse topological order (Tarjan emits a
+// component only after all components it can reach).
+func SCCs(m *linalg.CSR) (comp []int, comps [][]int) {
 	const unvisited = -1
-	n := g.N
+	n := m.Rows
 	comp = make([]int, n)
 	index := make([]int, n)
 	lowlink := make([]int, n)
@@ -49,18 +26,20 @@ func (g *Digraph) SCCs() (comp []int, comps [][]int) {
 		comp[i] = unvisited
 	}
 	var stack []int
+	// members holds every emitted component back to back; comps slices it.
+	members := make([]int, 0, n)
 	next := 0
 
-	// Explicit DFS frames: vertex plus position in its adjacency list.
+	// Explicit DFS frames: vertex plus position of its next entry in m.
 	type frame struct {
-		v, ai int
+		v, k int
 	}
 	var dfs []frame
 	for root := 0; root < n; root++ {
 		if index[root] != unvisited {
 			continue
 		}
-		dfs = append(dfs[:0], frame{root, 0})
+		dfs = append(dfs[:0], frame{root, m.RowPtr[root]})
 		index[root] = next
 		lowlink[root] = next
 		next++
@@ -69,16 +48,19 @@ func (g *Digraph) SCCs() (comp []int, comps [][]int) {
 		for len(dfs) > 0 {
 			f := &dfs[len(dfs)-1]
 			v := f.v
-			if f.ai < len(g.Adj[v]) {
-				w := g.Adj[v][f.ai]
-				f.ai++
+			if f.k < m.RowPtr[v+1] {
+				w, positive := m.ColIdx[f.k], m.Val[f.k] > 0
+				f.k++
+				if !positive {
+					continue
+				}
 				if index[w] == unvisited {
 					index[w] = next
 					lowlink[w] = next
 					next++
 					stack = append(stack, w)
 					onStack[w] = true
-					dfs = append(dfs, frame{w, 0})
+					dfs = append(dfs, frame{w, m.RowPtr[w]})
 				} else if onStack[w] && index[w] < lowlink[v] {
 					lowlink[v] = index[w]
 				}
@@ -93,37 +75,38 @@ func (g *Digraph) SCCs() (comp []int, comps [][]int) {
 				}
 			}
 			if lowlink[v] == index[v] {
-				var c []int
+				start := len(members)
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
 					comp[w] = len(comps)
-					c = append(c, w)
+					members = append(members, w)
 					if w == v {
 						break
 					}
 				}
-				comps = append(comps, c)
+				comps = append(comps, members[start:len(members):len(members)])
 			}
 		}
 	}
 	return comp, comps
 }
 
-// BSCCs returns the bottom strongly connected components: SCCs with no edge
-// leaving the component. Every finite Markov chain eventually settles in one
-// of these, which is why steady-state analysis decomposes over them.
-func (g *Digraph) BSCCs() (comp []int, bsccs [][]int) {
-	comp, comps := g.SCCs()
+// BSCCs returns the bottom strongly connected components of m: SCCs with
+// no edge leaving the component. Every finite Markov chain eventually
+// settles in one of these, which is why steady-state analysis decomposes
+// over them.
+func BSCCs(m *linalg.CSR) (comp []int, bsccs [][]int) {
+	comp, comps := SCCs(m)
 	isBottom := make([]bool, len(comps))
 	for i := range isBottom {
 		isBottom[i] = true
 	}
-	for u := 0; u < g.N; u++ {
+	for u := 0; u < m.Rows; u++ {
 		cu := comp[u]
-		for _, v := range g.Adj[u] {
-			if comp[v] != cu {
+		for k := m.RowPtr[u]; k < m.RowPtr[u+1]; k++ {
+			if m.Val[k] > 0 && comp[m.ColIdx[k]] != cu {
 				isBottom[cu] = false
 				break
 			}
@@ -137,25 +120,26 @@ func (g *Digraph) BSCCs() (comp []int, bsccs [][]int) {
 	return comp, bsccs
 }
 
-// Reachable returns the set of vertices reachable from any source (forward
-// BFS). The result is a boolean membership slice of length N; sources are
-// included.
-func (g *Digraph) Reachable(sources []int) []bool {
-	seen := make([]bool, g.N)
-	queue := make([]int, 0, len(sources))
+// Reachable returns the set of vertices reachable in m from any source
+// along paths that never enter a vertex of avoid (nil avoids nothing), as
+// a membership slice of length m.Rows. Sources are included.
+func Reachable(m *linalg.CSR, sources []int, avoid []bool) []bool {
+	seen := make([]bool, m.Rows)
+	frontier := make([]int, 0, len(sources))
 	for _, s := range sources {
 		if !seen[s] {
 			seen[s] = true
-			queue = append(queue, s)
+			frontier = append(frontier, s)
 		}
 	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.Adj[u] {
-			if !seen[v] {
+	for len(frontier) > 0 {
+		u := frontier[len(frontier)-1]
+		frontier = frontier[:len(frontier)-1]
+		for k := m.RowPtr[u]; k < m.RowPtr[u+1]; k++ {
+			v := m.ColIdx[k]
+			if m.Val[k] > 0 && !seen[v] && (avoid == nil || !avoid[v]) {
 				seen[v] = true
-				queue = append(queue, v)
+				frontier = append(frontier, v)
 			}
 		}
 	}
@@ -163,7 +147,8 @@ func (g *Digraph) Reachable(sources []int) []bool {
 }
 
 // CanReach returns the set of vertices from which some target is reachable
-// (backward BFS over the reversed graph). Targets are included.
-func (g *Digraph) CanReach(targets []int) []bool {
-	return g.Reverse().Reachable(targets)
+// in m along paths that never pass through a vertex of avoid (nil avoids
+// nothing): Reachable over the transpose. Targets are included.
+func CanReach(m *linalg.CSR, targets []int, avoid []bool) []bool {
+	return Reachable(m.Transpose(), targets, avoid)
 }

@@ -18,7 +18,7 @@ var ErrNoConvergence = errors.New("linalg: iteration limit reached without conve
 // the tolerance it stopped. It unwraps to ErrNoConvergence, so existing
 // errors.Is checks keep working.
 type ConvergenceError struct {
-	// Method is the solver name ("jacobi", "gauss-seidel", "power").
+	// Method is the solver name ("jacobi", "gauss-seidel").
 	Method string
 	// Iterations is the number of sweeps performed (the MaxIter budget).
 	Iterations int
@@ -224,41 +224,4 @@ func extractDiag(a *CSR) (Vector, error) {
 		diag[i] = d
 	}
 	return diag, nil
-}
-
-// PowerStationary computes the stationary distribution π = π·P of a row-
-// stochastic CSR matrix P by power iteration starting from the uniform
-// distribution. The chain must have a unique stationary distribution that
-// power iteration can reach (e.g. the uniformised DTMC of an irreducible
-// CTMC, which is aperiodic by construction).
-func PowerStationary(p *CSR, opts IterOpts) (Vector, error) {
-	if p.Rows != p.Cols {
-		return nil, fmt.Errorf("%w: PowerStationary needs square matrix, got %dx%d", ErrDimension, p.Rows, p.Cols)
-	}
-	opts = opts.withDefaults()
-	n := p.Rows
-	x := NewVector(n)
-	x.Fill(1 / float64(n))
-	next := NewVector(n)
-	smp := opts.sampler()
-	var lastDelta float64
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		if _, err := p.VecMul(x, next); err != nil {
-			return nil, err
-		}
-		next.Normalize1()
-		d := x.MaxDiff(next)
-		x, next = next, x
-		lastDelta = d
-		smp.observe(iter+1, d)
-		if d < opts.Tol {
-			if !x.AllFinite() {
-				return nil, ErrSingular
-			}
-			opts.report(iter+1, d, true, smp)
-			return x, nil
-		}
-	}
-	opts.report(opts.MaxIter, lastDelta, false, smp)
-	return nil, &ConvergenceError{Method: "power", Iterations: opts.MaxIter, Residual: lastDelta, Tol: opts.Tol}
 }

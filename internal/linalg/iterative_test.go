@@ -148,52 +148,3 @@ func TestIterStatsOnSuccess(t *testing.T) {
 		t.Fatalf("negative residual: %+v", st)
 	}
 }
-
-func TestPowerStationaryTwoState(t *testing.T) {
-	// P = [[0.9, 0.1], [0.2, 0.8]] has stationary (2/3, 1/3).
-	coo := NewCOO(2, 2)
-	coo.Add(0, 0, 0.9)
-	coo.Add(0, 1, 0.1)
-	coo.Add(1, 0, 0.2)
-	coo.Add(1, 1, 0.8)
-	pi, err := PowerStationary(coo.ToCSR(), IterOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(pi[0], 2.0/3, 1e-9) || !almostEq(pi[1], 1.0/3, 1e-9) {
-		t.Fatalf("stationary = %v", pi)
-	}
-}
-
-func TestPowerStationaryInvariance(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	n := 12
-	coo := NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		// Random strictly positive rows: irreducible + aperiodic.
-		weights := make([]float64, n)
-		var sum float64
-		for j := range weights {
-			weights[j] = r.Float64() + 0.01
-			sum += weights[j]
-		}
-		for j := range weights {
-			coo.Add(i, j, weights[j]/sum)
-		}
-	}
-	p := coo.ToCSR()
-	pi, err := PowerStationary(p, IterOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	next, err := p.VecMul(pi, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pi.MaxDiff(next) > 1e-9 {
-		t.Fatalf("π not invariant: diff %v", pi.MaxDiff(next))
-	}
-	if !almostEq(pi.Sum(), 1, 1e-9) {
-		t.Fatalf("π sums to %v", pi.Sum())
-	}
-}

@@ -12,9 +12,11 @@ type Triplet struct {
 	Val      float64
 }
 
-// COO is a coordinate-format sparse-matrix builder. Duplicate entries are
-// summed when converting to CSR, which makes assembling transition-rate
-// matrices from guarded commands straightforward.
+// COO is a coordinate-format sparse-matrix builder for entries that arrive
+// in no particular order. Duplicate entries are summed when converting to
+// CSR, which makes assembling transition-rate matrices from guarded
+// commands straightforward. Matrices derived row by row from an existing
+// CSR use RowBuilder instead: their rows are already sorted.
 type COO struct {
 	Rows, Cols int
 	entries    []Triplet
@@ -69,6 +71,77 @@ func (c *COO) ToCSR() *CSR {
 		m.RowPtr[i+1] += m.RowPtr[i]
 	}
 	return m
+}
+
+// RowBuilder assembles a CSR row by row, in row order, without sorting.
+// Like COO it drops zero entries, and it sums at most one extra value per
+// row, the diagonal, into the entry at the diagonal's column. A two-term
+// sum has the same bits in either order, so the result is bit-identical to
+// a COO assembly of the same entries. Diagonal merging needs increasing
+// columns within the row; rows built without it keep their columns in the
+// order given.
+type RowBuilder struct {
+	m       *CSR
+	diagCol int // -1 once the row's diagonal is placed
+	diag    float64
+}
+
+// NewRowBuilder returns a builder of the given shape with room for nnz
+// entries.
+func NewRowBuilder(rows, cols, nnz int) *RowBuilder {
+	return &RowBuilder{
+		m: &CSR{
+			Rows: rows, Cols: cols,
+			RowPtr: make([]int, 1, rows+1),
+			ColIdx: make([]int, 0, nnz),
+			Val:    make([]float64, 0, nnz),
+		},
+		diagCol: -1,
+	}
+}
+
+// Diagonal sets the value d to merge into the current row at column j: it
+// is added to the value Add gives for column j, or else stored before the
+// first larger column.
+func (b *RowBuilder) Diagonal(j int, d float64) {
+	b.diagCol, b.diag = j, d
+}
+
+// Add appends entry (current row, j) with value v.
+func (b *RowBuilder) Add(j int, v float64) {
+	if b.diagCol >= 0 && j >= b.diagCol {
+		if j == b.diagCol {
+			v += b.diag
+		} else {
+			b.push(b.diagCol, b.diag)
+		}
+		b.diagCol = -1
+	}
+	b.push(j, v)
+}
+
+func (b *RowBuilder) push(j int, v float64) {
+	if v != 0 {
+		b.m.ColIdx = append(b.m.ColIdx, j)
+		b.m.Val = append(b.m.Val, v)
+	}
+}
+
+// EndRow closes the current row.
+func (b *RowBuilder) EndRow() {
+	if b.diagCol >= 0 {
+		b.push(b.diagCol, b.diag)
+		b.diagCol = -1
+	}
+	b.m.RowPtr = append(b.m.RowPtr, len(b.m.Val))
+}
+
+// CSR returns the matrix; every row must have been closed by EndRow.
+func (b *RowBuilder) CSR() *CSR {
+	if len(b.m.RowPtr) != b.m.Rows+1 {
+		panic(fmt.Sprintf("linalg: RowBuilder closed %d of %d rows", len(b.m.RowPtr)-1, b.m.Rows))
+	}
+	return b.m
 }
 
 // CSR is a compressed-sparse-row matrix: the nonzeros of row i are

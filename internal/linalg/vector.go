@@ -1,7 +1,7 @@
 // Package linalg provides the small dense and sparse linear-algebra kernel
 // used by the probabilistic model-checking engine: vectors, dense matrices,
 // compressed-sparse-row matrices, direct elimination and the classical
-// stationary iterative solvers (Jacobi, Gauss–Seidel, power iteration).
+// stationary iterative solvers (Jacobi, Gauss–Seidel).
 //
 // Everything is float64 and allocation-conscious: the model checker calls
 // these kernels thousands of times per property, so the hot paths accept
