@@ -19,6 +19,7 @@ import (
 	"repro/internal/cvss"
 	"repro/internal/foxglynn"
 	"repro/internal/modular"
+	"repro/internal/obs"
 	"repro/internal/prismlang"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -123,6 +124,34 @@ func BenchmarkFig5(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkFig5Grid runs the whole Figure-5 grid per op (Compare over the
+// three case-study architectures, nmax 2, with steady state) under a
+// collector, and reports the pipeline work per op taken from its spans:
+// explored states, cumulative-reward (uniformisation) passes and
+// steady-state solves. Cells that share a chain share that work.
+func BenchmarkFig5Grid(b *testing.B) {
+	col := obs.NewCollector()
+	ctx, root := obs.NewTracer(col, false).StartSpan(context.Background(), "bench.fig5_grid")
+	an := core.Analyzer{NMax: 2, Horizon: 1}
+	archs := arch.CaseStudy()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := an.CompareContext(ctx, archs, arch.MessageM); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	root.End()
+	phases := map[string]obs.PhaseStat{}
+	for _, ph := range col.Manifest("", nil).Phases {
+		phases[ph.Name] = ph
+	}
+	n := float64(b.N)
+	b.ReportMetric(phases["modular.explore"].Attrs["states"].Sum/n, "states/op")
+	b.ReportMetric(float64(phases["ctmc.cumulative_reward"].Count)/n, "reward_passes/op")
+	b.ReportMetric(float64(phases["ctmc.steadystate"].Count)/n, "steady_solves/op")
 }
 
 // BenchmarkFig6aPatchSweep regenerates Figure 6 (a): exploitability of m in

@@ -39,11 +39,11 @@ func (a Analyzer) AnalyzeComponents(ar *arch.Architecture, msgName string, cat t
 		if err != nil {
 			return err
 		}
-		frac, err := ex.Chain.ExpectedTimeFraction(p.init, mask, a.Horizon, a.Accuracy)
+		frac, err := ex.Chain.ExpectedTimeFraction(p.chain.init, mask, a.Horizon, a.Accuracy)
 		if err != nil {
 			return fmt.Errorf("core: component %s: %w", name, err)
 		}
-		ever, err := ex.Chain.TimeBoundedReachability(p.init, mask, a.Horizon, a.Accuracy)
+		ever, err := ex.Chain.TimeBoundedReachability(p.chain.init, mask, a.Horizon, a.Accuracy)
 		if err != nil {
 			return fmt.Errorf("core: component %s: %w", name, err)
 		}

@@ -62,9 +62,10 @@ type Analyzer struct {
 	// analysis (paper future work): ECUs with configured failure/repair
 	// rates gain hardware-failure state; see transform.Options.
 	IncludeReliability bool
-	// Parallel runs grid analyses (AnalyzeAll, Compare) concurrently, one
-	// worker per CPU. Each combination builds its own model, so results
-	// are bitwise identical to the sequential order.
+	// Parallel runs the chains of grid analyses (AnalyzeAll, Compare,
+	// AnalyzeMessages) concurrently, one worker per CPU. Each chain is
+	// explored and solved by one worker, so results are bitwise identical
+	// to the sequential order.
 	Parallel bool
 }
 
@@ -131,7 +132,9 @@ type Result struct {
 	// (0 otherwise).
 	LumpedStates int
 	// BuildTime and CheckTime separate model construction from numerical
-	// analysis.
+	// analysis. Cells analysed together on one chain (the grid entry
+	// points, AnalyzeCellsContext) share both: each reports the chain's
+	// whole build and solve time.
 	BuildTime time.Duration
 	CheckTime time.Duration
 }
@@ -145,23 +148,16 @@ func (a Analyzer) Analyze(ar *arch.Architecture, msgName string, cat transform.C
 }
 
 // AnalyzeContext is Analyze with span propagation: a "core.analyze" span
-// (attributed with architecture, message, category and protection) covering
+// (attributed with architecture, message, cell and label counts) covering
 // the transform, explore and check phases, each of which appears as a child
-// span in the trace.
+// span in the trace. It is the one-cell case of the grid analyses, which
+// open one such span per chain.
 func (a Analyzer) AnalyzeContext(ctx context.Context, ar *arch.Architecture, msgName string, cat transform.Category, prot transform.Protection) (*Result, error) {
-	ctx, sp := obs.Start(ctx, "core.analyze")
-	defer sp.End()
-	if sp != nil {
-		sp.Str("arch", ar.Name)
-		sp.Str("message", msgName)
-		sp.Str("category", cat.String())
-		sp.Str("protection", prot.String())
-	}
-	p, err := a.PrepareContext(ctx, ar, msgName, cat, prot)
+	rs, err := a.analyzeChain(ctx, ar, []cell{{msgName, cat, prot}})
 	if err != nil {
 		return nil, err
 	}
-	return a.AnalyzePreparedContext(ctx, p)
+	return rs[0], nil
 }
 
 // Categories lists the paper's three security principles in Figure 5 order.
@@ -181,38 +177,22 @@ func (a Analyzer) AnalyzeAll(ar *arch.Architecture, msgName string) ([]*Result, 
 	return a.AnalyzeAllContext(context.Background(), ar, msgName)
 }
 
-// AnalyzeAllContext is AnalyzeAll with span propagation and per-combination
-// progress events. Parallel workers emit through the same sinks (sinks are
-// required to be concurrency-safe).
+// AnalyzeAllContext is AnalyzeAll with span propagation and per-chain
+// progress events. The nine cells share two chains (with and without the
+// message-protection variable), each explored and solved once. Parallel
+// workers emit through the same sinks (sinks are required to be
+// concurrency-safe).
 func (a Analyzer) AnalyzeAllContext(ctx context.Context, ar *arch.Architecture, msgName string) ([]*Result, error) {
 	ctx, sp := obs.Start(ctx, "core.analyze_all")
 	defer sp.End()
 	sp.Str("arch", ar.Name)
-	type combo struct {
-		cat  transform.Category
-		prot transform.Protection
-	}
-	var combos []combo
+	var cells []cell
 	for _, cat := range Categories {
 		for _, prot := range Protections {
-			combos = append(combos, combo{cat, prot})
+			cells = append(cells, cell{msgName, cat, prot})
 		}
 	}
-	out := make([]*Result, len(combos))
-	var done atomic64
-	run := func(i int) error {
-		r, err := a.AnalyzeContext(ctx, ar, msgName, combos[i].cat, combos[i].prot)
-		if err != nil {
-			return err
-		}
-		out[i] = r
-		sp.Progress(done.inc(), int64(len(combos)))
-		return nil
-	}
-	if err := forEach(len(combos), a.Parallel, run); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return a.analyzeGrouped(ctx, ar, cells, sp)
 }
 
 // atomic64 is a tiny atomic counter for progress accounting across the
@@ -222,10 +202,10 @@ type atomic64 struct {
 	n  int64
 }
 
-func (c *atomic64) inc() int64 {
+func (c *atomic64) add(n int64) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.n++
+	c.n += n
 	return c.n
 }
 
@@ -281,20 +261,17 @@ func forEach(n int, parallel bool, run func(int) error) error {
 // AnalyzeMessages analyses every message stream of the architecture for one
 // category × protection — the paper's per-stream quantification ("we are
 // quantizing the security of all traffic") applied to a fully scheduled
-// message set.
+// message set. When the protection does not cover the category, every
+// stream shares one chain.
 func (a Analyzer) AnalyzeMessages(ar *arch.Architecture, cat transform.Category, prot transform.Protection) ([]*Result, error) {
 	if len(ar.Messages) == 0 {
 		return nil, fmt.Errorf("core: architecture %s has no messages", ar.Name)
 	}
-	out := make([]*Result, 0, len(ar.Messages))
+	cells := make([]cell, len(ar.Messages))
 	for i := range ar.Messages {
-		r, err := a.Analyze(ar, ar.Messages[i].Name, cat, prot)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
+		cells[i] = cell{ar.Messages[i].Name, cat, prot}
 	}
-	return out, nil
+	return a.analyzeGrouped(context.Background(), ar, cells, nil)
 }
 
 // Compare analyses several architectures (the full Figure 5 grid).

@@ -36,7 +36,7 @@ func (a Analyzer) Metrics(ar *arch.Architecture, msgName string, cat transform.C
 	if err != nil {
 		return nil, err
 	}
-	chain, violated, init := p.Explored.Chain, p.mask, p.init
+	chain, violated, init := p.Explored.Chain, p.mask, p.chain.init
 
 	frac, err := chain.ExpectedTimeFraction(init, violated, a.Horizon, a.Accuracy)
 	if err != nil {

@@ -2,39 +2,63 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/ctmc"
 	"repro/internal/linalg"
 	"repro/internal/modular"
 	"repro/internal/obs"
 	"repro/internal/transform"
 )
 
-// Prepared is the reusable prefix of one analysis: the transformed model,
-// its explored state space, and the violated-label artefacts the solvers
-// consume. Preparation (transform + exploration) dominates the cost of
-// small-horizon queries, and the result depends only on the architecture,
-// the message and the model-side Options — not on horizon or accuracy — so
-// a resident service can cache Prepared values by content address and
-// re-solve the same chain under many solver settings.
+// Prepared is the reusable prefix of one analysis cell: the cell's labelled
+// model, its explored state space, and the violated-label artefacts the
+// solvers consume. The state space belongs to a chain shared by every cell
+// with the same transform.Options.StructureKey: category and protection
+// only change the chain through the message-protection variable, so the
+// 27 Figure-5 cells explore 6 chains, and preparing several cells at once
+// explores each chain once. Preparation (transform + exploration) dominates
+// the cost of small-horizon queries, and the result depends only on the
+// architecture, the message and the model-side Options — not on horizon or
+// accuracy — so a resident service can cache Prepared values by content
+// address and re-solve the same chain under many solver settings.
 //
 // A Prepared value is immutable after PrepareContext returns and safe for
 // concurrent AnalyzePreparedContext calls.
 type Prepared struct {
-	// Transform carries the generated model and its variable references
-	// (property checks parse against Transform.Model).
+	// Transform carries the cell's labelled model and its variable
+	// references (property checks parse against Transform.Model).
 	Transform *transform.Result
-	// Explored is the compiled state space.
+	// Explored is the compiled state space of the chain, viewed through the
+	// cell's model so labels and rewards resolve to the cell's.
 	Explored *modular.Explored
 
-	archName  string
-	message   string
-	mask      []bool
+	chain   *chain
+	message string
+	label   string // the violated predicate; cells with equal labels share a mask
+	mask    []bool
+}
+
+// chain is one explored structure and the cells prepared on it.
+type chain struct {
+	arch      *arch.Architecture
+	structure *transform.Structure
+	explored  *modular.Explored
 	init      linalg.Vector
 	buildTime time.Duration
+	cells     []*Prepared
+}
+
+// cell names one message × category × protection analysis.
+type cell struct {
+	msg  string
+	cat  transform.Category
+	prot transform.Protection
 }
 
 // States returns the explored state count.
@@ -43,8 +67,9 @@ func (p *Prepared) States() int { return p.Explored.N() }
 // Transitions returns the explored transition count.
 func (p *Prepared) Transitions() int { return p.Explored.Chain.Rates.NNZ() }
 
-// BuildTime returns the wall time of the transform + exploration phase.
-func (p *Prepared) BuildTime() time.Duration { return p.buildTime }
+// BuildTime returns the wall time of the transform + exploration phase of
+// the chain, shared by every cell prepared on it.
+func (p *Prepared) BuildTime() time.Duration { return p.chain.buildTime }
 
 // PrepareContext runs the model-construction half of AnalyzeContext —
 // transform, exploration, label mask and initial distribution — and returns
@@ -52,90 +77,316 @@ func (p *Prepared) BuildTime() time.Duration { return p.buildTime }
 // model-side Analyzer options (NMax, patch-guard flags, reliability) affect
 // the result; they are captured in Transform.Options.
 func (a Analyzer) PrepareContext(ctx context.Context, ar *arch.Architecture, msgName string, cat transform.Category, prot transform.Protection) (*Prepared, error) {
+	ps, err := a.prepare(ctx, ar, []cell{{msgName, cat, prot}})
+	if err != nil {
+		return nil, err
+	}
+	return ps[0], nil
+}
+
+// PrepareChainContext is PrepareContext that also labels every other
+// category × protection cell of the message sharing the chain, so Cell
+// returns them without evaluating a label over the state space.
+func (a Analyzer) PrepareChainContext(ctx context.Context, ar *arch.Architecture, msgName string, cat transform.Category, prot transform.Protection) (*Prepared, error) {
+	cells := []cell{{msgName, cat, prot}}
+	key := a.TransformOptions(cat, prot).StructureKey(msgName)
+	for _, c := range Categories {
+		for _, pr := range Protections {
+			if (c != cat || pr != prot) && a.TransformOptions(c, pr).StructureKey(msgName) == key {
+				cells = append(cells, cell{msgName, c, pr})
+			}
+		}
+	}
+	ps, err := a.prepare(ctx, ar, cells)
+	if err != nil {
+		return nil, err
+	}
+	return ps[0], nil
+}
+
+// Cell returns cell (cat, prot) of p's message on p's chain: the one
+// prepared with the chain, or one labelled now. A cell whose structure
+// differs is reported with transform.ErrStructureMismatch.
+func (p *Prepared) Cell(cat transform.Category, prot transform.Protection) (*Prepared, error) {
+	for _, q := range p.chain.cells {
+		if o := q.Transform.Options; q.message == p.message && o.Category == cat && o.Protection == prot {
+			return q, nil
+		}
+	}
+	res, err := p.chain.structure.Label(p.message, cat, prot)
+	if err != nil {
+		return nil, err
+	}
+	masks := make(map[string][]bool, len(p.chain.cells))
+	for _, q := range p.chain.cells {
+		masks[q.label] = q.mask
+	}
+	return p.chain.newCell(res, p.message, masks)
+}
+
+// prepare builds the structure of cells[0] once, labels every cell on it,
+// explores it once and evaluates each distinct violated label once. The
+// cells must share one structure key.
+func (a Analyzer) prepare(ctx context.Context, ar *arch.Architecture, cells []cell) ([]*Prepared, error) {
 	a = a.withDefaults()
 	start := time.Now()
 	_, tsp := obs.Start(ctx, "transform.build")
-	res, err := transform.Build(ar, msgName, a.options(cat, prot))
+	s, err := transform.BuildStructure(ar, cells[0].msg, a.options(cells[0].cat, cells[0].prot))
+	labelled := make([]*transform.Result, len(cells))
+	for i := 0; err == nil && i < len(cells); i++ {
+		labelled[i], err = s.Label(cells[i].msg, cells[i].cat, cells[i].prot)
+	}
 	tsp.End()
 	if err != nil {
 		return nil, err
 	}
-	ex, err := res.Model.ExploreContext(ctx, modular.ExploreOpts{MaxStates: a.MaxStates, MaxTransitions: a.MaxTransitions})
+	ex, err := s.Model.ExploreContext(ctx, modular.ExploreOpts{MaxStates: a.MaxStates, MaxTransitions: a.MaxTransitions})
 	if err != nil {
 		return nil, err
 	}
-	mask, err := ex.LabelMask(transform.LabelViolated)
-	if err != nil {
-		return nil, err
+	ch := &chain{arch: ar, structure: s, explored: ex, init: ex.InitDistribution()}
+	masks := make(map[string][]bool)
+	ps := make([]*Prepared, len(cells))
+	for i, res := range labelled {
+		if ps[i], err = ch.newCell(res, cells[i].msg, masks); err != nil {
+			return nil, err
+		}
+	}
+	ch.cells = ps
+	ch.buildTime = time.Since(start)
+	return ps, nil
+}
+
+// newCell wraps one labelled model on the chain, evaluating its violated
+// label unless masks already holds the same predicate (and recording it
+// there when it did not).
+func (ch *chain) newCell(res *transform.Result, msg string, masks map[string][]bool) (*Prepared, error) {
+	violated := res.Model.Labels[transform.LabelViolated]
+	label := violated.String()
+	mask, ok := masks[label]
+	if !ok {
+		var err error
+		if mask, err = ch.explored.ExprMask(violated); err != nil {
+			return nil, err
+		}
+		masks[label] = mask
 	}
 	return &Prepared{
 		Transform: res,
-		Explored:  ex,
-		archName:  ar.Name,
-		message:   msgName,
+		Explored:  ch.explored.WithModel(res.Model),
+		chain:     ch,
+		message:   msg,
+		label:     label,
 		mask:      mask,
-		init:      ex.InitDistribution(),
-		buildTime: time.Since(start),
 	}, nil
 }
 
 // AnalyzePreparedContext runs the numerical half of AnalyzeContext on a
 // prepared model: the exploitable-time reward, optionally the steady-state
 // probability, under the solver-side options of a (Horizon, Accuracy,
-// SkipSteadyState, UseLumping). The model-side options must match those
-// used at Prepare time; callers that key a cache by Options.Canonical get
-// this by construction. Result.BuildTime reports the original preparation
-// cost, so cached re-solves surface it unchanged.
+// SkipSteadyState, UseLumping). It is the one-cell case of
+// AnalyzeCellsContext. The model-side options must match those used at
+// Prepare time; callers that key a cache by Options.Canonical get this by
+// construction. Result.BuildTime reports the original preparation cost, so
+// cached re-solves surface it unchanged.
 func (a Analyzer) AnalyzePreparedContext(ctx context.Context, p *Prepared) (*Result, error) {
+	rs, err := a.AnalyzeCellsContext(ctx, []*Prepared{p})
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
+}
+
+// errMixedChains reports cells from different chains passed to one solve.
+var errMixedChains = errors.New("core: cells do not share one chain")
+
+// AnalyzeCellsContext solves several cells of one chain together: one
+// uniformisation pass and one steady-state solve serve every distinct
+// violated label among them (with UseLumping, each distinct label is solved
+// on its own quotient). Every cell's numbers are bit-identical to solving
+// it alone; its CheckTime is the shared solve's.
+func (a Analyzer) AnalyzeCellsContext(ctx context.Context, ps []*Prepared) ([]*Result, error) {
+	if len(ps) == 0 {
+		return nil, nil
+	}
 	a = a.withDefaults()
-	opts := p.Transform.Options
 	start := time.Now()
-	chain, mask, init := p.Explored.Chain, p.mask, p.init
-	lumpedStates := 0
-	if a.UseLumping {
-		sig := make([]int, len(mask))
-		for i, m := range mask {
-			if m {
-				sig[i] = 1
+	ch := ps[0].chain
+	masks, labelOf := distinctMasks(ps)
+	for _, p := range ps {
+		if p.chain != ch {
+			return nil, errMixedChains
+		}
+	}
+	fracs, steady, lumped, err := a.solve(ctx, ch, masks)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s/%s: %w", ch.arch.Name, ps[0].message, err)
+	}
+	check := time.Since(start)
+	out := make([]*Result, len(ps))
+	for i, p := range ps {
+		j, opts := labelOf[i], p.Transform.Options
+		out[i] = &Result{
+			Architecture: ch.arch.Name,
+			Message:      p.message,
+			Category:     opts.Category,
+			Protection:   opts.Protection,
+			TimeFraction: fracs[j],
+			SteadyState:  steady[j],
+			States:       p.States(),
+			Transitions:  p.Transitions(),
+			LumpedStates: lumped[j],
+			BuildTime:    ch.buildTime,
+			CheckTime:    check,
+		}
+	}
+	return out, nil
+}
+
+// distinctMasks lists the cells' distinct violated masks in first-use
+// order, and for each cell the index of its mask.
+func distinctMasks(ps []*Prepared) ([][]bool, []int) {
+	var masks [][]bool
+	labelOf := make([]int, len(ps))
+	seen := make(map[string]int, len(ps))
+	for i, p := range ps {
+		j, ok := seen[p.label]
+		if !ok {
+			j = len(masks)
+			seen[p.label] = j
+			masks = append(masks, p.mask)
+		}
+		labelOf[i] = j
+	}
+	return masks, labelOf
+}
+
+// solve returns, per mask, the expected time fraction, the steady-state
+// probability (NaN under SkipSteadyState) and the lumped state count (0
+// without UseLumping).
+func (a Analyzer) solve(ctx context.Context, ch *chain, masks [][]bool) (fracs, steady []float64, lumped []int, err error) {
+	lumped = make([]int, len(masks))
+	steady = make([]float64, len(masks))
+	for j := range steady {
+		steady[j] = math.NaN()
+	}
+	c := ch.explored.Chain
+	if !a.UseLumping {
+		if fracs, err = c.ExpectedTimeFractionsContext(ctx, ch.init, masks, a.Horizon, a.Accuracy); err != nil {
+			return nil, nil, nil, err
+		}
+		if !a.SkipSteadyState {
+			if steady, err = c.SteadyStateProbabilitiesContext(ctx, ch.init, masks); err != nil {
+				return nil, nil, nil, fmt.Errorf("steady state: %w", err)
 			}
 		}
-		l, err := chain.Lump(sig)
-		if err != nil {
-			return nil, fmt.Errorf("core: lumping: %w", err)
-		}
-		lmask, err := l.LumpMask(mask)
-		if err != nil {
-			return nil, fmt.Errorf("core: lumping: %w", err)
-		}
-		linit, err := l.LumpDistribution(init)
-		if err != nil {
-			return nil, fmt.Errorf("core: lumping: %w", err)
-		}
-		chain, mask, init = l.Quotient, lmask, linit
-		lumpedStates = l.Quotient.N()
+		return fracs, steady, lumped, nil
 	}
-	frac, err := chain.ExpectedTimeFractionContext(ctx, init, mask, a.Horizon, a.Accuracy)
+	fracs = make([]float64, len(masks))
+	for j, mask := range masks {
+		q, qmask, qinit, err := lumpOn(c, mask, ch.init)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("lumping: %w", err)
+		}
+		lumped[j] = q.N()
+		if fracs[j], err = q.ExpectedTimeFractionContext(ctx, qinit, qmask, a.Horizon, a.Accuracy); err != nil {
+			return nil, nil, nil, err
+		}
+		if !a.SkipSteadyState {
+			if steady[j], err = q.SteadyStateProbabilityContext(ctx, qinit, qmask); err != nil {
+				return nil, nil, nil, fmt.Errorf("steady state: %w", err)
+			}
+		}
+	}
+	return fracs, steady, lumped, nil
+}
+
+// lumpOn returns the ordinary-lumping quotient of c that respects mask,
+// with the mask and initial distribution carried over.
+func lumpOn(c *ctmc.Chain, mask []bool, init linalg.Vector) (*ctmc.Chain, []bool, linalg.Vector, error) {
+	sig := make([]int, len(mask))
+	for i, m := range mask {
+		if m {
+			sig[i] = 1
+		}
+	}
+	l, err := c.Lump(sig)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s/%s/%s: %w", p.archName, opts.Category, opts.Protection, err)
+		return nil, nil, nil, err
 	}
-	steady := math.NaN()
-	if !a.SkipSteadyState {
-		steady, err = chain.SteadyStateProbabilityContext(ctx, init, mask)
-		if err != nil {
-			return nil, fmt.Errorf("core: steady state: %w", err)
+	lmask, err := l.LumpMask(mask)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	linit, err := l.LumpDistribution(init)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return l.Quotient, lmask, linit, nil
+}
+
+// analyzeChain prepares cells sharing one structure key and solves them
+// together under one "core.analyze" span.
+func (a Analyzer) analyzeChain(ctx context.Context, ar *arch.Architecture, cells []cell) ([]*Result, error) {
+	ctx, sp := obs.Start(ctx, "core.analyze")
+	defer sp.End()
+	if sp != nil {
+		var msgs []string
+		for _, c := range cells {
+			if len(msgs) == 0 || msgs[len(msgs)-1] != c.msg {
+				msgs = append(msgs, c.msg)
+			}
 		}
+		sp.Str("arch", ar.Name)
+		sp.Str("message", strings.Join(msgs, ","))
+		sp.Int("cells", int64(len(cells)))
 	}
-	return &Result{
-		Architecture: p.archName,
-		Message:      p.message,
-		Category:     opts.Category,
-		Protection:   opts.Protection,
-		TimeFraction: frac,
-		SteadyState:  steady,
-		States:       p.States(),
-		Transitions:  p.Transitions(),
-		LumpedStates: lumpedStates,
-		BuildTime:    p.buildTime,
-		CheckTime:    time.Since(start),
-	}, nil
+	ps, err := a.prepare(ctx, ar, cells)
+	if err != nil {
+		return nil, err
+	}
+	if sp != nil {
+		masks, _ := distinctMasks(ps)
+		sp.Int("labels", int64(len(masks)))
+	}
+	return a.AnalyzeCellsContext(ctx, ps)
+}
+
+// analyzeGrouped analyses cells grouped by structure key, one chain per
+// group (concurrently under Parallel), and returns the results in cell
+// order. Progress on sp counts finished cells.
+func (a Analyzer) analyzeGrouped(ctx context.Context, ar *arch.Architecture, cells []cell, sp *obs.Span) ([]*Result, error) {
+	var groups [][]int
+	byKey := make(map[string]int)
+	for i, c := range cells {
+		key := a.TransformOptions(c.cat, c.prot).StructureKey(c.msg)
+		g, ok := byKey[key]
+		if !ok {
+			g = len(groups)
+			byKey[key] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	out := make([]*Result, len(cells))
+	var done atomic64
+	run := func(g int) error {
+		group := make([]cell, len(groups[g]))
+		for k, i := range groups[g] {
+			group[k] = cells[i]
+		}
+		rs, err := a.analyzeChain(ctx, ar, group)
+		if err != nil {
+			return err
+		}
+		for k, i := range groups[g] {
+			out[i] = rs[k]
+		}
+		sp.Progress(done.add(int64(len(group))), int64(len(cells)))
+		return nil
+	}
+	if err := forEach(len(groups), a.Parallel, run); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -40,7 +40,7 @@ func (a Analyzer) TimeSeries(ar *arch.Architecture, msgName string, cat transfor
 	if err != nil {
 		return nil, err
 	}
-	chain, mask, init := p.Explored.Chain, p.mask, p.init
+	chain, mask, init := p.Explored.Chain, p.mask, p.chain.init
 	out := make([]TimePoint, 0, len(times))
 	for _, t := range times {
 		pi, err := chain.Transient(init, t, a.Accuracy)

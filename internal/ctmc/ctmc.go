@@ -305,33 +305,58 @@ func (c *Chain) CumulativeReward(init linalg.Vector, reward linalg.Vector, t, ac
 	return c.CumulativeRewardContext(context.Background(), init, reward, t, accuracy)
 }
 
-// CumulativeRewardContext is CumulativeReward with span propagation
-// ("ctmc.cumulative_reward": q, Fox–Glynn window, matvec count).
+// CumulativeRewardContext is CumulativeReward with span propagation: the
+// one-reward case of CumulativeRewardsContext.
 func (c *Chain) CumulativeRewardContext(ctx context.Context, init linalg.Vector, reward linalg.Vector, t, accuracy float64) (float64, error) {
-	_, sp := obs.Start(ctx, "ctmc.cumulative_reward")
-	defer sp.End()
-	if err := c.checkInit(init); err != nil {
+	var total [1]float64
+	if err := c.cumulativeRewards(ctx, init, []linalg.Vector{reward}, t, accuracy, total[:]); err != nil {
 		return 0, err
 	}
-	if err := checkTime(t); err != nil {
-		return 0, err
-	}
-	if len(reward) != c.N() {
-		return 0, fmt.Errorf("ctmc: reward vector length %d, want %d", len(reward), c.N())
-	}
-	if t == 0 {
-		return 0, nil
-	}
-	var total float64
-	err := c.uniformise(sp, init, t, accuracy, false, func(_, tail, q float64, cur linalg.Vector) {
-		if w := tail / q; w > 0 {
-			total += w * cur.Dot(reward)
-		}
-	})
-	if err != nil {
-		return 0, err
+	return total[0], nil
+}
+
+// CumulativeRewardsContext computes CumulativeReward for every reward
+// vector over one uniformisation pass: one matrix–vector product per step
+// and, per reward in order, the same dot product and sum a single-reward
+// call makes, so each result is bit-identical to it. The
+// "ctmc.cumulative_reward" span records q, the Fox–Glynn window and the
+// matvec count, plus the number of rewards when there is more than one
+// (one-reward spans keep the attributes they always had).
+func (c *Chain) CumulativeRewardsContext(ctx context.Context, init linalg.Vector, rewards []linalg.Vector, t, accuracy float64) ([]float64, error) {
+	total := make([]float64, len(rewards))
+	if err := c.cumulativeRewards(ctx, init, rewards, t, accuracy, total); err != nil {
+		return nil, err
 	}
 	return total, nil
+}
+
+func (c *Chain) cumulativeRewards(ctx context.Context, init linalg.Vector, rewards []linalg.Vector, t, accuracy float64, total []float64) error {
+	_, sp := obs.Start(ctx, "ctmc.cumulative_reward")
+	defer sp.End()
+	if len(rewards) > 1 {
+		sp.Int("rewards", int64(len(rewards)))
+	}
+	if err := c.checkInit(init); err != nil {
+		return err
+	}
+	if err := checkTime(t); err != nil {
+		return err
+	}
+	for _, r := range rewards {
+		if len(r) != c.N() {
+			return fmt.Errorf("ctmc: reward vector length %d, want %d", len(r), c.N())
+		}
+	}
+	if t == 0 {
+		return nil
+	}
+	return c.uniformise(sp, init, t, accuracy, false, func(_, tail, q float64, cur linalg.Vector) {
+		if w := tail / q; w > 0 {
+			for j, r := range rewards {
+				total[j] += w * cur.Dot(r)
+			}
+		}
+	})
 }
 
 // InstantaneousReward computes E[r(X_t)] = π(t)·r.

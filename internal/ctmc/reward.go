@@ -150,23 +150,43 @@ func (c *Chain) ExpectedTimeFraction(init linalg.Vector, mask []bool, t, accurac
 }
 
 // ExpectedTimeFractionContext is ExpectedTimeFraction with span propagation
-// (the cumulative-reward solve appears as a child span).
+// (the cumulative-reward solve appears as a child span): the one-mask case
+// of ExpectedTimeFractionsContext.
 func (c *Chain) ExpectedTimeFractionContext(ctx context.Context, init linalg.Vector, mask []bool, t, accuracy float64) (float64, error) {
-	if len(mask) != c.N() {
-		return 0, fmt.Errorf("ctmc: mask length %d, want %d", len(mask), c.N())
-	}
-	if t <= 0 {
-		return 0, fmt.Errorf("%w: horizon must be positive, got %v", ErrBadTime, t)
-	}
-	r := linalg.NewVector(c.N())
-	for i, in := range mask {
-		if in {
-			r[i] = 1
-		}
-	}
-	cum, err := c.CumulativeRewardContext(ctx, init, r, t, accuracy)
+	fracs, err := c.ExpectedTimeFractionsContext(ctx, init, [][]bool{mask}, t, accuracy)
 	if err != nil {
 		return 0, err
 	}
-	return cum / t, nil
+	return fracs[0], nil
+}
+
+// ExpectedTimeFractionsContext returns ExpectedTimeFraction for every mask
+// from one uniformisation pass (CumulativeRewardsContext over the masks'
+// indicator rewards); each fraction is bit-identical to a one-mask call.
+func (c *Chain) ExpectedTimeFractionsContext(ctx context.Context, init linalg.Vector, masks [][]bool, t, accuracy float64) ([]float64, error) {
+	for _, mask := range masks {
+		if len(mask) != c.N() {
+			return nil, fmt.Errorf("ctmc: mask length %d, want %d", len(mask), c.N())
+		}
+	}
+	if t <= 0 {
+		return nil, fmt.Errorf("%w: horizon must be positive, got %v", ErrBadTime, t)
+	}
+	rewards := make([]linalg.Vector, len(masks))
+	for j, mask := range masks {
+		rewards[j] = linalg.NewVector(c.N())
+		for i, in := range mask {
+			if in {
+				rewards[j][i] = 1
+			}
+		}
+	}
+	fracs, err := c.CumulativeRewardsContext(ctx, init, rewards, t, accuracy)
+	if err != nil {
+		return nil, err
+	}
+	for j := range fracs {
+		fracs[j] /= t
+	}
+	return fracs, nil
 }

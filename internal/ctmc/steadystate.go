@@ -297,20 +297,34 @@ func (c *Chain) SteadyStateProbability(init linalg.Vector, mask []bool) (float64
 }
 
 // SteadyStateProbabilityContext is SteadyStateProbability with span
-// propagation.
+// propagation: the one-mask case of SteadyStateProbabilitiesContext.
 func (c *Chain) SteadyStateProbabilityContext(ctx context.Context, init linalg.Vector, mask []bool) (float64, error) {
-	if len(mask) != c.N() {
-		return 0, fmt.Errorf("ctmc: mask length %d, want %d", len(mask), c.N())
-	}
-	pi, err := c.SteadyStateContext(ctx, init)
+	ps, err := c.SteadyStateProbabilitiesContext(ctx, init, [][]bool{mask})
 	if err != nil {
 		return 0, err
 	}
-	var p float64
-	for i, in := range mask {
-		if in {
-			p += pi[i]
+	return ps[0], nil
+}
+
+// SteadyStateProbabilitiesContext returns the long-run probability of
+// every mask from one steady-state solve.
+func (c *Chain) SteadyStateProbabilitiesContext(ctx context.Context, init linalg.Vector, masks [][]bool) ([]float64, error) {
+	for _, mask := range masks {
+		if len(mask) != c.N() {
+			return nil, fmt.Errorf("ctmc: mask length %d, want %d", len(mask), c.N())
 		}
 	}
-	return p, nil
+	pi, err := c.SteadyStateContext(ctx, init)
+	if err != nil {
+		return nil, err
+	}
+	ps := make([]float64, len(masks))
+	for j, mask := range masks {
+		for i, in := range mask {
+			if in {
+				ps[j] += pi[i]
+			}
+		}
+	}
+	return ps, nil
 }

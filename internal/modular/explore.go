@@ -450,6 +450,15 @@ func evalGuard(g Expr, st []int) (bool, error) {
 	return v.Bool()
 }
 
+// WithModel returns a view of the explored state space whose labels and
+// rewards resolve against m, a model sharing e.Model's variables and
+// commands (one from Relabel). States, chain and state index are shared.
+func (e *Explored) WithModel(m *Model) *Explored {
+	v := *e
+	v.Model = m
+	return &v
+}
+
 // N returns the number of reachable states.
 func (e *Explored) N() int { return len(e.States) }
 

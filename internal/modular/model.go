@@ -3,6 +3,8 @@ package modular
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 )
 
 // VarDecl declares a bounded integer or boolean state variable. Booleans
@@ -127,6 +129,22 @@ func (m *Model) SetLabel(name string, e Expr) {
 // AddReward appends a state reward to a named reward structure.
 func (m *Model) AddReward(structure string, r Reward) {
 	m.Rewards[structure] = append(m.Rewards[structure], r)
+}
+
+// Relabel returns a model named name that shares m's variables and
+// commands but owns copies of its labels and reward structures, so labels
+// and rewards set on it leave m untouched. Both must then be treated as
+// read-only in their variables and commands; an exploration of either
+// serves the other (see Explored.WithModel).
+func (m *Model) Relabel(name string) *Model {
+	c := *m
+	c.Name = name
+	c.Labels = maps.Clone(m.Labels)
+	c.Rewards = make(map[string][]Reward, len(m.Rewards))
+	for k, rs := range m.Rewards {
+		c.Rewards[k] = slices.Clone(rs)
+	}
+	return &c
 }
 
 // InitState returns the initial state vector.

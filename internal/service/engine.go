@@ -5,9 +5,10 @@
 // that fronts the engine with an HTTP/JSON job API, a bounded worker pool,
 // per-job run manifests and graceful shutdown. The cache keys are hashes of
 // the canonical encodings the pipeline layers expose (arch.CanonicalJSON,
-// transform.Options.Canonical, core.Analyzer.Canonical), so sweep-style
-// traffic — many requests differing only in solver settings — re-solves a
-// shared in-memory state space instead of re-exploring it.
+// transform.Options.Canonical and StructureKey, core.Analyzer.Canonical), so
+// sweep-style traffic — many requests differing only in solver settings, or
+// in cells that share a chain — re-solves a shared in-memory state space
+// instead of re-exploring it.
 package service
 
 import (
@@ -27,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/csl"
 	"repro/internal/fault"
+	"repro/internal/modular"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/transform"
@@ -110,7 +112,7 @@ type EngineOptions struct {
 // concurrent use; the Server runs one Engine under its worker pool, and
 // benchmarks drive it directly.
 type Engine struct {
-	models         *lruCache // modelKey → *core.Prepared
+	models         *lruCache // modelKey → *core.Prepared (PrepareChainContext)
 	results        *lruCache // resultKey → *Outcome
 	modelSF        flightGroup
 	resultSF       flightGroup
@@ -370,30 +372,86 @@ func (e *Engine) analyze(ctx context.Context, rr *resolvedRequest) (*Outcome, er
 		}
 		return &Outcome{Property: pr}, nil
 	case modeSingle:
-		r, err := e.analyzeCell(ctx, rr, rr.cat, rr.prot)
+		p, err := e.prepared(ctx, rr, rr.cat, rr.prot)
+		if err != nil {
+			return nil, err
+		}
+		r, err := rr.an.AnalyzePreparedContext(ctx, p)
 		if err != nil {
 			return nil, err
 		}
 		return &Outcome{Results: []AnalysisResult{toAnalysisResult(r)}}, nil
 	default: // modeGrid
-		out := &Outcome{}
-		for _, cat := range core.Categories {
-			for _, prot := range core.Protections {
-				r, err := e.analyzeCell(ctx, rr, cat, prot)
-				if err != nil {
-					return nil, err
-				}
-				out.Results = append(out.Results, toAnalysisResult(r))
-			}
-		}
-		return out, nil
+		return e.analyzeGrid(ctx, rr)
 	}
 }
 
-// prepared returns the cached transform+explore prefix for one cell,
-// building it under single-flight on miss. Like Run, a waiter that receives
-// the leader's context cancellation retries while its own context is live.
+// analyzeGrid solves the category × protection grid with one model-cache
+// entry and one grouped solve per chain.
+func (e *Engine) analyzeGrid(ctx context.Context, rr *resolvedRequest) (*Outcome, error) {
+	type group struct {
+		cells []*core.Prepared
+		at    []int // grid positions of the cells
+	}
+	var groups []*group
+	byKey := make(map[string]*group)
+	n := 0
+	for _, cat := range core.Categories {
+		for _, prot := range core.Protections {
+			key := modelKey(rr.archCanon, rr.msg, rr.an.TransformOptions(cat, prot))
+			g := byKey[key]
+			var (
+				p   *core.Prepared
+				err error
+			)
+			if g == nil {
+				g = &group{}
+				byKey[key] = g
+				groups = append(groups, g)
+				p, err = e.prepared(ctx, rr, cat, prot)
+			} else {
+				p, err = g.cells[0].Cell(cat, prot)
+			}
+			if err != nil {
+				return nil, err
+			}
+			g.cells = append(g.cells, p)
+			g.at = append(g.at, n)
+			n++
+		}
+	}
+	out := &Outcome{Results: make([]AnalysisResult, n)}
+	for _, g := range groups {
+		rs, err := rr.an.AnalyzeCellsContext(ctx, g.cells)
+		if err != nil {
+			return nil, err
+		}
+		for k, r := range rs {
+			out.Results[g.at[k]] = toAnalysisResult(r)
+		}
+	}
+	return out, nil
+}
+
+// prepared returns cell (cat, prot) of the cached chain its structure keys,
+// after checking the chain against the request's exploration budgets.
 func (e *Engine) prepared(ctx context.Context, rr *resolvedRequest, cat transform.Category, prot transform.Protection) (*core.Prepared, error) {
+	p, err := e.chain(ctx, rr, cat, prot)
+	if err != nil {
+		return nil, err
+	}
+	if err := withinBudget(ctx, p, rr.an); err != nil {
+		return nil, err
+	}
+	return p.Cell(cat, prot)
+}
+
+// chain returns the cached transform+explore prefix of the chain serving
+// one cell, building it with every cell it serves under single-flight on
+// miss. Like Run, a waiter that receives the leader's context cancellation
+// retries while its own context is live; so does one that receives the
+// leader's budget error, which its own budgets may allow.
+func (e *Engine) chain(ctx context.Context, rr *resolvedRequest, cat transform.Category, prot transform.Protection) (*core.Prepared, error) {
 	mkey := modelKey(rr.archCanon, rr.msg, rr.an.TransformOptions(cat, prot))
 	for {
 		if v, ok := e.models.Get(mkey); ok {
@@ -402,7 +460,7 @@ func (e *Engine) prepared(ctx context.Context, rr *resolvedRequest, cat transfor
 		}
 		v, err, leader := e.modelSF.Do(mkey, func() (any, error) {
 			obs.Count(ctx, "service.cache.model.miss", 1)
-			p, err := rr.an.PrepareContext(ctx, rr.arch, rr.msg, cat, prot)
+			p, err := rr.an.PrepareChainContext(ctx, rr.arch, rr.msg, cat, prot)
 			if err != nil {
 				return nil, err
 			}
@@ -412,7 +470,7 @@ func (e *Engine) prepared(ctx context.Context, rr *resolvedRequest, cat transfor
 			return p, nil
 		})
 		if err != nil {
-			if !leader && isContextErr(err) && ctx.Err() == nil {
+			if !leader && ctx.Err() == nil && (isContextErr(err) || errors.Is(err, modular.ErrBudgetExceeded)) {
 				continue
 			}
 			return nil, err
@@ -421,12 +479,17 @@ func (e *Engine) prepared(ctx context.Context, rr *resolvedRequest, cat transfor
 	}
 }
 
-func (e *Engine) analyzeCell(ctx context.Context, rr *resolvedRequest, cat transform.Category, prot transform.Protection) (*core.Result, error) {
-	p, err := e.prepared(ctx, rr, cat, prot)
-	if err != nil {
-		return nil, err
+// withinBudget returns the error a cold exploration under the request's
+// budgets gives, for a chain explored earlier under looser ones: the chain
+// is re-explored under those budgets, which stops the exploration at the
+// bound, so the request fails exactly as it would on a cold engine.
+func withinBudget(ctx context.Context, p *core.Prepared, an core.Analyzer) error {
+	if (an.MaxStates > 0 && p.States() > an.MaxStates) ||
+		(an.MaxTransitions > 0 && p.Transitions() > an.MaxTransitions) {
+		_, err := p.Transform.Model.ExploreContext(ctx, modular.ExploreOpts{MaxStates: an.MaxStates, MaxTransitions: an.MaxTransitions})
+		return err
 	}
-	return rr.an.AnalyzePreparedContext(ctx, p)
+	return nil
 }
 
 func (e *Engine) checkProperty(ctx context.Context, rr *resolvedRequest) (*PropertyResult, error) {

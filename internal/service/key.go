@@ -14,8 +14,8 @@ import (
 // Cache keys are content addresses over the canonical encodings the
 // pipeline layers expose: arch.(*Architecture).CanonicalJSON for the system
 // under analysis, transform.Options.Canonical for everything that shapes
-// the generated model, and core.Analyzer.Canonical for the solver-side
-// settings. Hashing the canonical forms (rather than the request JSON)
+// the generated model (StructureKey for the explored chain alone), and
+// core.Analyzer.Canonical for the solver-side settings. Hashing the canonical forms (rather than the request JSON)
 // makes the cache insensitive to field order, whitespace and defaulted
 // fields in client requests.
 
@@ -31,9 +31,13 @@ func hashKey(parts ...string) string {
 }
 
 // modelKey addresses the transform + exploration prefix of an analysis
-// (a core.Prepared): architecture, message and model-side options.
+// (a core.Prepared from PrepareChainContext): the architecture, the
+// message, and transform.Options.StructureKey, which leaves out the cell
+// wherever the cell does not shape the chain. Cells of one message that
+// share a chain therefore share an entry, which carries the label masks of
+// all of them.
 func modelKey(archCanon []byte, msg string, opts transform.Options) string {
-	return hashKey("model", string(archCanon), msg, opts.Canonical())
+	return hashKey("model", string(archCanon), msg, opts.StructureKey(msg))
 }
 
 // resultKey addresses a fully solved outcome. mode separates the grid,

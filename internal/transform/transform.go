@@ -180,9 +180,42 @@ func (o Options) Canonical() string {
 		o.LiteralPatchGuard, o.LinearPatchRates, o.IncludeReliability)
 }
 
+// StructureKey encodes everything that shapes the explored chain of the
+// named message's model: nmax, the patch-guard and patch-rate switches,
+// reliability, and whether the protection covers the category. Only a
+// covered category adds state (the message-protection variable, whose
+// breaking command is guarded by the message's route), so only then do the
+// message and its crypto rates join the key. Two cells of one architecture
+// with equal keys explore to the same chain and differ only in their
+// labelling, so a grid of them shares one exploration (see Structure).
+func (o Options) StructureKey(msgName string) string {
+	o = o.withDefaults()
+	key := fmt.Sprintf("nmax=%d&litguard=%t&linpatch=%t&rel=%t",
+		o.NMax, o.LiteralPatchGuard, o.LinearPatchRates, o.IncludeReliability)
+	if !o.Protection.Covers(o.Category) {
+		return key
+	}
+	return key + fmt.Sprintf("&prot=%s&mexp=%g&mpatch=%g", msgName, o.messageExploitRate(), o.messagePatchRate())
+}
+
+// messageExploitRate is the crypto-breaking rate of a covered category.
+func (o Options) messageExploitRate() float64 {
+	if o.MessageExploitRate <= 0 {
+		return arch.RateMessageCrypto
+	}
+	return o.MessageExploitRate
+}
+
+// messagePatchRate is the re-keying rate; 0 adds no command.
+func (o Options) messagePatchRate() float64 { return max(o.MessagePatchRate, 0) }
+
 // ErrUnknownMessage is returned when the message name does not exist in the
 // architecture.
 var ErrUnknownMessage = errors.New("transform: unknown message")
+
+// ErrStructureMismatch is returned when a cell is labelled on a structure
+// whose StructureKey differs from the cell's.
+var ErrStructureMismatch = errors.New("transform: cell does not share the structure")
 
 // Result carries the generated model together with the variable references
 // the analyses need.
@@ -205,9 +238,33 @@ type Result struct {
 // ifaceKey identifies an interface variable.
 func ifaceKey(ecu, bus string) string { return ecu + "/" + bus }
 
+// Structure is the labelling-independent half of a transformation: the
+// variables and commands, which alone fix the explored chain, plus the
+// structural labels exp_<ecu>, exp_bus_<bus> and failed_<ecu>. Label adds
+// one cell's violated/secure labels and exploitable-time reward on top, so
+// every cell with the structure's StructureKey is analysed on one
+// exploration of Model.
+type Structure struct {
+	// Result holds the structural model and its variable references;
+	// Options are those the structure was built with.
+	Result
+	arch *arch.Architecture
+	key  string
+}
+
 // Build transforms the architecture for the named message under the given
-// options.
+// options: BuildStructure followed by Label for the options' cell.
 func Build(a *arch.Architecture, msgName string, opts Options) (*Result, error) {
+	s, err := BuildStructure(a, msgName, opts)
+	if err != nil {
+		return nil, err
+	}
+	return s.Label(msgName, s.Options.Category, s.Options.Protection)
+}
+
+// BuildStructure generates the variables, commands and structural labels
+// of the named message's model under opts.
+func BuildStructure(a *arch.Architecture, msgName string, opts Options) (*Structure, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
@@ -217,14 +274,18 @@ func Build(a *arch.Architecture, msgName string, opts Options) (*Result, error) 
 		return nil, fmt.Errorf("%w: %q in %s", ErrUnknownMessage, msgName, a.Name)
 	}
 
-	res := &Result{
-		Model:         modular.NewModel(fmt.Sprintf("%s / %s / %s / %s", a.Name, msgName, opts.Category, opts.Protection)),
-		InterfaceVars: make(map[string]modular.VarRef),
-		GuardianVars:  make(map[string]modular.VarRef),
-		FailVars:      make(map[string]modular.VarRef),
-		Options:       opts,
+	s := &Structure{
+		Result: Result{
+			Model:         modular.NewModel(a.Name + " / structure"),
+			InterfaceVars: make(map[string]modular.VarRef),
+			GuardianVars:  make(map[string]modular.VarRef),
+			FailVars:      make(map[string]modular.VarRef),
+			Options:       opts,
+		},
+		arch: a,
+		key:  opts.StructureKey(msgName),
 	}
-	m := res.Model
+	m := s.Model
 
 	// Declare all state variables first: interface exploit counters
 	// (Eq. 1/2) and FlexRay bus-guardian counters (Eq. 5).
@@ -238,7 +299,7 @@ func Build(a *arch.Architecture, msgName string, opts Options) (*Result, error) 
 			if err != nil {
 				return nil, err
 			}
-			res.InterfaceVars[ifaceKey(e.Name, ifc.Bus)] = ref
+			s.InterfaceVars[ifaceKey(e.Name, ifc.Bus)] = ref
 		}
 	}
 	for i := range a.Buses {
@@ -252,7 +313,7 @@ func Build(a *arch.Architecture, msgName string, opts Options) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		res.GuardianVars[b.Name] = ref
+		s.GuardianVars[b.Name] = ref
 	}
 
 	// Message protection state (Eq. 9/10), only when the protection covers
@@ -264,8 +325,8 @@ func Build(a *arch.Architecture, msgName string, opts Options) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		res.ProtVar = ref
-		res.HasProtVar = true
+		s.ProtVar = ref
+		s.HasProtVar = true
 	}
 
 	// Hardware-failure state (future-work extension; see Options).
@@ -281,52 +342,14 @@ func Build(a *arch.Architecture, msgName string, opts Options) (*Result, error) 
 			if err != nil {
 				return nil, err
 			}
-			res.FailVars[e.Name] = ref
-		}
-	}
-
-	// Derived predicates.
-	operational := func(name string) modular.Expr {
-		if f, ok := res.FailVars[name]; ok {
-			return modular.Not(f)
-		}
-		return modular.BoolLit(true)
-	}
-	ecuExploited := func(name string) modular.Expr {
-		e := a.ECU(name)
-		var parts []modular.Expr
-		for _, ifc := range e.Interfaces {
-			parts = append(parts, modular.Gt(res.InterfaceVars[ifaceKey(name, ifc.Bus)], modular.IntLit(0)))
-		}
-		// Eq. 3, gated on the ECU being operational: a failed ECU is
-		// electrically silent and cannot act on any bus.
-		return modular.And(modular.Or(parts...), operational(name))
-	}
-	busExploitable := func(name string) modular.Expr {
-		b := a.Bus(name)
-		switch b.Kind {
-		case arch.Internet:
-			return modular.BoolLit(true) // Eq. 6
-		case arch.FlexRay:
-			var parts []modular.Expr
-			for _, en := range a.ECUsOnBus(name) {
-				parts = append(parts, ecuExploited(en))
-			}
-			// Eq. 5: an attached ECU and the bus guardian must both fall.
-			return modular.And(modular.Or(parts...), modular.Gt(res.GuardianVars[name], modular.IntLit(0)))
-		default: // CAN
-			var parts []modular.Expr
-			for _, en := range a.ECUsOnBus(name) {
-				parts = append(parts, ecuExploited(en))
-			}
-			return modular.Or(parts...) // Eq. 4
+			s.FailVars[e.Name] = ref
 		}
 	}
 
 	// withOperational adds the ¬failed conjunct when the ECU has
 	// reliability state; otherwise the guard is returned unchanged.
 	withOperational := func(g modular.Expr, ecuName string) modular.Expr {
-		if f, ok := res.FailVars[ecuName]; ok {
+		if f, ok := s.FailVars[ecuName]; ok {
 			return modular.And(g, modular.Not(f))
 		}
 		return g
@@ -341,8 +364,8 @@ func Build(a *arch.Architecture, msgName string, opts Options) (*Result, error) 
 		}
 		mod := m.AddModule(e.Name)
 		for _, ifc := range e.Interfaces {
-			x := res.InterfaceVars[ifaceKey(e.Name, ifc.Bus)]
-			busExp := busExploitable(ifc.Bus)
+			x := s.InterfaceVars[ifaceKey(e.Name, ifc.Bus)]
+			busExp := s.busExploitable(ifc.Bus)
 			// Exploit: guard ε(b) > 0 ∧ x < nmax (∧ operational).
 			mod.AddCommand(modular.Command{
 				Guard: withOperational(modular.And(busExp, modular.Lt(x, modular.IntLit(opts.NMax))), e.Name),
@@ -379,12 +402,8 @@ func Build(a *arch.Architecture, msgName string, opts Options) (*Result, error) 
 		if b.Kind != arch.FlexRay {
 			continue
 		}
-		bg := res.GuardianVars[b.Name]
-		var parts []modular.Expr
-		for _, en := range a.ECUsOnBus(b.Name) {
-			parts = append(parts, ecuExploited(en))
-		}
-		attackerPresent := modular.Or(parts...)
+		bg := s.GuardianVars[b.Name]
+		attackerPresent := s.anyECUExploited(b.Name)
 		mod := m.AddModule("guardian_" + b.Name)
 		mod.AddCommand(modular.Command{
 			Guard: modular.And(attackerPresent, modular.Lt(bg, modular.IntLit(opts.NMax))),
@@ -410,7 +429,7 @@ func Build(a *arch.Architecture, msgName string, opts Options) (*Result, error) 
 	if opts.IncludeReliability {
 		for i := range a.ECUs {
 			e := &a.ECUs[i]
-			f, ok := res.FailVars[e.Name]
+			f, ok := s.FailVars[e.Name]
 			if !ok {
 				continue
 			}
@@ -433,86 +452,34 @@ func Build(a *arch.Architecture, msgName string, opts Options) (*Result, error) 
 		}
 	}
 
-	// Route exposure: any bus carrying m exploitable.
-	var routeParts []modular.Expr
-	for _, bn := range msg.Buses {
-		routeParts = append(routeParts, busExploitable(bn))
-	}
-	routeExploitable := modular.Or(routeParts...)
-
 	// Message protection module (Eq. 9/10).
-	if res.HasProtVar {
-		rate := opts.MessageExploitRate
-		if rate <= 0 {
-			rate = arch.RateMessageCrypto
-		}
+	if s.HasProtVar {
 		mod := m.AddModule("message_" + msg.Name)
 		mod.AddCommand(modular.Command{
-			Guard: modular.And(routeExploitable, modular.Eq(res.ProtVar, modular.IntLit(1))),
+			Guard: modular.And(s.routeExploitable(msg), modular.Eq(s.ProtVar, modular.IntLit(1))),
 			Updates: []modular.Update{{
-				Rate:    modular.DoubleLit(rate),
-				Assigns: []modular.Assign{{Var: res.ProtVar.Index, Expr: modular.IntLit(0)}},
+				Rate:    modular.DoubleLit(opts.messageExploitRate()),
+				Assigns: []modular.Assign{{Var: s.ProtVar.Index, Expr: modular.IntLit(0)}},
 			}},
 		})
-		if opts.MessagePatchRate > 0 {
+		if rate := opts.messagePatchRate(); rate > 0 {
 			mod.AddCommand(modular.Command{
-				Guard: modular.Eq(res.ProtVar, modular.IntLit(0)),
+				Guard: modular.Eq(s.ProtVar, modular.IntLit(0)),
 				Updates: []modular.Update{{
-					Rate:    modular.DoubleLit(opts.MessagePatchRate),
-					Assigns: []modular.Assign{{Var: res.ProtVar.Index, Expr: modular.IntLit(1)}},
+					Rate:    modular.DoubleLit(rate),
+					Assigns: []modular.Assign{{Var: s.ProtVar.Index, Expr: modular.IntLit(1)}},
 				}},
 			})
 		}
 	}
 
-	// Violation predicate.
-	var violated modular.Expr
-	switch opts.Category {
-	case Availability:
-		// Eq. 7: A(m) = ¬∨ ε(b); violated = ∨ ε(b). With reliability, a
-		// failed endpoint interrupts the message stream just as surely as a
-		// flooded bus.
-		violated = routeExploitable
-		if opts.IncludeReliability {
-			var down []modular.Expr
-			for _, en := range append([]string{msg.Sender}, msg.Receivers...) {
-				if f, ok := res.FailVars[en]; ok {
-					down = append(down, f)
-				}
-			}
-			if len(down) > 0 {
-				violated = modular.Or(append([]modular.Expr{violated}, down...)...)
-			}
-		}
-	default:
-		// Eq. 8: endpoints hold the symmetric key; their compromise breaks
-		// confidentiality and integrity regardless of crypto.
-		endpoint := []modular.Expr{ecuExploited(msg.Sender)}
-		for _, rn := range msg.Receivers {
-			endpoint = append(endpoint, ecuExploited(rn))
-		}
-		endpointExploited := modular.Or(endpoint...)
-		var broken modular.Expr
-		if res.HasProtVar {
-			broken = modular.Eq(res.ProtVar, modular.IntLit(0))
-		} else {
-			// Uncovered category: Table 2's "∞ (instant)" — exploitable the
-			// moment the route is exposed (DESIGN.md §4 deviation 3).
-			broken = routeExploitable
-		}
-		violated = modular.Or(endpointExploited, broken)
-	}
-	m.SetLabel(LabelViolated, violated)
-	m.SetLabel(LabelSecure, modular.Not(violated))
-	m.AddReward(RewardViolated, modular.Reward{Guard: violated, Value: modular.DoubleLit(1)})
-
 	// Diagnostic labels for per-component properties ("every security aspect
 	// relevant", Section 2).
 	for i := range a.ECUs {
-		m.SetLabel("exp_"+a.ECUs[i].Name, ecuExploited(a.ECUs[i].Name))
+		m.SetLabel("exp_"+a.ECUs[i].Name, s.ecuExploited(a.ECUs[i].Name))
 	}
 	for i := range a.Buses {
-		m.SetLabel("exp_bus_"+a.Buses[i].Name, busExploitable(a.Buses[i].Name))
+		m.SetLabel("exp_bus_"+a.Buses[i].Name, s.busExploitable(a.Buses[i].Name))
 	}
 
 	// Fold the literal scaffolding the predicate builders generate (e.g.
@@ -522,5 +489,120 @@ func Build(a *arch.Architecture, msgName string, opts Options) (*Result, error) 
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("transform: generated model invalid: %w", err)
 	}
-	return res, nil
+	return s, nil
+}
+
+// Label returns the model of one cell on the structure: the structural
+// model plus the cell's violated and secure labels and its exploitable-time
+// reward. The cell must have the structure's StructureKey (any message
+// when the category is uncovered, the structure's own message otherwise);
+// ErrStructureMismatch reports one that does not. The returned model shares
+// the structure's variables and commands, so an exploration of s.Model
+// serves it through modular.(*Explored).WithModel.
+func (s *Structure) Label(msgName string, cat Category, prot Protection) (*Result, error) {
+	msg := s.arch.Message(msgName)
+	if msg == nil {
+		return nil, fmt.Errorf("%w: %q in %s", ErrUnknownMessage, msgName, s.arch.Name)
+	}
+	opts := s.Options
+	opts.Category, opts.Protection = cat, prot
+	if opts.StructureKey(msgName) != s.key {
+		return nil, fmt.Errorf("%w: %s/%s/%s", ErrStructureMismatch, msgName, cat, prot)
+	}
+	res := s.Result
+	res.Options = opts
+	res.Model = s.Model.Relabel(fmt.Sprintf("%s / %s / %s / %s", s.arch.Name, msgName, cat, prot))
+	raw := s.violated(msg, cat)
+	violated := modular.Simplify(raw)
+	res.Model.SetLabel(LabelViolated, violated)
+	res.Model.SetLabel(LabelSecure, modular.Simplify(modular.Not(raw)))
+	res.Model.AddReward(RewardViolated, modular.Reward{Guard: violated, Value: modular.DoubleLit(1)})
+	if err := res.Model.Validate(); err != nil {
+		return nil, fmt.Errorf("transform: generated model invalid: %w", err)
+	}
+	return &res, nil
+}
+
+// violated is the category's violation predicate for the message.
+func (s *Structure) violated(msg *arch.Message, cat Category) modular.Expr {
+	route := s.routeExploitable(msg)
+	if cat == Availability {
+		// Eq. 7: A(m) = ¬∨ ε(b); violated = ∨ ε(b). With reliability, a
+		// failed endpoint interrupts the message stream just as surely as a
+		// flooded bus.
+		var down []modular.Expr
+		for _, en := range append([]string{msg.Sender}, msg.Receivers...) {
+			if f, ok := s.FailVars[en]; ok {
+				down = append(down, f)
+			}
+		}
+		if len(down) > 0 {
+			return modular.Or(append([]modular.Expr{route}, down...)...)
+		}
+		return route
+	}
+	// Eq. 8: endpoints hold the symmetric key; their compromise breaks
+	// confidentiality and integrity regardless of crypto.
+	endpoint := []modular.Expr{s.ecuExploited(msg.Sender)}
+	for _, rn := range msg.Receivers {
+		endpoint = append(endpoint, s.ecuExploited(rn))
+	}
+	broken := route
+	if s.HasProtVar {
+		broken = modular.Eq(s.ProtVar, modular.IntLit(0))
+	}
+	// Without protection state the category is uncovered: Table 2's
+	// "∞ (instant)", exploitable the moment the route is exposed (DESIGN.md
+	// §4 deviation 3).
+	return modular.Or(modular.Or(endpoint...), broken)
+}
+
+// operational is ¬failed for an ECU with reliability state, else true.
+func (s *Structure) operational(name string) modular.Expr {
+	if f, ok := s.FailVars[name]; ok {
+		return modular.Not(f)
+	}
+	return modular.BoolLit(true)
+}
+
+// ecuExploited is Eq. 3, gated on the ECU being operational: a failed ECU
+// is electrically silent and cannot act on any bus.
+func (s *Structure) ecuExploited(name string) modular.Expr {
+	e := s.arch.ECU(name)
+	var parts []modular.Expr
+	for _, ifc := range e.Interfaces {
+		parts = append(parts, modular.Gt(s.InterfaceVars[ifaceKey(name, ifc.Bus)], modular.IntLit(0)))
+	}
+	return modular.And(modular.Or(parts...), s.operational(name))
+}
+
+// anyECUExploited holds when some ECU attached to the bus is exploited.
+func (s *Structure) anyECUExploited(bus string) modular.Expr {
+	var parts []modular.Expr
+	for _, en := range s.arch.ECUsOnBus(bus) {
+		parts = append(parts, s.ecuExploited(en))
+	}
+	return modular.Or(parts...)
+}
+
+// busExploitable is ε(b) > 0 (Eqs. 4–6).
+func (s *Structure) busExploitable(name string) modular.Expr {
+	switch s.arch.Bus(name).Kind {
+	case arch.Internet:
+		return modular.BoolLit(true) // Eq. 6
+	case arch.FlexRay:
+		// Eq. 5: an attached ECU and the bus guardian must both fall.
+		return modular.And(s.anyECUExploited(name), modular.Gt(s.GuardianVars[name], modular.IntLit(0)))
+	default: // CAN
+		return s.anyECUExploited(name) // Eq. 4
+	}
+}
+
+// routeExploitable holds when any bus carrying the message is exploitable.
+func (s *Structure) routeExploitable(msg *arch.Message) modular.Expr {
+	var parts []modular.Expr
+	for _, bn := range msg.Buses {
+		parts = append(parts, s.busExploitable(bn))
+	}
+	return modular.Or(parts...)
 }
