@@ -369,6 +369,27 @@ func BenchmarkSteadyStateSynthetic(b *testing.B) {
 	b.ReportMetric(steady, "steady")
 }
 
+// BenchmarkAnalyzeSynthetic is one whole AnalyzeContext of the 19,683-state
+// synthetic chain of the synthetic-20k benchmark workload (telematics patch
+// rate 52/yr, nmax 2, one-year horizon, steady state on): exploration, then
+// the reward pass and the steady-state solve, which run concurrently. Run
+// it with -benchmem to see the allocations per analysis.
+func BenchmarkAnalyzeSynthetic(b *testing.B) {
+	ar, err := arch.Synthetic(arch.SyntheticSpec{ECUs: 7, Buses: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ar.ECU("TEL").PatchRate = 52
+	an := core.Analyzer{NMax: 2, Horizon: 1}
+	var r *core.Result
+	for i := 0; i < b.N; i++ {
+		if r, err = an.AnalyzeContext(context.Background(), ar, arch.MessageM, transform.Availability, transform.Unencrypted); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(r.States), "states")
+}
+
 // BenchmarkEngineExplore isolates state-space exploration.
 func BenchmarkEngineExplore(b *testing.B) {
 	res, err := transform.Build(arch.Architecture2(), arch.MessageM, transform.Options{

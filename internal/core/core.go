@@ -64,8 +64,10 @@ type Analyzer struct {
 	IncludeReliability bool
 	// Parallel runs the chains of grid analyses (AnalyzeAll, Compare,
 	// AnalyzeMessages) concurrently, one worker per CPU. Each chain is
-	// explored and solved by one worker, so results are bitwise identical
-	// to the sequential order.
+	// explored and solved by one worker (whose reward pass, as always, runs
+	// beside its steady-state solve), so results are bitwise identical to
+	// the sequential order, and a failure reports the lowest failing
+	// chain's error, as the sequential order does.
 	Parallel bool
 }
 
@@ -209,10 +211,23 @@ func (c *atomic64) add(n int64) int64 {
 	return c.n
 }
 
-// forEach executes run(0..n-1), concurrently when parallel is set, and
-// returns the first error.
-func forEach(n int, parallel bool, run func(int) error) error {
-	if !parallel || n <= 1 {
+// workers is the number of goroutines grid analyses run chains on.
+func (a Analyzer) workers() int {
+	if a.Parallel {
+		return runtime.NumCPU()
+	}
+	return 1
+}
+
+// forEach executes run(0..n-1) on up to workers goroutines and returns the
+// error of the lowest failing index, as the sequential order would. Indices
+// above the lowest failure found so far are not started. A panic in run is
+// re-raised on the caller once every worker has stopped.
+func forEach(n, workers int, run func(int) error) error {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := run(i); err != nil {
 				return err
@@ -220,42 +235,84 @@ func forEach(n int, parallel bool, run func(int) error) error {
 		}
 		return nil
 	}
-	workers := runtime.NumCPU()
-	if workers > n {
-		workers = n
-	}
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		next     int
+		g      group
+		mu     sync.Mutex
+		next   int
+		failed = n // lowest failing index so far
+		err    error
 	)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		g.Go(func() {
 			for {
 				mu.Lock()
-				if firstErr != nil || next >= n {
+				i := next
+				if i >= failed {
 					mu.Unlock()
 					return
 				}
-				i := next
 				next++
 				mu.Unlock()
-				if err := run(i); err != nil {
+				if e := run(i); e != nil {
 					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
+					if i < failed {
+						failed, err = i, e
 					}
 					mu.Unlock()
 					return
 				}
 			}
-		}()
+		})
 	}
-	wg.Wait()
-	return firstErr
+	g.Wait()
+	return err
+}
+
+// group joins functions that run at the same time: Go starts one on a new
+// goroutine, Run runs one on the caller, and Wait returns once all have
+// returned. A panic is recovered where it happens and re-raised by Wait
+// on the caller — the first added function's first — so a recover there
+// (the service engine's) sees it as if the function had run on the
+// caller's goroutine.
+type group struct {
+	wg     sync.WaitGroup
+	panics []*any // one per function, in the order added
+}
+
+// Go runs f on a new goroutine.
+func (g *group) Go(f func()) {
+	p := g.slot()
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		catch(p, f)
+	}()
+}
+
+// Run runs f on the caller.
+func (g *group) Run(f func()) { catch(g.slot(), f) }
+
+func (g *group) slot() *any {
+	p := new(any)
+	g.panics = append(g.panics, p)
+	return p
+}
+
+// Wait blocks until every function has returned and re-raises the first
+// recorded panic.
+func (g *group) Wait() {
+	g.wg.Wait()
+	for _, p := range g.panics {
+		if *p != nil {
+			panic(*p)
+		}
+	}
+}
+
+// catch runs f and records in p the value of a panic in it.
+func catch(p *any, f func()) {
+	defer func() { *p = recover() }()
+	f()
 }
 
 // AnalyzeMessages analyses every message stream of the architecture for one

@@ -266,39 +266,73 @@ func distinctMasks(ps []*Prepared) ([][]bool, []int) {
 // without UseLumping).
 func (a Analyzer) solve(ctx context.Context, ch *chain, masks [][]bool) (fracs, steady []float64, lumped []int, err error) {
 	lumped = make([]int, len(masks))
-	steady = make([]float64, len(masks))
-	for j := range steady {
-		steady[j] = math.NaN()
-	}
 	c := ch.explored.Chain
 	if !a.UseLumping {
-		if fracs, err = c.ExpectedTimeFractionsContext(ctx, ch.init, masks, a.Horizon, a.Accuracy); err != nil {
-			return nil, nil, nil, err
-		}
-		if !a.SkipSteadyState {
-			if steady, err = c.SteadyStateProbabilitiesContext(ctx, ch.init, masks); err != nil {
-				return nil, nil, nil, fmt.Errorf("steady state: %w", err)
-			}
-		}
-		return fracs, steady, lumped, nil
+		fracs, steady, err = a.solveOn(ctx, c, ch.init, masks)
+		return fracs, steady, lumped, err
 	}
 	fracs = make([]float64, len(masks))
+	steady = make([]float64, len(masks))
 	for j, mask := range masks {
 		q, qmask, qinit, err := lumpOn(c, mask, ch.init)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("lumping: %w", err)
 		}
 		lumped[j] = q.N()
-		if fracs[j], err = q.ExpectedTimeFractionContext(ctx, qinit, qmask, a.Horizon, a.Accuracy); err != nil {
+		f, s, err := a.solveOn(ctx, q, qinit, [][]bool{qmask})
+		if err != nil {
 			return nil, nil, nil, err
 		}
-		if !a.SkipSteadyState {
-			if steady[j], err = q.SteadyStateProbabilityContext(ctx, qinit, qmask); err != nil {
-				return nil, nil, nil, fmt.Errorf("steady state: %w", err)
-			}
-		}
+		fracs[j], steady[j] = f[0], s[0]
 	}
 	return fracs, steady, lumped, nil
+}
+
+// solveOn runs the reward pass over masks on c and, unless SkipSteadyState
+// (steady is then all NaN), the steady-state solve at the same time: the
+// pass on a new goroutine, the solve on the caller, under the same ctx, so
+// both spans are children of the caller's. Both stages finish before it
+// returns; when both fail, the reward stage's error is returned, as when
+// they ran in turn.
+func (a Analyzer) solveOn(ctx context.Context, c *ctmc.Chain, init linalg.Vector, masks [][]bool) (fracs, steady []float64, err error) {
+	if a.SkipSteadyState {
+		steady = make([]float64, len(masks))
+		for j := range steady {
+			steady[j] = math.NaN()
+		}
+		fracs, err = c.ExpectedTimeFractionsContext(ctx, init, masks, a.Horizon, a.Accuracy)
+		return fracs, steady, err
+	}
+	err = overlap(func() (err error) {
+		fracs, err = c.ExpectedTimeFractionsContext(ctx, init, masks, a.Horizon, a.Accuracy)
+		return err
+	}, func() (err error) {
+		if steady, err = c.SteadyStateProbabilitiesContext(ctx, init, masks); err != nil {
+			return fmt.Errorf("steady state: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return fracs, steady, nil
+}
+
+// overlap runs reward on a new goroutine and steady on the caller, and
+// returns once both have: reward's error if it failed, else steady's. A
+// panic in either is re-raised on the caller after the join.
+func overlap(reward, steady func() error) error {
+	var (
+		g          group
+		rerr, serr error
+	)
+	g.Go(func() { rerr = reward() })
+	g.Run(func() { serr = steady() })
+	g.Wait()
+	if rerr != nil {
+		return rerr
+	}
+	return serr
 }
 
 // lumpOn returns the ordinary-lumping quotient of c that respects mask,
@@ -385,7 +419,7 @@ func (a Analyzer) analyzeGrouped(ctx context.Context, ar *arch.Architecture, cel
 		sp.Progress(done.add(int64(len(group))), int64(len(cells)))
 		return nil
 	}
-	if err := forEach(len(groups), a.Parallel, run); err != nil {
+	if err := forEach(len(groups), a.workers(), run); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -33,7 +33,7 @@ func (c *Chain) BackwardTransientContext(ctx context.Context, values linalg.Vect
 		return values.Clone(), nil
 	}
 	out := linalg.NewVector(c.N())
-	err := c.uniformise(sp, values, t, accuracy, true, func(w, _, _ float64, cur linalg.Vector) {
+	err := c.uniformise(ctx, sp, values, t, accuracy, true, func(w, _, _ float64, cur linalg.Vector) {
 		if w > 0 {
 			out.AddScaled(w, cur)
 		}
@@ -215,7 +215,7 @@ func (c *Chain) CumulativeRewardVectorContext(ctx context.Context, reward linalg
 	if t == 0 {
 		return out, nil
 	}
-	err := c.uniformise(sp, reward, t, accuracy, true, func(_, tail, q float64, cur linalg.Vector) {
+	err := c.uniformise(ctx, sp, reward, t, accuracy, true, func(_, tail, q float64, cur linalg.Vector) {
 		if w := tail / q; w > 0 {
 			out.AddScaled(w, cur)
 		}

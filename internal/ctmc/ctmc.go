@@ -102,47 +102,145 @@ func (c *Chain) MaxExitRate() float64 {
 }
 
 // Generator returns the full generator matrix Q (including the diagonal) in
-// CSR form.
+// CSR form, as a COO assembly of the same entries would: the rows of Rates
+// are already sorted, so each row is copied with −exit merged in at its
+// place, and zero entries are dropped.
 func (c *Chain) Generator() *linalg.CSR {
-	return c.withDiagonal(1, func(i int) float64 { return -c.Exit[i] })
-}
-
-// Uniformized returns the uniformised DTMC P = I + Q/q and the
-// uniformisation rate q = factor · max exit rate. factor ≤ 1 is clamped to
-// 1.02 (a strictly larger q guarantees aperiodicity via self-loops). For a
-// chain with no transitions at all, q is set to 1 so P = I.
-func (c *Chain) Uniformized(factor float64) (*dtmc.Chain, float64, error) {
-	if factor < 1.02 {
-		factor = 1.02
-	}
-	q := c.MaxExitRate() * factor
-	if q == 0 {
-		q = 1
-	}
-	p := c.withDiagonal(q, func(i int) float64 { return 1 - c.Exit[i]/q })
-	ch, err := dtmc.New(p, 1e-9)
-	if err != nil {
-		return nil, 0, fmt.Errorf("ctmc: uniformisation produced invalid DTMC: %w", err)
-	}
-	return ch, q, nil
-}
-
-// withDiagonal returns the matrix with entries R(i,j)/div off the diagonal
-// and diag(i) added on it, as a COO assembly of the same entries would: the
-// rows of Rates are already sorted, so each row is copied with the diagonal
-// merged in at its place, and zero entries are dropped.
-func (c *Chain) withDiagonal(div float64, diag func(i int) float64) *linalg.CSR {
 	n := c.N()
 	m := linalg.NewRowBuilder(n, n, c.Rates.NNZ()+n)
 	for i := 0; i < n; i++ {
-		m.Diagonal(i, diag(i))
+		m.Diagonal(i, -c.Exit[i])
 		cols, vals := c.Rates.Row(i)
 		for k, j := range cols {
-			m.Add(j, vals[k]/div)
+			m.Add(j, vals[k])
 		}
 		m.EndRow()
 	}
 	return m.CSR()
+}
+
+// uniformised is the uniformised DTMC P = I + Q/q as an operator over the
+// sparsity pattern of Rates, so no copy of P is built: scaled holds R/q in
+// Rates' layout and diag the diagonal 1 − exit/q. A stored self-rate is
+// folded into diag as a row merge of the diagonal sums it,
+// (R(i,i)/q) + diag(i), and its own entry in scaled is 0. Both steps give every product the terms, in
+// the order, that the materialised P gave.
+type uniformised struct {
+	rates  *linalg.CSR
+	scaled []float64
+	diag   linalg.Vector
+	q      float64
+}
+
+// uniformised returns the operator for q = 1.02 × the largest exit rate (a
+// strictly larger q guarantees aperiodicity via self-loops), or q = 1 for
+// a chain with no transitions, so P = I.
+func (c *Chain) uniformised() (*uniformised, error) {
+	q := c.MaxExitRate() * 1.02
+	if q == 0 {
+		q = 1
+	}
+	return c.uniformisedAt(q)
+}
+
+// uniformisedAt returns the operator for rate q after checking that P is
+// stochastic as dtmc.New would: every row sums to 1 within 1e-9 and no
+// entry is negative.
+func (c *Chain) uniformisedAt(q float64) (*uniformised, error) {
+	n := c.N()
+	rp, ci, vals := c.Rates.RowPtr, c.Rates.ColIdx, c.Rates.Val
+	u := &uniformised{rates: c.Rates, scaled: make([]float64, len(vals)), diag: linalg.NewVector(n), q: q}
+	for i := 0; i < n; i++ {
+		d := 1 - c.Exit[i]/q
+		for k := rp[i]; k < rp[i+1]; k++ {
+			if ci[k] == i {
+				d = vals[k]/q + d
+			} else {
+				u.scaled[k] = vals[k] / q
+			}
+		}
+		u.diag[i] = d
+	}
+	if err := u.check(1e-9); err != nil {
+		return nil, fmt.Errorf("ctmc: uniformisation produced invalid DTMC: %w", err)
+	}
+	return u, nil
+}
+
+// check reports the first row of P whose sum is off 1 by more than tol,
+// else P's first negative entry, in P's row-major order. Each row sum adds
+// the entries in column order, as P's own row sums did.
+func (u *uniformised) check(tol float64) error {
+	rp, ci := u.rates.RowPtr, u.rates.ColIdx
+	neg := math.NaN()
+	for i := range u.diag {
+		var s float64
+		add := func(v float64) {
+			s += v
+			if v < 0 && math.IsNaN(neg) {
+				neg = v
+			}
+		}
+		k, hi := rp[i], rp[i+1]
+		for ; k < hi && ci[k] < i; k++ {
+			add(u.scaled[k])
+		}
+		add(u.diag[i])
+		if k < hi && ci[k] == i {
+			k++
+		}
+		for ; k < hi; k++ {
+			add(u.scaled[k])
+		}
+		if math.Abs(s-1) > tol {
+			return fmt.Errorf("%w: row %d sums to %v", dtmc.ErrNotStochastic, i, s)
+		}
+	}
+	if !math.IsNaN(neg) {
+		return fmt.Errorf("%w: negative transition probability %v", dtmc.ErrNotStochastic, neg)
+	}
+	return nil
+}
+
+// step sets dst = v·P. Row i adds its diagonal term to dst[i] while the
+// row is processed, so every dst[j] sums the same terms in the same row
+// order as P.VecMul.
+func (u *uniformised) step(v, dst linalg.Vector) {
+	rp, ci, scaled := u.rates.RowPtr, u.rates.ColIdx, u.scaled
+	dst.Fill(0)
+	for i, a := range v {
+		if a == 0 {
+			continue
+		}
+		dst[i] += a * u.diag[i]
+		lo, hi := rp[i], rp[i+1]
+		cols, vals := ci[lo:hi], scaled[lo:hi]
+		vals = vals[:len(cols)]
+		for k, j := range cols {
+			dst[j] += a * vals[k]
+		}
+	}
+}
+
+// mulVec sets dst = P·v. Each row sum takes the diagonal term at its
+// column position, as P's sorted row did.
+func (u *uniformised) mulVec(v, dst linalg.Vector) {
+	rp, ci, scaled := u.rates.RowPtr, u.rates.ColIdx, u.scaled
+	for i := range dst {
+		var s float64
+		k, hi := rp[i], rp[i+1]
+		for ; k < hi && ci[k] < i; k++ {
+			s += scaled[k] * v[ci[k]]
+		}
+		s += u.diag[i] * v[i]
+		if k < hi && ci[k] == i {
+			k++
+		}
+		for ; k < hi; k++ {
+			s += scaled[k] * v[ci[k]]
+		}
+		dst[i] = s
+	}
 }
 
 // Embedded returns the embedded (jump) DTMC: P(i,j) = R(i,j)/exit_i, with a
@@ -217,15 +315,17 @@ func uniSetup(sp *obs.Span, n int, t, q float64, fg *foxglynn.Result) {
 // and hands each to term with γ_k (0 left of the window), the tail
 // 1 − Σ_{i≤k} γ_i and q. The uniformisation parameters and the
 // matrix–vector product count go on sp. accuracy ≤ 0 selects
-// DefaultAccuracy.
-func (c *Chain) uniformise(sp *obs.Span, v linalg.Vector, t, accuracy float64, backward bool, term func(weight, tail, q float64, cur linalg.Vector)) error {
+// DefaultAccuracy. A done ctx stops the walk before the next product and
+// its error is returned.
+func (c *Chain) uniformise(ctx context.Context, sp *obs.Span, v linalg.Vector, t, accuracy float64, backward bool, term func(weight, tail, q float64, cur linalg.Vector)) error {
 	if accuracy <= 0 {
 		accuracy = DefaultAccuracy
 	}
-	uni, q, err := c.Uniformized(0)
+	uni, err := c.uniformised()
 	if err != nil {
 		return err
 	}
+	q := uni.q
 	fg, err := foxglynn.Compute(q*t, accuracy)
 	if err != nil {
 		return err
@@ -245,13 +345,13 @@ func (c *Chain) uniformise(sp *obs.Span, v linalg.Vector, t, accuracy float64, b
 		if k == fg.Right {
 			break
 		}
-		if backward {
-			_, err = uni.P.MulVec(cur, next)
-		} else {
-			_, err = uni.Step(cur, next)
-		}
-		if err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
+		}
+		if backward {
+			uni.mulVec(cur, next)
+		} else {
+			uni.step(cur, next)
 		}
 		matvecs++
 		cur, next = next, cur
@@ -283,7 +383,7 @@ func (c *Chain) TransientContext(ctx context.Context, init linalg.Vector, t, acc
 		return init.Clone(), nil
 	}
 	out := linalg.NewVector(c.N())
-	err := c.uniformise(sp, init, t, accuracy, false, func(w, _, _ float64, cur linalg.Vector) {
+	err := c.uniformise(ctx, sp, init, t, accuracy, false, func(w, _, _ float64, cur linalg.Vector) {
 		if w > 0 {
 			out.AddScaled(w, cur)
 		}
@@ -350,7 +450,7 @@ func (c *Chain) cumulativeRewards(ctx context.Context, init linalg.Vector, rewar
 	if t == 0 {
 		return nil
 	}
-	return c.uniformise(sp, init, t, accuracy, false, func(_, tail, q float64, cur linalg.Vector) {
+	return c.uniformise(ctx, sp, init, t, accuracy, false, func(_, tail, q float64, cur linalg.Vector) {
 		if w := tail / q; w > 0 {
 			for j, r := range rewards {
 				total[j] += w * cur.Dot(r)

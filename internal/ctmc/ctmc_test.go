@@ -602,16 +602,22 @@ func TestAbsorbingMask(t *testing.T) {
 	}
 }
 
+// TestUniformizedIsStochastic checks that the uniformisation operator's
+// rate clears the largest exit rate and that P·1 = 1: every row of P sums
+// to one.
 func TestUniformizedIsStochastic(t *testing.T) {
 	c := paperExample(t)
-	uni, q, err := c.Uniformized(0)
+	uni, err := c.uniformised()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q < c.MaxExitRate() {
-		t.Fatalf("q = %v below max exit %v", q, c.MaxExitRate())
+	if uni.q < c.MaxExitRate() {
+		t.Fatalf("q = %v below max exit %v", uni.q, c.MaxExitRate())
 	}
-	sums := uni.P.RowSums()
+	ones := linalg.NewVector(c.N())
+	ones.Fill(1)
+	sums := linalg.NewVector(c.N())
+	uni.mulVec(ones, sums)
 	for i, s := range sums {
 		if math.Abs(s-1) > 1e-12 {
 			t.Fatalf("row %d sums to %v", i, s)

@@ -1,18 +1,21 @@
 package ctmc
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/dtmc"
 	"repro/internal/graph"
 	"repro/internal/linalg"
 )
 
-// cooWithDiagonal is the COO assembly Generator and Uniformized used
-// before they merged the diagonal into copied rows: every R(i,j)/div plus
-// diag(i) on the diagonal, summed and sorted by linalg.COO.
+// cooWithDiagonal is the COO assembly Generator and the uniformised matrix
+// P used before the diagonal was merged into copied rows: every R(i,j)/div
+// plus diag(i) on the diagonal, summed and sorted by linalg.COO.
 func cooWithDiagonal(c *Chain, div float64, diag func(i int) float64) *linalg.CSR {
 	coo := linalg.NewCOO(c.N(), c.N())
 	for i := 0; i < c.N(); i++ {
@@ -171,11 +174,12 @@ func assertSameCSR(t *testing.T, what string, got, want *linalg.CSR) {
 	}
 }
 
-// Every matrix derived row by row from Rates — Generator and Uniformized
-// (diagonal merged into the copied rows), Embedded, Absorbing, and the
-// restricted reachability-reward and transposed balance systems — is
-// bit-identical to assembling the same entries through a COO, on chains
-// with and without a stored diagonal.
+// Every matrix derived row by row from Rates — Generator (diagonal merged
+// into the copied rows), Embedded, Absorbing, and the restricted
+// reachability-reward and balance systems — is bit-identical to assembling
+// the same entries through a COO, and both steps of the uniformisation
+// operator equal VecMul and MulVec on the COO-assembled P bit for bit, on
+// chains with and without a stored diagonal.
 func TestDiagonalMergeMatchesCOO(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 400; trial++ {
@@ -184,11 +188,25 @@ func TestDiagonalMergeMatchesCOO(t *testing.T) {
 			c = storedDiagonal(c, r)
 		}
 		assertSameCSR(t, "Generator", c.Generator(), cooWithDiagonal(c, 1, func(i int) float64 { return -c.Exit[i] }))
-		uni, q, err := c.Uniformized(0)
+		uni, err := c.uniformised()
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameCSR(t, "Uniformized", uni.P, cooWithDiagonal(c, q, func(i int) float64 { return 1 - c.Exit[i]/q }))
+		q := uni.q
+		p := cooWithDiagonal(c, q, func(i int) float64 { return 1 - c.Exit[i]/q })
+		v := linalg.NewVector(c.N())
+		for i := range v {
+			if r.Intn(4) != 0 {
+				v[i] = r.NormFloat64()
+			}
+		}
+		got, ref := linalg.NewVector(c.N()), linalg.NewVector(c.N())
+		uni.step(v, got)
+		p.VecMul(v, ref)
+		assertSameVector(t, "uniformised forward step", got, ref)
+		uni.mulVec(v, got)
+		p.MulVec(v, ref)
+		assertSameVector(t, "uniformised backward step", got, ref)
 		emb, err := c.Embedded()
 		if err != nil {
 			t.Fatal(err)
@@ -260,4 +278,32 @@ func TestDiagonalMergeMatchesCOO(t *testing.T) {
 	// merge must sum with the generator's diagonal as the COO does.
 	c := &Chain{Rates: &linalg.CSR{Rows: 2, Cols: 2, RowPtr: []int{0, 2, 3}, ColIdx: []int{0, 1, 1}, Val: []float64{0.5, 2, 3}}, Exit: linalg.Vector{2, 0}}
 	assertSameCSR(t, "Generator with a stored diagonal", c.Generator(), cooWithDiagonal(c, 1, func(i int) float64 { return -c.Exit[i] }))
+}
+
+// The uniformisation operator keeps the stochasticity check dtmc.New made
+// on P: a q far below the exit rates leaves row sums off by rounding, and
+// one below the largest exit rate makes a diagonal entry negative.
+func TestUniformisedRejectsMisScaledRate(t *testing.T) {
+	b := NewBuilder(3)
+	b.Add(0, 1, 0.1)
+	b.Add(0, 2, 0.7)
+	b.Add(1, 0, 0.3)
+	b.Add(2, 0, 1.0/3)
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		q    float64
+		want string
+	}{
+		{1e-17, "row 0 sums to"},
+		{0.5 * c.MaxExitRate(), "negative transition probability"},
+	} {
+		_, err := c.uniformisedAt(tc.q)
+		if !errors.Is(err, dtmc.ErrNotStochastic) || !strings.Contains(err.Error(), tc.want) ||
+			!strings.HasPrefix(err.Error(), "ctmc: uniformisation produced invalid DTMC: ") {
+			t.Errorf("q = %v: error %v, want ErrNotStochastic with %q", tc.q, err, tc.want)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package ctmc
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/dtmc"
 	"repro/internal/graph"
@@ -255,21 +256,26 @@ func unknown(k, ref int) int {
 //
 //	Σ_i π_i R(i,j) − π_j·exit_j = 0,
 //
-// with π_ref = 1 moved to b. Row u of the restriction M holds the negated
-// rates out of the state with unknown index u and its exit rate on the
-// diagonal; A = Mᵀ. M's columns follow the set order, not the state order,
-// so its rows are unsorted; the transpose sorts them.
+// with π_ref = 1 moved to b. Column u of A holds the negated rates out of
+// the state with unknown index u and, on the diagonal, its exit rate less
+// any stored self-rate; zero entries are dropped. A is built directly in
+// CSR form: one pass counts the entries of each row, a second fills them
+// visiting the sources in set order, so each row's columns come out
+// ascending. Each source adds at most one entry to a row.
 func (c *Chain) balanceSystem(set, pos []int, ref int) (*linalg.CSR, linalg.Vector, error) {
 	m := len(set)
-	r := linalg.NewRowBuilder(m-1, m-1, 0)
+	a := &linalg.CSR{Rows: m - 1, Cols: m - 1, RowPtr: make([]int, m)}
 	b := linalg.NewVector(m - 1)
-	for k, s := range set {
+	// visit calls add(row, value) for each entry source k contributes to
+	// A, in column order of the rates with the diagonal last.
+	visit := func(k int, add func(row int, v float64)) error {
+		s := set[k]
 		cols, vals := c.Rates.Row(s)
 		d := c.Exit[s]
 		for ci, j := range cols {
 			kj, err := inSet(set, pos, s, j)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			switch {
 			case kj == ref:
@@ -278,16 +284,38 @@ func (c *Chain) balanceSystem(set, pos []int, ref int) (*linalg.CSR, linalg.Vect
 				b[unknown(kj, ref)] += vals[ci] // π_ref·R(ref,j) with π_ref = 1
 			case kj == k:
 				d -= vals[ci] // a stored self-rate sums into the diagonal
-			default:
-				r.Add(unknown(kj, ref), -vals[ci])
+			case vals[ci] != 0:
+				add(unknown(kj, ref), -vals[ci])
 			}
 		}
-		if k != ref {
-			r.Add(unknown(k, ref), d)
-			r.EndRow()
+		if k != ref && d != 0 {
+			add(unknown(k, ref), d)
+		}
+		return nil
+	}
+	count := func(row int, _ float64) { a.RowPtr[row+1]++ }
+	for k := range set {
+		if err := visit(k, count); err != nil {
+			return nil, nil, err
 		}
 	}
-	return r.CSR().Transpose(), b, nil
+	for u := 0; u < m-1; u++ {
+		a.RowPtr[u+1] += a.RowPtr[u]
+	}
+	nnz := a.RowPtr[m-1]
+	a.ColIdx, a.Val = make([]int, nnz), make([]float64, nnz)
+	next := slices.Clone(a.RowPtr[:m-1])
+	for k := range set {
+		if k == ref {
+			continue // contributes to b only, summed by the counting pass
+		}
+		u := unknown(k, ref)
+		visit(k, func(row int, v float64) {
+			a.ColIdx[next[row]], a.Val[next[row]] = u, v
+			next[row]++
+		})
+	}
+	return a, b, nil
 }
 
 // SteadyStateProbability returns the long-run probability of being in the
