@@ -554,6 +554,39 @@ func BenchmarkServiceCachedVsCold(b *testing.B) {
 		}
 	})
 
+	// model-hit is service-mix's fresh-horizon request: a single cell at a
+	// horizon the result cache has not seen, on a warm engine whose model
+	// was solved at a longer horizon. matvecs/op counts the uniformisation
+	// products the solves ran.
+	b.Run("model-hit", func(b *testing.B) {
+		e := service.NewEngine(service.EngineOptions{})
+		cell := func(h float64) *service.AnalysisRequest {
+			return &service.AnalysisRequest{Architecture: "builtin:1", Category: "c", Protection: "none", Horizon: h}
+		}
+		if _, _, err := e.Run(ctx, cell(4)); err != nil {
+			b.Fatal(err) // warm the model
+		}
+		col := obs.NewCollector()
+		tctx, root := obs.NewTracer(col, false).StartSpan(ctx, "bench.model_hit")
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, state, err := e.Run(tctx, cell(1+3*float64(i)/float64(b.N)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if state != service.CacheMiss {
+				b.Fatalf("cache state = %q, want miss", state)
+			}
+		}
+		b.StopTimer()
+		root.End()
+		for _, ph := range col.Manifest("", nil).Phases {
+			if ph.Name == "ctmc.cumulative_reward" {
+				b.ReportMetric(ph.Attrs["matvecs"].Sum/float64(b.N), "matvecs/op")
+			}
+		}
+	})
+
 	b.Run("disk-warm", func(b *testing.B) {
 		dir := b.TempDir()
 		st, err := store.Open(store.Options{Dir: dir})

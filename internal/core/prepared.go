@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/arch"
@@ -28,8 +31,19 @@ import (
 // accuracy — so a resident service can cache Prepared values by content
 // address and re-solve the same chain under many solver settings.
 //
-// A Prepared value is immutable after PrepareContext returns and safe for
-// concurrent AnalyzePreparedContext calls.
+// The chain also memoises what its solves share at every horizon and
+// accuracy: per violated label, the uniformisation series' terms π_k·r
+// with the last iterate to resume from (ctmc.Series), and the long-run
+// probability. A solve at a horizon whose Fox–Glynn window the record
+// covers runs no matrix–vector product, and the steady state is solved
+// once per chain, for every label of the cells prepared with it. Results
+// stay bit-identical to a cold solve. The memo holds at most one state
+// vector plus, per label, as many floats as it has terms, never more
+// floats in all than the chain has transitions.
+//
+// A Prepared value is safe for concurrent AnalyzePreparedContext calls:
+// one of them at a time extends the memo or solves the steady state, and
+// the others read what it has recorded.
 type Prepared struct {
 	// Transform carries the cell's labelled model and its variable
 	// references (property checks parse against Transform.Model).
@@ -44,7 +58,9 @@ type Prepared struct {
 	mask    []bool
 }
 
-// chain is one explored structure and the cells prepared on it.
+// chain is one explored structure, the cells prepared on it and the memo
+// of its solves: the reward series of the labels solved so far, and the
+// long-run probability of each label once the steady state is solved.
 type chain struct {
 	arch      *arch.Architecture
 	structure *transform.Structure
@@ -52,6 +68,10 @@ type chain struct {
 	init      linalg.Vector
 	buildTime time.Duration
 	cells     []*Prepared
+
+	series     *ctmc.Series
+	steadyLock chan struct{} // held by the one steady-state solver
+	steady     atomic.Pointer[map[string]float64]
 }
 
 // cell names one message × category × protection analysis.
@@ -144,7 +164,8 @@ func (a Analyzer) prepare(ctx context.Context, ar *arch.Architecture, cells []ce
 	if err != nil {
 		return nil, err
 	}
-	ch := &chain{arch: ar, structure: s, explored: ex, init: ex.InitDistribution()}
+	init := ex.InitDistribution()
+	ch := &chain{arch: ar, structure: s, explored: ex, init: init, series: ex.Chain.NewSeries(init), steadyLock: make(chan struct{}, 1)}
 	masks := make(map[string][]bool)
 	ps := make([]*Prepared, len(cells))
 	for i, res := range labelled {
@@ -212,13 +233,13 @@ func (a Analyzer) AnalyzeCellsContext(ctx context.Context, ps []*Prepared) ([]*R
 	a = a.withDefaults()
 	start := time.Now()
 	ch := ps[0].chain
-	masks, labelOf := distinctMasks(ps)
+	labels, masks, labelOf := distinctLabels(ps)
 	for _, p := range ps {
 		if p.chain != ch {
 			return nil, errMixedChains
 		}
 	}
-	fracs, steady, lumped, err := a.solve(ctx, ch, masks)
+	fracs, steady, lumped, err := a.solve(ctx, ch, labels, masks)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s/%s: %w", ch.arch.Name, ps[0].message, err)
 	}
@@ -243,32 +264,41 @@ func (a Analyzer) AnalyzeCellsContext(ctx context.Context, ps []*Prepared) ([]*R
 	return out, nil
 }
 
-// distinctMasks lists the cells' distinct violated masks in first-use
-// order, and for each cell the index of its mask.
-func distinctMasks(ps []*Prepared) ([][]bool, []int) {
-	var masks [][]bool
+// distinctLabels lists the cells' distinct violated labels and their
+// masks in first-use order, and for each cell the index of its label.
+func distinctLabels(ps []*Prepared) ([]string, [][]bool, []int) {
+	var (
+		labels []string
+		masks  [][]bool
+	)
 	labelOf := make([]int, len(ps))
 	seen := make(map[string]int, len(ps))
 	for i, p := range ps {
 		j, ok := seen[p.label]
 		if !ok {
-			j = len(masks)
+			j = len(labels)
 			seen[p.label] = j
+			labels = append(labels, p.label)
 			masks = append(masks, p.mask)
 		}
 		labelOf[i] = j
 	}
-	return masks, labelOf
+	return labels, masks, labelOf
 }
 
-// solve returns, per mask, the expected time fraction, the steady-state
+// solve returns, per label, the expected time fraction, the steady-state
 // probability (NaN under SkipSteadyState) and the lumped state count (0
-// without UseLumping).
-func (a Analyzer) solve(ctx context.Context, ch *chain, masks [][]bool) (fracs, steady []float64, lumped []int, err error) {
+// without UseLumping). Without UseLumping both come from the chain's memo;
+// with it, each label is solved afresh on its own quotient.
+func (a Analyzer) solve(ctx context.Context, ch *chain, labels []string, masks [][]bool) (fracs, steady []float64, lumped []int, err error) {
 	lumped = make([]int, len(masks))
 	c := ch.explored.Chain
 	if !a.UseLumping {
-		fracs, steady, err = a.solveOn(ctx, c, ch.init, masks)
+		fracs, steady, err = a.solveOn(len(masks), func() ([]float64, error) {
+			return ch.series.FractionsContext(ctx, labels, masks, a.Horizon, a.Accuracy)
+		}, func() ([]float64, error) {
+			return ch.steadyState(ctx, labels, masks)
+		})
 		return fracs, steady, lumped, err
 	}
 	fracs = make([]float64, len(masks))
@@ -279,7 +309,12 @@ func (a Analyzer) solve(ctx context.Context, ch *chain, masks [][]bool) (fracs, 
 			return nil, nil, nil, fmt.Errorf("lumping: %w", err)
 		}
 		lumped[j] = q.N()
-		f, s, err := a.solveOn(ctx, q, qinit, [][]bool{qmask})
+		qmasks := [][]bool{qmask}
+		f, s, err := a.solveOn(1, func() ([]float64, error) {
+			return q.ExpectedTimeFractionsContext(ctx, qinit, qmasks, a.Horizon, a.Accuracy)
+		}, func() ([]float64, error) {
+			return q.SteadyStateProbabilitiesContext(ctx, qinit, qmasks)
+		})
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -288,26 +323,26 @@ func (a Analyzer) solve(ctx context.Context, ch *chain, masks [][]bool) (fracs, 
 	return fracs, steady, lumped, nil
 }
 
-// solveOn runs the reward pass over masks on c and, unless SkipSteadyState
-// (steady is then all NaN), the steady-state solve at the same time: the
-// pass on a new goroutine, the solve on the caller, under the same ctx, so
-// both spans are children of the caller's. Both stages finish before it
-// returns; when both fail, the reward stage's error is returned, as when
+// solveOn returns reward's fractions of n labels and, unless
+// SkipSteadyState (steady is then all NaN), steady's probabilities,
+// computed at the same time: reward on a new goroutine, steady on the
+// caller, so the spans of both are children of the caller's. Both finish
+// before it returns; when both fail, reward's error is returned, as when
 // they ran in turn.
-func (a Analyzer) solveOn(ctx context.Context, c *ctmc.Chain, init linalg.Vector, masks [][]bool) (fracs, steady []float64, err error) {
+func (a Analyzer) solveOn(n int, reward, steady func() ([]float64, error)) (fracs, probs []float64, err error) {
 	if a.SkipSteadyState {
-		steady = make([]float64, len(masks))
-		for j := range steady {
-			steady[j] = math.NaN()
+		probs = make([]float64, n)
+		for j := range probs {
+			probs[j] = math.NaN()
 		}
-		fracs, err = c.ExpectedTimeFractionsContext(ctx, init, masks, a.Horizon, a.Accuracy)
-		return fracs, steady, err
+		fracs, err = reward()
+		return fracs, probs, err
 	}
 	err = overlap(func() (err error) {
-		fracs, err = c.ExpectedTimeFractionsContext(ctx, init, masks, a.Horizon, a.Accuracy)
+		fracs, err = reward()
 		return err
 	}, func() (err error) {
-		if steady, err = c.SteadyStateProbabilitiesContext(ctx, init, masks); err != nil {
+		if probs, err = steady(); err != nil {
 			return fmt.Errorf("steady state: %w", err)
 		}
 		return nil
@@ -315,7 +350,71 @@ func (a Analyzer) solveOn(ctx context.Context, c *ctmc.Chain, init linalg.Vector
 	if err != nil {
 		return nil, nil, err
 	}
-	return fracs, steady, nil
+	return fracs, probs, nil
+}
+
+// steadyState returns the long-run probability of each label from the
+// memo, after solving the steady state if a label lacks one. A solve
+// covers the labels of every cell prepared with the chain too, so each is
+// solved once; a memo hit opens no span and sets "steady_reused" on the
+// caller's. One caller at a time solves, and errors are never memoised.
+func (ch *chain) steadyState(ctx context.Context, labels []string, masks [][]bool) ([]float64, error) {
+	if ps := ch.steadyOf(labels); ps != nil {
+		obs.FromContext(ctx).Int("steady_reused", 1)
+		return ps, nil
+	}
+	select {
+	case ch.steadyLock <- struct{}{}:
+	default:
+		select {
+		case ch.steadyLock <- struct{}{}:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	defer func() { <-ch.steadyLock }()
+	if ps := ch.steadyOf(labels); ps != nil {
+		obs.FromContext(ctx).Int("steady_reused", 1)
+		return ps, nil
+	}
+	all, allMasks := labels, masks
+	for _, p := range ch.cells {
+		if !slices.Contains(all, p.label) {
+			all = append(all[:len(all):len(all)], p.label)
+			allMasks = append(allMasks[:len(allMasks):len(allMasks)], p.mask)
+		}
+	}
+	probs, err := ch.explored.Chain.SteadyStateProbabilitiesContext(ctx, ch.init, allMasks)
+	if err != nil {
+		return nil, err
+	}
+	memo := make(map[string]float64)
+	if old := ch.steady.Load(); old != nil {
+		maps.Copy(memo, *old)
+	}
+	for j, label := range all {
+		memo[label] = probs[j]
+	}
+	ch.steady.Store(&memo)
+	return probs[:len(labels)], nil
+}
+
+// steadyOf returns the memoised long-run probability of each label, or
+// nil unless every label has one.
+func (ch *chain) steadyOf(labels []string) []float64 {
+	memo := ch.steady.Load()
+	if memo == nil {
+		return nil
+	}
+	ps := make([]float64, len(labels))
+	for j, label := range labels {
+		p, ok := (*memo)[label]
+		if !ok {
+			return nil
+		}
+		ps[j] = p
+	}
+	return ps
 }
 
 // overlap runs reward on a new goroutine and steady on the caller, and
@@ -380,8 +479,8 @@ func (a Analyzer) analyzeChain(ctx context.Context, ar *arch.Architecture, cells
 		return nil, err
 	}
 	if sp != nil {
-		masks, _ := distinctMasks(ps)
-		sp.Int("labels", int64(len(masks)))
+		labels, _, _ := distinctLabels(ps)
+		sp.Int("labels", int64(len(labels)))
 	}
 	return a.AnalyzeCellsContext(ctx, ps)
 }

@@ -24,7 +24,10 @@ type TimePoint struct {
 // TimeSeries samples how the message's exposure develops over a vehicle's
 // life: the instantaneous violation probability, the first-violation
 // probability and the cumulated exploitable-time fraction at each sampling
-// time. Times must be positive and ascending.
+// time. Times must be positive and ascending. The cumulative column comes
+// from the chain's one reward series, extended to each time in turn, so
+// the run costs the products of the last time's window, not the sum over
+// all times.
 func (a Analyzer) TimeSeries(ar *arch.Architecture, msgName string, cat transform.Category, prot transform.Protection, times []float64) ([]TimePoint, error) {
 	a = a.withDefaults()
 	if len(times) == 0 {
@@ -36,11 +39,13 @@ func (a Analyzer) TimeSeries(ar *arch.Architecture, msgName string, cat transfor
 	if times[0] <= 0 {
 		return nil, fmt.Errorf("core: sampling times must be positive, got %v", times[0])
 	}
-	p, err := a.PrepareContext(context.Background(), ar, msgName, cat, prot)
+	ctx := context.Background()
+	p, err := a.PrepareContext(ctx, ar, msgName, cat, prot)
 	if err != nil {
 		return nil, err
 	}
 	chain, mask, init := p.Explored.Chain, p.mask, p.chain.init
+	labels, masks := []string{p.label}, [][]bool{mask}
 	out := make([]TimePoint, 0, len(times))
 	for _, t := range times {
 		pi, err := chain.Transient(init, t, a.Accuracy)
@@ -57,7 +62,7 @@ func (a Analyzer) TimeSeries(ar *arch.Architecture, msgName string, cat transfor
 		if err != nil {
 			return nil, err
 		}
-		frac, err := chain.ExpectedTimeFraction(init, mask, t, a.Accuracy)
+		frac, err := p.chain.series.FractionsContext(ctx, labels, masks, t, a.Accuracy)
 		if err != nil {
 			return nil, err
 		}
@@ -65,7 +70,7 @@ func (a Analyzer) TimeSeries(ar *arch.Architecture, msgName string, cat transfor
 			T:                   t,
 			ViolatedProbability: inst,
 			EverViolated:        ever,
-			CumulativeFraction:  frac,
+			CumulativeFraction:  frac[0],
 		})
 	}
 	return out, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -38,6 +39,31 @@ func TestTimeSeriesMonotoneQuantities(t *testing.T) {
 	last := pts[len(pts)-1]
 	if last.CumulativeFraction <= 0 {
 		t.Fatalf("no accumulation: %+v", last)
+	}
+}
+
+// TimeSeries takes its cumulative column from one reward series extended
+// time by time; every value must equal a per-time ExpectedTimeFraction
+// call on the same chain.
+func TestTimeSeriesCumulativeMatchesPerTime(t *testing.T) {
+	an := Analyzer{NMax: 2}
+	times := []float64{0.25, 0.5, 1, 2, 5, 10, 15}
+	pts, err := an.TimeSeries(arch.Architecture1(), arch.MessageM, transform.Confidentiality, transform.AES128, times)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := an.PrepareContext(context.Background(), arch.Architecture1(), arch.MessageM, transform.Confidentiality, transform.AES128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tm := range times {
+		want, err := p.Explored.Chain.ExpectedTimeFraction(p.chain.init, p.mask, tm, an.withDefaults().Accuracy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameFloat(pts[i].CumulativeFraction, want) {
+			t.Errorf("t = %g: cumulative fraction %.17g, per-time call %.17g", tm, pts[i].CumulativeFraction, want)
+		}
 	}
 }
 

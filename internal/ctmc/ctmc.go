@@ -132,15 +132,20 @@ type uniformised struct {
 	q      float64
 }
 
-// uniformised returns the operator for q = 1.02 × the largest exit rate (a
-// strictly larger q guarantees aperiodicity via self-loops), or q = 1 for
-// a chain with no transitions, so P = I.
-func (c *Chain) uniformised() (*uniformised, error) {
+// uniformisationRate returns q = 1.02 × the largest exit rate (a strictly
+// larger q guarantees aperiodicity via self-loops), or q = 1 for a chain
+// with no transitions, so P = I.
+func (c *Chain) uniformisationRate() float64 {
 	q := c.MaxExitRate() * 1.02
 	if q == 0 {
 		q = 1
 	}
-	return c.uniformisedAt(q)
+	return q
+}
+
+// uniformised returns the operator for the uniformisation rate.
+func (c *Chain) uniformised() (*uniformised, error) {
+	return c.uniformisedAt(c.uniformisationRate())
 }
 
 // uniformisedAt returns the operator for rate q after checking that P is
@@ -309,14 +314,15 @@ func uniSetup(sp *obs.Span, n int, t, q float64, fg *foxglynn.Result) {
 	sp.Int("fg_terms", int64(st.Terms))
 }
 
-// uniformise runs the uniformisation series every transient and cumulative
-// analysis shares. With P = I + Q/q and the Fox–Glynn Poisson(qt) weights
-// γ_k, it walks the iterates v·Pᵏ (or Pᵏ·v when backward) for k = 0 … R
-// and hands each to term with γ_k (0 left of the window), the tail
-// 1 − Σ_{i≤k} γ_i and q. The uniformisation parameters and the
-// matrix–vector product count go on sp. accuracy ≤ 0 selects
-// DefaultAccuracy. A done ctx stops the walk before the next product and
-// its error is returned.
+// uniformise runs the uniformisation series the transient analyses and
+// the per-state cumulative reward share (the scalar cumulative reward
+// records its terms instead; see series.go). With P = I + Q/q and the
+// Fox–Glynn Poisson(qt) weights γ_k, it walks the iterates v·Pᵏ (or Pᵏ·v
+// when backward) for k = 0 … R and hands each to term with γ_k (0 left of
+// the window), the tail 1 − Σ_{i≤k} γ_i and q. The uniformisation
+// parameters and the matrix–vector product count go on sp. accuracy ≤ 0
+// selects DefaultAccuracy. A done ctx stops the walk before the next
+// product and its error is returned.
 func (c *Chain) uniformise(ctx context.Context, sp *obs.Span, v linalg.Vector, t, accuracy float64, backward bool, term func(weight, tail, q float64, cur linalg.Vector)) error {
 	if accuracy <= 0 {
 		accuracy = DefaultAccuracy
@@ -416,9 +422,9 @@ func (c *Chain) CumulativeRewardContext(ctx context.Context, init linalg.Vector,
 }
 
 // CumulativeRewardsContext computes CumulativeReward for every reward
-// vector over one uniformisation pass: one matrix–vector product per step
-// and, per reward in order, the same dot product and sum a single-reward
-// call makes, so each result is bit-identical to it. The
+// vector from one fresh pass: one matrix–vector product per step and, per
+// reward in order, the same dot products and sum a single-reward call
+// makes, so each result is bit-identical to it. The
 // "ctmc.cumulative_reward" span records q, the Fox–Glynn window and the
 // matvec count, plus the number of rewards when there is more than one
 // (one-reward spans keep the attributes they always had).
@@ -431,31 +437,13 @@ func (c *Chain) CumulativeRewardsContext(ctx context.Context, init linalg.Vector
 }
 
 func (c *Chain) cumulativeRewards(ctx context.Context, init linalg.Vector, rewards []linalg.Vector, t, accuracy float64, total []float64) error {
-	_, sp := obs.Start(ctx, "ctmc.cumulative_reward")
-	defer sp.End()
-	if len(rewards) > 1 {
-		sp.Int("rewards", int64(len(rewards)))
-	}
-	if err := c.checkInit(init); err != nil {
-		return err
-	}
-	if err := checkTime(t); err != nil {
-		return err
-	}
 	for _, r := range rewards {
 		if len(r) != c.N() {
 			return fmt.Errorf("ctmc: reward vector length %d, want %d", len(r), c.N())
 		}
 	}
-	if t == 0 {
-		return nil
-	}
-	return c.uniformise(ctx, sp, init, t, accuracy, false, func(_, tail, q float64, cur linalg.Vector) {
-		if w := tail / q; w > 0 {
-			for j, r := range rewards {
-				total[j] += w * cur.Dot(r)
-			}
-		}
+	return c.cumulative(ctx, init, t, accuracy, total, func(ctx context.Context, right int) ([][]float64, int, int, error) {
+		return c.freshTerms(ctx, init, rewards, right)
 	})
 }
 

@@ -161,32 +161,10 @@ func (c *Chain) ExpectedTimeFractionContext(ctx context.Context, init linalg.Vec
 }
 
 // ExpectedTimeFractionsContext returns ExpectedTimeFraction for every mask
-// from one uniformisation pass (CumulativeRewardsContext over the masks'
-// indicator rewards); each fraction is bit-identical to a one-mask call.
+// from one fresh pass over the masks' indicator rewards; each fraction is
+// bit-identical to a one-mask call.
 func (c *Chain) ExpectedTimeFractionsContext(ctx context.Context, init linalg.Vector, masks [][]bool, t, accuracy float64) ([]float64, error) {
-	for _, mask := range masks {
-		if len(mask) != c.N() {
-			return nil, fmt.Errorf("ctmc: mask length %d, want %d", len(mask), c.N())
-		}
-	}
-	if t <= 0 {
-		return nil, fmt.Errorf("%w: horizon must be positive, got %v", ErrBadTime, t)
-	}
-	rewards := make([]linalg.Vector, len(masks))
-	for j, mask := range masks {
-		rewards[j] = linalg.NewVector(c.N())
-		for i, in := range mask {
-			if in {
-				rewards[j][i] = 1
-			}
-		}
-	}
-	fracs, err := c.CumulativeRewardsContext(ctx, init, rewards, t, accuracy)
-	if err != nil {
-		return nil, err
-	}
-	for j := range fracs {
-		fracs[j] /= t
-	}
-	return fracs, nil
+	return c.fractions(ctx, init, masks, t, accuracy, func(ctx context.Context, right int) ([][]float64, int, int, error) {
+		return c.freshTerms(ctx, init, indicators(masks), right)
+	})
 }

@@ -24,6 +24,7 @@ package obs
 import (
 	"context"
 	"runtime/metrics"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -208,7 +209,10 @@ type Span struct {
 	trace       string
 	start       time.Time
 	startAllocs uint64
-	attrs       []Attr
+	// mu guards attrs: goroutines sharing a parent span (a batch's items)
+	// may attach attributes to it at the same time.
+	mu    sync.Mutex
+	attrs []Attr
 }
 
 // readAllocs returns the cumulative heap allocation count (objects) via
@@ -326,8 +330,10 @@ func (s *Span) End() {
 		Depth:    s.depth,
 		Start:    s.start,
 		Duration: time.Since(s.start),
-		Attrs:    s.attrs,
 	}
+	s.mu.Lock()
+	e.Attrs = s.attrs
+	s.mu.Unlock()
 	if s.tracer.captureAllocs {
 		if end := readAllocs(); end > s.startAllocs {
 			e.Allocs = end - s.startAllocs
@@ -336,12 +342,18 @@ func (s *Span) End() {
 	s.tracer.sink.Emit(&e)
 }
 
+func (s *Span) add(a Attr) {
+	s.mu.Lock()
+	s.attrs = append(s.attrs, a)
+	s.mu.Unlock()
+}
+
 // Int attaches an integer attribute.
 func (s *Span) Int(key string, v int64) {
 	if s == nil {
 		return
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, Kind: KindInt, Int: v})
+	s.add(Attr{Key: key, Kind: KindInt, Int: v})
 }
 
 // Float attaches a float attribute.
@@ -349,7 +361,7 @@ func (s *Span) Float(key string, v float64) {
 	if s == nil {
 		return
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, Kind: KindFloat, Flt: v})
+	s.add(Attr{Key: key, Kind: KindFloat, Flt: v})
 }
 
 // Str attaches a string attribute.
@@ -357,7 +369,7 @@ func (s *Span) Str(key, v string) {
 	if s == nil {
 		return
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, Kind: KindString, Str: v})
+	s.add(Attr{Key: key, Kind: KindString, Str: v})
 }
 
 // Progress emits a progress event tied to the span's name: done units out

@@ -85,7 +85,11 @@ func (rr *resolvedRequest) key() string {
 // EngineOptions configures an Engine.
 type EngineOptions struct {
 	// ModelCacheSize bounds the explored-state-space cache (default 64
-	// entries; these dominate memory).
+	// entries; these dominate memory). An entry also holds its chain's
+	// solve memo (core.Prepared): at most one state vector, no more floats
+	// of recorded terms than the chain has transitions, and one long-run
+	// probability per label, so a fresh horizon on a cached model runs no
+	// uniformisation products it has run before and no steady-state solve.
 	ModelCacheSize int
 	// ResultCacheSize bounds the solved-outcome cache (default 1024
 	// entries; outcomes are small).

@@ -11,6 +11,10 @@ import "sync"
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flightCall
+	// joined, when set before the group is used, is called with the key
+	// each time a caller joins an in-flight execution, before it blocks,
+	// so tests can sequence a waiter against the leader without polling.
+	joined func(key string)
 }
 
 type flightCall struct {
@@ -42,6 +46,9 @@ func (g *flightGroup) Do(key string, fn func() (any, error)) (v any, err error, 
 	if c, ok := g.m[key]; ok {
 		c.waiters++
 		g.mu.Unlock()
+		if g.joined != nil {
+			g.joined(key)
+		}
 		<-c.done
 		return c.val, c.err, false
 	}

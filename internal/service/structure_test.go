@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -63,6 +62,12 @@ func TestModelWaiterRetriesAfterLeaderBudget(t *testing.T) {
 	}
 	mkey := modelKey(rr.archCanon, rr.msg, rr.an.TransformOptions(rr.cat, rr.prot))
 	started, release := make(chan struct{}), make(chan struct{})
+	joined := make(chan struct{})
+	e.modelSF.joined = func(key string) {
+		if key == mkey {
+			close(joined)
+		}
+	}
 	leader := make(chan error, 1)
 	go func() {
 		_, err, _ := e.modelSF.Do(mkey, func() (any, error) {
@@ -78,7 +83,7 @@ func TestModelWaiterRetriesAfterLeaderBudget(t *testing.T) {
 		_, _, err := e.Run(ctx, &req)
 		waiter <- err
 	}()
-	waitUntil(t, "the request to join the model build", 10*time.Second, func() bool { return e.modelSF.waiting(mkey) == 1 })
+	<-joined
 	close(release)
 	if err := <-leader; !errors.Is(err, modular.ErrBudgetExceeded) {
 		t.Fatalf("leader: err = %v", err)
