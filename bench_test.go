@@ -9,6 +9,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"runtime/metrics"
 	"testing"
 
 	"repro/internal/arch"
@@ -387,6 +388,58 @@ func BenchmarkAnalyzeSynthetic(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(r.States), "states")
+}
+
+// BenchmarkPaperScale is one AnalyzeContext per op of the synthetic
+// architecture with 10 ECUs on 2 buses: 531,441 states and about 8.5 M
+// transitions, the size of the paper's own chains (0.4–1.2 M states). It
+// reports ms per stage from a collector's spans — explore, the reward
+// pass and the steady-state solve, which overlap, so their sum exceeds
+// the wall time — and the Go heap reserved from the OS (HeapSys, the sum
+// of the /memory/classes/heap/ metrics of runtime/metrics), which never
+// shrinks and so bounds the peak. Run it alone, at -benchtime 1x, for a
+// heap figure that holds this benchmark only; it takes about 20 s.
+func BenchmarkPaperScale(b *testing.B) {
+	ar, err := arch.Synthetic(arch.SyntheticSpec{ECUs: 10, Buses: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	col := obs.NewCollector()
+	ctx, root := obs.NewTracer(col, false).StartSpan(context.Background(), "bench.paper_scale")
+	an := core.Analyzer{NMax: 2, Horizon: 1}
+	var r *core.Result
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r, err = an.AnalyzeContext(ctx, ar, arch.MessageM, transform.Availability, transform.Unencrypted); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	root.End()
+	n := float64(b.N)
+	for _, ph := range col.Manifest("", nil).Phases {
+		switch ph.Name {
+		case "modular.explore":
+			b.ReportMetric(1000*ph.Seconds/n, "explore_ms/op")
+		case "ctmc.cumulative_reward":
+			b.ReportMetric(1000*ph.Seconds/n, "reward_ms/op")
+		case "ctmc.steadystate":
+			b.ReportMetric(1000*ph.Seconds/n, "steady_ms/op")
+		}
+	}
+	heap := []metrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/memory/classes/heap/unused:bytes"},
+		{Name: "/memory/classes/heap/free:bytes"},
+		{Name: "/memory/classes/heap/released:bytes"},
+	}
+	metrics.Read(heap)
+	var sys uint64
+	for _, s := range heap {
+		sys += s.Value.Uint64()
+	}
+	b.ReportMetric(float64(sys)/(1<<20), "heap_sys_MiB")
 	b.ReportMetric(float64(r.States), "states")
 }
 

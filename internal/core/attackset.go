@@ -86,7 +86,7 @@ func newPathGraph(ex *modular.Explored, violated []bool) *pathGraph {
 		for k, j := range cols {
 			p := vals[k] / exit
 			if p > 0 {
-				g.adj[i] = append(g.adj[i], pathEdge{to: j, w: -math.Log(p)})
+				g.adj[i] = append(g.adj[i], pathEdge{to: int(j), w: -math.Log(p)})
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package ctmc
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/linalg"
 	"repro/internal/obs"
@@ -23,8 +24,8 @@ func (c *Chain) BackwardTransient(values linalg.Vector, t, accuracy float64) (li
 func (c *Chain) BackwardTransientContext(ctx context.Context, values linalg.Vector, t, accuracy float64) (linalg.Vector, error) {
 	_, sp := obs.Start(ctx, "ctmc.backward_transient")
 	defer sp.End()
-	if len(values) != c.N() {
-		return nil, fmt.Errorf("ctmc: value vector length %d, want %d", len(values), c.N())
+	if err := c.checkValues("value", values); err != nil {
+		return nil, err
 	}
 	if err := checkTime(t); err != nil {
 		return nil, err
@@ -205,8 +206,8 @@ func (c *Chain) CumulativeRewardVectorContext(ctx context.Context, reward linalg
 	_, sp := obs.Start(ctx, "ctmc.cumulative_reward_vec")
 	defer sp.End()
 	n := c.N()
-	if len(reward) != n {
-		return nil, fmt.Errorf("ctmc: reward vector length %d, want %d", len(reward), n)
+	if err := c.checkValues("reward", reward); err != nil {
+		return nil, err
 	}
 	if err := checkTime(t); err != nil {
 		return nil, err
@@ -224,6 +225,24 @@ func (c *Chain) CumulativeRewardVectorContext(ctx context.Context, reward linalg
 		return nil, err
 	}
 	return out, nil
+}
+
+// checkValues rejects a backward pass's input vector of the wrong length
+// or with an entry beyond ±MaxFloat64/2 (NaN and ±Inf included). Every
+// iterate Pᵏ·v then stays finite: P's rows are non-negative and sum to at
+// most 1 + 1e-9, so |Pᵏ·v|∞ ≤ (1+1e-9)ᵏ·|v|∞, which stays below
+// MaxFloat64 for k < 6.9·10⁸ products. That keeps the padding of the
+// sliced operator exact (see uniformised).
+func (c *Chain) checkValues(what string, v linalg.Vector) error {
+	if len(v) != c.N() {
+		return fmt.Errorf("ctmc: %s vector length %d, want %d", what, len(v), c.N())
+	}
+	for i, x := range v {
+		if !(math.Abs(x) <= math.MaxFloat64/2) {
+			return fmt.Errorf("ctmc: %s vector entry %d is %v, want a finite value within ±MaxFloat64/2", what, i, x)
+		}
+	}
+	return nil
 }
 
 func clampUnit(x float64) float64 {

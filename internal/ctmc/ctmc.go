@@ -112,24 +112,28 @@ func (c *Chain) Generator() *linalg.CSR {
 		m.Diagonal(i, -c.Exit[i])
 		cols, vals := c.Rates.Row(i)
 		for k, j := range cols {
-			m.Add(j, vals[k])
+			m.Add(int(j), vals[k])
 		}
 		m.EndRow()
 	}
 	return m.CSR()
 }
 
-// uniformised is the uniformised DTMC P = I + Q/q as an operator over the
-// sparsity pattern of Rates, so no copy of P is built: scaled holds R/q in
-// Rates' layout and diag the diagonal 1 − exit/q. A stored self-rate is
-// folded into diag as a row merge of the diagonal sums it,
-// (R(i,i)/q) + diag(i), and its own entry in scaled is 0. Both steps give every product the terms, in
-// the order, that the materialised P gave.
+// uniformised is the uniformised DTMC P = I + Q/q as a gather operator:
+// P is stored once, in the sliced layout of linalg.Sliced with one output
+// per state. A forward operator slices the columns of P, so output j sums
+// v[i]·P(i,j) over the rows i in ascending order; a backward operator
+// slices the rows, so output i sums P(i,j)·v[j] in column order. Either
+// way the diagonal term 1 − exit_i/q sits at its own position, with a
+// stored self-rate folded in as (R(i,i)/q) + (1 − exit_i/q), so every sum
+// takes the terms, in the order, that a product with the materialised P
+// took. The extra terms of the gather form (padding, and rows with
+// v[i] = 0) are ±0, which is exact for finite v: checkInit keeps forward
+// inputs finite and checkValues backward ones (see DESIGN.md, "Sliced and
+// split kernels").
 type uniformised struct {
-	rates  *linalg.CSR
-	scaled []float64
-	diag   linalg.Vector
-	q      float64
+	p linalg.Sliced
+	q float64
 }
 
 // uniformisationRate returns q = 1.02 × the largest exit rate (a strictly
@@ -143,108 +147,86 @@ func (c *Chain) uniformisationRate() float64 {
 	return q
 }
 
-// uniformised returns the operator for the uniformisation rate.
-func (c *Chain) uniformised() (*uniformised, error) {
-	return c.uniformisedAt(c.uniformisationRate())
+// uniformised returns the forward (v·P) or backward (P·v) operator for
+// the uniformisation rate.
+func (c *Chain) uniformised(backward bool) (uniformised, error) {
+	return c.uniformisedAt(c.uniformisationRate(), backward)
 }
 
 // uniformisedAt returns the operator for rate q after checking that P is
-// stochastic as dtmc.New would: every row sums to 1 within 1e-9 and no
-// entry is negative.
-func (c *Chain) uniformisedAt(q float64) (*uniformised, error) {
-	n := c.N()
+// stochastic as dtmc.New would: it reports the first row whose sum is off
+// 1 by more than 1e-9, else the first negative entry in row-major order.
+// The slices are filled straight from Rates: a first walk over the rows of
+// P checks them and counts the entries of each output, a second places
+// them, so each output receives its entries in the order it sums them.
+func (c *Chain) uniformisedAt(q float64, backward bool) (uniformised, error) {
+	p := linalg.NewSlicedBuilder(c.N(), c.N())
+	// orient maps entry (i, j) of P to its output and input: column j
+	// gathers from row i going forward, row i from column j going backward.
+	orient := func(i, j int) (out, in int) {
+		if backward {
+			return i, j
+		}
+		return j, i
+	}
+	badRow, badSum, neg := -1, 0.0, math.NaN()
+	var sum float64
+	c.rowsOfP(q, func(i, j int, v float64) {
+		out, _ := orient(i, j)
+		p.Count(out)
+		sum += v
+		if v < 0 && math.IsNaN(neg) {
+			neg = v
+		}
+	}, func(i int) {
+		if math.Abs(sum-1) > 1e-9 && badRow < 0 {
+			badRow, badSum = i, sum
+		}
+		sum = 0
+	})
+	var err error
+	switch {
+	case badRow >= 0:
+		err = fmt.Errorf("%w: row %d sums to %v", dtmc.ErrNotStochastic, badRow, badSum)
+	case !math.IsNaN(neg):
+		err = fmt.Errorf("%w: negative transition probability %v", dtmc.ErrNotStochastic, neg)
+	}
+	if err != nil {
+		return uniformised{}, fmt.Errorf("ctmc: uniformisation produced invalid DTMC: %w", err)
+	}
+	if err := p.Alloc(); err != nil {
+		return uniformised{}, fmt.Errorf("ctmc: uniformised operator: %w", err)
+	}
+	c.rowsOfP(q, func(i, j int, v float64) {
+		out, in := orient(i, j)
+		p.Append(out, in, v)
+	}, nil)
+	return uniformised{p: p.Sliced(), q: q}, nil
+}
+
+// rowsOfP calls entry(i, j, P(i,j)) for every entry of P = I + Q/q, row
+// by row and within a row in column order, the diagonal (with any stored
+// self-rate folded in) at its own position, and end(i), unless end is nil,
+// after row i.
+func (c *Chain) rowsOfP(q float64, entry func(i, j int, v float64), end func(i int)) {
 	rp, ci, vals := c.Rates.RowPtr, c.Rates.ColIdx, c.Rates.Val
-	u := &uniformised{rates: c.Rates, scaled: make([]float64, len(vals)), diag: linalg.NewVector(n), q: q}
-	for i := 0; i < n; i++ {
+	for i := range c.N() {
 		d := 1 - c.Exit[i]/q
-		for k := rp[i]; k < rp[i+1]; k++ {
-			if ci[k] == i {
-				d = vals[k]/q + d
-			} else {
-				u.scaled[k] = vals[k] / q
-			}
+		k, hi := int(rp[i]), int(rp[i+1])
+		for ; k < hi && int(ci[k]) < i; k++ {
+			entry(i, int(ci[k]), vals[k]/q)
 		}
-		u.diag[i] = d
-	}
-	if err := u.check(1e-9); err != nil {
-		return nil, fmt.Errorf("ctmc: uniformisation produced invalid DTMC: %w", err)
-	}
-	return u, nil
-}
-
-// check reports the first row of P whose sum is off 1 by more than tol,
-// else P's first negative entry, in P's row-major order. Each row sum adds
-// the entries in column order, as P's own row sums did.
-func (u *uniformised) check(tol float64) error {
-	rp, ci := u.rates.RowPtr, u.rates.ColIdx
-	neg := math.NaN()
-	for i := range u.diag {
-		var s float64
-		add := func(v float64) {
-			s += v
-			if v < 0 && math.IsNaN(neg) {
-				neg = v
-			}
-		}
-		k, hi := rp[i], rp[i+1]
-		for ; k < hi && ci[k] < i; k++ {
-			add(u.scaled[k])
-		}
-		add(u.diag[i])
-		if k < hi && ci[k] == i {
+		if k < hi && int(ci[k]) == i {
+			d = vals[k]/q + d
 			k++
 		}
+		entry(i, i, d)
 		for ; k < hi; k++ {
-			add(u.scaled[k])
+			entry(i, int(ci[k]), vals[k]/q)
 		}
-		if math.Abs(s-1) > tol {
-			return fmt.Errorf("%w: row %d sums to %v", dtmc.ErrNotStochastic, i, s)
+		if end != nil {
+			end(i)
 		}
-	}
-	if !math.IsNaN(neg) {
-		return fmt.Errorf("%w: negative transition probability %v", dtmc.ErrNotStochastic, neg)
-	}
-	return nil
-}
-
-// step sets dst = v·P. Row i adds its diagonal term to dst[i] while the
-// row is processed, so every dst[j] sums the same terms in the same row
-// order as P.VecMul.
-func (u *uniformised) step(v, dst linalg.Vector) {
-	rp, ci, scaled := u.rates.RowPtr, u.rates.ColIdx, u.scaled
-	dst.Fill(0)
-	for i, a := range v {
-		if a == 0 {
-			continue
-		}
-		dst[i] += a * u.diag[i]
-		lo, hi := rp[i], rp[i+1]
-		cols, vals := ci[lo:hi], scaled[lo:hi]
-		vals = vals[:len(cols)]
-		for k, j := range cols {
-			dst[j] += a * vals[k]
-		}
-	}
-}
-
-// mulVec sets dst = P·v. Each row sum takes the diagonal term at its
-// column position, as P's sorted row did.
-func (u *uniformised) mulVec(v, dst linalg.Vector) {
-	rp, ci, scaled := u.rates.RowPtr, u.rates.ColIdx, u.scaled
-	for i := range dst {
-		var s float64
-		k, hi := rp[i], rp[i+1]
-		for ; k < hi && ci[k] < i; k++ {
-			s += scaled[k] * v[ci[k]]
-		}
-		s += u.diag[i] * v[i]
-		if k < hi && ci[k] == i {
-			k++
-		}
-		for ; k < hi; k++ {
-			s += scaled[k] * v[ci[k]]
-		}
-		dst[i] = s
 	}
 }
 
@@ -259,7 +241,7 @@ func (c *Chain) Embedded() (*dtmc.Chain, error) {
 		} else {
 			cols, vals := c.Rates.Row(i)
 			for k, j := range cols {
-				p.Add(j, vals[k]/c.Exit[i])
+				p.Add(int(j), vals[k]/c.Exit[i])
 			}
 		}
 		p.EndRow()
@@ -327,7 +309,7 @@ func (c *Chain) uniformise(ctx context.Context, sp *obs.Span, v linalg.Vector, t
 	if accuracy <= 0 {
 		accuracy = DefaultAccuracy
 	}
-	uni, err := c.uniformised()
+	uni, err := c.uniformised(backward)
 	if err != nil {
 		return err
 	}
@@ -354,11 +336,7 @@ func (c *Chain) uniformise(ctx context.Context, sp *obs.Span, v linalg.Vector, t
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if backward {
-			uni.mulVec(cur, next)
-		} else {
-			uni.step(cur, next)
-		}
+		uni.p.MulVec(cur, next)
 		matvecs++
 		cur, next = next, cur
 	}
@@ -562,8 +540,8 @@ func (c *Chain) Absorbing(mask []bool) (*Chain, error) {
 		if !mask[i] {
 			cols, vals := c.Rates.Row(i)
 			for k, j := range cols {
-				if j != i {
-					b.Add(j, vals[k])
+				if int(j) != i {
+					b.Add(int(j), vals[k])
 				}
 			}
 		}

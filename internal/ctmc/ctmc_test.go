@@ -607,7 +607,7 @@ func TestAbsorbingMask(t *testing.T) {
 // to one.
 func TestUniformizedIsStochastic(t *testing.T) {
 	c := paperExample(t)
-	uni, err := c.uniformised()
+	uni, err := c.uniformised(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,7 +617,7 @@ func TestUniformizedIsStochastic(t *testing.T) {
 	ones := linalg.NewVector(c.N())
 	ones.Fill(1)
 	sums := linalg.NewVector(c.N())
-	uni.mulVec(ones, sums)
+	uni.p.MulVec(ones, sums)
 	for i, s := range sums {
 		if math.Abs(s-1) > 1e-12 {
 			t.Fatalf("row %d sums to %v", i, s)

@@ -21,7 +21,7 @@ func cooWithDiagonal(c *Chain, div float64, diag func(i int) float64) *linalg.CS
 	for i := 0; i < c.N(); i++ {
 		cols, vals := c.Rates.Row(i)
 		for k, j := range cols {
-			coo.Add(i, j, vals[k]/div)
+			coo.Add(i, int(j), vals[k]/div)
 		}
 		coo.Add(i, i, diag(i))
 	}
@@ -54,7 +54,7 @@ func storedDiagonal(c *Chain, r *rand.Rand) *Chain {
 	for i := 0; i < c.N(); i++ {
 		cols, vals := c.Rates.Row(i)
 		for k, j := range cols {
-			coo.Add(i, j, vals[k])
+			coo.Add(i, int(j), vals[k])
 		}
 		if r.Intn(3) == 0 {
 			coo.Add(i, i, r.ExpFloat64())
@@ -75,7 +75,7 @@ func cooEmbedded(c *Chain) *linalg.CSR {
 		}
 		cols, vals := c.Rates.Row(i)
 		for k, j := range cols {
-			coo.Add(i, j, vals[k]/c.Exit[i])
+			coo.Add(i, int(j), vals[k]/c.Exit[i])
 		}
 	}
 	return coo.ToCSR()
@@ -91,7 +91,7 @@ func cooAbsorbing(t *testing.T, c *Chain, mask []bool) *Chain {
 		}
 		cols, vals := c.Rates.Row(i)
 		for k, j := range cols {
-			b.Add(i, j, vals[k])
+			b.Add(i, int(j), vals[k])
 		}
 	}
 	out, err := b.Build()
@@ -119,7 +119,7 @@ func cooBalance(c *Chain, set []int, ref int) (*linalg.CSR, linalg.Vector) {
 	for k, s := range set {
 		cols, vals := c.Rates.Row(s)
 		for ci, j := range cols {
-			kj := idx[j]
+			kj := idx[int(j)]
 			if pos[kj] < 0 {
 				continue
 			}
@@ -159,11 +159,49 @@ func cooReward(c *Chain, reward linalg.Vector, target []bool, unknowns, idx []in
 
 func bitsEqual(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
+// mulVec is the backward oracle: dst = m·v, each row summed in column
+// order from +0.
+func mulVec(m *linalg.CSR, v, dst linalg.Vector) {
+	for i := range dst {
+		var s float64
+		cols, vals := m.Row(i)
+		for k, j := range cols {
+			s += vals[k] * v[j]
+		}
+		dst[i] = s
+	}
+}
+
+// splitOf splits a square CSR into its off-diagonal entries and its
+// diagonal, the form the iterative solvers take.
+func splitOf(m *linalg.CSR) *linalg.Split {
+	b := linalg.NewRowBuilder(m.Rows, m.Cols, m.NNZ())
+	diag := linalg.NewVector(m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		cols, vals := m.Row(i)
+		for k, j := range cols {
+			if int(j) == i {
+				diag[i] = vals[k]
+			} else {
+				b.Add(int(j), vals[k])
+			}
+		}
+		b.EndRow()
+	}
+	return &linalg.Split{Off: *b.CSR(), Diag: diag}
+}
+
 func assertSameVector(t *testing.T, what string, got, want linalg.Vector) {
 	t.Helper()
 	if !slices.EqualFunc(got, want, bitsEqual) {
 		t.Fatalf("%s differs from the COO assembly:\n got %v\nwant %v", what, got, want)
 	}
+}
+
+func assertSameSplit(t *testing.T, what string, got, want *linalg.Split) {
+	t.Helper()
+	assertSameCSR(t, what+" (off-diagonal)", &got.Off, &want.Off)
+	assertSameVector(t, what+" (diagonal)", got.Diag, want.Diag)
 }
 
 func assertSameCSR(t *testing.T, what string, got, want *linalg.CSR) {
@@ -176,10 +214,11 @@ func assertSameCSR(t *testing.T, what string, got, want *linalg.CSR) {
 
 // Every matrix derived row by row from Rates — Generator (diagonal merged
 // into the copied rows), Embedded, Absorbing, and the restricted
-// reachability-reward and balance systems — is bit-identical to assembling
-// the same entries through a COO, and both steps of the uniformisation
-// operator equal VecMul and MulVec on the COO-assembled P bit for bit, on
-// chains with and without a stored diagonal.
+// reachability-reward and balance systems (in split form) — is
+// bit-identical to assembling the same entries through a COO, and both
+// directions of the uniformisation operator equal VecMul and mulVec on the
+// COO-assembled P bit for bit, on chains with and without a stored
+// diagonal.
 func TestDiagonalMergeMatchesCOO(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 400; trial++ {
@@ -188,7 +227,11 @@ func TestDiagonalMergeMatchesCOO(t *testing.T) {
 			c = storedDiagonal(c, r)
 		}
 		assertSameCSR(t, "Generator", c.Generator(), cooWithDiagonal(c, 1, func(i int) float64 { return -c.Exit[i] }))
-		uni, err := c.uniformised()
+		uni, err := c.uniformised(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := c.uniformised(true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,11 +244,11 @@ func TestDiagonalMergeMatchesCOO(t *testing.T) {
 			}
 		}
 		got, ref := linalg.NewVector(c.N()), linalg.NewVector(c.N())
-		uni.step(v, got)
+		uni.p.MulVec(v, got)
 		p.VecMul(v, ref)
 		assertSameVector(t, "uniformised forward step", got, ref)
-		uni.mulVec(v, got)
-		p.MulVec(v, ref)
+		back.p.MulVec(v, got)
+		mulVec(p, v, ref)
 		assertSameVector(t, "uniformised backward step", got, ref)
 		emb, err := c.Embedded()
 		if err != nil {
@@ -236,7 +279,7 @@ func TestDiagonalMergeMatchesCOO(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantA, wantB := cooBalance(c, set, ref)
-			assertSameCSR(t, "balance system", a, wantA)
+			assertSameSplit(t, "balance system", a, splitOf(wantA))
 			assertSameVector(t, "balance right-hand side", b, wantB)
 		}
 
@@ -271,13 +314,109 @@ func TestDiagonalMergeMatchesCOO(t *testing.T) {
 		}
 		a, b := c.rewardSystem(reward, target, unknowns, idx)
 		wantA, wantB := cooReward(c, reward, target, unknowns, idx)
-		assertSameCSR(t, "reward system", a, wantA)
+		assertSameSplit(t, "reward system", a, splitOf(wantA))
 		assertSameVector(t, "reward right-hand side", b, wantB)
 	}
 	// A hand-made chain whose Rates carry a diagonal entry, which the
 	// merge must sum with the generator's diagonal as the COO does.
-	c := &Chain{Rates: &linalg.CSR{Rows: 2, Cols: 2, RowPtr: []int{0, 2, 3}, ColIdx: []int{0, 1, 1}, Val: []float64{0.5, 2, 3}}, Exit: linalg.Vector{2, 0}}
+	c := &Chain{Rates: &linalg.CSR{Rows: 2, Cols: 2, RowPtr: []int32{0, 2, 3}, ColIdx: []int32{0, 1, 1}, Val: []float64{0.5, 2, 3}}, Exit: linalg.Vector{2, 0}}
 	assertSameCSR(t, "Generator with a stored diagonal", c.Generator(), cooWithDiagonal(c, 1, func(i int) float64 { return -c.Exit[i] }))
+}
+
+// assertOperatorMatchesP checks both directions of the uniformisation
+// operator for rate q against VecMul and mulVec on the COO-assembled P,
+// bit for bit, from v.
+func assertOperatorMatchesP(t *testing.T, what string, c *Chain, q float64, v linalg.Vector) {
+	t.Helper()
+	p := cooWithDiagonal(c, q, func(i int) float64 { return 1 - c.Exit[i]/q })
+	got, ref := linalg.NewVector(c.N()), linalg.NewVector(c.N())
+	fwd, err := c.uniformisedAt(q, false)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	fwd.p.MulVec(v, got)
+	p.VecMul(v, ref)
+	assertSameVector(t, what+": forward step", got, ref)
+	back, err := c.uniformisedAt(q, true)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	back.p.MulVec(v, got)
+	mulVec(p, v, ref)
+	assertSameVector(t, what+": backward step", got, ref)
+}
+
+// Both directions of the operator stay bit-identical on ragged slices: a
+// state count that is not a multiple of the slice width, a state no rate
+// enters (its column of P holds only the diagonal), a state whose only
+// stored rate is a self-rate, a zero diagonal entry (q equal to the
+// largest exit rate), and 1-state chains with and without a self-rate.
+func TestUniformisedRaggedSlices(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	vec := func(n int) linalg.Vector {
+		v := linalg.NewVector(n)
+		for i := range v {
+			if r.Intn(3) != 0 {
+				v[i] = r.NormFloat64()
+			}
+		}
+		return v
+	}
+	rates := func(n int, entries ...float64) *Chain {
+		coo := linalg.NewCOO(n, n)
+		for k := 0; k < len(entries); k += 3 {
+			coo.Add(int(entries[k]), int(entries[k+1]), entries[k+2])
+		}
+		m := coo.ToCSR()
+		return &Chain{Rates: m, Exit: m.RowSums()}
+	}
+	n := linalg.SliceLanes + 3
+	b := NewBuilder(n)
+	for i := 1; i < n; i++ {
+		b.Add(i, 1+(i+1)%(n-1), 1+r.Float64()) // nothing enters state 0
+		b.Add(i, r.Intn(n), r.ExpFloat64())
+	}
+	b.Add(0, 1, 2)
+	ragged, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		c    *Chain
+		q    float64
+	}{
+		{"ragged, state 0 entered by nothing", ragged, ragged.uniformisationRate()},
+		{"zero diagonal entry", ragged, ragged.MaxExitRate()},
+		{"self-rate only", rates(linalg.SliceLanes+1, 2, 2, 1.5, 0, 1, 0.5, 1, 0, 2), 0},
+		{"1 state", rates(1), 0},
+		{"1 state, self-rate", rates(1, 0, 0, 0.25), 0},
+	} {
+		q := tc.q
+		if q == 0 {
+			q = tc.c.uniformisationRate()
+		}
+		for trial := 0; trial < 20; trial++ {
+			assertOperatorMatchesP(t, tc.name, tc.c, q, vec(tc.c.N()))
+		}
+	}
+}
+
+// A backward pass refuses an input vector the sliced operator's padding
+// could turn into NaN: a NaN, an infinity, or an entry so large that an
+// iterate could overflow.
+func TestBackwardRejectsNonFiniteValues(t *testing.T) {
+	c := paperExample(t)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64} {
+		v := linalg.NewVector(c.N())
+		v[1] = bad
+		if _, err := c.BackwardTransient(v, 1, 0); err == nil || !strings.Contains(err.Error(), "value vector entry 1") {
+			t.Errorf("BackwardTransient with %v: err %v", bad, err)
+		}
+		if _, err := c.CumulativeRewardVector(v, 1, 0); err == nil || !strings.Contains(err.Error(), "reward vector entry 1") {
+			t.Errorf("CumulativeRewardVector with %v: err %v", bad, err)
+		}
+	}
 }
 
 // The uniformisation operator keeps the stochasticity check dtmc.New made
@@ -300,10 +439,12 @@ func TestUniformisedRejectsMisScaledRate(t *testing.T) {
 		{1e-17, "row 0 sums to"},
 		{0.5 * c.MaxExitRate(), "negative transition probability"},
 	} {
-		_, err := c.uniformisedAt(tc.q)
-		if !errors.Is(err, dtmc.ErrNotStochastic) || !strings.Contains(err.Error(), tc.want) ||
-			!strings.HasPrefix(err.Error(), "ctmc: uniformisation produced invalid DTMC: ") {
-			t.Errorf("q = %v: error %v, want ErrNotStochastic with %q", tc.q, err, tc.want)
+		for _, backward := range []bool{false, true} {
+			_, err := c.uniformisedAt(tc.q, backward)
+			if !errors.Is(err, dtmc.ErrNotStochastic) || !strings.Contains(err.Error(), tc.want) ||
+				!strings.HasPrefix(err.Error(), "ctmc: uniformisation produced invalid DTMC: ") {
+				t.Errorf("q = %v, backward %v: error %v, want ErrNotStochastic with %q", tc.q, backward, err, tc.want)
+			}
 		}
 	}
 }

@@ -119,17 +119,18 @@ func (c *Chain) reachabilityRewardAll(ctx context.Context, reward linalg.Vector,
 	return x, nil
 }
 
-// rewardSystem builds x_u − Σ_j P(u,j)·x_j = r_u/E_u over the finite
-// non-target states u (idx maps a state to its unknown index), with
-// P(i,j) = R(i,j)/E_i and x_j = 0 on target states. Every state a finite
-// state moves to is finite or a target. Unknowns keep the state order, so
-// each row comes out sorted.
-func (c *Chain) rewardSystem(reward linalg.Vector, target []bool, unknowns, idx []int) (*linalg.CSR, linalg.Vector) {
-	a := linalg.NewRowBuilder(len(unknowns), len(unknowns), 0)
+// rewardSystem builds x_u − Σ_j P(u,j)·x_j = r_u/E_u in split form over
+// the finite non-target states u (idx maps a state to its unknown index),
+// with P(i,j) = R(i,j)/E_i and x_j = 0 on target states. Every state a
+// finite state moves to is finite or a target. Unknowns keep the state
+// order, so each row comes out sorted, and a stored self-rate sums into
+// the diagonal as 1 − P(u,u).
+func (c *Chain) rewardSystem(reward linalg.Vector, target []bool, unknowns, idx []int) (*linalg.Split, linalg.Vector) {
+	a := linalg.NewSplitBuilder(len(unknowns), 0)
 	b := linalg.NewVector(len(unknowns))
 	for ui, i := range unknowns {
 		e := c.Exit[i]
-		a.Diagonal(ui, 1)
+		a.Diagonal(1)
 		b[ui] = reward[i] / e
 		cols, vals := c.Rates.Row(i)
 		for k, j := range cols {
@@ -139,7 +140,7 @@ func (c *Chain) rewardSystem(reward linalg.Vector, target []bool, unknowns, idx 
 		}
 		a.EndRow()
 	}
-	return a.CSR(), b
+	return a.Split(), b
 }
 
 // ExpectedTimeFraction returns the expected fraction of the interval [0, t]

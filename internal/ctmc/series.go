@@ -62,7 +62,7 @@ func indicators(masks [][]bool) []linalg.Vector {
 // product, with every term recorded so far kept, and its error is
 // returned. It returns the number of products run.
 func (p *pass) run(ctx context.Context, right int) (int, error) {
-	uni, err := p.c.uniformised()
+	uni, err := p.c.uniformised(false)
 	if err != nil {
 		return 0, err
 	}
@@ -76,7 +76,7 @@ func (p *pass) run(ctx context.Context, right int) (int, error) {
 		if err := ctx.Err(); err != nil {
 			return matvecs, err
 		}
-		uni.step(p.cur, next)
+		uni.p.MulVec(p.cur, next)
 		p.cur, next = next, p.cur
 		matvecs++
 		p.record()

@@ -148,7 +148,7 @@ func (c *Chain) stationaryDirect(set, pos []int) (linalg.Vector, error) {
 	for k, s := range set {
 		cols, vals := c.Rates.Row(s)
 		for ci, j := range cols {
-			kj, err := inSet(set, pos, s, j)
+			kj, err := inSet(set, pos, s, int(j))
 			if err != nil {
 				return nil, err
 			}
@@ -259,21 +259,23 @@ func unknown(k, ref int) int {
 // with π_ref = 1 moved to b. Column u of A holds the negated rates out of
 // the state with unknown index u and, on the diagonal, its exit rate less
 // any stored self-rate; zero entries are dropped. A is built directly in
-// CSR form: one pass counts the entries of each row, a second fills them
-// visiting the sources in set order, so each row's columns come out
-// ascending. Each source adds at most one entry to a row.
-func (c *Chain) balanceSystem(set, pos []int, ref int) (*linalg.CSR, linalg.Vector, error) {
+// split form: one pass counts the off-diagonal entries of each row, a
+// second fills them visiting the sources in set order, so each row's
+// columns come out ascending. Each source adds at most one entry to a row.
+func (c *Chain) balanceSystem(set, pos []int, ref int) (*linalg.Split, linalg.Vector, error) {
 	m := len(set)
-	a := &linalg.CSR{Rows: m - 1, Cols: m - 1, RowPtr: make([]int, m)}
+	a := &linalg.Split{Off: linalg.CSR{Rows: m - 1, Cols: m - 1, RowPtr: make([]int32, m)}, Diag: linalg.NewVector(m - 1)}
+	off := &a.Off
 	b := linalg.NewVector(m - 1)
-	// visit calls add(row, value) for each entry source k contributes to
-	// A, in column order of the rates with the diagonal last.
+	// visit calls add(row, value) for each off-diagonal entry source k
+	// contributes to A, in column order of the rates, and sets its
+	// diagonal.
 	visit := func(k int, add func(row int, v float64)) error {
 		s := set[k]
 		cols, vals := c.Rates.Row(s)
 		d := c.Exit[s]
 		for ci, j := range cols {
-			kj, err := inSet(set, pos, s, j)
+			kj, err := inSet(set, pos, s, int(j))
 			if err != nil {
 				return err
 			}
@@ -288,30 +290,30 @@ func (c *Chain) balanceSystem(set, pos []int, ref int) (*linalg.CSR, linalg.Vect
 				add(unknown(kj, ref), -vals[ci])
 			}
 		}
-		if k != ref && d != 0 {
-			add(unknown(k, ref), d)
+		if k != ref {
+			a.Diag[unknown(k, ref)] = d
 		}
 		return nil
 	}
-	count := func(row int, _ float64) { a.RowPtr[row+1]++ }
+	count := func(row int, _ float64) { off.RowPtr[row+1]++ }
 	for k := range set {
 		if err := visit(k, count); err != nil {
 			return nil, nil, err
 		}
 	}
 	for u := 0; u < m-1; u++ {
-		a.RowPtr[u+1] += a.RowPtr[u]
+		off.RowPtr[u+1] += off.RowPtr[u]
 	}
-	nnz := a.RowPtr[m-1]
-	a.ColIdx, a.Val = make([]int, nnz), make([]float64, nnz)
-	next := slices.Clone(a.RowPtr[:m-1])
+	nnz := off.RowPtr[m-1]
+	off.ColIdx, off.Val = make([]int32, nnz), make([]float64, nnz)
+	next := slices.Clone(off.RowPtr[:m-1])
 	for k := range set {
 		if k == ref {
 			continue // contributes to b only, summed by the counting pass
 		}
-		u := unknown(k, ref)
+		u := int32(unknown(k, ref))
 		visit(k, func(row int, v float64) {
-			a.ColIdx[next[row]], a.Val[next[row]] = u, v
+			off.ColIdx[next[row]], off.Val[next[row]] = u, v
 			next[row]++
 		})
 	}

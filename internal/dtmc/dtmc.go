@@ -129,15 +129,16 @@ func (c *Chain) Reachability(target []bool, opts linalg.IterOpts) (linalg.Vector
 	return x, nil
 }
 
-// fractionalSystem builds (I − P_uu)·y = P_u·x_known, where u are the
-// unknowns (idx maps a state to its unknown index, -1 if known) and x_known
-// is 1 on target and almost-sure states. Unknowns keep the state order, so
-// each row comes out sorted.
-func (c *Chain) fractionalSystem(unknowns, idx []int, x linalg.Vector) (*linalg.CSR, linalg.Vector) {
-	a := linalg.NewRowBuilder(len(unknowns), len(unknowns), 0)
+// fractionalSystem builds (I − P_uu)·y = P_u·x_known in split form, where
+// u are the unknowns (idx maps a state to its unknown index, -1 if known)
+// and x_known is 1 on target and almost-sure states. Unknowns keep the
+// state order, so each row comes out sorted, and a self-loop sums into the
+// diagonal as 1 − p.
+func (c *Chain) fractionalSystem(unknowns, idx []int, x linalg.Vector) (*linalg.Split, linalg.Vector) {
+	a := linalg.NewSplitBuilder(len(unknowns), 0)
 	b := linalg.NewVector(len(unknowns))
 	for ui, i := range unknowns {
-		a.Diagonal(ui, 1)
+		a.Diagonal(1)
 		cols, vals := c.P.Row(i)
 		for k, j := range cols {
 			p := vals[k]
@@ -152,7 +153,7 @@ func (c *Chain) fractionalSystem(unknowns, idx []int, x linalg.Vector) (*linalg.
 		}
 		a.EndRow()
 	}
-	return a.CSR(), b
+	return a.Split(), b
 }
 
 func clamp01(x float64) float64 {

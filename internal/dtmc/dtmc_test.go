@@ -347,11 +347,28 @@ func TestFractionalSystemMatchesCOO(t *testing.T) {
 			}
 		}
 		a, b := c.fractionalSystem(unknowns, idx, x)
-		w := want.ToCSR()
+		// The solvers take the COO assembly in split form: off-diagonal
+		// rows and the diagonal.
+		full := want.ToCSR()
+		off := linalg.NewRowBuilder(full.Rows, full.Cols, full.NNZ())
+		diag := linalg.NewVector(full.Rows)
+		for i := 0; i < full.Rows; i++ {
+			cols, vals := full.Row(i)
+			for k, j := range cols {
+				if int(j) == i {
+					diag[i] = vals[k]
+				} else {
+					off.Add(int(j), vals[k])
+				}
+			}
+			off.EndRow()
+		}
+		w := off.CSR()
 		bits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-		if !slices.Equal(a.RowPtr, w.RowPtr) || !slices.Equal(a.ColIdx, w.ColIdx) ||
-			!slices.EqualFunc(a.Val, w.Val, bits) || !slices.EqualFunc(b, wantB, bits) {
-			t.Fatalf("trial %d: system differs from the COO assembly:\n got %+v %v\nwant %+v %v", trial, a, b, w, wantB)
+		if !slices.Equal(a.Off.RowPtr, w.RowPtr) || !slices.Equal(a.Off.ColIdx, w.ColIdx) ||
+			!slices.EqualFunc(a.Off.Val, w.Val, bits) || !slices.EqualFunc(a.Diag, diag, bits) ||
+			!slices.EqualFunc(b, wantB, bits) {
+			t.Fatalf("trial %d: system differs from the COO assembly:\n got %+v %v %v\nwant %+v %v %v", trial, a.Off, a.Diag, b, w, diag, wantB)
 		}
 	}
 }

@@ -39,7 +39,7 @@ func SCCs(m *linalg.CSR) (comp []int, comps [][]int) {
 		if index[root] != unvisited {
 			continue
 		}
-		dfs = append(dfs[:0], frame{root, m.RowPtr[root]})
+		dfs = append(dfs[:0], frame{root, int(m.RowPtr[root])})
 		index[root] = next
 		lowlink[root] = next
 		next++
@@ -48,8 +48,8 @@ func SCCs(m *linalg.CSR) (comp []int, comps [][]int) {
 		for len(dfs) > 0 {
 			f := &dfs[len(dfs)-1]
 			v := f.v
-			if f.k < m.RowPtr[v+1] {
-				w, positive := m.ColIdx[f.k], m.Val[f.k] > 0
+			if f.k < int(m.RowPtr[v+1]) {
+				w, positive := int(m.ColIdx[f.k]), m.Val[f.k] > 0
 				f.k++
 				if !positive {
 					continue
@@ -60,7 +60,7 @@ func SCCs(m *linalg.CSR) (comp []int, comps [][]int) {
 					next++
 					stack = append(stack, w)
 					onStack[w] = true
-					dfs = append(dfs, frame{w, m.RowPtr[w]})
+					dfs = append(dfs, frame{w, int(m.RowPtr[w])})
 				} else if onStack[w] && index[w] < lowlink[v] {
 					lowlink[v] = index[w]
 				}
@@ -139,7 +139,7 @@ func Reachable(m *linalg.CSR, sources []int, avoid []bool) []bool {
 			v := m.ColIdx[k]
 			if m.Val[k] > 0 && !seen[v] && (avoid == nil || !avoid[v]) {
 				seen[v] = true
-				frontier = append(frontier, v)
+				frontier = append(frontier, int(v))
 			}
 		}
 	}

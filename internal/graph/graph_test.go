@@ -165,7 +165,7 @@ func TestCanReachAvoiding(t *testing.T) {
 
 // Stored entries that are zero or negative are not edges.
 func TestNonPositiveEntriesAreNotEdges(t *testing.T) {
-	g := &linalg.CSR{Rows: 3, Cols: 3, RowPtr: []int{0, 2, 3, 3}, ColIdx: []int{1, 2, 0}, Val: []float64{0, -1, 1}}
+	g := &linalg.CSR{Rows: 3, Cols: 3, RowPtr: []int32{0, 2, 3, 3}, ColIdx: []int32{1, 2, 0}, Val: []float64{0, -1, 1}}
 	if seen := Reachable(g, []int{0}, nil); seen[1] || seen[2] {
 		t.Fatalf("Reachable = %v", seen)
 	}

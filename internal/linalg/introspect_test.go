@@ -17,7 +17,7 @@ func TestTraceSamplingConverged(t *testing.T) {
 	b := NewVector(24)
 	b[0] = 1
 	var stats IterStats
-	if _, err := Jacobi(a, b, IterOpts{Stats: &stats, CollectTrace: true}); err != nil {
+	if _, err := Jacobi(splitCSR(a), b, IterOpts{Stats: &stats, CollectTrace: true}); err != nil {
 		t.Fatal(err)
 	}
 	if len(stats.Trace) == 0 {
@@ -47,7 +47,7 @@ func TestTraceSamplingIsLogSpaced(t *testing.T) {
 	coo.Add(1, 0, -0.9999)
 	coo.Add(1, 1, 1)
 	var stats IterStats
-	_, err := Jacobi(coo.ToCSR(), Vector{1, 0}, IterOpts{MaxIter: 10000, Stats: &stats, CollectTrace: true})
+	_, err := Jacobi(splitCSR(coo.ToCSR()), Vector{1, 0}, IterOpts{MaxIter: 10000, Stats: &stats, CollectTrace: true})
 	var ce *ConvergenceError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want ConvergenceError", err)
@@ -65,7 +65,7 @@ func TestTraceSamplingIsLogSpaced(t *testing.T) {
 func TestTraceDisabledByDefault(t *testing.T) {
 	a := diagonallyDominantCSR(rand.New(rand.NewSource(25)), 8)
 	var stats IterStats
-	if _, err := GaussSeidel(a, NewVector(8), IterOpts{Stats: &stats}); err != nil {
+	if _, err := GaussSeidel(splitCSR(a), NewVector(8), IterOpts{Stats: &stats}); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Trace != nil {
@@ -129,7 +129,7 @@ func TestRobustSolveAttemptTraces(t *testing.T) {
 	defer root.End()
 
 	var stats RobustStats
-	x, err := RobustSolve(ctx, a, b, RobustOpts{
+	x, err := RobustSolve(ctx, splitCSR(a), b, RobustOpts{
 		// 100 sweeps diverge to ~6^100 without overflowing to Inf.
 		Opts:  IterOpts{MaxIter: 100},
 		Stats: &stats,
@@ -208,7 +208,7 @@ func TestRobustSolveAttemptReachesRunFlight(t *testing.T) {
 	coo.Add(0, 1, 2)
 	coo.Add(1, 0, 3)
 	coo.Add(1, 1, 1)
-	if _, err := RobustSolve(context.Background(), coo.ToCSR(), Vector{1, 1}, RobustOpts{Opts: IterOpts{MaxIter: 100}}); err != nil {
+	if _, err := RobustSolve(context.Background(), splitCSR(coo.ToCSR()), Vector{1, 1}, RobustOpts{Opts: IterOpts{MaxIter: 100}}); err != nil {
 		t.Fatalf("RobustSolve: %v", err)
 	}
 	var tries []float64

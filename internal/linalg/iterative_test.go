@@ -42,11 +42,11 @@ func TestJacobiAndGaussSeidelAgreeWithDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jac, err := Jacobi(a, b, IterOpts{})
+		jac, err := Jacobi(splitCSR(a), b, IterOpts{})
 		if err != nil {
 			t.Fatalf("Jacobi: %v", err)
 		}
-		gs, err := GaussSeidel(a, b, IterOpts{})
+		gs, err := GaussSeidel(splitCSR(a), b, IterOpts{})
 		if err != nil {
 			t.Fatalf("GaussSeidel: %v", err)
 		}
@@ -64,21 +64,21 @@ func TestIterativeZeroDiagonal(t *testing.T) {
 	coo.Add(0, 1, 1)
 	coo.Add(1, 0, 1)
 	a := coo.ToCSR()
-	if _, err := Jacobi(a, Vector{1, 1}, IterOpts{}); !errors.Is(err, ErrSingular) {
+	if _, err := Jacobi(splitCSR(a), Vector{1, 1}, IterOpts{}); !errors.Is(err, ErrSingular) {
 		t.Fatalf("Jacobi err = %v, want ErrSingular", err)
 	}
-	if _, err := GaussSeidel(a, Vector{1, 1}, IterOpts{}); !errors.Is(err, ErrSingular) {
+	if _, err := GaussSeidel(splitCSR(a), Vector{1, 1}, IterOpts{}); !errors.Is(err, ErrSingular) {
 		t.Fatalf("GaussSeidel err = %v, want ErrSingular", err)
 	}
 }
 
 func TestIterativeDimensionErrors(t *testing.T) {
 	a := NewCOO(2, 3).ToCSR()
-	if _, err := Jacobi(a, Vector{1, 1}, IterOpts{}); !errors.Is(err, ErrDimension) {
+	if _, err := Jacobi(splitCSR(a), Vector{1, 1}, IterOpts{}); !errors.Is(err, ErrDimension) {
 		t.Fatalf("err = %v", err)
 	}
 	sq := NewCOO(2, 2).ToCSR()
-	if _, err := GaussSeidel(sq, Vector{1}, IterOpts{}); !errors.Is(err, ErrDimension) {
+	if _, err := GaussSeidel(splitCSR(sq), Vector{1}, IterOpts{}); !errors.Is(err, ErrDimension) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -91,7 +91,7 @@ func TestIterativeNoConvergence(t *testing.T) {
 	coo.Add(1, 0, -10)
 	coo.Add(1, 1, 1)
 	a := coo.ToCSR()
-	if _, err := Jacobi(a, Vector{1, 1}, IterOpts{MaxIter: 5}); !errors.Is(err, ErrNoConvergence) {
+	if _, err := Jacobi(splitCSR(a), Vector{1, 1}, IterOpts{MaxIter: 5}); !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("err = %v, want ErrNoConvergence", err)
 	}
 }
@@ -106,7 +106,7 @@ func TestConvergenceErrorContext(t *testing.T) {
 	coo.Add(1, 1, 1)
 	a := coo.ToCSR()
 	var stats IterStats
-	_, err := GaussSeidel(a, Vector{1, 1}, IterOpts{MaxIter: 7, Stats: &stats})
+	_, err := GaussSeidel(splitCSR(a), Vector{1, 1}, IterOpts{MaxIter: 7, Stats: &stats})
 	var ce *ConvergenceError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %T %v, want *ConvergenceError", err, err)
@@ -130,15 +130,15 @@ func TestIterStatsOnSuccess(t *testing.T) {
 		b[i] = r.Float64()
 	}
 	for name, solve := range map[string]func() error{
-		"jacobi":       func() error { _, err := Jacobi(a, b, IterOpts{Stats: nil}); return err },
-		"gauss-seidel": func() error { _, err := GaussSeidel(a, b, IterOpts{Stats: nil}); return err },
+		"jacobi":       func() error { _, err := Jacobi(splitCSR(a), b, IterOpts{Stats: nil}); return err },
+		"gauss-seidel": func() error { _, err := GaussSeidel(splitCSR(a), b, IterOpts{Stats: nil}); return err },
 	} {
 		if err := solve(); err != nil {
 			t.Fatalf("%s without stats: %v", name, err)
 		}
 	}
 	var st IterStats
-	if _, err := GaussSeidel(a, b, IterOpts{Stats: &st}); err != nil {
+	if _, err := GaussSeidel(splitCSR(a), b, IterOpts{Stats: &st}); err != nil {
 		t.Fatal(err)
 	}
 	if !st.Converged || st.Iterations <= 0 || st.Iterations >= 100000 {

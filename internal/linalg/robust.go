@@ -31,11 +31,11 @@ var fallbackChain = []struct {
 	method     string
 	iterFactor int     // multiplies the base MaxIter
 	tolFactor  float64 // multiplies the base Tol
-	solve      func(*CSR, Vector, IterOpts) (Vector, error)
+	solve      func(*Split, Vector, IterOpts) (Vector, error)
 }{
 	{MethodGaussSeidel, 1, 1, GaussSeidel},
 	{MethodJacobi, 2, 10, Jacobi},
-	{MethodDense, 1, 1, func(a *CSR, b Vector, _ IterOpts) (Vector, error) { return SolveDense(a.ToDense(), b) }},
+	{MethodDense, 1, 1, func(a *Split, b Vector, _ IterOpts) (Vector, error) { return SolveDense(a.ToDense(), b) }},
 }
 
 // RobustOpts configures RobustSolve.
@@ -85,7 +85,7 @@ type RobustStats struct {
 // emitted as an attempt event (obs.RecordAttempt), so run manifests and the
 // flight ring show which solvers were tried. The fault.PointSolverDiverge injection point, when armed,
 // replaces a step's real solve with a synthetic convergence failure.
-func RobustSolve(ctx context.Context, a *CSR, b Vector, opts RobustOpts) (Vector, error) {
+func RobustSolve(ctx context.Context, a *Split, b Vector, opts RobustOpts) (Vector, error) {
 	base := opts.Opts.withDefaults()
 	ctx, sp := obs.Start(ctx, "linalg.robust_solve")
 	defer sp.End()
@@ -95,7 +95,7 @@ func RobustSolve(ctx context.Context, a *CSR, b Vector, opts RobustOpts) (Vector
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if step.method == MethodDense && a.Rows > DefaultDenseLimit {
+		if step.method == MethodDense && a.Off.Rows > DefaultDenseLimit {
 			continue
 		}
 		try++

@@ -20,7 +20,7 @@ func TestRobustSolveEscalationOrder(t *testing.T) {
 		b[i] = float64(i + 1)
 	}
 	var stats RobustStats
-	x, err := RobustSolve(context.Background(), a, b, RobustOpts{
+	x, err := RobustSolve(context.Background(), splitCSR(a), b, RobustOpts{
 		Opts:  IterOpts{Tol: 1e-15, MaxIter: 1},
 		Stats: &stats,
 	})
@@ -67,7 +67,7 @@ func TestRobustSolveFirstMethodWins(t *testing.T) {
 	b := NewVector(12)
 	b[0] = 1
 	var stats RobustStats
-	if _, err := RobustSolve(context.Background(), a, b, RobustOpts{Stats: &stats}); err != nil {
+	if _, err := RobustSolve(context.Background(), splitCSR(a), b, RobustOpts{Stats: &stats}); err != nil {
 		t.Fatalf("RobustSolve: %v", err)
 	}
 	if len(stats.Attempts) != 1 || stats.Method != MethodGaussSeidel {
@@ -92,7 +92,7 @@ func TestRobustSolveInjectedDivergence(t *testing.T) {
 	rec := &obs.AttemptRecorder{}
 	ctx, root := obs.NewTracer(rec, false).StartSpan(context.Background(), "test")
 	defer root.End()
-	x, err := RobustSolve(ctx, a, b, RobustOpts{Stats: &stats})
+	x, err := RobustSolve(ctx, splitCSR(a), b, RobustOpts{Stats: &stats})
 	if err != nil {
 		t.Fatalf("RobustSolve: %v", err)
 	}
@@ -124,7 +124,7 @@ func TestRobustSolveFatalErrorsDoNotEscalate(t *testing.T) {
 	coo.Add(0, 1, 1) // zero diagonal at row 0
 	coo.Add(1, 1, 1)
 	var stats RobustStats
-	_, err := RobustSolve(context.Background(), coo.ToCSR(), Vector{1, 1}, RobustOpts{Stats: &stats})
+	_, err := RobustSolve(context.Background(), splitCSR(coo.ToCSR()), Vector{1, 1}, RobustOpts{Stats: &stats})
 	if !errors.Is(err, ErrSingular) {
 		t.Fatalf("err = %v, want ErrSingular", err)
 	}
@@ -142,7 +142,7 @@ func TestRobustSolveDenseSkippedAboveLimit(t *testing.T) {
 	b := NewVector(n)
 	b[0] = 1
 	var stats RobustStats
-	_, err := RobustSolve(context.Background(), a, b, RobustOpts{
+	_, err := RobustSolve(context.Background(), splitCSR(a), b, RobustOpts{
 		Opts:  IterOpts{Tol: 1e-15, MaxIter: 1},
 		Stats: &stats,
 	})
@@ -165,7 +165,7 @@ func TestRobustSolveHonorsContext(t *testing.T) {
 	cancel()
 	a := diagonallyDominantCSR(rand.New(rand.NewSource(13)), 4)
 	var stats RobustStats
-	_, err := RobustSolve(ctx, a, NewVector(4), RobustOpts{Stats: &stats})
+	_, err := RobustSolve(ctx, splitCSR(a), NewVector(4), RobustOpts{Stats: &stats})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

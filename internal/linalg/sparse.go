@@ -2,8 +2,24 @@ package linalg
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
+
+// MaxNNZ is the largest number of stored entries, and the largest row or
+// column count, a CSR can hold: RowPtr and ColIdx are int32, so every
+// offset and index must fit in one. The builders and Transpose panic
+// rather than build past it; exploration budgets stop well before it.
+const MaxNNZ = math.MaxInt32
+
+// checkShape panics when a rows×cols matrix with nnz entries would not fit
+// the int32 indices of a CSR.
+func checkShape(what string, rows, cols, nnz int) {
+	if rows < 0 || cols < 0 || rows > MaxNNZ || cols > MaxNNZ || nnz > MaxNNZ {
+		panic(fmt.Sprintf("linalg: %s of %dx%d with %d entries exceeds the int32 CSR cap of %d", what, rows, cols, nnz, MaxNNZ))
+	}
+}
 
 // Triplet is a single (row, col, value) entry used while assembling a sparse
 // matrix.
@@ -42,8 +58,10 @@ func (c *COO) Add(i, j int, v float64) {
 func (c *COO) NNZ() int { return len(c.entries) }
 
 // ToCSR converts the builder into compressed-sparse-row form, summing
-// duplicates and dropping entries that cancel to zero.
+// duplicates and dropping entries that cancel to zero. It panics past
+// MaxNNZ.
 func (c *COO) ToCSR() *CSR {
+	checkShape("COO.ToCSR", c.Rows, c.Cols, len(c.entries))
 	sort.Slice(c.entries, func(a, b int) bool {
 		ea, eb := c.entries[a], c.entries[b]
 		if ea.Row != eb.Row {
@@ -51,7 +69,7 @@ func (c *COO) ToCSR() *CSR {
 		}
 		return ea.Col < eb.Col
 	})
-	m := &CSR{Rows: c.Rows, Cols: c.Cols, RowPtr: make([]int, c.Rows+1)}
+	m := &CSR{Rows: c.Rows, Cols: c.Cols, RowPtr: make([]int32, c.Rows+1)}
 	for k := 0; k < len(c.entries); {
 		e := c.entries[k]
 		v := e.Val
@@ -63,7 +81,7 @@ func (c *COO) ToCSR() *CSR {
 		if v == 0 {
 			continue
 		}
-		m.ColIdx = append(m.ColIdx, e.Col)
+		m.ColIdx = append(m.ColIdx, int32(e.Col))
 		m.Val = append(m.Val, v)
 		m.RowPtr[e.Row+1]++
 	}
@@ -79,7 +97,7 @@ func (c *COO) ToCSR() *CSR {
 // sum has the same bits in either order, so the result is bit-identical to
 // a COO assembly of the same entries. Diagonal merging needs increasing
 // columns within the row; rows built without it keep their columns in the
-// order given.
+// order given. It panics past MaxNNZ.
 type RowBuilder struct {
 	m       *CSR
 	diagCol int // -1 once the row's diagonal is placed
@@ -89,11 +107,12 @@ type RowBuilder struct {
 // NewRowBuilder returns a builder of the given shape with room for nnz
 // entries.
 func NewRowBuilder(rows, cols, nnz int) *RowBuilder {
+	checkShape("RowBuilder", rows, cols, nnz)
 	return &RowBuilder{
 		m: &CSR{
 			Rows: rows, Cols: cols,
-			RowPtr: make([]int, 1, rows+1),
-			ColIdx: make([]int, 0, nnz),
+			RowPtr: make([]int32, 1, rows+1),
+			ColIdx: make([]int32, 0, nnz),
 			Val:    make([]float64, 0, nnz),
 		},
 		diagCol: -1,
@@ -122,7 +141,8 @@ func (b *RowBuilder) Add(j int, v float64) {
 
 func (b *RowBuilder) push(j int, v float64) {
 	if v != 0 {
-		b.m.ColIdx = append(b.m.ColIdx, j)
+		checkShape("RowBuilder", b.m.Rows, b.m.Cols, len(b.m.Val)+1)
+		b.m.ColIdx = append(b.m.ColIdx, int32(j))
 		b.m.Val = append(b.m.Val, v)
 	}
 }
@@ -133,7 +153,7 @@ func (b *RowBuilder) EndRow() {
 		b.push(b.diagCol, b.diag)
 		b.diagCol = -1
 	}
-	b.m.RowPtr = append(b.m.RowPtr, len(b.m.Val))
+	b.m.RowPtr = append(b.m.RowPtr, int32(len(b.m.Val)))
 }
 
 // CSR returns the matrix; every row must have been closed by EndRow.
@@ -146,10 +166,12 @@ func (b *RowBuilder) CSR() *CSR {
 
 // CSR is a compressed-sparse-row matrix: the nonzeros of row i are
 // Val[RowPtr[i]:RowPtr[i+1]] in columns ColIdx[RowPtr[i]:RowPtr[i+1]].
+// Offsets and column indices are int32, which halves their footprint and
+// caps a matrix at MaxNNZ (2³¹−1) entries and as many rows and columns.
 type CSR struct {
 	Rows, Cols int
-	RowPtr     []int
-	ColIdx     []int
+	RowPtr     []int32
+	ColIdx     []int32
 	Val        []float64
 }
 
@@ -158,7 +180,7 @@ func (m *CSR) NNZ() int { return len(m.Val) }
 
 // Row returns the column indices and values of row i. The returned slices
 // alias the matrix storage and must not be modified.
-func (m *CSR) Row(i int) ([]int, []float64) {
+func (m *CSR) Row(i int) ([]int32, []float64) {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 	return m.ColIdx[lo:hi], m.Val[lo:hi]
 }
@@ -166,32 +188,10 @@ func (m *CSR) Row(i int) ([]int, []float64) {
 // At returns element (i, j) with a binary search over row i.
 func (m *CSR) At(i, j int) float64 {
 	cols, vals := m.Row(i)
-	k := sort.SearchInts(cols, j)
-	if k < len(cols) && cols[k] == j {
+	if k, ok := slices.BinarySearch(cols, int32(j)); ok {
 		return vals[k]
 	}
 	return 0
-}
-
-// MulVec computes dst = m·v (column-vector orientation).
-func (m *CSR) MulVec(v Vector, dst Vector) (Vector, error) {
-	if len(v) != m.Cols {
-		return nil, fmt.Errorf("%w: %dx%d · vec(%d)", ErrDimension, m.Rows, m.Cols, len(v))
-	}
-	if dst == nil {
-		dst = NewVector(m.Rows)
-	} else if len(dst) != m.Rows {
-		return nil, fmt.Errorf("%w: dst len %d, want %d", ErrDimension, len(dst), m.Rows)
-	}
-	for i := 0; i < m.Rows; i++ {
-		var s float64
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		for k := lo; k < hi; k++ {
-			s += m.Val[k] * v[m.ColIdx[k]]
-		}
-		dst[i] = s
-	}
-	return dst, nil
 }
 
 // VecMul computes dst = vᵀ·m (row-vector orientation), the hot kernel of
@@ -234,10 +234,12 @@ func (m *CSR) RowSums() Vector {
 	return out
 }
 
-// Transpose returns mᵀ in CSR form, needed by backward iterations.
+// Transpose returns mᵀ in CSR form, needed by backward searches. It
+// panics past MaxNNZ.
 func (m *CSR) Transpose() *CSR {
-	t := &CSR{Rows: m.Cols, Cols: m.Rows, RowPtr: make([]int, m.Cols+1)}
-	t.ColIdx = make([]int, m.NNZ())
+	checkShape("Transpose", m.Cols, m.Rows, m.NNZ())
+	t := &CSR{Rows: m.Cols, Cols: m.Rows, RowPtr: make([]int32, m.Cols+1)}
+	t.ColIdx = make([]int32, m.NNZ())
 	t.Val = make([]float64, m.NNZ())
 	// Count entries per column of m.
 	for _, j := range m.ColIdx {
@@ -246,14 +248,13 @@ func (m *CSR) Transpose() *CSR {
 	for i := 0; i < t.Rows; i++ {
 		t.RowPtr[i+1] += t.RowPtr[i]
 	}
-	next := make([]int, t.Rows)
-	copy(next, t.RowPtr[:t.Rows])
+	next := slices.Clone(t.RowPtr[:t.Rows])
 	for i := 0; i < m.Rows; i++ {
 		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 		for k := lo; k < hi; k++ {
 			j := m.ColIdx[k]
 			p := next[j]
-			t.ColIdx[p] = i
+			t.ColIdx[p] = int32(i)
 			t.Val[p] = m.Val[k]
 			next[j]++
 		}
@@ -267,15 +268,8 @@ func (m *CSR) ToDense() *Dense {
 	for i := 0; i < m.Rows; i++ {
 		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 		for k := lo; k < hi; k++ {
-			d.Add(i, m.ColIdx[k], m.Val[k])
+			d.Add(i, int(m.ColIdx[k]), m.Val[k])
 		}
 	}
 	return d
-}
-
-// Scale multiplies every stored value by a in place.
-func (m *CSR) Scale(a float64) {
-	for i := range m.Val {
-		m.Val[i] *= a
-	}
 }

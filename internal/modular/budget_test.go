@@ -2,7 +2,10 @@ package modular
 
 import (
 	"errors"
+	"math"
 	"testing"
+
+	"repro/internal/linalg"
 )
 
 func TestExploreStateBudgetTyped(t *testing.T) {
@@ -43,5 +46,28 @@ func TestExploreTransitionBudget(t *testing.T) {
 	}
 	if ex.N() != 101 {
 		t.Fatalf("states = %d, want 101", ex.N())
+	}
+}
+
+// The transition budget is clamped to the most entries the rate CSR's
+// int32 offsets hold, as the state budget is to what the state index can
+// number; unset budgets take their defaults. Nothing large is allocated.
+func TestExploreBudgetsClampToIndexWidth(t *testing.T) {
+	for _, tc := range []struct {
+		opts                ExploreOpts
+		states, transitions int
+	}{
+		{ExploreOpts{}, 5_000_000, 20_000_000},
+		{ExploreOpts{MaxStates: 7, MaxTransitions: 9}, 7, 9},
+		{ExploreOpts{MaxStates: math.MaxInt, MaxTransitions: math.MaxInt}, maxIndexedStates, linalg.MaxNNZ},
+		{ExploreOpts{MaxTransitions: linalg.MaxNNZ + 1}, 5_000_000, linalg.MaxNNZ},
+	} {
+		states, transitions := tc.opts.budgets()
+		if states != tc.states || transitions != tc.transitions {
+			t.Errorf("%+v: budgets %d states, %d transitions; want %d, %d", tc.opts, states, transitions, tc.states, tc.transitions)
+		}
+	}
+	if linalg.MaxNNZ != math.MaxInt32 {
+		t.Fatalf("MaxNNZ = %d, want the largest int32", linalg.MaxNNZ)
 	}
 }

@@ -57,8 +57,25 @@ type ExploreOpts struct {
 	// MaxStates bounds the number of reachable states (default 5,000,000).
 	MaxStates int
 	// MaxTransitions bounds the number of transitions (default 20,000,000).
-	// Dense models hit this long before the state budget.
+	// Dense models hit this long before the state budget. It is clamped to
+	// linalg.MaxNNZ (2³¹−1), the most entries the rate CSR's int32 offsets
+	// hold.
 	MaxTransitions int
+}
+
+// budgets returns the state and transition budgets of opts: defaults for
+// unset fields, clamped to what the state index and the rate CSR can
+// number.
+func (opts ExploreOpts) budgets() (maxStates, maxTransitions int) {
+	maxStates = opts.MaxStates
+	if maxStates <= 0 {
+		maxStates = 5_000_000
+	}
+	maxTransitions = opts.MaxTransitions
+	if maxTransitions <= 0 {
+		maxTransitions = 20_000_000
+	}
+	return min(maxStates, maxIndexedStates), min(maxTransitions, linalg.MaxNNZ)
 }
 
 // Explored is the result of state-space exploration: the reachable states,
@@ -93,15 +110,7 @@ func (m *Model) ExploreContext(ctx context.Context, opts ExploreOpts) (*Explored
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	maxStates := opts.MaxStates
-	if maxStates <= 0 {
-		maxStates = 5_000_000
-	}
-	maxStates = min(maxStates, maxIndexedStates)
-	maxTransitions := opts.MaxTransitions
-	if maxTransitions <= 0 {
-		maxTransitions = 20_000_000
-	}
+	maxStates, maxTransitions := opts.budgets()
 	n := len(m.Vars)
 	idx := newStateIndex(m.Vars)
 	key := make([]uint64, idx.layout.words)
@@ -111,7 +120,7 @@ func (m *Model) ExploreContext(ctx context.Context, opts ExploreOpts) (*Explored
 	idx.insert(slot, key)
 
 	gen := m.newSuccessorGen()
-	rates := &linalg.CSR{RowPtr: []int{0}}
+	rates := &linalg.CSR{RowPtr: []int32{0}}
 	var exit linalg.Vector
 	var row []rowEntry
 	transitions, dedupHits := 0, 0
@@ -195,11 +204,11 @@ func appendRow(m *linalg.CSR, from int, row []rowEntry) (float64, error) {
 		if to == from || v == 0 {
 			continue
 		}
-		m.ColIdx = append(m.ColIdx, to)
+		m.ColIdx = append(m.ColIdx, int32(to))
 		m.Val = append(m.Val, v)
 		exit += v
 	}
-	m.RowPtr = append(grow(m.RowPtr, 1), len(m.Val))
+	m.RowPtr = append(grow(m.RowPtr, 1), int32(len(m.Val)))
 	return exit, nil
 }
 

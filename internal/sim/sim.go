@@ -47,11 +47,11 @@ func (s *Simulator) Step(state int) (next int, sojourn float64) {
 	for k, j := range cols {
 		acc += vals[k]
 		if u < acc {
-			return j, sojourn
+			return int(j), sojourn
 		}
 	}
 	// Floating-point slack: the last successor.
-	return cols[len(cols)-1], sojourn
+	return int(cols[len(cols)-1]), sojourn
 }
 
 // TimeFraction estimates the expected fraction of [0, horizon] spent in the

@@ -98,7 +98,7 @@ func TestEntryPointOnlyInitialTransition(t *testing.T) {
 	if succ[netVar.Index] != 1 {
 		t.Fatalf("first transition is not the 3G internet exploit: %v", res.Model.FormatState(succ))
 	}
-	if got := ex.Chain.Rates.At(init, cols[0]); got != arch.RateTelematics3G {
+	if got := ex.Chain.Rates.At(init, int(cols[0])); got != arch.RateTelematics3G {
 		t.Fatalf("entry rate = %v, want %v", got, arch.RateTelematics3G)
 	}
 }
