@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race fleet-race chaos explore attacktree check cover bench-smoke shard-smoke fleet-chaos cluster-smoke examples experiments serve fuzz clean
+.PHONY: all build vet lint test race fleet-race chaos explore attacktree check cover bench-smoke shard-smoke fleet-chaos cluster-smoke experiments serve fuzz clean
 
 all: check
 
@@ -103,15 +103,6 @@ fleet-chaos:
 # (see README "Cluster observability").
 cluster-smoke:
 	./scripts/cluster_smoke.sh
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/archcompare
-	$(GO) run ./examples/paramsweep
-	$(GO) run ./examples/prismmodel
-	$(GO) run ./examples/attackpath
-	$(GO) run ./examples/obddongle
-	$(GO) run ./examples/lifetime
 
 experiments:
 	$(GO) run ./cmd/experiments

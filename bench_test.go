@@ -50,7 +50,7 @@ func BenchmarkEq15SteadyState(b *testing.B) {
 	c := paperEq15Chain(b)
 	var pi2 float64
 	for i := 0; i < b.N; i++ {
-		pi, err := c.SteadyState(c.DiracInit(0))
+		pi, err := c.SteadyStateContext(b.Context(), c.DiracInit(0))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func BenchmarkFig5(b *testing.B) {
 					var r *core.Result
 					var err error
 					for i := 0; i < b.N; i++ {
-						r, err = an.Analyze(a, arch.MessageM, cat, prot)
+						r, err = an.AnalyzeContext(b.Context(), a, arch.MessageM, cat, prot)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -127,7 +127,7 @@ func BenchmarkFig5(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5Grid runs the whole Figure-5 grid per op (Compare over the
+// BenchmarkFig5Grid runs the whole Figure-5 grid per op (CompareContext over the
 // three case-study architectures, nmax 2, with steady state) under a
 // collector, and reports the pipeline work per op taken from its spans:
 // explored states, cumulative-reward (uniformisation) passes and
@@ -163,7 +163,7 @@ func BenchmarkFig6aPatchSweep(b *testing.B) {
 	var pts []core.SweepPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		pts, err = an.Sweep(arch.Architecture1(), arch.MessageM,
+		pts, err = an.SweepContext(b.Context(), arch.Architecture1(), arch.MessageM,
 			transform.Confidentiality, transform.Unencrypted,
 			core.SweepPatchRate, arch.Telematics, "", rates)
 		if err != nil {
@@ -182,7 +182,7 @@ func BenchmarkFig6bExploitSweep(b *testing.B) {
 	var pts []core.SweepPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		pts, err = an.Sweep(arch.Architecture1(), arch.MessageM,
+		pts, err = an.SweepContext(b.Context(), arch.Architecture1(), arch.MessageM,
 			transform.Confidentiality, transform.Unencrypted,
 			core.SweepExploitRate, arch.Telematics, arch.BusInternet, rates)
 		if err != nil {
@@ -206,7 +206,7 @@ func BenchmarkScalabilityNmax(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				ex, err := res.Model.Explore(modular.ExploreOpts{})
+				ex, err := res.Model.ExploreContext(b.Context(), modular.ExploreOpts{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -235,7 +235,7 @@ func BenchmarkScalabilityECUs(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				ex, err := res.Model.Explore(modular.ExploreOpts{})
+				ex, err := res.Model.ExploreContext(b.Context(), modular.ExploreOpts{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -259,7 +259,7 @@ func BenchmarkAblationPatchGuard(b *testing.B) {
 			var r *core.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				r, err = an.Analyze(arch.Architecture3(), arch.MessageM,
+				r, err = an.AnalyzeContext(b.Context(), arch.Architecture3(), arch.MessageM,
 					transform.Availability, transform.Unencrypted)
 				if err != nil {
 					b.Fatal(err)
@@ -283,7 +283,7 @@ func BenchmarkAblationLinearRates(b *testing.B) {
 			var r *core.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				r, err = an.Analyze(arch.Architecture1(), arch.MessageM,
+				r, err = an.AnalyzeContext(b.Context(), arch.Architecture1(), arch.MessageM,
 					transform.Availability, transform.Unencrypted)
 				if err != nil {
 					b.Fatal(err)
@@ -328,13 +328,13 @@ func BenchmarkEngineTransient(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ex, err := res.Model.Explore(modular.ExploreOpts{})
+	ex, err := res.Model.ExploreContext(b.Context(), modular.ExploreOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ex.Chain.Transient(ex.InitDistribution(), 1, 1e-10); err != nil {
+		if _, err := ex.Chain.TransientContext(b.Context(), ex.InitDistribution(), 1, 1e-10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -362,7 +362,7 @@ func BenchmarkSteadyStateSynthetic(b *testing.B) {
 	b.ResetTimer()
 	var steady float64
 	for i := 0; i < b.N; i++ {
-		if steady, err = ex.Chain.SteadyStateProbability(init, mask); err != nil {
+		if steady, err = ex.Chain.SteadyStateProbabilityContext(b.Context(), init, mask); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -454,7 +454,7 @@ func BenchmarkEngineExplore(b *testing.B) {
 	b.ResetTimer()
 	var states int
 	for i := 0; i < b.N; i++ {
-		ex, err := res.Model.Explore(modular.ExploreOpts{})
+		ex, err := res.Model.ExploreContext(b.Context(), modular.ExploreOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -489,7 +489,7 @@ func BenchmarkCSLCheck(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ex, err := res.Model.Explore(modular.ExploreOpts{})
+	ex, err := res.Model.ExploreContext(b.Context(), modular.ExploreOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -501,7 +501,7 @@ func BenchmarkCSLCheck(b *testing.B) {
 	b.ResetTimer()
 	var v float64
 	for i := 0; i < b.N; i++ {
-		r, err := checker.Check(prop)
+		r, err := checker.CheckContext(b.Context(), prop)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -519,7 +519,7 @@ func BenchmarkMonteCarloValidation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ex, err := res.Model.Explore(modular.ExploreOpts{})
+	ex, err := res.Model.ExploreContext(b.Context(), modular.ExploreOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -553,7 +553,7 @@ func BenchmarkAblationLumping(b *testing.B) {
 			var r *core.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				r, err = an.Analyze(arch.Architecture2(), arch.MessageM,
+				r, err = an.AnalyzeContext(b.Context(), arch.Architecture2(), arch.MessageM,
 					transform.Confidentiality, transform.AES128)
 				if err != nil {
 					b.Fatal(err)

@@ -11,10 +11,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"repro/internal/arch"
 	"repro/internal/modular"
@@ -22,13 +25,15 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "archgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, out io.Writer, errOut io.Writer) error {
+func run(ctx context.Context, args []string, out io.Writer, errOut io.Writer) error {
 	fs := flag.NewFlagSet("archgen", flag.ContinueOnError)
 	ecus := fs.Int("ecus", 5, "number of ECUs (≥ 3)")
 	buses := fs.Int("buses", 2, "number of internal buses (≥ 1)")
@@ -58,7 +63,7 @@ func run(args []string, out io.Writer, errOut io.Writer) error {
 		if err != nil {
 			return err
 		}
-		ex, err := res.Model.Explore(modular.ExploreOpts{})
+		ex, err := res.Model.ExploreContext(ctx, modular.ExploreOpts{})
 		if err != nil {
 			return err
 		}

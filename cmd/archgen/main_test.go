@@ -12,7 +12,7 @@ import (
 func runCapture(t *testing.T, args ...string) (string, string, error) {
 	t.Helper()
 	var out, errOut strings.Builder
-	err := run(args, &out, &errOut)
+	err := run(t.Context(), args, &out, &errOut)
 	return out.String(), errOut.String(), err
 }
 

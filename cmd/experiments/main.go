@@ -104,7 +104,7 @@ func eq15(ctx context.Context, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		res, err := checker.Check(prop)
+		res, err := checker.CheckContext(ctx, prop)
 		if err != nil {
 			return err
 		}
@@ -249,7 +249,7 @@ func exploreSize(ctx context.Context, a *arch.Architecture, nmax int) (states, t
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if _, err := ex.Chain.ExpectedTimeFraction(ex.InitDistribution(), mask, 1, 0); err != nil {
+	if _, err := ex.Chain.ExpectedTimeFractionContext(ctx, ex.InitDistribution(), mask, 1, 0); err != nil {
 		return 0, 0, 0, err
 	}
 	return ex.N(), ex.Chain.Rates.NNZ(), time.Since(start).Round(time.Millisecond), nil

@@ -11,11 +11,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/csl"
@@ -35,13 +38,15 @@ func (p *propList) Set(v string) error {
 }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "prismc:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("prismc", flag.ContinueOnError)
 	var props propList
 	fs.Var(&props, "prop", "CSL property to check (repeatable)")
@@ -74,7 +79,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("parsing %s: %w", fs.Arg(0), err)
 	}
 	start := time.Now()
-	ex, err := model.Explore(modular.ExploreOpts{MaxStates: *maxStates})
+	ex, err := model.ExploreContext(ctx, modular.ExploreOpts{MaxStates: *maxStates})
 	if err != nil {
 		return err
 	}
@@ -107,7 +112,7 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("property %q: %w", p, err)
 		}
 		start := time.Now()
-		res, err := checker.Check(prop)
+		res, err := checker.CheckContext(ctx, prop)
 		if err != nil {
 			return fmt.Errorf("checking %q: %w", p, err)
 		}

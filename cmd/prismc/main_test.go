@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,7 +34,7 @@ func writeModel(t *testing.T, src string) string {
 func runCapture(t *testing.T, args ...string) (string, error) {
 	t.Helper()
 	var b strings.Builder
-	err := run(args, &b)
+	err := run(t.Context(), args, &b)
 	return b.String(), err
 }
 
@@ -43,6 +45,21 @@ func TestStats(t *testing.T) {
 	}
 	if !strings.Contains(out, "states:      3") {
 		t.Fatalf("out = %q", out)
+	}
+}
+
+// TestCancelledContext checks that a cancelled run stops in exploration and
+// reports the cancellation instead of a result.
+func TestCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	var b strings.Builder
+	err := run(ctx, []string{"-prop", `S=? [ "full" ]`, writeModel(t, modelSrc)}, &b)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if b.Len() != 0 {
+		t.Fatalf("cancelled run printed %q", b.String())
 	}
 }
 

@@ -21,7 +21,7 @@
 //   - internal/sim — a Gillespie simulator cross-validating every numeric
 //     result;
 //   - cmd/secanalyze, cmd/prismc, cmd/sweep, cmd/archgen — command-line
-//     tools; examples/ — runnable scenarios.
+//     tools; the worked scenarios are checked Examples in internal/core.
 //
 // The benchmark suite in bench_test.go regenerates every table and figure
 // of the paper's evaluation; EXPERIMENTS.md records paper-vs-measured

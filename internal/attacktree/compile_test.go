@@ -19,7 +19,7 @@ func explore(t *testing.T, tr *Tree, opts CompileOptions) (*Compiled, *modular.E
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	ex, err := c.Model.Explore(modular.ExploreOpts{})
+	ex, err := c.Model.ExploreContext(t.Context(), modular.ExploreOpts{})
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
@@ -145,7 +145,7 @@ func check(t *testing.T, c *Compiled, ex *modular.Explored, query string) float6
 	}
 	checker := csl.NewChecker(ex)
 	checker.Accuracy = 1e-12
-	res, err := checker.Check(prop)
+	res, err := checker.CheckContext(t.Context(), prop)
 	if err != nil {
 		t.Fatalf("check %q: %v", query, err)
 	}
@@ -294,7 +294,7 @@ func TestCompileSolveRoundTripRace(t *testing.T) {
 				errs <- err
 				return
 			}
-			ex, err := c.Model.Explore(modular.ExploreOpts{})
+			ex, err := c.Model.ExploreContext(t.Context(), modular.ExploreOpts{})
 			if err != nil {
 				errs <- err
 				return
@@ -304,7 +304,7 @@ func TestCompileSolveRoundTripRace(t *testing.T) {
 				errs <- err
 				return
 			}
-			res, err := csl.NewChecker(ex).Check(prop)
+			res, err := csl.NewChecker(ex).CheckContext(t.Context(), prop)
 			if err != nil {
 				errs <- err
 				return

@@ -107,7 +107,7 @@ func TestCriticalComponentsArch3(t *testing.T) {
 
 func TestCriticalComponentsResidualConsistency(t *testing.T) {
 	an := Analyzer{NMax: 1}
-	base, err := an.Analyze(arch.Architecture1(), arch.MessageM,
+	base, err := an.AnalyzeContext(t.Context(), arch.Architecture1(), arch.MessageM,
 		transform.Availability, transform.Unencrypted)
 	if err != nil {
 		t.Fatal(err)

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/modular"
-	"repro/internal/sim"
 	"repro/internal/transform"
 )
 
@@ -20,32 +18,27 @@ func TestEveryEntryPointEnforcesTransitionBudget(t *testing.T) {
 	ar := arch.Architecture1()
 	const msg = arch.MessageM
 	cat, prot := transform.Confidentiality, transform.Unencrypted
-	ctx := context.Background()
+	ctx := t.Context()
 	cases := []struct {
 		name string
 		run  func() error
 	}{
 		{"PrepareContext", func() error { _, err := a.PrepareContext(ctx, ar, msg, cat, prot); return err }},
-		{"Analyze", func() error { _, err := a.Analyze(ar, msg, cat, prot); return err }},
-		{"AnalyzeAll", func() error { _, err := a.AnalyzeAll(ar, msg); return err }},
-		{"AnalyzeMessages", func() error { _, err := a.AnalyzeMessages(ar, cat, prot); return err }},
-		{"Compare", func() error { _, err := a.Compare([]*arch.Architecture{ar}, msg); return err }},
+		{"Analyze", func() error { _, err := a.AnalyzeContext(ctx, ar, msg, cat, prot); return err }},
+		{"AnalyzeAll", func() error { _, err := a.AnalyzeAllContext(ctx, ar, msg); return err }},
+		{"Compare", func() error { _, err := a.CompareContext(ctx, []*arch.Architecture{ar}, msg); return err }},
 		{"Sweep", func() error {
-			_, err := a.Sweep(ar, msg, cat, prot, SweepPatchRate, arch.Telematics, "", []float64{52})
+			_, err := a.SweepContext(ctx, ar, msg, cat, prot, SweepPatchRate, arch.Telematics, "", []float64{52})
 			return err
 		}},
 		{"Metrics", func() error { _, err := a.Metrics(ar, msg, cat, prot); return err }},
-		{"TestViolationProbability", func() error {
-			_, err := a.TestViolationProbability(ar, msg, cat, prot, 0.5, 1, sim.SPRTOptions{})
-			return err
-		}},
 		{"AnalyzeComponents", func() error { _, err := a.AnalyzeComponents(ar, msg, cat, prot); return err }},
 		{"AttackPaths", func() error { _, err := a.AttackPaths(ar, msg, cat, prot, 2); return err }},
 		{"MostProbableAttackPath", func() error { _, err := a.MostProbableAttackPath(ar, msg, cat, prot); return err }},
 		{"CriticalComponents", func() error { _, err := a.CriticalComponents(ar, msg, cat, prot); return err }},
 		{"TimeSeries", func() error { _, err := a.TimeSeries(ar, msg, cat, prot, []float64{0.5, 1}); return err }},
 		{"CheckProperty", func() error {
-			_, err := a.CheckProperty(ar, msg, cat, prot, `P=? [ F<=1 "violated" ]`)
+			_, err := a.CheckPropertyContext(ctx, ar, msg, cat, prot, `P=? [ F<=1 "violated" ]`)
 			return err
 		}},
 		{"Sensitivities", func() error { _, err := a.Sensitivities(ar, msg, cat, prot); return err }},

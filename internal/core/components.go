@@ -28,7 +28,8 @@ type ComponentResult struct {
 // bus under the model generated for the given message/category/protection.
 func (a Analyzer) AnalyzeComponents(ar *arch.Architecture, msgName string, cat transform.Category, prot transform.Protection) ([]ComponentResult, error) {
 	a = a.withDefaults()
-	p, err := a.PrepareContext(context.Background(), ar, msgName, cat, prot)
+	ctx := context.Background()
+	p, err := a.PrepareContext(ctx, ar, msgName, cat, prot)
 	if err != nil {
 		return nil, err
 	}
@@ -39,11 +40,11 @@ func (a Analyzer) AnalyzeComponents(ar *arch.Architecture, msgName string, cat t
 		if err != nil {
 			return err
 		}
-		frac, err := ex.Chain.ExpectedTimeFraction(p.chain.init, mask, a.Horizon, a.Accuracy)
+		frac, err := ex.Chain.ExpectedTimeFractionContext(ctx, p.chain.init, mask, a.Horizon, a.Accuracy)
 		if err != nil {
 			return fmt.Errorf("core: component %s: %w", name, err)
 		}
-		ever, err := ex.Chain.TimeBoundedReachability(p.chain.init, mask, a.Horizon, a.Accuracy)
+		ever, err := ex.Chain.TimeBoundedReachabilityContext(ctx, p.chain.init, mask, a.Horizon, a.Accuracy)
 		if err != nil {
 			return fmt.Errorf("core: component %s: %w", name, err)
 		}

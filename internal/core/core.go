@@ -62,8 +62,8 @@ type Analyzer struct {
 	// analysis (paper future work): ECUs with configured failure/repair
 	// rates gain hardware-failure state; see transform.Options.
 	IncludeReliability bool
-	// Parallel runs the chains of grid analyses (AnalyzeAll, Compare,
-	// AnalyzeMessages) concurrently, one worker per CPU. Each chain is
+	// Parallel runs the chains of grid analyses (AnalyzeAllContext,
+	// CompareContext) concurrently, one worker per CPU. Each chain is
 	// explored and solved by one worker (whose reward pass, as always, runs
 	// beside its steady-state solve), so results are bitwise identical to
 	// the sequential order, and a failure reports the lowest failing
@@ -144,16 +144,11 @@ type Result struct {
 // Percent returns the time fraction as a percentage.
 func (r *Result) Percent() float64 { return 100 * r.TimeFraction }
 
-// Analyze runs the full pipeline for one category × protection combination.
-func (a Analyzer) Analyze(ar *arch.Architecture, msgName string, cat transform.Category, prot transform.Protection) (*Result, error) {
-	return a.AnalyzeContext(context.Background(), ar, msgName, cat, prot)
-}
-
-// AnalyzeContext is Analyze with span propagation: a "core.analyze" span
-// (attributed with architecture, message, cell and label counts) covering
-// the transform, explore and check phases, each of which appears as a child
-// span in the trace. It is the one-cell case of the grid analyses, which
-// open one such span per chain.
+// AnalyzeContext runs the full pipeline for one category × protection
+// combination under a "core.analyze" span (attributed with architecture,
+// message, cell and label counts) covering the transform, explore and check
+// phases, each of which appears as a child span in the trace. It is the
+// one-cell case of the grid analyses, which open one such span per chain.
 func (a Analyzer) AnalyzeContext(ctx context.Context, ar *arch.Architecture, msgName string, cat transform.Category, prot transform.Protection) (*Result, error) {
 	rs, err := a.analyzeChain(ctx, ar, []cell{{msgName, cat, prot}})
 	if err != nil {
@@ -173,14 +168,9 @@ var Protections = []transform.Protection{
 	transform.Unencrypted, transform.CMAC128, transform.AES128,
 }
 
-// AnalyzeAll analyses every category × protection combination for one
-// architecture (one column group of Figure 5).
-func (a Analyzer) AnalyzeAll(ar *arch.Architecture, msgName string) ([]*Result, error) {
-	return a.AnalyzeAllContext(context.Background(), ar, msgName)
-}
-
-// AnalyzeAllContext is AnalyzeAll with span propagation and per-chain
-// progress events. The nine cells share two chains (with and without the
+// AnalyzeAllContext analyses every category × protection combination for
+// one architecture (one column group of Figure 5), with per-chain progress
+// events. The nine cells share two chains (with and without the
 // message-protection variable), each explored and solved once. Parallel
 // workers emit through the same sinks (sinks are required to be
 // concurrency-safe).
@@ -315,30 +305,9 @@ func catch(p *any, f func()) {
 	f()
 }
 
-// AnalyzeMessages analyses every message stream of the architecture for one
-// category × protection — the paper's per-stream quantification ("we are
-// quantizing the security of all traffic") applied to a fully scheduled
-// message set. When the protection does not cover the category, every
-// stream shares one chain.
-func (a Analyzer) AnalyzeMessages(ar *arch.Architecture, cat transform.Category, prot transform.Protection) ([]*Result, error) {
-	if len(ar.Messages) == 0 {
-		return nil, fmt.Errorf("core: architecture %s has no messages", ar.Name)
-	}
-	cells := make([]cell, len(ar.Messages))
-	for i := range ar.Messages {
-		cells[i] = cell{ar.Messages[i].Name, cat, prot}
-	}
-	return a.analyzeGrouped(context.Background(), ar, cells, nil)
-}
-
-// Compare analyses several architectures (the full Figure 5 grid).
-func (a Analyzer) Compare(archs []*arch.Architecture, msgName string) ([]*Result, error) {
-	return a.CompareContext(context.Background(), archs, msgName)
-}
-
-// CompareContext is Compare with context propagation: cancellation aborts
-// between (and, through the solver plumbing, within) the per-architecture
-// grids.
+// CompareContext analyses several architectures (the full Figure 5 grid).
+// Cancellation aborts between (and, through the solver plumbing, within)
+// the per-architecture grids.
 func (a Analyzer) CompareContext(ctx context.Context, archs []*arch.Architecture, msgName string) ([]*Result, error) {
 	var out []*Result
 	for _, ar := range archs {
@@ -351,18 +320,12 @@ func (a Analyzer) CompareContext(ctx context.Context, archs []*arch.Architecture
 	return out, nil
 }
 
-// CheckProperty model-checks an arbitrary CSL property against the
+// CheckPropertyContext model-checks an arbitrary CSL property against the
 // transformed model, giving access to every state of each submodule
 // ("our framework allows the definition of properties for any submodule",
 // Section 1). The model labels violated/secure, exp_<ecu> and exp_bus_<bus>
-// are available.
-func (a Analyzer) CheckProperty(ar *arch.Architecture, msgName string, cat transform.Category, prot transform.Protection, property string) (csl.Result, error) {
-	return a.CheckPropertyContext(context.Background(), ar, msgName, cat, prot, property)
-}
-
-// CheckPropertyContext is CheckProperty with span propagation: the build,
-// exploration and per-property check all nest under a "core.check_property"
-// span.
+// are available. The build, exploration and per-property check all nest
+// under a "core.check_property" span.
 func (a Analyzer) CheckPropertyContext(ctx context.Context, ar *arch.Architecture, msgName string, cat transform.Category, prot transform.Protection, property string) (csl.Result, error) {
 	ctx, sp := obs.Start(ctx, "core.check_property")
 	defer sp.End()
@@ -404,16 +367,11 @@ type SweepPoint struct {
 // ErrSweepTarget reports a sweep over a nonexistent ECU or interface.
 var ErrSweepTarget = errors.New("core: sweep target not found")
 
-// Sweep analyses the message while varying one rate of the named ECU (for
-// SweepExploitRate, the interface on busName). Rates must be positive.
-// The architecture is cloned per point; the input is never mutated.
-func (a Analyzer) Sweep(ar *arch.Architecture, msgName string, cat transform.Category, prot transform.Protection,
-	param SweepParam, ecuName, busName string, rates []float64) ([]SweepPoint, error) {
-	return a.SweepContext(context.Background(), ar, msgName, cat, prot, param, ecuName, busName, rates)
-}
-
-// SweepContext is Sweep with span propagation: a "core.sweep" span with one
-// progress event per analysed rate point.
+// SweepContext analyses the message while varying one rate of the named
+// ECU (for SweepExploitRate, the interface on busName). Rates must be
+// positive. The architecture is cloned per point; the input is never
+// mutated. A "core.sweep" span carries one progress event per analysed rate
+// point.
 func (a Analyzer) SweepContext(ctx context.Context, ar *arch.Architecture, msgName string, cat transform.Category, prot transform.Protection,
 	param SweepParam, ecuName, busName string, rates []float64) ([]SweepPoint, error) {
 	ctx, sp := obs.Start(ctx, "core.sweep")

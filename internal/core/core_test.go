@@ -11,7 +11,7 @@ import (
 
 func analyze(t *testing.T, a Analyzer, ar *arch.Architecture, cat transform.Category, prot transform.Protection) *Result {
 	t.Helper()
-	r, err := a.Analyze(ar, arch.MessageM, cat, prot)
+	r, err := a.AnalyzeContext(t.Context(), ar, arch.MessageM, cat, prot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestAnalyzeBasics(t *testing.T) {
 }
 
 func TestAnalyzeUnknownMessage(t *testing.T) {
-	if _, err := (Analyzer{}).Analyze(arch.Architecture1(), "nope", transform.Availability, transform.Unencrypted); !errors.Is(err, transform.ErrUnknownMessage) {
+	if _, err := (Analyzer{}).AnalyzeContext(t.Context(), arch.Architecture1(), "nope", transform.Availability, transform.Unencrypted); !errors.Is(err, transform.ErrUnknownMessage) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -104,14 +104,14 @@ func TestFigure5Shape(t *testing.T) {
 
 func TestAnalyzeAllAndCompare(t *testing.T) {
 	an := Analyzer{SkipSteadyState: true}
-	rs, err := an.AnalyzeAll(arch.Architecture1(), arch.MessageM)
+	rs, err := an.AnalyzeAllContext(t.Context(), arch.Architecture1(), arch.MessageM)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rs) != 9 {
 		t.Fatalf("AnalyzeAll returned %d results", len(rs))
 	}
-	all, err := an.Compare(arch.CaseStudy(), arch.MessageM)
+	all, err := an.CompareContext(t.Context(), arch.CaseStudy(), arch.MessageM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestHorizonScaling(t *testing.T) {
 
 func TestCheckProperty(t *testing.T) {
 	an := Analyzer{}
-	res, err := an.CheckProperty(arch.Architecture1(), arch.MessageM,
+	res, err := an.CheckPropertyContext(t.Context(), arch.Architecture1(), arch.MessageM,
 		transform.Availability, transform.Unencrypted,
 		`P=? [ F<=1 "violated" ]`)
 	if err != nil {
@@ -141,8 +141,8 @@ func TestCheckProperty(t *testing.T) {
 	if res.Value <= 0 || res.Value > 1 {
 		t.Fatalf("P = %v", res.Value)
 	}
-	// The reward property must match Analyze's time fraction.
-	rew, err := an.CheckProperty(arch.Architecture1(), arch.MessageM,
+	// The reward property must match AnalyzeContext's time fraction.
+	rew, err := an.CheckPropertyContext(t.Context(), arch.Architecture1(), arch.MessageM,
 		transform.Availability, transform.Unencrypted,
 		`R{"violated_time"}=? [ C<=1 ]`)
 	if err != nil {
@@ -156,7 +156,7 @@ func TestCheckProperty(t *testing.T) {
 
 func TestCheckPropertyParseError(t *testing.T) {
 	an := Analyzer{}
-	if _, err := an.CheckProperty(arch.Architecture1(), arch.MessageM,
+	if _, err := an.CheckPropertyContext(t.Context(), arch.Architecture1(), arch.MessageM,
 		transform.Availability, transform.Unencrypted, `P=? [ F "nolabel" ]`); err == nil {
 		t.Fatal("bad property accepted")
 	}
@@ -165,7 +165,7 @@ func TestCheckPropertyParseError(t *testing.T) {
 func TestSweepPatchRateMonotone(t *testing.T) {
 	an := Analyzer{}
 	rates := LogSpace(0.5, 500, 7)
-	pts, err := an.Sweep(arch.Architecture1(), arch.MessageM,
+	pts, err := an.SweepContext(t.Context(), arch.Architecture1(), arch.MessageM,
 		transform.Confidentiality, transform.Unencrypted,
 		SweepPatchRate, arch.Telematics, "", rates)
 	if err != nil {
@@ -182,7 +182,7 @@ func TestSweepPatchRateMonotone(t *testing.T) {
 func TestSweepExploitRateMonotone(t *testing.T) {
 	an := Analyzer{}
 	rates := LogSpace(0.5, 500, 7)
-	pts, err := an.Sweep(arch.Architecture1(), arch.MessageM,
+	pts, err := an.SweepContext(t.Context(), arch.Architecture1(), arch.MessageM,
 		transform.Confidentiality, transform.Unencrypted,
 		SweepExploitRate, arch.Telematics, arch.BusInternet, rates)
 	if err != nil {
@@ -203,7 +203,7 @@ func TestSweepDoesNotMutateInput(t *testing.T) {
 	an := Analyzer{}
 	a := arch.Architecture1()
 	before := a.ECU(arch.Telematics).PatchRate
-	_, err := an.Sweep(a, arch.MessageM, transform.Availability, transform.Unencrypted,
+	_, err := an.SweepContext(t.Context(), a, arch.MessageM, transform.Availability, transform.Unencrypted,
 		SweepPatchRate, arch.Telematics, "", []float64{1, 10})
 	if err != nil {
 		t.Fatal(err)
@@ -215,15 +215,15 @@ func TestSweepDoesNotMutateInput(t *testing.T) {
 
 func TestSweepErrors(t *testing.T) {
 	an := Analyzer{}
-	if _, err := an.Sweep(arch.Architecture1(), arch.MessageM, transform.Availability, transform.Unencrypted,
+	if _, err := an.SweepContext(t.Context(), arch.Architecture1(), arch.MessageM, transform.Availability, transform.Unencrypted,
 		SweepPatchRate, "nope", "", []float64{1}); !errors.Is(err, ErrSweepTarget) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := an.Sweep(arch.Architecture1(), arch.MessageM, transform.Availability, transform.Unencrypted,
+	if _, err := an.SweepContext(t.Context(), arch.Architecture1(), arch.MessageM, transform.Availability, transform.Unencrypted,
 		SweepExploitRate, arch.Telematics, "nobus", []float64{1}); !errors.Is(err, ErrSweepTarget) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := an.Sweep(arch.Architecture1(), arch.MessageM, transform.Availability, transform.Unencrypted,
+	if _, err := an.SweepContext(t.Context(), arch.Architecture1(), arch.MessageM, transform.Availability, transform.Unencrypted,
 		SweepPatchRate, arch.Telematics, "", []float64{-1}); err == nil {
 		t.Fatal("negative rate accepted")
 	}
@@ -302,11 +302,11 @@ func TestLumpingReducesStateCount(t *testing.T) {
 func TestParallelMatchesSequential(t *testing.T) {
 	seq := Analyzer{SkipSteadyState: true}
 	par := Analyzer{SkipSteadyState: true, Parallel: true}
-	rs, err := seq.AnalyzeAll(arch.Architecture1(), arch.MessageM)
+	rs, err := seq.AnalyzeAllContext(t.Context(), arch.Architecture1(), arch.MessageM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := par.AnalyzeAll(arch.Architecture1(), arch.MessageM)
+	rp, err := par.AnalyzeAllContext(t.Context(), arch.Architecture1(), arch.MessageM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 func TestParallelPropagatesError(t *testing.T) {
 	par := Analyzer{Parallel: true, MaxStates: 5}
-	if _, err := par.AnalyzeAll(arch.Architecture1(), arch.MessageM); err == nil {
+	if _, err := par.AnalyzeAllContext(t.Context(), arch.Architecture1(), arch.MessageM); err == nil {
 		t.Fatal("state limit not propagated from parallel workers")
 	}
 }

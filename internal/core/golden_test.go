@@ -29,7 +29,7 @@ func solverGolden(t *testing.T) string {
 	an := Analyzer{NMax: 2, Horizon: 1}
 	var sb strings.Builder
 	for ai, ar := range arch.CaseStudy() {
-		rs, err := an.AnalyzeAll(ar, arch.MessageM)
+		rs, err := an.AnalyzeAllContext(t.Context(), ar, arch.MessageM)
 		if err != nil {
 			t.Fatal(err)
 		}

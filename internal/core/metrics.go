@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/linalg"
-	"repro/internal/sim"
 	"repro/internal/transform"
 )
 
@@ -32,17 +31,18 @@ type SecurityMetrics struct {
 // architecture / message / category / protection combination.
 func (a Analyzer) Metrics(ar *arch.Architecture, msgName string, cat transform.Category, prot transform.Protection) (*SecurityMetrics, error) {
 	a = a.withDefaults()
-	p, err := a.PrepareContext(context.Background(), ar, msgName, cat, prot)
+	ctx := context.Background()
+	p, err := a.PrepareContext(ctx, ar, msgName, cat, prot)
 	if err != nil {
 		return nil, err
 	}
 	chain, violated, init := p.Explored.Chain, p.mask, p.chain.init
 
-	frac, err := chain.ExpectedTimeFraction(init, violated, a.Horizon, a.Accuracy)
+	frac, err := chain.ExpectedTimeFractionContext(ctx, init, violated, a.Horizon, a.Accuracy)
 	if err != nil {
 		return nil, err
 	}
-	first, err := chain.TimeBoundedReachability(init, violated, a.Horizon, a.Accuracy)
+	first, err := chain.TimeBoundedReachabilityContext(ctx, init, violated, a.Horizon, a.Accuracy)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +50,7 @@ func (a Analyzer) Metrics(ar *arch.Architecture, msgName string, cat transform.C
 	// everywhere) until a violated state is reached.
 	ones := linalg.NewVector(chain.N())
 	ones.Fill(1)
-	mttv, err := chain.ReachabilityReward(init, ones, violated)
+	mttv, err := chain.ReachabilityRewardContext(ctx, init, ones, violated)
 	if err != nil {
 		return nil, fmt.Errorf("core: mean time to violation: %w", err)
 	}
@@ -70,7 +70,7 @@ func (a Analyzer) Metrics(ar *arch.Architecture, msgName string, cat transform.C
 			}
 		}
 	}
-	freq, err := chain.CumulativeReward(init, intensity, a.Horizon, a.Accuracy)
+	freq, err := chain.CumulativeRewardContext(ctx, init, intensity, a.Horizon, a.Accuracy)
 	if err != nil {
 		return nil, fmt.Errorf("core: violation frequency: %w", err)
 	}
@@ -80,19 +80,4 @@ func (a Analyzer) Metrics(ar *arch.Architecture, msgName string, cat transform.C
 		ViolationFrequency:        freq,
 		FirstViolationProbability: first,
 	}, nil
-}
-
-// TestViolationProbability statistically tests the hypothesis
-// P[message violated at least once within the horizon] ≥ theta using the
-// Gillespie simulator's sequential probability ratio test — the
-// simulation-based verification backend, independent of uniformisation.
-// seed makes the run reproducible.
-func (a Analyzer) TestViolationProbability(ar *arch.Architecture, msgName string, cat transform.Category, prot transform.Protection, theta float64, seed int64, opts sim.SPRTOptions) (sim.SPRTResult, error) {
-	a = a.withDefaults()
-	p, err := a.PrepareContext(context.Background(), ar, msgName, cat, prot)
-	if err != nil {
-		return sim.SPRTResult{}, err
-	}
-	s := sim.New(p.Explored.Chain, seed)
-	return s.TestReachabilityWithin(p.Explored.InitIndex(), p.mask, a.Horizon, theta, opts)
 }

@@ -28,7 +28,7 @@ func TestMetricsArchitecture1(t *testing.T) {
 	if m.FirstViolationProbability <= 0 || m.FirstViolationProbability > 1 {
 		t.Fatalf("first violation = %v", m.FirstViolationProbability)
 	}
-	// Consistency: fraction from Analyze must match.
+	// Consistency: fraction from AnalyzeContext must match.
 	r := analyze(t, Analyzer{SkipSteadyState: true}, arch.Architecture1(),
 		transform.Availability, transform.Unencrypted)
 	if math.Abs(m.ExploitableTimeFraction-r.TimeFraction) > 1e-12 {
@@ -89,19 +89,28 @@ func TestMetricsFrequencyVsFirstProbability(t *testing.T) {
 	}
 }
 
+// TestStatisticalViolationTest checks the Gillespie simulator's sequential
+// probability ratio test on a prepared chain against the numeric answer.
 func TestStatisticalViolationTest(t *testing.T) {
-	an := Analyzer{}
+	p, err := Analyzer{}.PrepareContext(t.Context(), arch.Architecture1(), arch.MessageM,
+		transform.Availability, transform.Unencrypted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// P[violated at least once within the 1-year horizon] ≥ theta, from a
+	// fresh simulator seeded with 99.
+	test := func(theta float64) (sim.SPRTResult, error) {
+		return sim.New(p.Explored.Chain, 99).TestReachabilityWithin(p.Explored.InitIndex(), p.mask, 1, theta, sim.SPRTOptions{})
+	}
 	// Numeric answer for A1 availability: P[ever violated within 1y] ≈ 0.85.
-	res, err := an.TestViolationProbability(arch.Architecture1(), arch.MessageM,
-		transform.Availability, transform.Unencrypted, 0.5, 99, sim.SPRTOptions{})
+	res, err := test(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Verdict != sim.VerdictAccept {
 		t.Fatalf("P ≥ 0.5 should hold (true ≈ 0.85): %v", res.Verdict)
 	}
-	res, err = an.TestViolationProbability(arch.Architecture1(), arch.MessageM,
-		transform.Availability, transform.Unencrypted, 0.95, 99, sim.SPRTOptions{})
+	res, err = test(0.95)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -31,7 +32,8 @@ type SensitivityResult struct {
 // first.
 func (a Analyzer) Sensitivities(ar *arch.Architecture, msgName string, cat transform.Category, prot transform.Protection) ([]SensitivityResult, error) {
 	a.SkipSteadyState = true
-	base, err := a.Analyze(ar, msgName, cat, prot)
+	ctx := context.Background()
+	base, err := a.AnalyzeContext(ctx, ar, msgName, cat, prot)
 	if err != nil {
 		return nil, err
 	}
@@ -42,13 +44,13 @@ func (a Analyzer) Sensitivities(ar *arch.Architecture, msgName string, cat trans
 	evalAt := func(mutate func(c *arch.Architecture, factor float64)) (float64, error) {
 		lo := ar.Clone()
 		mutate(lo, 1-h)
-		rlo, err := a.Analyze(lo, msgName, cat, prot)
+		rlo, err := a.AnalyzeContext(ctx, lo, msgName, cat, prot)
 		if err != nil {
 			return 0, err
 		}
 		hi := ar.Clone()
 		mutate(hi, 1+h)
-		rhi, err := a.Analyze(hi, msgName, cat, prot)
+		rhi, err := a.AnalyzeContext(ctx, hi, msgName, cat, prot)
 		if err != nil {
 			return 0, err
 		}

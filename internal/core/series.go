@@ -48,7 +48,7 @@ func (a Analyzer) TimeSeries(ar *arch.Architecture, msgName string, cat transfor
 	labels, masks := []string{p.label}, [][]bool{mask}
 	out := make([]TimePoint, 0, len(times))
 	for _, t := range times {
-		pi, err := chain.Transient(init, t, a.Accuracy)
+		pi, err := chain.TransientContext(ctx, init, t, a.Accuracy)
 		if err != nil {
 			return nil, err
 		}
@@ -58,7 +58,7 @@ func (a Analyzer) TimeSeries(ar *arch.Architecture, msgName string, cat transfor
 				inst += pi[i]
 			}
 		}
-		ever, err := chain.TimeBoundedReachability(init, mask, t, a.Accuracy)
+		ever, err := chain.TimeBoundedReachabilityContext(ctx, init, mask, t, a.Accuracy)
 		if err != nil {
 			return nil, err
 		}

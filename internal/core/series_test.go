@@ -43,7 +43,7 @@ func TestTimeSeriesMonotoneQuantities(t *testing.T) {
 }
 
 // TimeSeries takes its cumulative column from one reward series extended
-// time by time; every value must equal a per-time ExpectedTimeFraction
+// time by time; every value must equal a per-time ExpectedTimeFractionContext
 // call on the same chain.
 func TestTimeSeriesCumulativeMatchesPerTime(t *testing.T) {
 	an := Analyzer{NMax: 2}
@@ -57,7 +57,7 @@ func TestTimeSeriesCumulativeMatchesPerTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, tm := range times {
-		want, err := p.Explored.Chain.ExpectedTimeFraction(p.chain.init, p.mask, tm, an.withDefaults().Accuracy)
+		want, err := p.Explored.Chain.ExpectedTimeFractionContext(t.Context(), p.chain.init, p.mask, tm, an.withDefaults().Accuracy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,39 +131,5 @@ func TestReliabilityThroughAnalyzer(t *testing.T) {
 	if rr.TimeFraction <= rp.TimeFraction {
 		t.Fatalf("reliability did not increase availability exposure: %v vs %v",
 			rr.TimeFraction, rp.TimeFraction)
-	}
-}
-
-func TestAnalyzeMessages(t *testing.T) {
-	// Two message streams: the park-assist stream plus a diagnostics stream
-	// from the gateway to the telematics unit on CAN1.
-	a := arch.Architecture1()
-	a.Messages = append(a.Messages, arch.Message{
-		Name:      "diag",
-		Sender:    arch.Gateway,
-		Receivers: []string{arch.Telematics},
-		Buses:     []string{arch.BusCAN1},
-	})
-	an := Analyzer{SkipSteadyState: true}
-	rs, err := an.AnalyzeMessages(a, transform.Confidentiality, transform.Unencrypted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 2 {
-		t.Fatalf("results = %d", len(rs))
-	}
-	if rs[0].Message != arch.MessageM || rs[1].Message != "diag" {
-		t.Fatalf("messages = %q, %q", rs[0].Message, rs[1].Message)
-	}
-	// m is routed over a superset of diag's buses (CAN1+CAN2 vs CAN1), so
-	// its unencrypted exposure must dominate; both must be positive.
-	if rs[0].TimeFraction < rs[1].TimeFraction || rs[1].TimeFraction <= 0 {
-		t.Fatalf("m (%v) should dominate diag (%v)", rs[0].TimeFraction, rs[1].TimeFraction)
-	}
-	// Empty message list errors.
-	b := arch.Architecture1()
-	b.Messages = nil
-	if _, err := an.AnalyzeMessages(b, transform.Availability, transform.Unencrypted); err == nil {
-		t.Fatal("no-message architecture accepted")
 	}
 }

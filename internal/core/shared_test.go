@@ -72,7 +72,7 @@ func perCell(t *testing.T, an Analyzer, ar *arch.Architecture, msg string, cat t
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := res.Model.Explore(modular.ExploreOpts{})
+	ex, err := res.Model.ExploreContext(t.Context(), modular.ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func perCell(t *testing.T, an Analyzer, ar *arch.Architecture, msg string, cat t
 		chain = l.Quotient
 		r.LumpedStates = chain.N()
 	}
-	if r.TimeFraction, err = chain.ExpectedTimeFraction(init, mask, an.Horizon, an.Accuracy); err != nil {
+	if r.TimeFraction, err = chain.ExpectedTimeFractionContext(t.Context(), init, mask, an.Horizon, an.Accuracy); err != nil {
 		t.Fatal(err)
 	}
 	if !an.SkipSteadyState {
-		if r.SteadyState, err = chain.SteadyStateProbability(init, mask); err != nil {
+		if r.SteadyState, err = chain.SteadyStateProbabilityContext(t.Context(), init, mask); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,9 +146,8 @@ func sameResult(got, want *Result) error {
 	return nil
 }
 
-// TestSharedMatchesPerCell runs AnalyzeAll (both messages) and
-// AnalyzeMessages (every cell) over the corpus and compares each result
-// with the per-cell reference. Configuration k runs with flag combination
+// TestSharedMatchesPerCell runs AnalyzeAllContext (both messages) over the
+// corpus and compares each result with the per-cell reference. Configuration k runs with flag combination
 // k mod 8 of UseLumping, SkipSteadyState and Parallel, so every
 // combination is covered.
 func TestSharedMatchesPerCell(t *testing.T) {
@@ -187,20 +186,11 @@ func TestSharedMatchesPerCell(t *testing.T) {
 					}
 				}
 				for _, m := range ar.Messages {
-					rs, err := an.AnalyzeAll(ar, m.Name)
+					rs, err := an.AnalyzeAllContext(t.Context(), ar, m.Name)
 					if err == nil && len(rs) != 9 {
 						err = fmt.Errorf("%d results", len(rs))
 					}
 					check("AnalyzeAll("+m.Name+")", rs, err)
-				}
-				for _, c := range Categories {
-					for _, p := range Protections {
-						rs, err := an.AnalyzeMessages(ar, c, p)
-						if err == nil && (len(rs) != 2 || rs[0].Message != arch.MessageM || rs[1].Message != "diag") {
-							err = fmt.Errorf("%d results out of message order", len(rs))
-						}
-						check(fmt.Sprintf("AnalyzeMessages(%s, %s)", c, p), rs, err)
-					}
 				}
 			}
 		}

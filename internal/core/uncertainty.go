@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -54,7 +55,8 @@ func (o UncertaintyOptions) withDefaults() UncertaintyOptions {
 func (a Analyzer) Uncertainty(ar *arch.Architecture, msgName string, cat transform.Category, prot transform.Protection, opts UncertaintyOptions) (*UncertaintyResult, error) {
 	opts = opts.withDefaults()
 	a.SkipSteadyState = true
-	nominal, err := a.Analyze(ar, msgName, cat, prot)
+	ctx := context.Background()
+	nominal, err := a.AnalyzeContext(ctx, ar, msgName, cat, prot)
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +88,7 @@ func (a Analyzer) Uncertainty(ar *arch.Architecture, msgName string, cat transfo
 				g.PatchRate *= factor()
 			}
 		}
-		r, err := a.Analyze(c, msgName, cat, prot)
+		r, err := a.AnalyzeContext(ctx, c, msgName, cat, prot)
 		if err != nil {
 			return nil, fmt.Errorf("core: uncertainty sample %d: %w", s, err)
 		}

@@ -27,17 +27,13 @@ func NewChecker(ex *modular.Explored) *Checker {
 	return &Checker{Ex: ex}
 }
 
-// Check evaluates the property from the model's initial state. Internally
-// every query is evaluated for all states at once (backward algorithms), so
-// nested probabilistic operators inside state formulas come for free.
-func (c *Checker) Check(p *Property) (Result, error) {
-	return c.CheckContext(context.Background(), p)
-}
-
-// CheckContext is Check with span propagation: every property evaluation
-// opens a "csl.check" span (attributed with the property source text), and
-// the numerical sub-analyses — transient passes, steady-state solves,
-// reachability rewards — nest beneath it in the trace.
+// CheckContext evaluates the property from the model's initial state.
+// Internally every query is evaluated for all states at once (backward
+// algorithms), so nested probabilistic operators inside state formulas come
+// for free. Every property evaluation opens a "csl.check" span (attributed
+// with the property source text), and the numerical sub-analyses —
+// transient passes, steady-state solves, reachability rewards — nest
+// beneath it in the trace.
 func (c *Checker) CheckContext(ctx context.Context, p *Property) (Result, error) {
 	ctx, sp := obs.Start(ctx, "csl.check")
 	defer sp.End()

@@ -16,7 +16,7 @@ func explore(t *testing.T, src string) (*modular.Explored, Environment) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := m.Explore(modular.ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), modular.ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func check(t *testing.T, ex *modular.Explored, env Environment, prop string) Res
 	if err != nil {
 		t.Fatalf("parse %q: %v", prop, err)
 	}
-	res, err := NewChecker(ex).Check(p)
+	res, err := NewChecker(ex).CheckContext(t.Context(), p)
 	if err != nil {
 		t.Fatalf("check %q: %v", prop, err)
 	}
@@ -260,7 +260,7 @@ endmodule
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewChecker(ex).Check(p); !errors.Is(err, ErrCheck) {
+	if _, err := NewChecker(ex).CheckContext(t.Context(), p); !errors.Is(err, ErrCheck) {
 		t.Fatalf("no-rewards model: err = %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package csl_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,7 +31,8 @@ endrewards
 	if err != nil {
 		log.Fatal(err)
 	}
-	ex, err := model.Explore(modular.ExploreOpts{})
+	ctx := context.Background()
+	ex, err := model.ExploreContext(ctx, modular.ExploreOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +50,7 @@ endrewards
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := checker.Check(prop)
+		res, err := checker.CheckContext(ctx, prop)
 		if err != nil {
 			log.Fatal(err)
 		}

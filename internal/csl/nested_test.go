@@ -182,11 +182,11 @@ func TestPropertyStillChecksAfterReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewChecker(ex)
-	a, err := c.Check(p)
+	a, err := c.CheckContext(t.Context(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Check(p)
+	b, err := c.CheckContext(t.Context(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestNestedExprString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewChecker(ex).Check(p); err != nil {
+	if _, err := NewChecker(ex).CheckContext(t.Context(), p); err != nil {
 		t.Fatal(err)
 	}
 	// The nested node's String is used in error messages; exercise it via a

@@ -9,6 +9,66 @@ import (
 	"repro/internal/linalg"
 )
 
+// boundedUntil is the forward oracle for P[φ1 U≤t φ2] from init: φ2 and
+// ¬φ1∧¬φ2 states are made absorbing, and the answer is the transient mass
+// in φ2 at time tt.
+func boundedUntil(t *testing.T, c *Chain, init linalg.Vector, phi1, phi2 []bool, tt, accuracy float64) float64 {
+	t.Helper()
+	absorb := make([]bool, c.N())
+	for i := range absorb {
+		absorb[i] = phi2[i] || !phi1[i]
+	}
+	mod, err := c.Absorbing(absorb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi, err := mod.TransientContext(t.Context(), init, tt, accuracy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p float64
+	for i, in := range phi2 {
+		if in {
+			p += pi[i]
+		}
+	}
+	return math.Min(p, 1)
+}
+
+// intervalUntil is the forward oracle for P[φ1 U[t1,t2] φ2] from init: the
+// distribution at t1 with ¬φ1 states absorbing, restricted to φ1 states,
+// then boundedUntil over the remaining t2 − t1.
+func intervalUntil(t *testing.T, c *Chain, init linalg.Vector, phi1, phi2 []bool, t1, t2, accuracy float64) float64 {
+	t.Helper()
+	notPhi1 := make([]bool, c.N())
+	for i := range notPhi1 {
+		notPhi1[i] = !phi1[i]
+	}
+	mod, err := c.Absorbing(notPhi1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi, err := mod.TransientContext(t.Context(), init, t1, accuracy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mass float64
+	for i := range pi {
+		if phi1[i] {
+			mass += pi[i]
+		} else {
+			pi[i] = 0
+		}
+	}
+	if mass == 0 {
+		return 0
+	}
+	for i := range pi {
+		pi[i] /= mass
+	}
+	return mass * boundedUntil(t, c, pi, phi1, phi2, t2-t1, accuracy)
+}
+
 func TestBackwardTransientMatchesForward(t *testing.T) {
 	// init·e^{Qt}·v computed both ways must agree.
 	f := func(seed int64) bool {
@@ -21,11 +81,11 @@ func TestBackwardTransientMatchesForward(t *testing.T) {
 			v[i] = r.Float64() * 3
 		}
 		init := c.DiracInit(r.Intn(n))
-		fwd, err := c.Transient(init, tt, 1e-12)
+		fwd, err := c.TransientContext(t.Context(), init, tt, 1e-12)
 		if err != nil {
 			return false
 		}
-		bwd, err := c.BackwardTransient(v, tt, 1e-12)
+		bwd, err := c.BackwardTransientContext(t.Context(), v, tt, 1e-12)
 		if err != nil {
 			return false
 		}
@@ -39,7 +99,7 @@ func TestBackwardTransientMatchesForward(t *testing.T) {
 func TestBackwardTransientZeroTime(t *testing.T) {
 	c := twoState(t, 1, 2)
 	v := linalg.Vector{3, 7}
-	out, err := c.BackwardTransient(v, 0, 0)
+	out, err := c.BackwardTransientContext(t.Context(), v, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +115,12 @@ func TestBackwardTransientZeroTime(t *testing.T) {
 func TestTimeBoundedReachabilityVectorMatchesScalar(t *testing.T) {
 	c := paperExample(t)
 	target := []bool{false, false, true}
-	vec, err := c.TimeBoundedReachabilityVector(target, 1, 1e-12)
+	vec, err := c.TimeBoundedReachabilityVectorContext(t.Context(), target, 1, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < 3; s++ {
-		scalar, err := c.TimeBoundedReachability(c.DiracInit(s), target, 1, 1e-12)
+		scalar, err := c.TimeBoundedReachabilityContext(t.Context(), c.DiracInit(s), target, 1, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,15 +137,12 @@ func TestBoundedUntilVectorMatchesScalar(t *testing.T) {
 	c := paperExample(t)
 	phi1 := []bool{true, true, false}
 	phi2 := []bool{false, false, true}
-	vec, err := c.BoundedUntilVector(phi1, phi2, 0.7, 1e-12)
+	vec, err := c.BoundedUntilVectorContext(t.Context(), phi1, phi2, 0.7, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < 3; s++ {
-		scalar, err := c.BoundedUntil(c.DiracInit(s), phi1, phi2, 0.7, 1e-12)
-		if err != nil {
-			t.Fatal(err)
-		}
+		scalar := boundedUntil(t, c, c.DiracInit(s), phi1, phi2, 0.7, 1e-12)
 		if math.Abs(vec[s]-scalar) > 1e-9 {
 			t.Fatalf("state %d: vector %v vs scalar %v", s, vec[s], scalar)
 		}
@@ -96,16 +153,18 @@ func TestIntervalUntilDegeneratesToBounded(t *testing.T) {
 	c := paperExample(t)
 	phi1 := []bool{true, true, true}
 	phi2 := []bool{false, false, true}
-	a, err := c.IntervalUntil(c.DiracInit(0), phi1, phi2, 0, 1, 1e-12)
+	a, err := c.IntervalUntilVectorContext(t.Context(), phi1, phi2, 0, 1, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.BoundedUntil(c.DiracInit(0), phi1, phi2, 1, 1e-12)
+	b, err := c.BoundedUntilVectorContext(t.Context(), phi1, phi2, 1, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(a-b) > 1e-12 {
-		t.Fatalf("t1=0 interval %v != bounded %v", a, b)
+	for s := range a {
+		if math.Abs(a[s]-b[s]) > 1e-12 {
+			t.Fatalf("state %d: t1=0 interval %v != bounded %v", s, a[s], b[s])
+		}
 	}
 }
 
@@ -124,23 +183,23 @@ func TestIntervalUntilPureBirthAnalytic(t *testing.T) {
 		t.Fatal(err)
 	}
 	t1, t2 := 0.4, 1.7
-	got, err := c.IntervalUntil(c.DiracInit(0), []bool{true, false}, []bool{false, true}, t1, t2, 1e-12)
+	got, err := c.IntervalUntilVectorContext(t.Context(), []bool{true, false}, []bool{false, true}, t1, t2, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := math.Exp(-lambda*t1) - math.Exp(-lambda*t2)
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("got %v, want %v", got, want)
+	if math.Abs(got[0]-want) > 1e-9 {
+		t.Fatalf("got %v, want %v", got[0], want)
 	}
 }
 
 func TestIntervalUntilInvalidInterval(t *testing.T) {
 	c := twoState(t, 1, 1)
 	phi := []bool{true, true}
-	if _, err := c.IntervalUntil(c.DiracInit(0), phi, phi, 2, 1, 0); err == nil {
+	if _, err := c.IntervalUntilVectorContext(t.Context(), phi, phi, 2, 1, 0); err == nil {
 		t.Fatal("t2 < t1 accepted")
 	}
-	if _, err := c.IntervalUntil(c.DiracInit(0), phi, phi, -1, 1, 0); err == nil {
+	if _, err := c.IntervalUntilVectorContext(t.Context(), phi, phi, -1, 1, 0); err == nil {
 		t.Fatal("negative t1 accepted")
 	}
 }
@@ -148,12 +207,12 @@ func TestIntervalUntilInvalidInterval(t *testing.T) {
 func TestCumulativeRewardVectorMatchesScalar(t *testing.T) {
 	c := paperExample(t)
 	r := linalg.Vector{0, 1, 3}
-	vec, err := c.CumulativeRewardVector(r, 1.5, 1e-12)
+	vec, err := c.CumulativeRewardVectorContext(t.Context(), r, 1.5, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < 3; s++ {
-		scalar, err := c.CumulativeReward(c.DiracInit(s), r, 1.5, 1e-12)
+		scalar, err := c.CumulativeRewardContext(t.Context(), c.DiracInit(s), r, 1.5, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,11 +225,11 @@ func TestCumulativeRewardVectorMatchesScalar(t *testing.T) {
 func TestReachabilityVectorMonotoneInTime(t *testing.T) {
 	c := paperExample(t)
 	target := []bool{false, false, true}
-	v1, err := c.TimeBoundedReachabilityVector(target, 0.5, 1e-12)
+	v1, err := c.TimeBoundedReachabilityVectorContext(t.Context(), target, 0.5, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := c.TimeBoundedReachabilityVector(target, 2, 1e-12)
+	v2, err := c.TimeBoundedReachabilityVectorContext(t.Context(), target, 2, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}

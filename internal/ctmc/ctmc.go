@@ -1,16 +1,15 @@
 // Package ctmc implements finite continuous-time Markov chains and the
 // numerical analyses the paper's security methodology needs: transient
 // distributions and time-bounded reachability via uniformisation with
-// Fox–Glynn Poisson weights, expected cumulative / instantaneous rewards,
-// steady-state distributions (with bottom-SCC decomposition for reducible
-// chains), and expected reachability rewards on the embedded chain.
+// Fox–Glynn Poisson weights, expected cumulative rewards, steady-state
+// distributions (with bottom-SCC decomposition for reducible chains), and
+// expected reachability rewards on the embedded chain.
 //
-// Every analysis has two entry points: the legacy form (Transient,
-// CumulativeReward, …) and a Context form (TransientContext, …) that
-// participates in the internal/obs span tree. The legacy forms delegate with
-// context.Background(), so when observability is disabled both cost the
-// same — the no-op span path allocates nothing (pinned by a test in
-// obs_test.go).
+// Every analysis has one entry point, its Context form (TransientContext,
+// CumulativeRewardContext, …), which honours cancellation and participates
+// in the internal/obs span tree. Callers without a context pass
+// context.Background(); with observability disabled the no-op span path
+// allocates nothing (pinned by a test in obs_test.go).
 package ctmc
 
 import (
@@ -99,24 +98,6 @@ func (c *Chain) MaxExitRate() float64 {
 		}
 	}
 	return q
-}
-
-// Generator returns the full generator matrix Q (including the diagonal) in
-// CSR form, as a COO assembly of the same entries would: the rows of Rates
-// are already sorted, so each row is copied with −exit merged in at its
-// place, and zero entries are dropped.
-func (c *Chain) Generator() *linalg.CSR {
-	n := c.N()
-	m := linalg.NewRowBuilder(n, n, c.Rates.NNZ()+n)
-	for i := 0; i < n; i++ {
-		m.Diagonal(i, -c.Exit[i])
-		cols, vals := c.Rates.Row(i)
-		for k, j := range cols {
-			m.Add(int(j), vals[k])
-		}
-		m.EndRow()
-	}
-	return m.CSR()
 }
 
 // uniformised is the uniformised DTMC P = I + Q/q as a gather operator:
@@ -344,16 +325,11 @@ func (c *Chain) uniformise(ctx context.Context, sp *obs.Span, v linalg.Vector, t
 	return nil
 }
 
-// Transient computes the state distribution at time t from init using
-// uniformisation: π(t) = Σ_k Poisson(qt, k) · init·Pᵏ. accuracy ≤ 0 selects
-// DefaultAccuracy.
-func (c *Chain) Transient(init linalg.Vector, t, accuracy float64) (linalg.Vector, error) {
-	return c.TransientContext(context.Background(), init, t, accuracy)
-}
-
-// TransientContext is Transient with span propagation: it records the
-// uniformisation rate, the Fox–Glynn window and the matrix–vector product
-// count on a "ctmc.transient" span.
+// TransientContext computes the state distribution at time t from init
+// using uniformisation: π(t) = Σ_k Poisson(qt, k) · init·Pᵏ. accuracy ≤ 0
+// selects DefaultAccuracy. It records the uniformisation rate, the
+// Fox–Glynn window and the matrix–vector product count on a
+// "ctmc.transient" span.
 func (c *Chain) TransientContext(ctx context.Context, init linalg.Vector, t, accuracy float64) (linalg.Vector, error) {
 	_, sp := obs.Start(ctx, "ctmc.transient")
 	defer sp.End()
@@ -380,99 +356,53 @@ func (c *Chain) TransientContext(ctx context.Context, init linalg.Vector, t, acc
 	return out, nil
 }
 
-// CumulativeReward computes the expected reward accumulated over [0, t]:
-// E[∫₀ᵗ r(X_s) ds] = Σ_k (1/q)(1 − Σ_{i≤k} γ_i) · (π_k · r), where π_k is
-// the distribution of the uniformised DTMC after k steps and γ the
+// CumulativeRewardContext computes the expected reward accumulated over
+// [0, t]: E[∫₀ᵗ r(X_s) ds] = Σ_k (1/q)(1 − Σ_{i≤k} γ_i) · (π_k · r), where
+// π_k is the distribution of the uniformised DTMC after k steps and γ the
 // Poisson(qt) weights. With an indicator reward this is the expected time
-// spent in the indicated states — the paper's headline metric.
-func (c *Chain) CumulativeReward(init linalg.Vector, reward linalg.Vector, t, accuracy float64) (float64, error) {
-	return c.CumulativeRewardContext(context.Background(), init, reward, t, accuracy)
-}
-
-// CumulativeRewardContext is CumulativeReward with span propagation: the
-// one-reward case of CumulativeRewardsContext.
+// spent in the indicated states — the paper's headline metric. The
+// "ctmc.cumulative_reward" span records q, the Fox–Glynn window and the
+// matvec count.
 func (c *Chain) CumulativeRewardContext(ctx context.Context, init linalg.Vector, reward linalg.Vector, t, accuracy float64) (float64, error) {
+	if len(reward) != c.N() {
+		return 0, fmt.Errorf("ctmc: reward vector length %d, want %d", len(reward), c.N())
+	}
 	var total [1]float64
-	if err := c.cumulativeRewards(ctx, init, []linalg.Vector{reward}, t, accuracy, total[:]); err != nil {
+	err := c.cumulative(ctx, init, t, accuracy, total[:], func(ctx context.Context, right int) ([][]float64, int, int, error) {
+		return c.freshTerms(ctx, init, []linalg.Vector{reward}, right)
+	})
+	if err != nil {
 		return 0, err
 	}
 	return total[0], nil
 }
 
-// CumulativeRewardsContext computes CumulativeReward for every reward
-// vector from one fresh pass: one matrix–vector product per step and, per
-// reward in order, the same dot products and sum a single-reward call
-// makes, so each result is bit-identical to it. The
-// "ctmc.cumulative_reward" span records q, the Fox–Glynn window and the
-// matvec count, plus the number of rewards when there is more than one
-// (one-reward spans keep the attributes they always had).
-func (c *Chain) CumulativeRewardsContext(ctx context.Context, init linalg.Vector, rewards []linalg.Vector, t, accuracy float64) ([]float64, error) {
-	total := make([]float64, len(rewards))
-	if err := c.cumulativeRewards(ctx, init, rewards, t, accuracy, total); err != nil {
-		return nil, err
-	}
-	return total, nil
-}
-
-func (c *Chain) cumulativeRewards(ctx context.Context, init linalg.Vector, rewards []linalg.Vector, t, accuracy float64, total []float64) error {
-	for _, r := range rewards {
-		if len(r) != c.N() {
-			return fmt.Errorf("ctmc: reward vector length %d, want %d", len(r), c.N())
-		}
-	}
-	return c.cumulative(ctx, init, t, accuracy, total, func(ctx context.Context, right int) ([][]float64, int, int, error) {
-		return c.freshTerms(ctx, init, rewards, right)
-	})
-}
-
-// InstantaneousReward computes E[r(X_t)] = π(t)·r.
-func (c *Chain) InstantaneousReward(init linalg.Vector, reward linalg.Vector, t, accuracy float64) (float64, error) {
-	return c.InstantaneousRewardContext(context.Background(), init, reward, t, accuracy)
-}
-
-// InstantaneousRewardContext is InstantaneousReward with span propagation.
-func (c *Chain) InstantaneousRewardContext(ctx context.Context, init linalg.Vector, reward linalg.Vector, t, accuracy float64) (float64, error) {
-	if len(reward) != c.N() {
-		return 0, fmt.Errorf("ctmc: reward vector length %d, want %d", len(reward), c.N())
-	}
-	pi, err := c.TransientContext(ctx, init, t, accuracy)
-	if err != nil {
-		return 0, err
-	}
-	return pi.Dot(reward), nil
-}
-
-// TimeBoundedReachability computes P[reach a target state within t] from
-// init: BoundedUntil with φ1 = true and φ2 = target.
-func (c *Chain) TimeBoundedReachability(init linalg.Vector, target []bool, t, accuracy float64) (float64, error) {
-	return c.TimeBoundedReachabilityContext(context.Background(), init, target, t, accuracy)
-}
-
-// TimeBoundedReachabilityContext is TimeBoundedReachability with span
-// propagation (the transient solve appears as a child span).
+// TimeBoundedReachabilityContext computes P[reach a target state within t]
+// from init: the target states are made absorbing, and the probability is
+// the transient mass in them at time t (the transient solve appears as a
+// child span).
 func (c *Chain) TimeBoundedReachabilityContext(ctx context.Context, init linalg.Vector, target []bool, t, accuracy float64) (float64, error) {
 	if len(target) != c.N() {
 		return 0, fmt.Errorf("ctmc: target mask length %d, want %d", len(target), c.N())
 	}
-	return c.boundedUntil(ctx, init, target, target, t, accuracy)
-}
-
-// BoundedUntil computes P[φ1 U≤t φ2] from init: the probability of reaching
-// a φ2 state within t along a path that stays in φ1 states until then.
-// Standard construction: φ2 states and ¬φ1∧¬φ2 states are made absorbing;
-// the probability is the transient mass in φ2 at time t plus any mass that
-// was already absorbed in φ2 (absorbing, so it stays there).
-func (c *Chain) BoundedUntil(init linalg.Vector, phi1, phi2 []bool, t, accuracy float64) (float64, error) {
-	return c.BoundedUntilContext(context.Background(), init, phi1, phi2, t, accuracy)
-}
-
-// BoundedUntilContext is BoundedUntil with span propagation.
-func (c *Chain) BoundedUntilContext(ctx context.Context, init linalg.Vector, phi1, phi2 []bool, t, accuracy float64) (float64, error) {
-	absorb, err := untilAbsorbing(c.N(), phi1, phi2)
+	mod, err := c.Absorbing(target)
 	if err != nil {
 		return 0, err
 	}
-	return c.boundedUntil(ctx, init, absorb, phi2, t, accuracy)
+	pi, err := mod.TransientContext(ctx, init, t, accuracy)
+	if err != nil {
+		return 0, err
+	}
+	var p float64
+	for i, in := range target {
+		if in {
+			p += pi[i]
+		}
+	}
+	if p > 1 {
+		p = 1
+	}
+	return p, nil
 }
 
 // untilAbsorbing returns the states φ1 U φ2 stops in: φ2 ∨ ¬φ1.
@@ -485,46 +415,6 @@ func untilAbsorbing(n int, phi1, phi2 []bool) ([]bool, error) {
 		absorb[i] = phi2[i] || !phi1[i]
 	}
 	return absorb, nil
-}
-
-// boundedUntil is the transient mass in goal at time t once the absorb
-// states are made absorbing.
-func (c *Chain) boundedUntil(ctx context.Context, init linalg.Vector, absorb, goal []bool, t, accuracy float64) (float64, error) {
-	mod, err := c.Absorbing(absorb)
-	if err != nil {
-		return 0, err
-	}
-	pi, err := mod.TransientContext(ctx, init, t, accuracy)
-	if err != nil {
-		return 0, err
-	}
-	var p float64
-	for i, in := range goal {
-		if in {
-			p += pi[i]
-		}
-	}
-	if p > 1 {
-		p = 1
-	}
-	return p, nil
-}
-
-// UnboundedReachability computes P[eventually reach target] on the embedded
-// DTMC (time plays no role for unbounded reachability).
-func (c *Chain) UnboundedReachability(init linalg.Vector, target []bool) (float64, error) {
-	if err := c.checkInit(init); err != nil {
-		return 0, err
-	}
-	emb, err := c.Embedded()
-	if err != nil {
-		return 0, err
-	}
-	x, err := emb.Reachability(target, linalg.IterOpts{})
-	if err != nil {
-		return 0, err
-	}
-	return init.Dot(x), nil
 }
 
 // Absorbing returns a copy of the chain in which every state in mask has all

@@ -71,9 +71,15 @@ func TestBuilderIgnoresSelfLoops(t *testing.T) {
 	}
 }
 
+// generator is the generator matrix Q = R − diag(exit) of c, assembled
+// through a COO: the reference the dense-oracle tests compare against.
+func generator(c *Chain) *linalg.CSR {
+	return cooWithDiagonal(c, 1, func(i int) float64 { return -c.Exit[i] })
+}
+
 func TestGeneratorMatchesPaperEq14(t *testing.T) {
 	c := paperExample(t)
-	q := c.Generator().ToDense()
+	q := generator(c).ToDense()
 	want := [][]float64{
 		{-2, 2, 0},
 		{52, -54, 2},
@@ -92,7 +98,7 @@ func TestGeneratorMatchesPaperEq14(t *testing.T) {
 // π = (0.96296, 0.036338, 0.000699) to the printed precision.
 func TestSteadyStatePaperEq15(t *testing.T) {
 	c := paperExample(t)
-	pi, err := c.SteadyState(c.DiracInit(0))
+	pi, err := c.SteadyStateContext(t.Context(), c.DiracInit(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +114,7 @@ func TestSteadyStatePaperEq15(t *testing.T) {
 func TestSteadyStateExactRatios(t *testing.T) {
 	// Closed form for the example: π0 = 26.5·π1, π2 = π1/52.
 	c := paperExample(t)
-	pi, err := c.SteadyState(c.DiracInit(0))
+	pi, err := c.SteadyStateContext(t.Context(), c.DiracInit(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +130,7 @@ func TestTransientTwoStateAnalytic(t *testing.T) {
 	lambda, mu := 3.0, 5.0
 	c := twoState(t, lambda, mu)
 	for _, tt := range []float64{0.01, 0.1, 0.5, 1, 4} {
-		pi, err := c.Transient(c.DiracInit(0), tt, 1e-12)
+		pi, err := c.TransientContext(t.Context(), c.DiracInit(0), tt, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +143,7 @@ func TestTransientTwoStateAnalytic(t *testing.T) {
 
 func TestTransientZeroTime(t *testing.T) {
 	c := twoState(t, 1, 1)
-	pi, err := c.Transient(c.DiracInit(1), 0, 0)
+	pi, err := c.TransientContext(t.Context(), c.DiracInit(1), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +154,13 @@ func TestTransientZeroTime(t *testing.T) {
 
 func TestTransientRejectsBadInput(t *testing.T) {
 	c := twoState(t, 1, 1)
-	if _, err := c.Transient(linalg.Vector{0.5, 0.2}, 1, 0); !errors.Is(err, ErrBadInit) {
+	if _, err := c.TransientContext(t.Context(), linalg.Vector{0.5, 0.2}, 1, 0); !errors.Is(err, ErrBadInit) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := c.Transient(c.DiracInit(0), -1, 0); !errors.Is(err, ErrBadTime) {
+	if _, err := c.TransientContext(t.Context(), c.DiracInit(0), -1, 0); !errors.Is(err, ErrBadTime) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := c.Transient(c.DiracInit(0), math.Inf(1), 0); !errors.Is(err, ErrBadTime) {
+	if _, err := c.TransientContext(t.Context(), c.DiracInit(0), math.Inf(1), 0); !errors.Is(err, ErrBadTime) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -165,7 +171,7 @@ func TestTransientNoTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.Transient(c.DiracInit(0), 10, 0)
+	pi, err := c.TransientContext(t.Context(), c.DiracInit(0), 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +185,7 @@ func TestCumulativeRewardTwoStateAnalytic(t *testing.T) {
 	c := twoState(t, lambda, mu)
 	r := linalg.Vector{0, 1} // time spent in state 1
 	for _, tt := range []float64{0.1, 1, 3} {
-		got, err := c.CumulativeReward(c.DiracInit(0), r, tt, 1e-12)
+		got, err := c.CumulativeRewardContext(t.Context(), c.DiracInit(0), r, tt, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +199,7 @@ func TestCumulativeRewardTwoStateAnalytic(t *testing.T) {
 
 func TestCumulativeRewardZeroHorizon(t *testing.T) {
 	c := twoState(t, 1, 1)
-	got, err := c.CumulativeReward(c.DiracInit(0), linalg.Vector{1, 1}, 0, 0)
+	got, err := c.CumulativeRewardContext(t.Context(), c.DiracInit(0), linalg.Vector{1, 1}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +212,7 @@ func TestCumulativeRewardConstantRate(t *testing.T) {
 	// Reward 1 everywhere accumulates exactly t.
 	c := paperExample(t)
 	r := linalg.Vector{1, 1, 1}
-	got, err := c.CumulativeReward(c.DiracInit(0), r, 2.5, 1e-12)
+	got, err := c.CumulativeRewardContext(t.Context(), c.DiracInit(0), r, 2.5, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,10 +224,11 @@ func TestCumulativeRewardConstantRate(t *testing.T) {
 func TestInstantaneousReward(t *testing.T) {
 	lambda, mu := 3.0, 5.0
 	c := twoState(t, lambda, mu)
-	got, err := c.InstantaneousReward(c.DiracInit(0), linalg.Vector{0, 10}, 1, 1e-12)
+	pi, err := c.TransientContext(t.Context(), c.DiracInit(0), 1, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := pi.Dot(linalg.Vector{0, 10}) // E[r(X_1)] = π(1)·r
 	want := 10 * lambda / (lambda + mu) * (1 - math.Exp(-(lambda + mu)))
 	if math.Abs(got-want) > 1e-8 {
 		t.Fatalf("got %v, want %v", got, want)
@@ -238,7 +245,7 @@ func TestTimeBoundedReachabilityPureBirth(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tt := range []float64{0.2, 1, 5} {
-		got, err := c.TimeBoundedReachability(c.DiracInit(0), []bool{false, true}, tt, 1e-12)
+		got, err := c.TimeBoundedReachabilityContext(t.Context(), c.DiracInit(0), []bool{false, true}, tt, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,11 +261,11 @@ func TestTimeBoundedReachabilityCountsRevisits(t *testing.T) {
 	// leaves the target afterwards, the reach probability can't decrease
 	// with t.
 	c := twoState(t, 1, 100) // state 1 left very quickly
-	p1, err := c.TimeBoundedReachability(c.DiracInit(0), []bool{false, true}, 1, 1e-12)
+	p1, err := c.TimeBoundedReachabilityContext(t.Context(), c.DiracInit(0), []bool{false, true}, 1, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := c.TimeBoundedReachability(c.DiracInit(0), []bool{false, true}, 2, 1e-12)
+	p2, err := c.TimeBoundedReachabilityContext(t.Context(), c.DiracInit(0), []bool{false, true}, 2, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,23 +288,23 @@ func TestBoundedUntil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := c.BoundedUntil(c.DiracInit(0), []bool{true, false, false}, []bool{false, false, true}, 5, 0)
+	p, err := c.BoundedUntilVectorContext(t.Context(), []bool{true, false, false}, []bool{false, false, true}, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p > 1e-12 {
-		t.Fatalf("blocked until gave %v", p)
+	if p[0] > 1e-12 {
+		t.Fatalf("blocked until gave %v", p[0])
 	}
-	p, err = c.BoundedUntil(c.DiracInit(0), []bool{true, true, false}, []bool{false, false, true}, 5, 0)
+	p, err = c.BoundedUntilVectorContext(t.Context(), []bool{true, true, false}, []bool{false, false, true}, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reach, err := c.TimeBoundedReachability(c.DiracInit(0), []bool{false, false, true}, 5, 0)
+	reach, err := c.TimeBoundedReachabilityContext(t.Context(), c.DiracInit(0), []bool{false, false, true}, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(p-reach) > 1e-10 {
-		t.Fatalf("until %v != reach %v", p, reach)
+	if math.Abs(p[0]-reach) > 1e-10 {
+		t.Fatalf("until %v != reach %v", p[0], reach)
 	}
 }
 
@@ -310,12 +317,24 @@ func TestUnboundedReachability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := c.UnboundedReachability(c.DiracInit(0), []bool{false, false, true})
+	target := []bool{false, false, true}
+	emb, err := c.Embedded()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(p-0.75) > 1e-9 {
+	x, err := emb.Reachability(target, linalg.IterOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := c.DiracInit(0).Dot(x); math.Abs(p-0.75) > 1e-9 {
 		t.Fatalf("p = %v", p)
+	}
+	v, err := c.UnboundedReachabilityVectorContext(t.Context(), target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(v[0]-0.75) > 1e-9 {
+		t.Fatalf("vector p = %v", v[0])
 	}
 }
 
@@ -329,7 +348,7 @@ func TestReachabilityRewardExpectedHittingTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := linalg.Vector{1, 1, 1}
-	got, err := c.ReachabilityReward(c.DiracInit(0), r, []bool{false, false, true})
+	got, err := c.ReachabilityRewardContext(t.Context(), c.DiracInit(0), r, []bool{false, false, true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +366,7 @@ func TestReachabilityRewardInfinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.ReachabilityReward(c.DiracInit(0), linalg.Vector{1, 1, 1}, []bool{false, true, false})
+	got, err := c.ReachabilityRewardContext(t.Context(), c.DiracInit(0), linalg.Vector{1, 1, 1}, []bool{false, true, false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +386,7 @@ func TestReachabilityRewardRareEscapeIsInfinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.ReachabilityReward(c.DiracInit(0), linalg.Vector{1, 1, 1}, []bool{false, true, false})
+	got, err := c.ReachabilityRewardContext(t.Context(), c.DiracInit(0), linalg.Vector{1, 1, 1}, []bool{false, true, false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +405,7 @@ func TestReachabilityRewardTrapBehindTargetIsFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := c.ReachabilityRewardVector(linalg.Vector{1, 1, 1}, []bool{false, true, false})
+	x, err := c.ReachabilityRewardVectorContext(t.Context(), linalg.Vector{1, 1, 1}, []bool{false, true, false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,11 +419,11 @@ func TestExpectedTimeFractionMatchesSteadyStateLongRun(t *testing.T) {
 	// probability.
 	c := paperExample(t)
 	mask := []bool{false, false, true}
-	frac, err := c.ExpectedTimeFraction(c.DiracInit(0), mask, 200, 1e-12)
+	frac, err := c.ExpectedTimeFractionContext(t.Context(), c.DiracInit(0), mask, 200, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyState(c.DiracInit(0))
+	pi, err := c.SteadyStateContext(t.Context(), c.DiracInit(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +442,7 @@ func TestSteadyStateReducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyState(c.DiracInit(0))
+	pi, err := c.SteadyStateContext(t.Context(), c.DiracInit(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +461,7 @@ func TestSteadyStateReducibleWithCycleBSCC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyState(c.DiracInit(0))
+	pi, err := c.SteadyStateContext(t.Context(), c.DiracInit(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,11 +496,11 @@ func TestQuickTransientMatchesMatrixExponential(t *testing.T) {
 		c := randomChain(r, n, 4)
 		tt := r.Float64() * 3
 		init := c.DiracInit(r.Intn(n))
-		got, err := c.Transient(init, tt, 1e-12)
+		got, err := c.TransientContext(t.Context(), init, tt, 1e-12)
 		if err != nil {
 			return false
 		}
-		q := c.Generator().ToDense()
+		q := generator(c).ToDense()
 		q.Scale(tt)
 		e, err := expm.Exp(q)
 		if err != nil {
@@ -516,7 +535,7 @@ func TestQuickSteadyStateBalance(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pi, err := c.SteadyState(c.DiracInit(0))
+		pi, err := c.SteadyStateContext(t.Context(), c.DiracInit(0))
 		if err != nil {
 			return false
 		}
@@ -524,7 +543,7 @@ func TestQuickSteadyStateBalance(t *testing.T) {
 			return false
 		}
 		// Check balance: (πQ)_j = Σ_i π_i Q(i,j) ≈ 0.
-		qd := c.Generator().ToDense()
+		qd := generator(c).ToDense()
 		res, err := qd.VecMul(pi, nil)
 		if err != nil {
 			return false
@@ -553,7 +572,7 @@ func TestQuickCumulativeMatchesQuadrature(t *testing.T) {
 				rew[i] = 1
 			}
 		}
-		got, err := c.CumulativeReward(init, rew, tt, 1e-12)
+		got, err := c.CumulativeRewardContext(t.Context(), init, rew, tt, 1e-12)
 		if err != nil {
 			return false
 		}
@@ -562,7 +581,7 @@ func TestQuickCumulativeMatchesQuadrature(t *testing.T) {
 		h := tt / steps
 		var integral float64
 		for k := 0; k <= steps; k++ {
-			pi, err := c.Transient(init, float64(k)*h, 1e-12)
+			pi, err := c.TransientContext(t.Context(), init, float64(k)*h, 1e-12)
 			if err != nil {
 				return false
 			}
@@ -655,7 +674,7 @@ func TestSteadyStateLargeBirthDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyState(c.DiracInit(0))
+	pi, err := c.SteadyStateContext(t.Context(), c.DiracInit(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -688,12 +707,12 @@ func TestSteadyStateLargeStiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyState(c.DiracInit(0))
+	pi, err := c.SteadyStateContext(t.Context(), c.DiracInit(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Verify the balance equations directly.
-	res, err := c.Generator().ToDense().VecMul(pi, nil)
+	res, err := generator(c).ToDense().VecMul(pi, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,11 @@
 package ctmc_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/ctmc"
-	"repro/internal/linalg"
 )
 
 // The paper's worked example (Section 3.3): build the three-state chain,
@@ -23,19 +23,20 @@ func Example() {
 		log.Fatal(err)
 	}
 
-	pi, err := chain.SteadyState(chain.DiracInit(0))
+	ctx := context.Background()
+	pi, err := chain.SteadyStateContext(ctx, chain.DiracInit(0))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("stationary: (%.5f, %.6f, %.6f)\n", pi[0], pi[1], pi[2])
 
-	frac, err := chain.ExpectedTimeFraction(chain.DiracInit(0), []bool{false, false, true}, 1, 1e-12)
+	frac, err := chain.ExpectedTimeFractionContext(ctx, chain.DiracInit(0), []bool{false, false, true}, 1, 1e-12)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("exploitable within first year: %.4f%%\n", 100*frac)
 
-	reach, err := chain.TimeBoundedReachability(chain.DiracInit(0), []bool{false, false, true}, 1, 1e-12)
+	reach, err := chain.TimeBoundedReachabilityContext(ctx, chain.DiracInit(0), []bool{false, false, true}, 1, 1e-12)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,16 +47,16 @@ func Example() {
 	// P[reach s2 within 1 year] = 6.78%
 }
 
-// ExampleChain_TimeBoundedReachability computes the probability of a pure
-// birth process firing within one time unit.
-func ExampleChain_TimeBoundedReachability() {
+// ExampleChain_TimeBoundedReachabilityContext computes the probability of a
+// pure birth process firing within one time unit.
+func ExampleChain_TimeBoundedReachabilityContext() {
 	b := ctmc.NewBuilder(2)
 	b.Add(0, 1, 1) // rate-1 exponential
 	chain, err := b.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := chain.TimeBoundedReachability(chain.DiracInit(0), []bool{false, true}, 1, 1e-12)
+	p, err := chain.TimeBoundedReachabilityContext(context.Background(), chain.DiracInit(0), []bool{false, true}, 1, 1e-12)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,7 +84,9 @@ func ExampleChain_Lump() {
 	fmt.Printf("states: %d -> %d\n", chain.N(), l.Quotient.N())
 
 	// The quotient preserves every analysis exactly.
-	full, err := chain.CumulativeReward(chain.DiracInit(0), linalg.Vector{0, 1, 1, 0}, 1, 1e-12)
+	ctx := context.Background()
+	mask := []bool{false, true, true, false}
+	full, err := chain.ExpectedTimeFractionContext(ctx, chain.DiracInit(0), mask, 1, 1e-12)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,11 +94,11 @@ func ExampleChain_Lump() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lr, err := l.LumpReward(linalg.Vector{0, 1, 1, 0})
+	lm, err := l.LumpMask(mask)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lumped, err := l.Quotient.CumulativeReward(li, lr, 1, 1e-12)
+	lumped, err := l.Quotient.ExpectedTimeFractionContext(ctx, li, lm, 1, 1e-12)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -183,34 +183,3 @@ func (l *Lumped) LumpMask(mask []bool) ([]bool, error) {
 	}
 	return out, nil
 }
-
-// LumpReward projects a state-reward vector onto blocks, requiring it to be
-// constant per block.
-func (l *Lumped) LumpReward(r linalg.Vector) (linalg.Vector, error) {
-	if len(r) != len(l.BlockOf) {
-		return nil, fmt.Errorf("ctmc: reward length %d, want %d", len(r), len(l.BlockOf))
-	}
-	out := linalg.NewVector(l.Quotient.N())
-	set := make([]bool, l.Quotient.N())
-	for i, v := range r {
-		b := l.BlockOf[i]
-		if set[b] && out[b] != v {
-			return nil, fmt.Errorf("ctmc: reward not constant on block %d; include it in the lumping signature", b)
-		}
-		out[b] = v
-		set[b] = true
-	}
-	return out, nil
-}
-
-// ExpandVector maps per-block values back to per-state values.
-func (l *Lumped) ExpandVector(v linalg.Vector) (linalg.Vector, error) {
-	if len(v) != l.Quotient.N() {
-		return nil, fmt.Errorf("ctmc: block vector length %d, want %d", len(v), l.Quotient.N())
-	}
-	out := linalg.NewVector(len(l.BlockOf))
-	for i, b := range l.BlockOf {
-		out[i] = v[b]
-	}
-	return out, nil
-}

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/linalg"
 )
 
 // symmetricPair builds a chain with two interchangeable intermediate states:
@@ -93,11 +91,11 @@ func TestLumpPreservesTransient(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tt := range []float64{0.1, 0.5, 2} {
-		full, err := c.Transient(init, tt, 1e-12)
+		full, err := c.TransientContext(t.Context(), init, tt, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lumped, err := l.Quotient.Transient(linit, tt, 1e-12)
+		lumped, err := l.Quotient.TransientContext(t.Context(), linit, tt, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,8 +118,8 @@ func TestLumpPreservesCumulativeReward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reward := linalg.Vector{0, 1, 1, 0.5}
-	lr, err := l.LumpReward(reward)
+	mask := []bool{false, true, true, false}
+	lm, err := l.LumpMask(mask)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +128,11 @@ func TestLumpPreservesCumulativeReward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := c.CumulativeReward(init, reward, 2, 1e-12)
+	full, err := c.ExpectedTimeFractionContext(t.Context(), init, mask, 2, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lumped, err := l.Quotient.CumulativeReward(linit, lr, 2, 1e-12)
+	lumped, err := l.Quotient.ExpectedTimeFractionContext(t.Context(), linit, lm, 2, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,31 +149,6 @@ func TestLumpMaskNotConstantRejected(t *testing.T) {
 	}
 	if _, err := l.LumpMask([]bool{false, true, false, false}); err == nil {
 		t.Fatal("non-constant mask accepted")
-	}
-	if _, err := l.LumpReward(linalg.Vector{0, 1, 2, 0}); err == nil {
-		t.Fatal("non-constant reward accepted")
-	}
-}
-
-func TestLumpExpandVector(t *testing.T) {
-	c := symmetricPair(t, 2, 3)
-	l, err := c.Lump([]int{0, 1, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := linalg.NewVector(l.Quotient.N())
-	for b := range v {
-		v[b] = float64(b) + 0.5
-	}
-	x, err := l.ExpandVector(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x[1] != x[2] {
-		t.Fatal("merged states expanded differently")
-	}
-	if len(x) != 4 {
-		t.Fatalf("len = %d", len(x))
 	}
 }
 
@@ -216,11 +189,11 @@ func TestQuickLumpPreservesReachability(t *testing.T) {
 			return false
 		}
 		tt := 0.3 + r.Float64()
-		full, err := c.TimeBoundedReachability(init, target, tt, 1e-12)
+		full, err := c.TimeBoundedReachabilityContext(t.Context(), init, target, tt, 1e-12)
 		if err != nil {
 			return false
 		}
-		lumped, err := l.Quotient.TimeBoundedReachability(linit, lt, tt, 1e-12)
+		lumped, err := l.Quotient.TimeBoundedReachabilityContext(t.Context(), linit, lt, tt, 1e-12)
 		if err != nil {
 			return false
 		}

@@ -5,7 +5,7 @@ import (
 )
 
 // midChain builds a 400-state birth–death chain with mildly stiff rates —
-// large enough that Transient does real uniformisation work (q·t ≈ 120,
+// large enough that TransientContext does real uniformisation work (q·t ≈ 120,
 // a few hundred matvecs) but small enough for AllocsPerRun.
 func midChain(tb testing.TB) *Chain {
 	tb.Helper()
@@ -22,19 +22,19 @@ func midChain(tb testing.TB) *Chain {
 	return c
 }
 
-// seedTransientAllocs is the allocation count of Chain.Transient on midChain
+// seedTransientAllocs is the allocation count of Chain.TransientContext on midChain
 // measured at the pre-observability seed (commit fa2942e). The no-op obs
 // path must not add a single allocation on top of it.
 const seedTransientAllocs = 48
 
-// TestTransientNoopObsZeroAllocs pins Transient's allocation count to the
+// TestTransientNoopObsZeroAllocs pins TransientContext's allocation count to the
 // uninstrumented baseline: with no sink installed (the default), the
 // observability layer must contribute exactly zero allocations.
 func TestTransientNoopObsZeroAllocs(t *testing.T) {
 	c := midChain(t)
 	init := c.DiracInit(0)
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := c.Transient(init, 8, 1e-10); err != nil {
+		if _, err := c.TransientContext(t.Context(), init, 8, 1e-10); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -45,13 +45,13 @@ func TestTransientNoopObsZeroAllocs(t *testing.T) {
 }
 
 // parentCumulativeRewardAllocs is the allocation count of
-// Chain.CumulativeReward on midChain measured before the transient and
+// Chain.CumulativeRewardContext on midChain measured before the transient and
 // cumulative series were folded into one uniformisation kernel. The kernel
 // sits on the Figure-5 hot path (ctmc.cumulative_reward) and must not add
 // allocations to it.
 const parentCumulativeRewardAllocs = 10
 
-// TestCumulativeRewardNoopObsAllocs pins CumulativeReward's allocation
+// TestCumulativeRewardNoopObsAllocs pins CumulativeRewardContext's allocation
 // count with observability disabled.
 func TestCumulativeRewardNoopObsAllocs(t *testing.T) {
 	c := midChain(t)
@@ -61,7 +61,7 @@ func TestCumulativeRewardNoopObsAllocs(t *testing.T) {
 		reward[i] = float64(i % 2)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := c.CumulativeReward(init, reward, 8, 1e-10); err != nil {
+		if _, err := c.CumulativeRewardContext(t.Context(), init, reward, 8, 1e-10); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -80,7 +80,7 @@ func BenchmarkTransientObsOff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Transient(init, 8, 1e-10); err != nil {
+		if _, err := c.TransientContext(b.Context(), init, 8, 1e-10); err != nil {
 			b.Fatal(err)
 		}
 	}

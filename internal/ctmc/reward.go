@@ -10,8 +10,8 @@ import (
 	"repro/internal/obs"
 )
 
-// ReachabilityReward computes the expected reward accumulated until first
-// reaching a target state, E[∫₀^{T_target} r(X_s) ds], following PRISM's
+// ReachabilityRewardContext computes the expected reward accumulated until
+// first reaching a target state, E[∫₀^{T_target} r(X_s) ds], following PRISM's
 // semantics: states from which the target is reached with probability < 1
 // (and initial distributions touching them) yield +Inf.
 //
@@ -21,12 +21,7 @@ import (
 //
 // (the mean sojourn time 1/E_i weights the state reward), which is solved
 // as a sparse linear system over the states that reach the target almost
-// surely.
-func (c *Chain) ReachabilityReward(init linalg.Vector, reward linalg.Vector, target []bool) (float64, error) {
-	return c.ReachabilityRewardContext(context.Background(), init, reward, target)
-}
-
-// ReachabilityRewardContext is ReachabilityReward with span propagation.
+// surely, on a "ctmc.reachability_reward" span.
 func (c *Chain) ReachabilityRewardContext(ctx context.Context, init linalg.Vector, reward linalg.Vector, target []bool) (float64, error) {
 	if err := c.checkInit(init); err != nil {
 		return 0, err
@@ -143,16 +138,11 @@ func (c *Chain) rewardSystem(reward linalg.Vector, target []bool, unknowns, idx 
 	return a.Split(), b
 }
 
-// ExpectedTimeFraction returns the expected fraction of the interval [0, t]
-// spent in the masked states — the paper's "percentage of time the message
-// is exploitable within 1 year" metric.
-func (c *Chain) ExpectedTimeFraction(init linalg.Vector, mask []bool, t, accuracy float64) (float64, error) {
-	return c.ExpectedTimeFractionContext(context.Background(), init, mask, t, accuracy)
-}
-
-// ExpectedTimeFractionContext is ExpectedTimeFraction with span propagation
-// (the cumulative-reward solve appears as a child span): the one-mask case
-// of ExpectedTimeFractionsContext.
+// ExpectedTimeFractionContext returns the expected fraction of the
+// interval [0, t] spent in the masked states — the paper's "percentage of
+// time the message is exploitable within 1 year" metric. It is the one-mask
+// case of ExpectedTimeFractionsContext (the cumulative-reward solve appears
+// as a child span).
 func (c *Chain) ExpectedTimeFractionContext(ctx context.Context, init linalg.Vector, mask []bool, t, accuracy float64) (float64, error) {
 	fracs, err := c.ExpectedTimeFractionsContext(ctx, init, [][]bool{mask}, t, accuracy)
 	if err != nil {
@@ -161,7 +151,7 @@ func (c *Chain) ExpectedTimeFractionContext(ctx context.Context, init linalg.Vec
 	return fracs[0], nil
 }
 
-// ExpectedTimeFractionsContext returns ExpectedTimeFraction for every mask
+// ExpectedTimeFractionsContext returns the expected time fraction of every mask
 // from one fresh pass over the masks' indicator rewards; each fraction is
 // bit-identical to a one-mask call.
 func (c *Chain) ExpectedTimeFractionsContext(ctx context.Context, init linalg.Vector, masks [][]bool, t, accuracy float64) ([]float64, error) {

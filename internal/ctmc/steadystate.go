@@ -16,19 +16,14 @@ import (
 // iterative balance-equation solve.
 const directSolveThreshold = 256
 
-// SteadyState computes the long-run state distribution from the given
-// initial distribution. For an irreducible chain this is the classical
-// solution of πQ = 0, Σπ = 1; for a reducible chain the distribution
-// decomposes over the bottom strongly connected components:
-// π∞(s) = Σ_B P[absorb into B | init] · π_B(s).
-func (c *Chain) SteadyState(init linalg.Vector) (linalg.Vector, error) {
-	return c.SteadyStateContext(context.Background(), init)
-}
-
-// SteadyStateContext is SteadyState with span propagation: a
-// "ctmc.steadystate" span recording state and BSCC counts, with one child
-// span per iterative balance-equation solve carrying the solver's iteration
-// count and final residual.
+// SteadyStateContext computes the long-run state distribution from the
+// given initial distribution. For an irreducible chain this is the
+// classical solution of πQ = 0, Σπ = 1; for a reducible chain the
+// distribution decomposes over the bottom strongly connected components:
+// π∞(s) = Σ_B P[absorb into B | init] · π_B(s). A "ctmc.steadystate" span
+// records state and BSCC counts, with one child span per iterative
+// balance-equation solve carrying the solver's iteration count and final
+// residual.
 func (c *Chain) SteadyStateContext(ctx context.Context, init linalg.Vector) (linalg.Vector, error) {
 	ctx, sp := obs.Start(ctx, "ctmc.steadystate")
 	defer sp.End()
@@ -320,14 +315,9 @@ func (c *Chain) balanceSystem(set, pos []int, ref int) (*linalg.Split, linalg.Ve
 	return a, b, nil
 }
 
-// SteadyStateProbability returns the long-run probability of being in the
-// masked states.
-func (c *Chain) SteadyStateProbability(init linalg.Vector, mask []bool) (float64, error) {
-	return c.SteadyStateProbabilityContext(context.Background(), init, mask)
-}
-
-// SteadyStateProbabilityContext is SteadyStateProbability with span
-// propagation: the one-mask case of SteadyStateProbabilitiesContext.
+// SteadyStateProbabilityContext returns the long-run probability of being
+// in the masked states: the one-mask case of
+// SteadyStateProbabilitiesContext.
 func (c *Chain) SteadyStateProbabilityContext(ctx context.Context, init linalg.Vector, mask []bool) (float64, error) {
 	ps, err := c.SteadyStateProbabilitiesContext(ctx, init, [][]bool{mask})
 	if err != nil {

@@ -32,14 +32,9 @@ func (c *Chain) NextVector(phi []bool) (linalg.Vector, error) {
 	return out, nil
 }
 
-// UnboundedReachabilityVector computes P_i[F target] for every state via
-// the embedded chain.
-func (c *Chain) UnboundedReachabilityVector(target []bool) (linalg.Vector, error) {
-	return c.UnboundedReachabilityVectorContext(context.Background(), target)
-}
-
-// UnboundedReachabilityVectorContext is UnboundedReachabilityVector with
-// span propagation ("ctmc.unbounded_reach": solver iterations/residual).
+// UnboundedReachabilityVectorContext computes P_i[F target] for every state
+// via the embedded chain, on a "ctmc.unbounded_reach" span (solver
+// iterations and residual).
 func (c *Chain) UnboundedReachabilityVectorContext(ctx context.Context, target []bool) (linalg.Vector, error) {
 	_, sp := obs.Start(ctx, "ctmc.unbounded_reach")
 	defer sp.End()
@@ -56,14 +51,9 @@ func (c *Chain) UnboundedReachabilityVectorContext(ctx context.Context, target [
 	return out, err
 }
 
-// SteadyStateVector computes, for every state i, the long-run probability
-// of being in the masked set when starting from i: the BSCC decomposition
-// value_i = Σ_B P_i[absorb into B] · π_B(mask).
-func (c *Chain) SteadyStateVector(mask []bool) (linalg.Vector, error) {
-	return c.SteadyStateVectorContext(context.Background(), mask)
-}
-
-// SteadyStateVectorContext is SteadyStateVector with span propagation.
+// SteadyStateVectorContext computes, for every state i, the long-run
+// probability of being in the masked set when starting from i: the BSCC
+// decomposition value_i = Σ_B P_i[absorb into B] · π_B(mask).
 func (c *Chain) SteadyStateVectorContext(ctx context.Context, mask []bool) (linalg.Vector, error) {
 	ctx, sp := obs.Start(ctx, "ctmc.steadystate_vec")
 	defer sp.End()
@@ -104,15 +94,10 @@ func (c *Chain) SteadyStateVectorContext(ctx context.Context, mask []bool) (lina
 	return out, nil
 }
 
-// ReachabilityRewardVector computes, for every state, the expected reward
-// accumulated until first reaching a target state (+Inf where the target is
-// reached with probability < 1). One linear solve covers all states.
-func (c *Chain) ReachabilityRewardVector(reward linalg.Vector, target []bool) (linalg.Vector, error) {
-	return c.ReachabilityRewardVectorContext(context.Background(), reward, target)
-}
-
-// ReachabilityRewardVectorContext is ReachabilityRewardVector with span
-// propagation.
+// ReachabilityRewardVectorContext computes, for every state, the expected
+// reward accumulated until first reaching a target state (+Inf where the
+// target is reached with probability < 1). One linear solve covers all
+// states.
 func (c *Chain) ReachabilityRewardVectorContext(ctx context.Context, reward linalg.Vector, target []bool) (linalg.Vector, error) {
 	return c.reachabilityRewardAll(ctx, reward, target)
 }

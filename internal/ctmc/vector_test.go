@@ -11,15 +11,12 @@ func TestIntervalUntilVectorMatchesScalar(t *testing.T) {
 	c := paperExample(t)
 	phi1 := []bool{true, true, true}
 	phi2 := []bool{false, false, true}
-	vec, err := c.IntervalUntilVector(phi1, phi2, 0.3, 1.2, 1e-12)
+	vec, err := c.IntervalUntilVectorContext(t.Context(), phi1, phi2, 0.3, 1.2, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < 3; s++ {
-		scalar, err := c.IntervalUntil(c.DiracInit(s), phi1, phi2, 0.3, 1.2, 1e-12)
-		if err != nil {
-			t.Fatal(err)
-		}
+		scalar := intervalUntil(t, c, c.DiracInit(s), phi1, phi2, 0.3, 1.2, 1e-12)
 		if math.Abs(vec[s]-scalar) > 1e-9 {
 			t.Fatalf("state %d: %v vs %v", s, vec[s], scalar)
 		}
@@ -65,7 +62,7 @@ func TestUnboundedReachabilityVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.UnboundedReachabilityVector([]bool{false, false, true})
+	v, err := c.UnboundedReachabilityVectorContext(t.Context(), []bool{false, false, true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +75,11 @@ func TestSteadyStateVectorIrreducible(t *testing.T) {
 	// Irreducible chain: identical long-run value from every state.
 	c := paperExample(t)
 	mask := []bool{false, false, true}
-	v, err := c.SteadyStateVector(mask)
+	v, err := c.SteadyStateVectorContext(t.Context(), mask)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.SteadyStateProbability(c.DiracInit(0), mask)
+	want, err := c.SteadyStateProbabilityContext(t.Context(), c.DiracInit(0), mask)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +100,7 @@ func TestSteadyStateVectorReducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.SteadyStateVector([]bool{false, false, true})
+	v, err := c.SteadyStateVectorContext(t.Context(), []bool{false, false, true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +119,7 @@ func TestReachabilityRewardVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.ReachabilityRewardVector(linalg.Vector{1, 1, 1}, []bool{false, false, true})
+	v, err := c.ReachabilityRewardVectorContext(t.Context(), linalg.Vector{1, 1, 1}, []bool{false, false, true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +136,7 @@ func TestReachabilityRewardVectorInfinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.ReachabilityRewardVector(linalg.Vector{1, 1, 1}, []bool{false, true, false})
+	v, err := c.ReachabilityRewardVectorContext(t.Context(), linalg.Vector{1, 1, 1}, []bool{false, true, false})
 	if err != nil {
 		t.Fatal(err)
 	}

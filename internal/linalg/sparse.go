@@ -91,17 +91,13 @@ func (c *COO) ToCSR() *CSR {
 	return m
 }
 
-// RowBuilder assembles a CSR row by row, in row order, without sorting.
-// Like COO it drops zero entries, and it sums at most one extra value per
-// row, the diagonal, into the entry at the diagonal's column. A two-term
-// sum has the same bits in either order, so the result is bit-identical to
-// a COO assembly of the same entries. Diagonal merging needs increasing
-// columns within the row; rows built without it keep their columns in the
-// order given. It panics past MaxNNZ.
+// RowBuilder assembles a CSR row by row, in row order, without sorting:
+// each row keeps its columns in the order given, and must not repeat one.
+// Like COO it drops zero entries, so rows given in increasing column order
+// are bit-identical to a COO assembly of the same entries. It panics past
+// MaxNNZ.
 type RowBuilder struct {
-	m       *CSR
-	diagCol int // -1 once the row's diagonal is placed
-	diag    float64
+	m *CSR
 }
 
 // NewRowBuilder returns a builder of the given shape with room for nnz
@@ -115,31 +111,11 @@ func NewRowBuilder(rows, cols, nnz int) *RowBuilder {
 			ColIdx: make([]int32, 0, nnz),
 			Val:    make([]float64, 0, nnz),
 		},
-		diagCol: -1,
 	}
 }
 
-// Diagonal sets the value d to merge into the current row at column j: it
-// is added to the value Add gives for column j, or else stored before the
-// first larger column.
-func (b *RowBuilder) Diagonal(j int, d float64) {
-	b.diagCol, b.diag = j, d
-}
-
-// Add appends entry (current row, j) with value v.
+// Add appends entry (current row, j) with value v, unless v is zero.
 func (b *RowBuilder) Add(j int, v float64) {
-	if b.diagCol >= 0 && j >= b.diagCol {
-		if j == b.diagCol {
-			v += b.diag
-		} else {
-			b.push(b.diagCol, b.diag)
-		}
-		b.diagCol = -1
-	}
-	b.push(j, v)
-}
-
-func (b *RowBuilder) push(j int, v float64) {
 	if v != 0 {
 		checkShape("RowBuilder", b.m.Rows, b.m.Cols, len(b.m.Val)+1)
 		b.m.ColIdx = append(b.m.ColIdx, int32(j))
@@ -149,10 +125,6 @@ func (b *RowBuilder) push(j int, v float64) {
 
 // EndRow closes the current row.
 func (b *RowBuilder) EndRow() {
-	if b.diagCol >= 0 {
-		b.push(b.diagCol, b.diag)
-		b.diagCol = -1
-	}
 	b.m.RowPtr = append(b.m.RowPtr, int32(len(b.m.Val)))
 }
 

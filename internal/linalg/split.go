@@ -38,8 +38,8 @@ func (a *Split) ToDense() *Dense {
 // SplitBuilder assembles a Split row by row, in row order. Like RowBuilder
 // it drops zero off-diagonal entries, and an entry in the row's own column
 // is summed into the diagonal instead of being stored, so the diagonal
-// holds the value a RowBuilder merge would have stored there (0 where that
-// merge dropped the entry).
+// holds the value a COO assembly would have stored there (0 where it
+// dropped the entry).
 type SplitBuilder struct {
 	rows *RowBuilder
 	diag Vector
@@ -65,7 +65,7 @@ func (b *SplitBuilder) Add(j int, v float64) {
 		b.diag[i] += v
 		return
 	}
-	b.rows.push(j, v)
+	b.rows.Add(j, v)
 }
 
 // EndRow closes the current row.

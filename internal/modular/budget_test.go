@@ -1,6 +1,7 @@
 package modular
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -10,7 +11,7 @@ import (
 
 func TestExploreStateBudgetTyped(t *testing.T) {
 	m, _ := buildBirthDeath(t, 100, 1, 1)
-	_, err := m.Explore(ExploreOpts{MaxStates: 10})
+	_, err := m.ExploreContext(t.Context(), ExploreOpts{MaxStates: 10})
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Resource != "states" || be.Limit != 10 {
 		t.Fatalf("err = %v, want *BudgetError{states, 10}", err)
@@ -25,9 +26,61 @@ func TestExploreStateBudgetTyped(t *testing.T) {
 	}
 }
 
+// pollCtx is a context whose Err turns to context.Canceled after live
+// nil-returning polls, counting every poll: it stands in for a deadline or
+// a Ctrl-C without a wall clock.
+type pollCtx struct {
+	context.Context
+	live, polls int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.polls > c.live {
+		return context.Canceled
+	}
+	return nil
+}
+
+// Exploration polls its context once per 1024 expanded states (heads 0,
+// 1024, 2048, …) and stops at the first poll that reports the context
+// done, returning its error wrapped and no Explored.
+func TestExploreHonoursCancellation(t *testing.T) {
+	m, _ := buildBirthDeath(t, 5000, 1, 1) // 5001 states
+
+	full := &pollCtx{Context: t.Context(), live: math.MaxInt}
+	ex, err := m.ExploreContext(full, ExploreOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.N() != 5001 || full.polls != 5 {
+		t.Fatalf("states = %d, polls = %d; want 5001 states in 5 polls", ex.N(), full.polls)
+	}
+
+	cancelled, cancel := context.WithCancel(t.Context())
+	cancel()
+	ex, err = m.ExploreContext(cancelled, ExploreOpts{})
+	if !errors.Is(err, context.Canceled) || ex != nil {
+		t.Fatalf("already cancelled: ex = %v, err = %v; want nil, context.Canceled", ex, err)
+	}
+
+	for k := 0; k <= 3; k++ {
+		ctx := &pollCtx{Context: t.Context(), live: k}
+		ex, err := m.ExploreContext(ctx, ExploreOpts{})
+		if !errors.Is(err, context.Canceled) || ex != nil {
+			t.Fatalf("k=%d: ex = %v, err = %v; want nil, context.Canceled", k, ex, err)
+		}
+		// Poll k+1 follows state 1024·k, so at most 1024·(k+1) states
+		// were expanded.
+		if ctx.polls != k+1 {
+			t.Fatalf("k=%d: %d polls, want %d", k, ctx.polls, k+1)
+		}
+	}
+}
+
 func TestExploreTransitionBudget(t *testing.T) {
 	m, _ := buildBirthDeath(t, 100, 1, 1)
-	_, err := m.Explore(ExploreOpts{MaxTransitions: 5})
+	_, err := m.ExploreContext(t.Context(), ExploreOpts{MaxTransitions: 5})
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Resource != "transitions" || be.Limit != 5 {
 		t.Fatalf("err = %v, want *BudgetError{transitions, 5}", err)
@@ -40,7 +93,7 @@ func TestExploreTransitionBudget(t *testing.T) {
 		t.Fatalf("transition budget error %v unexpectedly matches ErrStateSpaceLimit", err)
 	}
 	// A budget that accommodates the model leaves exploration untouched.
-	ex, err := m.Explore(ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

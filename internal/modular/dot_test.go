@@ -8,7 +8,7 @@ import (
 func TestExportDOT(t *testing.T) {
 	m, x := buildBirthDeath(t, 2, 1, 2)
 	m.SetLabel("busy", Gt(x, IntLit(0)))
-	ex, err := m.Explore(ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestExportDOT(t *testing.T) {
 
 func TestExportDOTNoHighlight(t *testing.T) {
 	m, _ := buildBirthDeath(t, 1, 1, 1)
-	ex, err := m.Explore(ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestExportDOTNoHighlight(t *testing.T) {
 
 func TestExportDOTUnknownLabel(t *testing.T) {
 	m, _ := buildBirthDeath(t, 1, 1, 1)
-	ex, err := m.Explore(ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,16 +89,13 @@ type Explored struct {
 	keys   *stateIndex
 }
 
-// Explore performs breadth-first exploration of the composed model from its
-// initial state and compiles the result into a CTMC.
-func (m *Model) Explore(opts ExploreOpts) (*Explored, error) {
-	return m.ExploreContext(context.Background(), opts)
-}
-
-// ExploreContext is Explore with span propagation: a "modular.explore" span
-// recording the reachable state count, the transition count and the number
-// of dedup hits (successors that were already known), plus periodic
-// progress events while the frontier drains.
+// ExploreContext performs breadth-first exploration of the composed model
+// from its initial state and compiles the result into a CTMC. A
+// "modular.explore" span records the reachable state count, the transition
+// count and the number of dedup hits (successors that were already known),
+// plus periodic progress events while the frontier drains. Every 1024
+// expanded states it polls ctx and, once ctx is done, returns ctx's error
+// wrapped and no Explored.
 //
 // States are numbered in BFS order and indexed by packed keys (statekey.go);
 // each state's outgoing row is sorted, merged and appended to the CSR as soon
@@ -154,10 +151,15 @@ func (m *Model) ExploreContext(ctx context.Context, opts ExploreOpts) (*Explored
 			return nil, err
 		}
 		exit = append(grow(exit, 1), e)
-		// Total is unknown until the frontier drains; report the explored
-		// head against the current frontier size.
-		if sp != nil && head%1024 == 0 {
-			sp.Progress(int64(head), int64(idx.len()))
+		if head%1024 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("modular: exploration stopped after %d states: %w", head+1, err)
+			}
+			// Total is unknown until the frontier drains; report the
+			// explored head against the current frontier size.
+			if sp != nil {
+				sp.Progress(int64(head), int64(idx.len()))
+			}
 		}
 	}
 	sp.Int("states", int64(idx.len()))

@@ -47,7 +47,7 @@ func buildCell(tb testing.TB, ar *arch.Architecture, cat transform.Category, pro
 
 func explore(tb testing.TB, m *modular.Model) *modular.Explored {
 	tb.Helper()
-	ex, err := m.Explore(modular.ExploreOpts{})
+	ex, err := m.ExploreContext(tb.Context(), modular.ExploreOpts{})
 	if err != nil {
 		tb.Fatalf("%s: %v", m.Name, err)
 	}

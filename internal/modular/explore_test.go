@@ -40,7 +40,7 @@ func TestExploreWideKeys(t *testing.T) {
 			}}},
 		})
 	}
-	ex, err := m.Explore(ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestExploreRejectsNonFiniteRates(t *testing.T) {
 				Guard:   Eq(x, IntLit(0)),
 				Updates: []Update{{Rate: DoubleLit(rate), Assigns: assigns}},
 			})
-			_, err := m.Explore(ExploreOpts{})
+			_, err := m.ExploreContext(t.Context(), ExploreOpts{})
 			if !errors.Is(err, ctmc.ErrBadRate) {
 				t.Fatalf("rate %v (self-loop %v): err = %v, want ctmc.ErrBadRate", rate, selfLoop, err)
 			}
@@ -112,7 +112,7 @@ func TestExploreMergesRow(t *testing.T) {
 		{Rate: DoubleLit(0.25), Assigns: to(2)},
 	}})
 	mod.AddCommand(Command{Guard: BoolLit(true), Updates: []Update{{Rate: DoubleLit(2), Assigns: to(1)}}})
-	ex, err := m.Explore(ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func buildBirthDeath(t *testing.T, max int, up, down float64) (*Model, VarRef) {
 
 func TestExploreBirthDeath(t *testing.T) {
 	m, x := buildBirthDeath(t, 3, 2, 5)
-	ex, err := m.Explore(ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestExploreBirthDeath(t *testing.T) {
 		t.Fatalf("rate(1→0) = %v", got)
 	}
 	// Steady state of M/M/1/3: π_n ∝ (2/5)^n.
-	pi, err := ex.Chain.SteadyState(ex.InitDistribution())
+	pi, err := ex.Chain.SteadyStateContext(t.Context(), ex.InitDistribution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestExploreUnreachableStatesExcluded(t *testing.T) {
 		Guard:   Eq(x, IntLit(5)),
 		Updates: []Update{{Rate: DoubleLit(1), Assigns: []Assign{{Var: x.Index, Expr: IntLit(0)}}}},
 	})
-	ex, err := m.Explore(ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestExploreUnreachableStatesExcluded(t *testing.T) {
 
 func TestExploreStateLimit(t *testing.T) {
 	m, _ := buildBirthDeath(t, 100, 1, 1)
-	_, err := m.Explore(ExploreOpts{MaxStates: 10})
+	_, err := m.ExploreContext(t.Context(), ExploreOpts{MaxStates: 10})
 	if !errors.Is(err, ErrStateSpaceLimit) {
 		t.Fatalf("err = %v", err)
 	}
@@ -118,7 +118,7 @@ func TestExploreRangeViolation(t *testing.T) {
 		Guard:   BoolLit(true),
 		Updates: []Update{{Rate: DoubleLit(1), Assigns: []Assign{{Var: x.Index, Expr: IntLit(7)}}}},
 	})
-	if _, err := m.Explore(ExploreOpts{}); !errors.Is(err, ErrRangeViolation) {
+	if _, err := m.ExploreContext(t.Context(), ExploreOpts{}); !errors.Is(err, ErrRangeViolation) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -153,7 +153,7 @@ func TestBoolVar(t *testing.T) {
 		Guard:   Not(flag),
 		Updates: []Update{{Rate: DoubleLit(3), Assigns: []Assign{{Var: flag.Index, Expr: BoolLit(true)}}}},
 	})
-	ex, err := m.Explore(ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestLabelsAndRewards(t *testing.T) {
 	m.SetLabel("high", Gt(x, IntLit(0)))
 	m.AddReward("time_high", Reward{Guard: Gt(x, IntLit(0)), Value: DoubleLit(1)})
 	m.AddReward("time_high", Reward{Guard: Eq(x, IntLit(2)), Value: DoubleLit(0.5)})
-	ex, err := m.Explore(ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestSynchronisationMultipliesRates(t *testing.T) {
 		Guard:   Not(bvar),
 		Updates: []Update{{Rate: DoubleLit(3), Assigns: []Assign{{Var: bvar.Index, Expr: BoolLit(true)}}}},
 	})
-	ex, err := m.Explore(ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestSynchronisationBlocksWhenPartnerDisabled(t *testing.T) {
 		Guard:   Not(bvar), // disabled: b starts true
 		Updates: []Update{{Rate: DoubleLit(3), Assigns: []Assign{{Var: bvar.Index, Expr: BoolLit(true)}}}},
 	})
-	ex, err := m.Explore(ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestSynchronisedAssignConflict(t *testing.T) {
 		Guard:   BoolLit(true),
 		Updates: []Update{{Rate: DoubleLit(1), Assigns: []Assign{{Var: x.Index, Expr: IntLit(2)}}}},
 	})
-	if _, err := m.Explore(ExploreOpts{}); !errors.Is(err, ErrAssignConflict) {
+	if _, err := m.ExploreContext(t.Context(), ExploreOpts{}); !errors.Is(err, ErrAssignConflict) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -300,14 +300,15 @@ func TestMultipleUpdatesPerCommand(t *testing.T) {
 			{Rate: DoubleLit(4), Assigns: []Assign{{Var: x.Index, Expr: IntLit(2)}}},
 		},
 	})
-	ex, err := m.Explore(ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := ex.Chain.UnboundedReachability(ex.InitDistribution(), maskFor(ex, []int{2}))
+	v, err := ex.Chain.UnboundedReachabilityVectorContext(t.Context(), maskFor(ex, []int{2}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := v[ex.InitIndex()]
 	if math.Abs(p-0.8) > 1e-9 {
 		t.Fatalf("P[reach x=2] = %v, want 0.8", p)
 	}
@@ -329,7 +330,7 @@ func TestZeroRateUpdateDropped(t *testing.T) {
 		Guard:   Eq(x, IntLit(0)),
 		Updates: []Update{{Rate: DoubleLit(0), Assigns: []Assign{{Var: x.Index, Expr: IntLit(1)}}}},
 	})
-	ex, err := m.Explore(ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,7 +192,7 @@ func TestSimplifyAllOnModel(t *testing.T) {
 	m.SetLabel("top", Binary{OpOr, Eq(x, IntLit(2)), BoolLit(false)})
 	m.AddReward("r", Reward{Guard: BoolLit(true), Value: Binary{OpAdd, DoubleLit(1), DoubleLit(1)}})
 
-	exBefore, err := m.Explore(ExploreOpts{})
+	exBefore, err := m.ExploreContext(t.Context(), ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestSimplifyAllOnModel(t *testing.T) {
 	if got := m.Modules[0].Commands[0].Updates[0].Rate.String(); got != "6" {
 		t.Fatalf("rate = %s", got)
 	}
-	exAfter, err := m.Explore(ExploreOpts{})
+	exAfter, err := m.ExploreContext(t.Context(), ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

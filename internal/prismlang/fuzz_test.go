@@ -44,6 +44,6 @@ func FuzzParseModel(f *testing.F) {
 		}
 		// A parsed model must validate and explore within a small budget
 		// (or fail cleanly).
-		_, _ = m.Explore(modular.ExploreOpts{MaxStates: 2000})
+		_, _ = m.ExploreContext(t.Context(), modular.ExploreOpts{MaxStates: 2000})
 	})
 }

@@ -88,7 +88,7 @@ func TestParseBirthDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := m.Explore(modular.ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), modular.ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ label "exploited" = s3g & smc;
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := m.Explore(modular.ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), modular.ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ label "exploited" = s3g & smc;
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := ex.Chain.SteadyStateProbability(ex.InitDistribution(), mask)
+	p, err := ex.Chain.SteadyStateProbabilityContext(t.Context(), ex.InitDistribution(), mask)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ module m2 = m1 [x=y] endmodule
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := m.Explore(modular.ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), modular.ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ endmodule
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := m.Explore(modular.ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), modular.ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ endmodule
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := m.Explore(modular.ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), modular.ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ endmodule
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := m.Explore(modular.ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), modular.ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ endmodule
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := m.Explore(modular.ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), modular.ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ endmodule
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := m.Explore(modular.ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), modular.ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ endmodule
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := m.Explore(modular.ExploreOpts{})
+	ex, err := m.ExploreContext(t.Context(), modular.ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,11 +369,11 @@ func TestRoundTripExportParse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-parse failed: %v\nsource:\n%s", err, src)
 	}
-	exOrig, err := orig.Explore(modular.ExploreOpts{})
+	exOrig, err := orig.ExploreContext(t.Context(), modular.ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exRe, err := re.Explore(modular.ExploreOpts{})
+	exRe, err := re.ExploreContext(t.Context(), modular.ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestExpressionOperators(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.expr, err)
 		}
-		ex, err := m.Explore(modular.ExploreOpts{})
+		ex, err := m.ExploreContext(t.Context(), modular.ExploreOpts{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.expr, err)
 		}

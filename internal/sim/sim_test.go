@@ -46,7 +46,7 @@ func TestTimeFractionMatchesNumeric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := c.ExpectedTimeFraction(c.DiracInit(0), mask, 4, 1e-12)
+	exact, err := c.ExpectedTimeFractionContext(t.Context(), c.DiracInit(0), mask, 4, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestCrossValidateCaseStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := res.Model.Explore(modular.ExploreOpts{})
+	ex, err := res.Model.ExploreContext(t.Context(), modular.ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestCrossValidateCaseStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	numeric, err := ex.Chain.ExpectedTimeFraction(ex.InitDistribution(), mask, 1, 1e-10)
+	numeric, err := ex.Chain.ExpectedTimeFractionContext(t.Context(), ex.InitDistribution(), mask, 1, 1e-10)
 	if err != nil {
 		t.Fatal(err)
 	}

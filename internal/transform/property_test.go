@@ -45,7 +45,7 @@ func TestQuickTransformInvariants(t *testing.T) {
 			t.Logf("build: %v", err)
 			return false
 		}
-		ex, err := res.Model.Explore(modular.ExploreOpts{MaxStates: 200000})
+		ex, err := res.Model.ExploreContext(t.Context(), modular.ExploreOpts{MaxStates: 200000})
 		if err != nil {
 			t.Logf("explore: %v", err)
 			return false
@@ -108,7 +108,7 @@ func TestQuickMonotoneInExploitRates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ex, err := res.Model.Explore(modular.ExploreOpts{})
+			ex, err := res.Model.ExploreContext(t.Context(), modular.ExploreOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +116,7 @@ func TestQuickMonotoneInExploitRates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, err := ex.Chain.ExpectedTimeFraction(ex.InitDistribution(), mask, 1, 1e-9)
+			v, err := ex.Chain.ExpectedTimeFractionContext(t.Context(), ex.InitDistribution(), mask, 1, 1e-9)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -101,7 +101,7 @@ func TestStructureKeySound(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							ex, err := res.Model.Explore(modular.ExploreOpts{})
+							ex, err := res.Model.ExploreContext(t.Context(), modular.ExploreOpts{})
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -139,7 +139,7 @@ func fitsCorpus(t *testing.T, a *arch.Architecture, o Options) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = res.Model.Explore(modular.ExploreOpts{MaxStates: corpusMaxStates / 2})
+	_, err = res.Model.ExploreContext(t.Context(), modular.ExploreOpts{MaxStates: corpusMaxStates / 2})
 	if errors.Is(err, modular.ErrBudgetExceeded) {
 		return false
 	}

@@ -16,7 +16,7 @@ func build(t *testing.T, a *arch.Architecture, opts Options) (*Result, *modular.
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := res.Model.Explore(modular.ExploreOpts{})
+	ex, err := res.Model.ExploreContext(t.Context(), modular.ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +115,11 @@ func TestFlexRayGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := ex.Chain.UnboundedReachability(ex.InitDistribution(), mask)
+	v, err := ex.Chain.UnboundedReachabilityVectorContext(t.Context(), mask)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := v[ex.InitIndex()]
 	if p != 0 {
 		t.Fatalf("availability violated with unexploitable bus guardian: P = %v", p)
 	}
@@ -132,10 +133,11 @@ func TestCANNoGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := ex.Chain.UnboundedReachability(ex.InitDistribution(), mask)
+	v, err := ex.Chain.UnboundedReachabilityVectorContext(t.Context(), mask)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := v[ex.InitIndex()]
 	if p < 1-1e-9 {
 		t.Fatalf("P[eventually violated] = %v, want 1", p)
 	}
@@ -330,7 +332,7 @@ func TestExportedModelRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-parse: %v\n%s", err, src)
 	}
-	exRe, err := re.Explore(modular.ExploreOpts{})
+	exRe, err := re.ExploreContext(t.Context(), modular.ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,11 +471,11 @@ func TestReliabilityIncreasesAvailabilityExposure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := exBase.Chain.ExpectedTimeFraction(exBase.InitDistribution(), mb, 1, 1e-10)
+	fb, err := exBase.Chain.ExpectedTimeFractionContext(t.Context(), exBase.InitDistribution(), mb, 1, 1e-10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := exRel.Chain.ExpectedTimeFraction(exRel.InitDistribution(), mr, 1, 1e-10)
+	fr, err := exRel.Chain.ExpectedTimeFractionContext(t.Context(), exRel.InitDistribution(), mr, 1, 1e-10)
 	if err != nil {
 		t.Fatal(err)
 	}
