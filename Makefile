@@ -40,12 +40,13 @@ race:
 	$(GO) test -race ./...
 
 # fleet-race hammers the fleet-resilience paths — circuit breakers, the
-# health prober, replication/hinted handoff and tenant admission — under
+# health prober, replication/hinted handoff and tenant admission, and the
+# store's JSONL log that hinted handoff shares with the job journal — under
 # the race detector with fresh (uncached) runs, then repeats the breaker,
 # prober and Serve/Shutdown tests, the golden endpoint bodies and the
 # collector-backed counters ten times to catch ordering flakes.
 fleet-race:
-	$(GO) test -race -count=1 ./internal/shard/ ./internal/service/
+	$(GO) test -race -count=1 ./internal/shard/ ./internal/service/ ./internal/store/
 	$(GO) test -race -count=10 -run 'Prober|Breaker|Fleet|Serve|Golden|Counted' ./internal/shard ./internal/service
 
 # chaos drives the fault-injection stack end to end under the race detector:

@@ -34,26 +34,17 @@ func (a Analyzer) AnalyzeComponents(ar *arch.Architecture, msgName string, cat t
 		return nil, err
 	}
 	ex := p.Explored
-	var out []ComponentResult
+	var (
+		out   []ComponentResult
+		masks [][]bool
+	)
 	add := func(label, name, kind string) error {
 		mask, err := ex.LabelMask(label)
 		if err != nil {
 			return err
 		}
-		frac, err := ex.Chain.ExpectedTimeFractionContext(ctx, p.chain.init, mask, a.Horizon, a.Accuracy)
-		if err != nil {
-			return fmt.Errorf("core: component %s: %w", name, err)
-		}
-		ever, err := ex.Chain.TimeBoundedReachabilityContext(ctx, p.chain.init, mask, a.Horizon, a.Accuracy)
-		if err != nil {
-			return fmt.Errorf("core: component %s: %w", name, err)
-		}
-		out = append(out, ComponentResult{
-			Name:                  name,
-			Kind:                  kind,
-			ExploitedTimeFraction: frac,
-			EverExploited:         ever,
-		})
+		out = append(out, ComponentResult{Name: name, Kind: kind})
+		masks = append(masks, mask)
 		return nil
 	}
 	for i := range ar.ECUs {
@@ -64,6 +55,19 @@ func (a Analyzer) AnalyzeComponents(ar *arch.Architecture, msgName string, cat t
 	for i := range ar.Buses {
 		if err := add("exp_bus_"+ar.Buses[i].Name, ar.Buses[i].Name, "bus"); err != nil {
 			return nil, err
+		}
+	}
+	// One uniformisation pass gives every component's fraction, each
+	// bit-identical to a one-mask pass.
+	fracs, err := ex.Chain.ExpectedTimeFractionsContext(ctx, p.chain.init, masks, a.Horizon, a.Accuracy)
+	if err != nil {
+		return nil, fmt.Errorf("core: components: %w", err)
+	}
+	for i := range out {
+		out[i].ExploitedTimeFraction = fracs[i]
+		out[i].EverExploited, err = ex.Chain.TimeBoundedReachabilityContext(ctx, p.chain.init, masks[i], a.Horizon, a.Accuracy)
+		if err != nil {
+			return nil, fmt.Errorf("core: component %s: %w", out[i].Name, err)
 		}
 	}
 	// Most exposed first: the ranking decision makers act on.

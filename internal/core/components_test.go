@@ -50,6 +50,41 @@ func TestAnalyzeComponents(t *testing.T) {
 	}
 }
 
+// TestComponentFractionsMatchOnePass checks the one-pass fractions of
+// AnalyzeComponents equal, bit for bit, a one-mask pass per component on
+// Architectures 1–3.
+func TestComponentFractionsMatchOnePass(t *testing.T) {
+	ctx := t.Context()
+	an := Analyzer{}.withDefaults()
+	for _, a := range []*arch.Architecture{arch.Architecture1(), arch.Architecture2(), arch.Architecture3()} {
+		comps, err := an.AnalyzeComponents(a, arch.MessageM, transform.Confidentiality, transform.Unencrypted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := an.PrepareContext(ctx, a, arch.MessageM, transform.Confidentiality, transform.Unencrypted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range comps {
+			label := "exp_" + c.Name
+			if c.Kind == "bus" {
+				label = "exp_bus_" + c.Name
+			}
+			mask, err := p.Explored.LabelMask(label)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := p.Explored.Chain.ExpectedTimeFractionContext(ctx, p.chain.init, mask, an.Horizon, an.Accuracy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.ExploitedTimeFraction != want {
+				t.Errorf("%s %s: fraction %v, want the one-mask %v", a.Name, c.Name, c.ExploitedTimeFraction, want)
+			}
+		}
+	}
+}
+
 func TestMostProbableAttackPathArch1(t *testing.T) {
 	an := Analyzer{}
 	path, err := an.MostProbableAttackPath(arch.Architecture1(), arch.MessageM,

@@ -2,12 +2,78 @@ package service
 
 import (
 	"container/list"
+	"context"
+	"errors"
 	"sync"
+
+	"repro/internal/modular"
+	"repro/internal/obs"
 )
 
+// tier is one level of the engine's cache: an LRU map behind a
+// single-flight group, with one lookup path. The engine has two — solved
+// results, and explored models of every kind (architecture chains and
+// attack trees) — and every cache lookup goes through get.
+type tier struct {
+	*lruCache
+	flight flightGroup
+	// hit, miss and evict name the tier's obs counters.
+	hit, miss, evict string
+}
+
+func newTier(name string, size int) *tier {
+	prefix := "service.cache." + name
+	return &tier{lruCache: newLRUCache(size), hit: prefix + ".hit", miss: prefix + ".miss", evict: prefix + ".evict"}
+}
+
+// get returns key's cached value, or runs build once per concurrent set of
+// callers missing it and caches what it returns. The state reports
+// CacheHit, CacheMiss (this caller ran build) or CacheShared (it received
+// another caller's build).
+//
+// A leader builds under its own request's context and budgets, so its
+// cancellation, deadline or budget error need not be a waiter's: a waiter
+// handed one while its own context is live retries — re-checking the
+// cache and possibly building under its own — instead of inheriting it.
+func (t *tier) get(ctx context.Context, key string, build func() (any, error)) (any, CacheState, error) {
+	for {
+		if v, ok := t.lruCache.Get(key); ok {
+			obs.Count(ctx, t.hit, 1)
+			return v, CacheHit, nil
+		}
+		v, err, leader := t.flight.Do(key, func() (any, error) {
+			obs.Count(ctx, t.miss, 1)
+			v, err := build()
+			if err != nil {
+				return nil, err
+			}
+			t.put(ctx, key, v)
+			return v, nil
+		})
+		if leader {
+			return v, CacheMiss, err
+		}
+		if err != nil && ctx.Err() == nil && (isContextErr(err) || errors.Is(err, modular.ErrBudgetExceeded)) {
+			continue
+		}
+		return v, CacheShared, err
+	}
+}
+
+// put caches v under key, counting the entries the bound pushes out.
+func (t *tier) put(ctx context.Context, key string, v any) {
+	if n := t.lruCache.Put(key, v); n > 0 {
+		obs.Count(ctx, t.evict, int64(n))
+	}
+}
+
+// isContextErr reports a context cancellation or deadline error.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
 // lruCache is a bounded, concurrency-safe LRU map with hit/miss/eviction
-// counters — the store behind both the model cache (explored state spaces)
-// and the result cache (solved analyses). Entries are counted, not sized:
+// counters — the map behind each tier. Entries are counted, not sized:
 // the explored models dominate memory and their count is what the operator
 // budgets for.
 type lruCache struct {

@@ -230,36 +230,53 @@ func TestChaosSlowSolveHitsDeadline(t *testing.T) {
 
 // TestBudgetExceededMaps422 submits a request whose state budget the model
 // cannot fit and checks the synchronous HTTP path answers 422 with the
-// budget_exceeded error kind.
+// budget_exceeded error kind — also for an attack tree whose model an
+// unbudgeted request has already cached.
 func TestBudgetExceededMaps422(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	body, _ := json.Marshal(&AnalysisRequest{
-		Architecture:    "builtin:1",
-		SkipSteadyState: true,
-		MaxStates:       5,
-		WaitSeconds:     30,
-	})
-	resp, err := ts.Client().Post(ts.URL+"/v1/analyses", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	post := func(req *AnalysisRequest) (int, JobView) {
+		t.Helper()
+		req.WaitSeconds = 30
+		body, _ := json.Marshal(req)
+		resp, err := ts.Client().Post(ts.URL+"/v1/analyses", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var view JobView
+		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, view
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("status = %d, want 422", resp.StatusCode)
-	}
-	var view JobView
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		t.Fatal(err)
-	}
-	if view.Status != StatusFailed || view.ErrorKind != errKindBudget {
-		t.Fatalf("view status=%s kind=%q, want failed/budget_exceeded", view.Status, view.ErrorKind)
-	}
-	if view.Attempts != 1 {
-		t.Fatalf("attempts = %d, want 1 (budget violations are deterministic)", view.Attempts)
+	tight := treeRequest()
+	tight.MaxStates = 2
+	for _, tc := range []struct {
+		name      string
+		warm, req *AnalysisRequest
+	}{
+		{"architecture", nil, &AnalysisRequest{Architecture: "builtin:1", SkipSteadyState: true, MaxStates: 5}},
+		{"warm tree", treeRequest(), tight},
+	} {
+		if tc.warm != nil {
+			if code, view := post(tc.warm); code != http.StatusOK {
+				t.Fatalf("%s: warm-up status = %d (error %q)", tc.name, code, view.Error)
+			}
+		}
+		code, view := post(tc.req)
+		if code != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status = %d, want 422", tc.name, code)
+		}
+		if view.Status != StatusFailed || view.ErrorKind != errKindBudget {
+			t.Fatalf("%s: view status=%s kind=%q, want failed/budget_exceeded", tc.name, view.Status, view.ErrorKind)
+		}
+		if view.Attempts != 1 {
+			t.Fatalf("%s: attempts = %d, want 1 (budget violations are deterministic)", tc.name, view.Attempts)
+		}
 	}
 }
 

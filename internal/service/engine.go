@@ -116,10 +116,8 @@ type EngineOptions struct {
 // concurrent use; the Server runs one Engine under its worker pool, and
 // benchmarks drive it directly.
 type Engine struct {
-	models         *lruCache // modelKey → *core.Prepared (PrepareChainContext)
-	results        *lruCache // resultKey → *Outcome
-	modelSF        flightGroup
-	resultSF       flightGroup
+	models         *tier // modelKey → *core.Prepared (PrepareChainContext), treeModelKey → *treePrepared
+	results        *tier // resultKey → *Outcome
 	modelsDir      string
 	maxStates      int
 	maxTransitions int
@@ -148,8 +146,8 @@ func NewEngine(opts EngineOptions) *Engine {
 		opts.ResultCacheSize = 1024
 	}
 	e := &Engine{
-		models:         newLRUCache(opts.ModelCacheSize),
-		results:        newLRUCache(opts.ResultCacheSize),
+		models:         newTier("model", opts.ModelCacheSize),
+		results:        newTier("result", opts.ResultCacheSize),
 		modelsDir:      opts.ModelsDir,
 		maxStates:      opts.MaxStates,
 		maxTransitions: opts.MaxTransitions,
@@ -199,27 +197,9 @@ func (e *Engine) Validate(req *AnalysisRequest) error {
 	return err
 }
 
-// isContextErr reports a context cancellation or deadline error.
-func isContextErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// leaderOutcome is what a single-flight leader publishes: the outcome plus
-// whether the persistent store (rather than a solve) produced it, so Run
-// can report CacheDisk vs CacheMiss.
-type leaderOutcome struct {
-	out  *Outcome
-	disk bool
-}
-
 // Run resolves and executes one request: result-cache lookup first, then a
 // single-flight disk-store probe, then the solve. The returned CacheState
 // reports which path served the outcome.
-//
-// A single-flight leader executes under its own job's context, so its
-// deadline or cancellation is not a waiter's failure: a waiter whose own
-// context is still live retries — re-checking the cache and possibly
-// leading its own solve — instead of inheriting the leader's error.
 func (e *Engine) Run(ctx context.Context, req *AnalysisRequest) (*Outcome, CacheState, error) {
 	rr, err := e.resolve(req)
 	if err != nil {
@@ -231,58 +211,33 @@ func (e *Engine) Run(ctx context.Context, req *AnalysisRequest) (*Outcome, Cache
 		obs.Count(ctx, "service.cache.evicted_all", 1)
 	}
 	rkey := rr.key()
-	for {
-		if v, ok := e.results.Get(rkey); ok {
-			obs.Count(ctx, "service.cache.result.hit", 1)
-			return v.(*Outcome), CacheHit, nil
+	disk := false
+	v, state, err := e.results.get(ctx, rkey, func() (any, error) {
+		// The disk probe happens inside the flight so concurrent identical
+		// requests share one read — and one solve if it misses.
+		if out, ok := e.storeGet(ctx, rkey); ok {
+			atomic.AddInt64(&e.diskHits, 1)
+			disk = true
+			return out, nil
 		}
-		v, err, leader := e.resultSF.Do(rkey, func() (any, error) {
-			obs.Count(ctx, "service.cache.result.miss", 1)
-			// The disk probe happens inside the flight so concurrent
-			// identical requests share one read — and one solve if it
-			// misses.
-			if out, ok := e.storeGet(ctx, rkey); ok {
-				atomic.AddInt64(&e.diskHits, 1)
-				e.putResult(ctx, rkey, out)
-				return &leaderOutcome{out: out, disk: true}, nil
-			}
-			atomic.AddInt64(&e.solves, 1)
-			out, err := e.safeRun(ctx, rr)
-			if err != nil {
-				return nil, err
-			}
-			e.putResult(ctx, rkey, out)
-			e.storePut(ctx, rkey, out)
-			return &leaderOutcome{out: out}, nil
-		})
-		if !leader {
-			if err != nil && isContextErr(err) && ctx.Err() == nil {
-				continue // leader canceled, we were not: retry
-			}
-			atomic.AddInt64(&e.shared, 1)
-			obs.Count(ctx, "service.singleflight.shared", 1)
-			if err != nil {
-				return nil, CacheShared, err
-			}
-			return v.(*leaderOutcome).out, CacheShared, nil
-		}
-		if err != nil {
-			return nil, CacheMiss, err
-		}
-		lo := v.(*leaderOutcome)
-		if lo.disk {
-			return lo.out, CacheDisk, nil
-		}
-		return lo.out, CacheMiss, nil
+		atomic.AddInt64(&e.solves, 1)
+		return e.safeRun(ctx, rr)
+	})
+	if state == CacheShared {
+		atomic.AddInt64(&e.shared, 1)
+		obs.Count(ctx, "service.singleflight.shared", 1)
 	}
-}
-
-// putResult stores an outcome in the in-memory result cache, emitting the
-// per-level eviction counter when the bound pushes entries out.
-func (e *Engine) putResult(ctx context.Context, key string, out *Outcome) {
-	if n := e.results.Put(key, out); n > 0 {
-		obs.Count(ctx, "service.cache.result.evict", int64(n))
+	if err != nil {
+		return nil, state, err
 	}
+	out := v.(*Outcome)
+	switch {
+	case disk:
+		state = CacheDisk
+	case state == CacheMiss:
+		e.storePut(ctx, rkey, out)
+	}
+	return out, state, nil
 }
 
 // storeGet consults the persistent tier for a previously-solved outcome. A
@@ -369,16 +324,13 @@ func (e *Engine) analyze(ctx context.Context, rr *resolvedRequest) (*Outcome, er
 	switch rr.mode {
 	case modeTree:
 		return e.analyzeTree(ctx, rr)
-	case modeProperty:
-		pr, err := e.checkProperty(ctx, rr)
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{Property: pr}, nil
-	case modeSingle:
+	case modeProperty, modeSingle:
 		p, err := e.prepared(ctx, rr, rr.cat, rr.prot)
 		if err != nil {
 			return nil, err
+		}
+		if rr.mode == modeProperty {
+			return checkProperty(ctx, p.Transform.Model, p.Explored, rr)
 		}
 		r, err := rr.an.AnalyzePreparedContext(ctx, p)
 		if err != nil {
@@ -438,85 +390,79 @@ func (e *Engine) analyzeGrid(ctx context.Context, rr *resolvedRequest) (*Outcome
 }
 
 // prepared returns cell (cat, prot) of the cached chain its structure keys,
-// after checking the chain against the request's exploration budgets.
+// building the chain with every cell it serves on a miss.
 func (e *Engine) prepared(ctx context.Context, rr *resolvedRequest, cat transform.Category, prot transform.Protection) (*core.Prepared, error) {
-	p, err := e.chain(ctx, rr, cat, prot)
+	key := modelKey(rr.archCanon, rr.msg, rr.an.TransformOptions(cat, prot))
+	v, err := e.model(ctx, rr.an, key, func() (any, error) {
+		return rr.an.PrepareChainContext(ctx, rr.arch, rr.msg, cat, prot)
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := withinBudget(ctx, p, rr.an); err != nil {
+	return v.(*core.Prepared).Cell(cat, prot)
+}
+
+// model returns the explored model cached under key, building it on a
+// miss, after checking it against the request's exploration budgets. Every
+// model kind goes through it: architecture chains (*core.Prepared) and
+// attack trees (*treePrepared).
+func (e *Engine) model(ctx context.Context, an core.Analyzer, key string, build func() (any, error)) (any, error) {
+	v, _, err := e.models.get(ctx, key, build)
+	if err != nil {
 		return nil, err
 	}
-	return p.Cell(cat, prot)
-}
-
-// chain returns the cached transform+explore prefix of the chain serving
-// one cell, building it with every cell it serves under single-flight on
-// miss. Like Run, a waiter that receives the leader's context cancellation
-// retries while its own context is live; so does one that receives the
-// leader's budget error, which its own budgets may allow.
-func (e *Engine) chain(ctx context.Context, rr *resolvedRequest, cat transform.Category, prot transform.Protection) (*core.Prepared, error) {
-	mkey := modelKey(rr.archCanon, rr.msg, rr.an.TransformOptions(cat, prot))
-	for {
-		if v, ok := e.models.Get(mkey); ok {
-			obs.Count(ctx, "service.cache.model.hit", 1)
-			return v.(*core.Prepared), nil
-		}
-		v, err, leader := e.modelSF.Do(mkey, func() (any, error) {
-			obs.Count(ctx, "service.cache.model.miss", 1)
-			p, err := rr.an.PrepareChainContext(ctx, rr.arch, rr.msg, cat, prot)
-			if err != nil {
-				return nil, err
-			}
-			if n := e.models.Put(mkey, p); n > 0 {
-				obs.Count(ctx, "service.cache.model.evict", int64(n))
-			}
-			return p, nil
-		})
-		if err != nil {
-			if !leader && ctx.Err() == nil && (isContextErr(err) || errors.Is(err, modular.ErrBudgetExceeded)) {
-				continue
-			}
-			return nil, err
-		}
-		return v.(*core.Prepared), nil
+	var (
+		m  *modular.Model
+		ex *modular.Explored
+	)
+	switch p := v.(type) {
+	case *core.Prepared:
+		m, ex = p.Transform.Model, p.Explored
+	case *treePrepared:
+		m, ex = p.compiled.Model, p.explored
 	}
+	if err := withinBudget(ctx, m, ex, an); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
-// withinBudget returns the error a cold exploration under the request's
-// budgets gives, for a chain explored earlier under looser ones: the chain
-// is re-explored under those budgets, which stops the exploration at the
-// bound, so the request fails exactly as it would on a cold engine.
-func withinBudget(ctx context.Context, p *core.Prepared, an core.Analyzer) error {
-	if (an.MaxStates > 0 && p.States() > an.MaxStates) ||
-		(an.MaxTransitions > 0 && p.Transitions() > an.MaxTransitions) {
-		_, err := p.Transform.Model.ExploreContext(ctx, modular.ExploreOpts{MaxStates: an.MaxStates, MaxTransitions: an.MaxTransitions})
+// withinBudget returns the error a cold exploration of m under the
+// request's budgets gives, for a chain ex explored earlier under looser
+// ones: m is re-explored under those budgets, which stops the exploration
+// at the bound, so the request fails exactly as it would on a cold engine.
+func withinBudget(ctx context.Context, m *modular.Model, ex *modular.Explored, an core.Analyzer) error {
+	if (an.MaxStates > 0 && ex.N() > an.MaxStates) ||
+		(an.MaxTransitions > 0 && ex.Chain.Rates.NNZ() > an.MaxTransitions) {
+		_, err := m.ExploreContext(ctx, modular.ExploreOpts{MaxStates: an.MaxStates, MaxTransitions: an.MaxTransitions})
 		return err
 	}
 	return nil
 }
 
-func (e *Engine) checkProperty(ctx context.Context, rr *resolvedRequest) (*PropertyResult, error) {
-	p, err := e.prepared(ctx, rr, rr.cat, rr.prot)
+// checkCSL parses query against model m and checks it on ex.
+func checkCSL(ctx context.Context, m *modular.Model, ex *modular.Explored, an core.Analyzer, query string) (csl.Result, error) {
+	prop, err := csl.Parse(query, csl.Environment{Model: m})
+	if err != nil {
+		return csl.Result{}, badRequestf("property: %v", err)
+	}
+	checker := csl.NewChecker(ex)
+	checker.Accuracy = an.Accuracy
+	return checker.CheckContext(ctx, prop)
+}
+
+// checkProperty answers a property request on model m explored as ex.
+func checkProperty(ctx context.Context, m *modular.Model, ex *modular.Explored, rr *resolvedRequest) (*Outcome, error) {
+	res, err := checkCSL(ctx, m, ex, rr.an, rr.property)
 	if err != nil {
 		return nil, err
 	}
-	prop, err := csl.Parse(rr.property, csl.Environment{Model: p.Transform.Model})
-	if err != nil {
-		return nil, badRequestf("property: %v", err)
-	}
-	checker := csl.NewChecker(p.Explored)
-	checker.Accuracy = rr.an.Accuracy
-	res, err := checker.CheckContext(ctx, prop)
-	if err != nil {
-		return nil, err
-	}
-	return &PropertyResult{
+	return &Outcome{Property: &PropertyResult{
 		Property:  rr.property,
 		Value:     res.Value,
 		Bounded:   res.Bounded,
 		Satisfied: res.Satisfied,
-	}, nil
+	}}, nil
 }
 
 func toAnalysisResult(r *core.Result) AnalysisResult {
@@ -574,27 +520,19 @@ func (e *Engine) resolve(req *AnalysisRequest) (*resolvedRequest, error) {
 	if req.NMax < 0 || req.NMax > maxNMax {
 		return nil, badRequestf("nmax %d outside [0, %d]", req.NMax, maxNMax)
 	}
-	if req.Horizon < 0 || req.Horizon > maxHorizon {
-		return nil, badRequestf("horizon %g outside [0, %g]", req.Horizon, float64(maxHorizon))
-	}
-	if req.TimeoutSeconds < 0 || req.WaitSeconds < 0 {
-		return nil, badRequestf("negative timeout or wait")
-	}
-	if req.MaxStates < 0 || req.MaxTransitions < 0 {
-		return nil, badRequestf("negative state or transition budget")
+	if err := checkBounds(req); err != nil {
+		return nil, err
 	}
 	rr := &resolvedRequest{
 		arch:      a,
 		archCanon: canon,
 		msg:       msg,
-		an: core.Analyzer{
+		an: e.budgeted(req, core.Analyzer{
 			NMax:            req.NMax,
 			Horizon:         req.Horizon,
 			SkipSteadyState: req.SkipSteadyState,
 			UseLumping:      req.UseLumping,
-			MaxStates:       clampBudget(req.MaxStates, e.maxStates),
-			MaxTransitions:  clampBudget(req.MaxTransitions, e.maxTransitions),
-		},
+		}),
 		property: req.Property,
 	}
 	haveCat := req.Category != ""
@@ -637,6 +575,28 @@ const (
 	maxHorizon = 1000
 )
 
+// checkBounds rejects the request fields every model kind bounds alike.
+func checkBounds(req *AnalysisRequest) error {
+	if req.Horizon < 0 || req.Horizon > maxHorizon {
+		return badRequestf("horizon %g outside [0, %g]", req.Horizon, float64(maxHorizon))
+	}
+	if req.TimeoutSeconds < 0 || req.WaitSeconds < 0 {
+		return badRequestf("negative timeout or wait")
+	}
+	if req.MaxStates < 0 || req.MaxTransitions < 0 {
+		return badRequestf("negative state or transition budget")
+	}
+	return nil
+}
+
+// budgeted sets an's exploration budgets to the request's, clamped to the
+// server caps.
+func (e *Engine) budgeted(req *AnalysisRequest, an core.Analyzer) core.Analyzer {
+	an.MaxStates = clampBudget(req.MaxStates, e.maxStates)
+	an.MaxTransitions = clampBudget(req.MaxTransitions, e.maxTransitions)
+	return an
+}
+
 // clampBudget resolves a request's exploration budget against the server
 // cap: a request may lower the cap but not raise or disable it.
 func clampBudget(requested, cap int) int {
@@ -646,41 +606,53 @@ func clampBudget(requested, cap int) int {
 	return requested
 }
 
+// resolveArchitecture returns a built-in architecture, or the request's
+// document through loadModel.
 func (e *Engine) resolveArchitecture(req *AnalysisRequest) (*arch.Architecture, error) {
+	if len(req.Inline) == 0 {
+		switch req.Architecture {
+		case "builtin:1":
+			return arch.Architecture1(), nil
+		case "builtin:2":
+			return arch.Architecture2(), nil
+		case "builtin:3":
+			return arch.Architecture3(), nil
+		}
+	}
+	return loadModel(e, req, "architecture", "model", arch.FromJSON, arch.LoadFile)
+}
+
+// loadModel reads the request's model document of kind what: inline bytes
+// through parse, or the stored model req.Architecture names in the models
+// directory through load. stored names the kind in a load failure.
+func loadModel[T any](e *Engine, req *AnalysisRequest, what, stored string, parse func([]byte) (T, error), load func(string) (T, error)) (T, error) {
+	var zero T
 	if len(req.Inline) > 0 {
 		if req.Architecture != "" {
-			return nil, badRequestf("architecture and inline are mutually exclusive")
+			return zero, badRequestf("architecture and inline are mutually exclusive")
 		}
-		a, err := arch.FromJSON(req.Inline)
+		m, err := parse(req.Inline)
 		if err != nil {
-			return nil, badRequestf("inline architecture: %v", err)
+			return zero, badRequestf("inline %s: %v", what, err)
 		}
-		return a, nil
-	}
-	switch req.Architecture {
-	case "":
-		return nil, badRequestf("no architecture given")
-	case "builtin:1":
-		return arch.Architecture1(), nil
-	case "builtin:2":
-		return arch.Architecture2(), nil
-	case "builtin:3":
-		return arch.Architecture3(), nil
+		return m, nil
 	}
 	name := req.Architecture
+	if name == "" {
+		return zero, badRequestf("no %s given", what)
+	}
 	if e.modelsDir == "" {
-		return nil, badRequestf("unknown architecture %q (no models directory configured)", name)
+		return zero, badRequestf("unknown %s %q (no models directory configured)", what, name)
 	}
 	if strings.ContainsAny(name, "/\\") || strings.Contains(name, "..") {
-		return nil, badRequestf("invalid stored-model name %q", name)
+		return zero, badRequestf("invalid stored-model name %q", name)
 	}
-	path := filepath.Join(e.modelsDir, name+".json")
-	a, err := arch.LoadFile(path)
+	m, err := load(filepath.Join(e.modelsDir, name+".json"))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return nil, badRequestf("unknown architecture %q", name)
+			return zero, badRequestf("unknown %s %q", what, name)
 		}
-		return nil, badRequestf("stored model %q: %v", name, err)
+		return zero, badRequestf("stored %s %q: %v", stored, name, err)
 	}
-	return a, nil
+	return m, nil
 }

@@ -45,7 +45,7 @@ func (s *Server) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 	// Warm both tiers (the in-memory result cache answers the next poll
 	// without touching disk, the store survives a restart), then count.
 	ctx := r.Context()
-	s.engine.putResult(ctx, key, &out)
+	s.engine.results.put(ctx, key, &out)
 	if s.cfg.Store != nil {
 		if err := s.cfg.Store.Put(key, payload); err != nil {
 			obs.Count(ctx, "service.replica.store_error", 1)
@@ -142,7 +142,7 @@ func (s *Server) queueHint(ctx context.Context, node, key string, payload []byte
 	} else if tc, ok := obs.RemoteFrom(ctx); ok {
 		trace = tc.Traceparent()
 	}
-	if err := s.cfg.Hints.AddWithTrace(node, key, payload, trace); err != nil {
+	if err := s.cfg.Hints.Add(node, key, payload, trace); err != nil {
 		obs.Count(ctx, "service.handoff.queue_error", 1)
 		return
 	}

@@ -673,14 +673,7 @@ func (s *Server) retire(job *Job) {
 // programmatic equivalent of POST /v1/analyses (the HTTP handler wraps
 // it); tests and embedded uses drive it directly.
 func (s *Server) Submit(req *AnalysisRequest) (*Job, error) {
-	return s.SubmitTrace(req, obs.TraceContext{})
-}
-
-// SubmitTrace is Submit with a client trace context to stitch the job's
-// spans and manifest into (the zero TraceContext means none). The trace is
-// bound at enqueue time so the worker cannot race the submission.
-func (s *Server) SubmitTrace(req *AnalysisRequest, tc obs.TraceContext) (*Job, error) {
-	return s.submitMeta(req, tc, submitMeta{})
+	return s.submitMeta(req, obs.TraceContext{}, submitMeta{})
 }
 
 // submitMeta carries the submission-path context the HTTP handler binds to
@@ -693,6 +686,9 @@ type submitMeta struct {
 	release      func()
 }
 
+// submitMeta validates and enqueues req. The client trace context tc (zero
+// for none) is bound at enqueue time so the worker cannot race the
+// submission.
 func (s *Server) submitMeta(req *AnalysisRequest, tc obs.TraceContext, meta submitMeta) (*Job, error) {
 	if err := s.engine.Validate(req); err != nil {
 		return nil, err

@@ -224,9 +224,9 @@ func TestConcurrentIdenticalRequestsSingleFlight(t *testing.T) {
 	// Wait for all non-leaders to be blocked on the in-flight solve, then
 	// let the leader finish.
 	deadline := time.Now().Add(10 * time.Second)
-	for e.resultSF.waiting(rkey) < n-1 {
+	for e.results.flight.waiting(rkey) < n-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d waiters joined the flight", e.resultSF.waiting(rkey))
+			t.Fatalf("only %d waiters joined the flight", e.results.flight.waiting(rkey))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -368,7 +368,7 @@ func TestWaiterRetriesAfterLeaderCanceled(t *testing.T) {
 		waiterDone <- err
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for e.resultSF.waiting(rkey) < 1 {
+	for e.results.flight.waiting(rkey) < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("waiter never joined the flight")
 		}

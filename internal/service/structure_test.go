@@ -13,28 +13,33 @@ import (
 )
 
 // TestModelCacheHitKeepsRequestBudgets checks a request whose exploration
-// budget the cached chain exceeds fails exactly as on a cold engine — the
+// budget the cached model exceeds fails exactly as on a cold engine — the
 // same message, unwrapping to modular.ErrBudgetExceeded — for the state
-// and the transition budget alike.
+// and the transition budget alike, on architecture chains and attack trees.
 func TestModelCacheHitKeepsRequestBudgets(t *testing.T) {
 	ctx := context.Background()
+	cell := AnalysisRequest{Architecture: "builtin:1", Category: "c", Protection: "none"}
+	tree := *treeRequest()
 	for _, tc := range []struct {
-		name string
-		req  AnalysisRequest
+		name                string
+		warm                AnalysisRequest
+		states, transitions int
 	}{
-		{"states", AnalysisRequest{MaxStates: 10}},
-		{"transitions", AnalysisRequest{MaxTransitions: 10}},
+		{"states", cell, 10, 0},
+		{"transitions", cell, 0, 10},
+		{"tree/states", tree, 2, 0},
+		{"tree/transitions", tree, 0, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			req := tc.req
-			req.Architecture, req.Category, req.Protection = "builtin:1", "c", "none"
+			req := tc.warm
+			req.MaxStates, req.MaxTransitions = tc.states, tc.transitions
 			_, _, cold := NewEngine(EngineOptions{}).Run(ctx, &req)
 			if !errors.Is(cold, modular.ErrBudgetExceeded) {
 				t.Fatalf("cold engine: err = %v, want the budget error", cold)
 			}
 
 			e := NewEngine(EngineOptions{})
-			warm := AnalysisRequest{Architecture: "builtin:1", Category: "c", Protection: "none"}
+			warm := tc.warm
 			if _, _, err := e.Run(ctx, &warm); err != nil {
 				t.Fatal(err)
 			}
@@ -51,45 +56,59 @@ func TestModelCacheHitKeepsRequestBudgets(t *testing.T) {
 
 // TestModelWaiterRetriesAfterLeaderBudget checks a request that joins the
 // model build of a request with a smaller exploration budget does not
-// inherit that budget's error: it builds the model under its own.
+// inherit that budget's error: it builds the model under its own, for an
+// architecture chain and an attack tree alike.
 func TestModelWaiterRetriesAfterLeaderBudget(t *testing.T) {
 	ctx := context.Background()
-	e := NewEngine(EngineOptions{})
-	req := AnalysisRequest{Architecture: "builtin:1", Category: "c", Protection: "none", SkipSteadyState: true}
-	rr, err := e.resolve(&req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mkey := modelKey(rr.archCanon, rr.msg, rr.an.TransformOptions(rr.cat, rr.prot))
-	started, release := make(chan struct{}), make(chan struct{})
-	joined := make(chan struct{})
-	e.modelSF.joined = func(key string) {
-		if key == mkey {
-			close(joined)
-		}
-	}
-	leader := make(chan error, 1)
-	go func() {
-		_, err, _ := e.modelSF.Do(mkey, func() (any, error) {
-			close(started)
-			<-release
-			return nil, &modular.BudgetError{Resource: "states", Limit: 10}
+	cell := AnalysisRequest{Architecture: "builtin:1", Category: "c", Protection: "none", SkipSteadyState: true}
+	for _, tc := range []struct {
+		name string
+		req  *AnalysisRequest
+		key  func(rr *resolvedRequest) string
+	}{
+		{"architecture", &cell, func(rr *resolvedRequest) string {
+			return modelKey(rr.archCanon, rr.msg, rr.an.TransformOptions(rr.cat, rr.prot))
+		}},
+		{"tree", treeRequest(), func(rr *resolvedRequest) string { return treeModelKey(rr.archCanon, rr.treeOpts) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(EngineOptions{})
+			rr, err := e.resolve(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mkey := tc.key(rr)
+			started, release := make(chan struct{}), make(chan struct{})
+			joined := make(chan struct{})
+			e.models.flight.joined = func(key string) {
+				if key == mkey {
+					close(joined)
+				}
+			}
+			leader := make(chan error, 1)
+			go func() {
+				_, err, _ := e.models.flight.Do(mkey, func() (any, error) {
+					close(started)
+					<-release
+					return nil, &modular.BudgetError{Resource: "states", Limit: 2}
+				})
+				leader <- err
+			}()
+			<-started
+			waiter := make(chan error, 1)
+			go func() {
+				_, _, err := e.Run(ctx, tc.req)
+				waiter <- err
+			}()
+			<-joined
+			close(release)
+			if err := <-leader; !errors.Is(err, modular.ErrBudgetExceeded) {
+				t.Fatalf("leader: err = %v", err)
+			}
+			if err := <-waiter; err != nil {
+				t.Fatalf("waiter inherited the leader's budget error: %v", err)
+			}
 		})
-		leader <- err
-	}()
-	<-started
-	waiter := make(chan error, 1)
-	go func() {
-		_, _, err := e.Run(ctx, &req)
-		waiter <- err
-	}()
-	<-joined
-	close(release)
-	if err := <-leader; !errors.Is(err, modular.ErrBudgetExceeded) {
-		t.Fatalf("leader: err = %v", err)
-	}
-	if err := <-waiter; err != nil {
-		t.Fatalf("waiter inherited the leader's budget error: %v", err)
 	}
 }
 

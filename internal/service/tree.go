@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/attacktree"
@@ -34,7 +31,7 @@ type treePrepared struct {
 // arrives inline or as a stored model name (resolved against the same
 // models directory as architectures, parsed as a tree document).
 func (e *Engine) resolveTree(req *AnalysisRequest) (*resolvedRequest, error) {
-	t, err := e.lookupTree(req)
+	t, err := loadModel(e, req, "attack tree", "attack tree", attacktree.Parse, attacktree.LoadFile)
 	if err != nil {
 		return nil, err
 	}
@@ -52,14 +49,8 @@ func (e *Engine) resolveTree(req *AnalysisRequest) (*resolvedRequest, error) {
 	if req.NMax != 0 {
 		return nil, badRequestf("nmax does not apply to attack-tree requests")
 	}
-	if req.Horizon < 0 || req.Horizon > maxHorizon {
-		return nil, badRequestf("horizon %g outside [0, %g]", req.Horizon, float64(maxHorizon))
-	}
-	if req.TimeoutSeconds < 0 || req.WaitSeconds < 0 {
-		return nil, badRequestf("negative timeout or wait")
-	}
-	if req.MaxStates < 0 || req.MaxTransitions < 0 {
-		return nil, badRequestf("negative state or transition budget")
+	if err := checkBounds(req); err != nil {
+		return nil, err
 	}
 	horizon := req.Horizon
 	if horizon == 0 {
@@ -71,12 +62,7 @@ func (e *Engine) resolveTree(req *AnalysisRequest) (*resolvedRequest, error) {
 		tree:      t,
 		treeOpts:  attacktree.CompileOptions{Applied: applied},
 		property:  req.Property,
-		an: core.Analyzer{
-			Horizon:         horizon,
-			SkipSteadyState: true, // no steady-state leg on the tree path
-			MaxStates:       clampBudget(req.MaxStates, e.maxStates),
-			MaxTransitions:  clampBudget(req.MaxTransitions, e.maxTransitions),
-		},
+		an:        e.budgeted(req, core.Analyzer{Horizon: horizon, SkipSteadyState: true}), // no steady-state leg on the tree path
 	}
 	if req.Property != "" {
 		if err := csl.CheckSyntax(req.Property); err != nil {
@@ -86,80 +72,28 @@ func (e *Engine) resolveTree(req *AnalysisRequest) (*resolvedRequest, error) {
 	return rr, nil
 }
 
-// lookupTree finds the request's tree document: inline bytes, or a stored
-// model in the models directory (same naming and traversal rules as stored
-// architectures).
-func (e *Engine) lookupTree(req *AnalysisRequest) (*attacktree.Tree, error) {
-	if len(req.Inline) > 0 {
-		if req.Architecture != "" {
-			return nil, badRequestf("architecture and inline are mutually exclusive")
-		}
-		t, err := attacktree.Parse(req.Inline)
-		if err != nil {
-			return nil, badRequestf("inline attack tree: %v", err)
-		}
-		return t, nil
-	}
-	name := req.Architecture
-	if name == "" {
-		return nil, badRequestf("no attack tree given")
-	}
-	if e.modelsDir == "" {
-		return nil, badRequestf("unknown attack tree %q (no models directory configured)", name)
-	}
-	if strings.ContainsAny(name, "/\\") || strings.Contains(name, "..") {
-		return nil, badRequestf("invalid stored-model name %q", name)
-	}
-	path := filepath.Join(e.modelsDir, name+".json")
-	t, err := attacktree.LoadFile(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, badRequestf("unknown attack tree %q", name)
-		}
-		return nil, badRequestf("stored attack tree %q: %v", name, err)
-	}
-	return t, nil
-}
-
 // preparedTree returns the cached compile+explore prefix for a tree
-// request, building it under single-flight on miss — the same retry
-// discipline as the architecture path: a waiter handed the leader's
-// cancellation retries while its own context is live.
+// request, building it on a miss.
 func (e *Engine) preparedTree(ctx context.Context, rr *resolvedRequest) (*treePrepared, error) {
-	mkey := treeModelKey(rr.archCanon, rr.treeOpts)
-	for {
-		if v, ok := e.models.Get(mkey); ok {
-			obs.Count(ctx, "service.cache.model.hit", 1)
-			return v.(*treePrepared), nil
+	v, err := e.model(ctx, rr.an, treeModelKey(rr.archCanon, rr.treeOpts), func() (any, error) {
+		start := time.Now()
+		compiled, err := attacktree.Compile(rr.tree, rr.treeOpts)
+		if err != nil {
+			return nil, badRequestf("attack tree: %v", err)
 		}
-		v, err, leader := e.modelSF.Do(mkey, func() (any, error) {
-			obs.Count(ctx, "service.cache.model.miss", 1)
-			start := time.Now()
-			compiled, err := attacktree.Compile(rr.tree, rr.treeOpts)
-			if err != nil {
-				return nil, badRequestf("attack tree: %v", err)
-			}
-			ex, err := compiled.Model.ExploreContext(ctx, modular.ExploreOpts{
-				MaxStates:      rr.an.MaxStates,
-				MaxTransitions: rr.an.MaxTransitions,
-			})
-			if err != nil {
-				return nil, err
-			}
-			p := &treePrepared{compiled: compiled, explored: ex, buildTime: time.Since(start)}
-			if n := e.models.Put(mkey, p); n > 0 {
-				obs.Count(ctx, "service.cache.model.evict", int64(n))
-			}
-			return p, nil
+		ex, err := compiled.Model.ExploreContext(ctx, modular.ExploreOpts{
+			MaxStates:      rr.an.MaxStates,
+			MaxTransitions: rr.an.MaxTransitions,
 		})
 		if err != nil {
-			if !leader && isContextErr(err) && ctx.Err() == nil {
-				continue
-			}
 			return nil, err
 		}
-		return v.(*treePrepared), nil
+		return &treePrepared{compiled: compiled, explored: ex, buildTime: time.Since(start)}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return v.(*treePrepared), nil
 }
 
 // analyzeTree answers an attack-tree request: an explicit CSL property when
@@ -171,46 +105,18 @@ func (e *Engine) analyzeTree(ctx context.Context, rr *resolvedRequest) (*Outcome
 	if err != nil {
 		return nil, err
 	}
-	checker := csl.NewChecker(p.explored)
-	checker.Accuracy = rr.an.Accuracy
-	checkOne := func(query string) (float64, error) {
-		prop, err := csl.Parse(query, csl.Environment{Model: p.compiled.Model})
-		if err != nil {
-			return 0, badRequestf("property: %v", err)
-		}
-		res, err := checker.CheckContext(ctx, prop)
-		if err != nil {
-			return 0, err
-		}
-		return res.Value, nil
-	}
-
 	if rr.property != "" {
-		prop, err := csl.Parse(rr.property, csl.Environment{Model: p.compiled.Model})
-		if err != nil {
-			return nil, badRequestf("property: %v", err)
-		}
-		res, err := checker.CheckContext(ctx, prop)
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{Property: &PropertyResult{
-			Property:  rr.property,
-			Value:     res.Value,
-			Bounded:   res.Bounded,
-			Satisfied: res.Satisfied,
-		}}, nil
+		return checkProperty(ctx, p.compiled.Model, p.explored, rr)
 	}
-
 	start := time.Now()
-	top, err := checkOne(attacktree.TopEventQuery(rr.an.Horizon))
+	top, err := checkCSL(ctx, p.compiled.Model, p.explored, rr.an, attacktree.TopEventQuery(rr.an.Horizon))
 	if err != nil {
 		return nil, err
 	}
 	tr := &TreeResult{
 		Tree:                rr.tree.Name,
 		Horizon:             rr.an.Horizon,
-		TopEventProbability: top,
+		TopEventProbability: top.Value,
 		Countermeasures:     rr.treeOpts.Applied,
 		Cost:                p.compiled.Cost,
 		States:              p.explored.N(),
@@ -221,8 +127,8 @@ func (e *Engine) analyzeTree(ctx context.Context, rr *resolvedRequest) (*Outcome
 	// that kills every path, or zero-rate leaves); the reward solve may
 	// fail to converge or return a non-finite value — either way the MTTA
 	// is simply omitted, not an error.
-	if mtta, err := checkOne(attacktree.MTTAQuery()); err == nil && !math.IsInf(mtta, 0) && !math.IsNaN(mtta) {
-		tr.MTTAYears = &mtta
+	if mtta, err := checkCSL(ctx, p.compiled.Model, p.explored, rr.an, attacktree.MTTAQuery()); err == nil && !math.IsInf(mtta.Value, 0) && !math.IsNaN(mtta.Value) {
+		tr.MTTAYears = &mtta.Value
 	} else if err != nil && (isContextErr(err) || errors.Is(err, modular.ErrBudgetExceeded)) {
 		return nil, err
 	}

@@ -1,11 +1,7 @@
 package store
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 )
@@ -63,8 +59,7 @@ type HintStats struct {
 // are safe for concurrent use and safe on a nil receiver.
 type HintQueue struct {
 	mu      sync.Mutex
-	f       *os.File // nil for a memory-only queue
-	path    string
+	log     *jsonlLog         // nil for a memory-only queue
 	pending map[string][]Hint // target node → FIFO of undelivered hints
 	maxPer  int
 
@@ -84,81 +79,10 @@ func OpenHints(path string, maxPerNode int) (*HintQueue, error) {
 	if path == "" {
 		return q, nil
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("hints: %w", err)
-	}
-	pending, err := scanHints(path)
-	if err != nil {
-		return nil, err
-	}
-	// Compact: rewrite only the undelivered hints, atomically.
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".compact.*")
-	if err != nil {
-		return nil, fmt.Errorf("hints: %w", err)
-	}
-	w := bufio.NewWriter(tmp)
-	for _, h := range pending {
-		line, merr := json.Marshal(hintLine{Op: hintOpAdd, Hint: h})
-		if merr != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return nil, fmt.Errorf("hints: %w", merr)
-		}
-		w.Write(line)
-		w.WriteByte('\n')
-	}
-	if err := w.Flush(); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return nil, fmt.Errorf("hints: compacting: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return nil, fmt.Errorf("hints: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("hints: %w", err)
-	}
-	q.f = f
-	q.path = path
-	for _, h := range pending {
-		q.pending[h.Node] = append(q.pending[h.Node], h)
-	}
-	return q, nil
-}
-
-// scanHints reads every parseable line and returns the hints with no
-// matching delete, in queue order. A truncated trailing line (crash
-// mid-append) is dropped.
-func scanHints(path string) ([]Hint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("hints: %w", err)
-	}
-	defer f.Close()
 	var order []string
 	live := make(map[string]Hint)
 	keyOf := func(h Hint) string { return h.Node + "\x00" + h.Key }
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var hl hintLine
-		if err := json.Unmarshal(line, &hl); err != nil {
-			continue // torn trailing write or garbage: skip
-		}
+	log, err := openLog("hints", path, false, func(hl hintLine) {
 		k := keyOf(hl.Hint)
 		switch hl.Op {
 		case hintOpAdd:
@@ -169,47 +93,40 @@ func scanHints(path string) ([]Hint, error) {
 		case hintOpDel:
 			delete(live, k)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("hints: scanning %s: %w", path, err)
-	}
-	var pending []Hint
-	for _, k := range order {
-		if h, ok := live[k]; ok {
-			pending = append(pending, h)
+	}, func() []hintLine {
+		var lines []hintLine
+		for _, k := range order {
+			if h, ok := live[k]; ok {
+				q.pending[h.Node] = append(q.pending[h.Node], h)
+				lines = append(lines, hintLine{Op: hintOpAdd, Hint: h})
+			}
 		}
+		return lines
+	})
+	if err != nil {
+		return nil, err
 	}
-	return pending, nil
+	q.log = log
+	return q, nil
 }
 
-// append writes one line to the backing file (no-op for a memory-only
-// queue). Durability is best-effort: a hint lost to a crash just means the
-// recovered owner recomputes that key.
+// appendLocked writes one line to the backing file (no-op for a
+// memory-only queue). Durability is best-effort — the log is not synced —
+// since a hint lost to a crash just means the recovered owner recomputes
+// that key.
 func (q *HintQueue) appendLocked(hl hintLine) error {
-	if q.f == nil {
+	if q.log == nil {
 		return nil
 	}
-	line, err := json.Marshal(hl)
-	if err != nil {
-		return fmt.Errorf("hints: %w", err)
-	}
-	line = append(line, '\n')
-	if _, err := q.f.Write(line); err != nil {
-		return fmt.Errorf("hints: appending: %w", err)
-	}
-	return nil
+	return q.log.append(hl)
 }
 
-// Add queues a hint: payload under key is owed to node. A hint for the
-// same (node, key) replaces the older one in place; exceeding the per-node
-// bound drops the oldest hint for that node.
-func (q *HintQueue) Add(node, key string, payload json.RawMessage) error {
-	return q.AddWithTrace(node, key, payload, "")
-}
-
-// AddWithTrace queues a hint carrying the originating request's traceparent
-// (empty for untraced work), so the handoff delivery can rejoin that trace.
-func (q *HintQueue) AddWithTrace(node, key string, payload json.RawMessage, trace string) error {
+// Add queues a hint: payload under key is owed to node. trace is the
+// originating request's traceparent (empty for untraced work), so the
+// handoff delivery can rejoin that trace. A hint for the same (node, key)
+// replaces the older one in place; exceeding the per-node bound drops the
+// oldest hint for that node.
+func (q *HintQueue) Add(node, key string, payload json.RawMessage, trace string) error {
 	if q == nil {
 		return nil
 	}
@@ -364,10 +281,10 @@ func (q *HintQueue) Close() error {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.f == nil {
+	if q.log == nil {
 		return nil
 	}
-	err := q.f.Close()
-	q.f = nil
+	err := q.log.close()
+	q.log = nil
 	return err
 }

@@ -15,13 +15,13 @@ func TestHintsQueueDeliverCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Add("n2", "k1", json.RawMessage(`{"v":1}`)); err != nil {
+	if err := q.Add("n2", "k1", json.RawMessage(`{"v":1}`), ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Add("n2", "k2", json.RawMessage(`{"v":2}`)); err != nil {
+	if err := q.Add("n2", "k2", json.RawMessage(`{"v":2}`), ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Add("n3", "k1", json.RawMessage(`{"v":1}`)); err != nil {
+	if err := q.Add("n3", "k1", json.RawMessage(`{"v":1}`), ""); err != nil {
 		t.Fatal(err)
 	}
 	if q.Depth() != 3 {
@@ -73,8 +73,8 @@ func TestHintsDedupSameNodeKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.Add("n2", "k", json.RawMessage(`{"v":"old"}`))
-	q.Add("n2", "k", json.RawMessage(`{"v":"new"}`))
+	q.Add("n2", "k", json.RawMessage(`{"v":"old"}`), "")
+	q.Add("n2", "k", json.RawMessage(`{"v":"new"}`), "")
 	p := q.PendingFor("n2")
 	if len(p) != 1 || string(p[0].Payload) != `{"v":"new"}` {
 		t.Fatalf("pending = %+v, want one hint with the latest payload", p)
@@ -87,7 +87,7 @@ func TestHintsPerNodeBoundDropsOldest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		q.Add("n2", fmt.Sprintf("k%d", i), nil)
+		q.Add("n2", fmt.Sprintf("k%d", i), nil, "")
 	}
 	p := q.PendingFor("n2")
 	if len(p) != 3 || p[0].Key != "k2" || p[2].Key != "k4" {
@@ -104,7 +104,7 @@ func TestHintsToleratesTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.Add("n2", "k1", json.RawMessage(`{}`))
+	q.Add("n2", "k1", json.RawMessage(`{}`), "")
 	q.Close()
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -125,7 +125,7 @@ func TestHintsToleratesTruncatedTail(t *testing.T) {
 
 func TestNilHintQueueIsSafe(t *testing.T) {
 	var q *HintQueue
-	if err := q.Add("n", "k", nil); err != nil {
+	if err := q.Add("n", "k", nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := q.Delivered("n", "k"); err != nil {
@@ -146,10 +146,10 @@ func TestHintsTraceSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp := "00-0123456789abcdef0123456789abcdef-00000000000000aa-01"
-	if err := q.AddWithTrace("n2", "k1", json.RawMessage(`{"v":1}`), tp); err != nil {
+	if err := q.Add("n2", "k1", json.RawMessage(`{"v":1}`), tp); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Add("n3", "k2", json.RawMessage(`{"v":2}`)); err != nil {
+	if err := q.Add("n3", "k2", json.RawMessage(`{"v":2}`), ""); err != nil {
 		t.Fatal(err)
 	}
 	if got := q.PendingFor("n2")[0].Trace; got != tp {
@@ -181,10 +181,10 @@ func TestHintsDepthsAndOldest(t *testing.T) {
 	if q.OldestUnixNano() != 0 {
 		t.Fatal("empty queue should have no oldest hint")
 	}
-	q.Add("n2", "k1", nil)
+	q.Add("n2", "k1", nil, "")
 	first := q.PendingFor("n2")[0].TimeUnixNano
-	q.Add("n2", "k2", nil)
-	q.Add("n3", "k1", nil)
+	q.Add("n2", "k2", nil, "")
+	q.Add("n3", "k1", nil, "")
 	d := q.Depths()
 	if d["n2"] != 2 || d["n3"] != 1 {
 		t.Fatalf("depths = %v", d)

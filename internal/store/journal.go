@@ -1,11 +1,8 @@
 package store
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 )
@@ -39,8 +36,7 @@ type Entry struct {
 // All methods are safe for concurrent use and safe on a nil receiver.
 type Journal struct {
 	mu      sync.Mutex
-	f       *os.File
-	path    string
+	log     *jsonlLog
 	pending []Entry
 	appends int64
 }
@@ -61,83 +57,18 @@ func OpenJournal(path string) (*Journal, error) {
 	if path == "" {
 		return nil, fmt.Errorf("journal: no path given")
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	pending, err := scanJournal(path)
-	if err != nil {
-		return nil, err
-	}
-	// Compact: rewrite only the pending submissions, atomically, then
-	// append from there.
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".compact.*")
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	w := bufio.NewWriter(tmp)
-	for _, e := range pending {
-		line, merr := json.Marshal(e)
-		if merr != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return nil, fmt.Errorf("journal: %w", merr)
-		}
-		w.Write(line)
-		w.WriteByte('\n')
-	}
-	if err := w.Flush(); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return nil, fmt.Errorf("journal: compacting: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	return &Journal{f: f, path: path, pending: pending}, nil
-}
-
-// scanJournal reads every parseable line and returns the submissions with
-// no matching done record, in submission order.
-func scanJournal(path string) ([]Entry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	defer f.Close()
 	var order []string
 	submits := make(map[string]Entry)
 	done := make(map[string]bool)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			continue // truncated trailing write, or garbage: skip
-		}
+	j := &Journal{}
+	log, err := openLog("journal", path, true, func(e Entry) {
 		switch e.Op {
 		case OpSubmit:
 			if done[e.ID] {
 				// A job can finish before its submission is journaled
 				// (the server enqueues first); the done record retires
 				// it all the same.
-				continue
+				return
 			}
 			if _, ok := submits[e.ID]; !ok {
 				order = append(order, e.ID)
@@ -147,17 +78,19 @@ func scanJournal(path string) ([]Entry, error) {
 			delete(submits, e.ID)
 			done[e.ID] = true
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("journal: scanning %s: %w", path, err)
-	}
-	var pending []Entry
-	for _, id := range order {
-		if e, ok := submits[id]; ok {
-			pending = append(pending, e)
+	}, func() []Entry {
+		for _, id := range order {
+			if e, ok := submits[id]; ok {
+				j.pending = append(j.pending, e)
+			}
 		}
+		return j.pending
+	})
+	if err != nil {
+		return nil, err
 	}
-	return pending, nil
+	j.log = log
+	return j, nil
 }
 
 // Pending returns the submissions that were outstanding when the journal
@@ -182,21 +115,10 @@ func (j *Journal) Append(e Entry) error {
 	if e.TimeUnixNano == 0 {
 		e.TimeUnixNano = time.Now().UnixNano()
 	}
-	line, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("journal: closed")
-	}
-	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("journal: appending: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: syncing: %w", err)
+	if err := j.log.append(e); err != nil {
+		return err
 	}
 	j.appends++
 	return nil
@@ -229,10 +151,5 @@ func (j *Journal) Close() error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
+	return j.log.close()
 }

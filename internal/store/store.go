@@ -1,8 +1,11 @@
 // Package store is the persistence tier under secserved's in-memory
 // caches: a disk-backed content-addressed object store (one file per
 // canonical key, checksummed JSON envelope, atomic writes, LRU-by-atime
-// eviction, corrupt-entry quarantine) and an append-only job journal that
-// lets a restarted node replay work it had accepted but not finished.
+// eviction, corrupt-entry quarantine), an append-only job journal that
+// lets a restarted node replay work it had accepted but not finished, and
+// a hint queue of results owed to peers that were down (hinted handoff).
+// The journal and the hint queue share one JSONL log, compacted on open;
+// the journal syncs every append, the hint queue does not.
 //
 // The store is deliberately dumb about what it holds: keys are the
 // service's canonical content addresses (hex SHA-256 over the canonical
