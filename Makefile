@@ -50,11 +50,12 @@ fleet-race:
 	$(GO) test -race -count=10 -run 'Prober|Breaker|Fleet|Serve|Golden|Counted' ./internal/shard ./internal/service
 
 # chaos drives the fault-injection stack end to end under the race detector:
-# injected worker panics, solver divergence, slow solves, exploration-budget
-# violations, and retry/backoff (see README "Resilience").
+# injected worker panics, solver divergence (in RobustSolve and through the
+# ctmc reachability solve), slow solves, exploration-budget violations, and
+# retry/backoff (see README "Resilience").
 chaos:
 	$(GO) test -race ./internal/fault/
-	$(GO) test -race -run 'TestChaos|Budget|TestQueueFullRetryAfter|TestClientRetries|TestHealthDegrades|TestRetryDelay|TestRobustSolve' ./internal/linalg/ ./internal/modular/ ./internal/service/
+	$(GO) test -race -run 'TestChaos|Budget|TestQueueFullRetryAfter|TestClientRetries|TestHealthDegrades|TestRetryDelay|TestRobustSolve' ./internal/linalg/ ./internal/ctmc/ ./internal/modular/ ./internal/service/
 
 # explore smoke-runs the design-space search on a tiny budget: the default
 # protection space of the checked-in architecture, then a two-wide beam over

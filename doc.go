@@ -10,8 +10,8 @@
 //   - internal/linalg, internal/graph, internal/foxglynn, internal/expm —
 //     numerical and graph kernels; CSR is the one sparse format, and the
 //     graph algorithms run on it directly;
-//   - internal/dtmc, internal/ctmc — Markov-chain analyses (uniformisation,
-//     steady state, rewards, reachability);
+//   - internal/ctmc — Markov-chain analyses (uniformisation, steady state,
+//     rewards, reachability);
 //   - internal/modular, internal/prismlang, internal/csl — a PRISM-style
 //     modelling language, state-space exploration and a CSL property
 //     checker;

@@ -3,7 +3,8 @@
 // distributions and time-bounded reachability via uniformisation with
 // Fox–Glynn Poisson weights, expected cumulative rewards, steady-state
 // distributions (with bottom-SCC decomposition for reducible chains), and
-// expected reachability rewards on the embedded chain.
+// unbounded reachability and expected reachability rewards, solved on the
+// rate matrix as linear systems over the embedded jump chain.
 //
 // Every analysis has one entry point, its Context form (TransientContext,
 // CumulativeRewardContext, …), which honours cancellation and participates
@@ -18,7 +19,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/dtmc"
 	"repro/internal/foxglynn"
 	"repro/internal/linalg"
 	"repro/internal/obs"
@@ -32,6 +32,11 @@ var ErrBadTime = errors.New("ctmc: time bound must be finite and non-negative")
 
 // ErrBadInit reports an invalid initial distribution.
 var ErrBadInit = errors.New("ctmc: initial distribution invalid")
+
+// ErrNotStochastic reports a derived transition matrix — the uniformised
+// chain or the embedded jump chain — whose rows do not sum to one or that
+// has a negative entry.
+var ErrNotStochastic = errors.New("ctmc: transition matrix rows must sum to 1")
 
 // DefaultAccuracy is the truncation accuracy used for uniformisation when
 // the caller passes 0.
@@ -135,11 +140,10 @@ func (c *Chain) uniformised(backward bool) (uniformised, error) {
 }
 
 // uniformisedAt returns the operator for rate q after checking that P is
-// stochastic as dtmc.New would: it reports the first row whose sum is off
-// 1 by more than 1e-9, else the first negative entry in row-major order.
-// The slices are filled straight from Rates: a first walk over the rows of
-// P checks them and counts the entries of each output, a second places
-// them, so each output receives its entries in the order it sums them.
+// stochastic (see stochasticRows). The slices are filled straight from
+// Rates: a first walk over the rows of P checks them and counts the entries
+// of each output, a second places them, so each output receives its
+// entries in the order it sums them.
 func (c *Chain) uniformisedAt(q float64, backward bool) (uniformised, error) {
 	p := linalg.NewSlicedBuilder(c.N(), c.N())
 	// orient maps entry (i, j) of P to its output and input: column j
@@ -150,29 +154,13 @@ func (c *Chain) uniformisedAt(q float64, backward bool) (uniformised, error) {
 		}
 		return j, i
 	}
-	badRow, badSum, neg := -1, 0.0, math.NaN()
-	var sum float64
+	rows := newStochasticRows()
 	c.rowsOfP(q, func(i, j int, v float64) {
 		out, _ := orient(i, j)
 		p.Count(out)
-		sum += v
-		if v < 0 && math.IsNaN(neg) {
-			neg = v
-		}
-	}, func(i int) {
-		if math.Abs(sum-1) > 1e-9 && badRow < 0 {
-			badRow, badSum = i, sum
-		}
-		sum = 0
-	})
-	var err error
-	switch {
-	case badRow >= 0:
-		err = fmt.Errorf("%w: row %d sums to %v", dtmc.ErrNotStochastic, badRow, badSum)
-	case !math.IsNaN(neg):
-		err = fmt.Errorf("%w: negative transition probability %v", dtmc.ErrNotStochastic, neg)
-	}
-	if err != nil {
+		rows.entry(v)
+	}, rows.endRow)
+	if err := rows.err(); err != nil {
 		return uniformised{}, fmt.Errorf("ctmc: uniformisation produced invalid DTMC: %w", err)
 	}
 	if err := p.Alloc(); err != nil {
@@ -183,6 +171,46 @@ func (c *Chain) uniformisedAt(q float64, backward bool) (uniformised, error) {
 		p.Append(out, in, v)
 	}, nil)
 	return uniformised{p: p.Sliced(), q: q}, nil
+}
+
+// stochasticRows checks a transition matrix walked row by row: it keeps
+// the first row whose entries sum to more than 1e-9 away from 1 and the
+// first negative entry in row-major order.
+type stochasticRows struct {
+	sum, badSum, neg float64
+	badRow           int
+}
+
+func newStochasticRows() *stochasticRows {
+	return &stochasticRows{badRow: -1, neg: math.NaN()}
+}
+
+// entry adds v to the current row.
+func (s *stochasticRows) entry(v float64) {
+	s.sum += v
+	if v < 0 && math.IsNaN(s.neg) {
+		s.neg = v
+	}
+}
+
+// endRow closes row i.
+func (s *stochasticRows) endRow(i int) {
+	if math.Abs(s.sum-1) > 1e-9 && s.badRow < 0 {
+		s.badRow, s.badSum = i, s.sum
+	}
+	s.sum = 0
+}
+
+// err reports the first bad row sum, else the first negative entry, as a
+// wrapped ErrNotStochastic; nil if every row passed.
+func (s *stochasticRows) err() error {
+	switch {
+	case s.badRow >= 0:
+		return fmt.Errorf("%w: row %d sums to %v", ErrNotStochastic, s.badRow, s.badSum)
+	case !math.IsNaN(s.neg):
+		return fmt.Errorf("%w: negative transition probability %v", ErrNotStochastic, s.neg)
+	}
+	return nil
 }
 
 // rowsOfP calls entry(i, j, P(i,j)) for every entry of P = I + Q/q, row
@@ -209,29 +237,6 @@ func (c *Chain) rowsOfP(q float64, entry func(i, j int, v float64), end func(i i
 			end(i)
 		}
 	}
-}
-
-// Embedded returns the embedded (jump) DTMC: P(i,j) = R(i,j)/exit_i, with a
-// self-loop on absorbing states.
-func (c *Chain) Embedded() (*dtmc.Chain, error) {
-	n := c.N()
-	p := linalg.NewRowBuilder(n, n, c.Rates.NNZ())
-	for i := 0; i < n; i++ {
-		if c.Exit[i] == 0 {
-			p.Add(i, 1)
-		} else {
-			cols, vals := c.Rates.Row(i)
-			for k, j := range cols {
-				p.Add(int(j), vals[k]/c.Exit[i])
-			}
-		}
-		p.EndRow()
-	}
-	ch, err := dtmc.New(p.CSR(), 1e-9)
-	if err != nil {
-		return nil, fmt.Errorf("ctmc: embedded chain invalid: %w", err)
-	}
-	return ch, nil
 }
 
 // DiracInit returns the point distribution on state s.

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dtmc"
 	"repro/internal/graph"
 	"repro/internal/linalg"
 )
@@ -64,8 +63,9 @@ func storedDiagonal(c *Chain, r *rand.Rand) *Chain {
 	return &Chain{Rates: rates, Exit: rates.RowSums()}
 }
 
-// cooEmbedded is the COO assembly Embedded used before building rows
-// directly.
+// cooEmbedded is the COO assembly of the embedded jump chain, P(i,j) =
+// R(i,j)/exit_i with a self-loop on absorbing states: the reference the
+// reachability systems are checked against.
 func cooEmbedded(c *Chain) *linalg.CSR {
 	coo := linalg.NewCOO(c.N(), c.N())
 	for i := 0; i < c.N(); i++ {
@@ -79,6 +79,29 @@ func cooEmbedded(c *Chain) *linalg.CSR {
 		}
 	}
 	return coo.ToCSR()
+}
+
+// cooReach is the COO assembly of the reachability system over the
+// embedded chain p: 1 on the diagonal less the self-loop, −P(u,j) towards
+// unknown states and Σ P(u,j) over the known states with x_j = 1 on the
+// right.
+func cooReach(p *linalg.CSR, x linalg.Vector, unknowns, idx []int) (*linalg.CSR, linalg.Vector) {
+	coo := linalg.NewCOO(len(unknowns), len(unknowns))
+	b := linalg.NewVector(len(unknowns))
+	for ui, i := range unknowns {
+		coo.Add(ui, ui, 1)
+		cols, vals := p.Row(i)
+		for k, j := range cols {
+			if p := vals[k]; p == 0 {
+				continue
+			} else if uj := idx[j]; uj >= 0 {
+				coo.Add(ui, uj, -p)
+			} else if x[j] == 1 {
+				b[ui] += p
+			}
+		}
+	}
+	return coo.ToCSR(), b
 }
 
 // cooAbsorbing is the Builder (COO) assembly Absorbing used before
@@ -159,6 +182,21 @@ func cooReward(c *Chain, reward linalg.Vector, target []bool, unknowns, idx []in
 
 func bitsEqual(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
+// vecMul is the forward oracle: dst = v·m, scattering the rows with
+// v[i] ≠ 0 in row order into dst cleared to +0.
+func vecMul(m *linalg.CSR, v, dst linalg.Vector) {
+	dst.Fill(0)
+	for i, a := range v {
+		if a == 0 {
+			continue
+		}
+		cols, vals := m.Row(i)
+		for k, j := range cols {
+			dst[j] += a * vals[k]
+		}
+	}
+}
+
 // mulVec is the backward oracle: dst = m·v, each row summed in column
 // order from +0.
 func mulVec(m *linalg.CSR, v, dst linalg.Vector) {
@@ -212,12 +250,12 @@ func assertSameCSR(t *testing.T, what string, got, want *linalg.CSR) {
 	}
 }
 
-// Every matrix derived row by row from Rates — Embedded, Absorbing, and the
-// restricted reachability-reward and balance systems (in split form) — is
-// bit-identical to assembling the same entries through a COO, and both
-// directions of the uniformisation operator equal VecMul and mulVec on the
-// COO-assembled P bit for bit, on chains with and without a stored
-// diagonal.
+// Every matrix derived row by row from Rates — Absorbing, and the
+// restricted reachability, reachability-reward and balance systems (in
+// split form) — is bit-identical to assembling the same entries through a
+// COO, and both directions of the uniformisation operator equal vecMul and
+// mulVec on the COO-assembled P bit for bit, on chains with and without a
+// stored diagonal.
 func TestDiagonalMergeMatchesCOO(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 400; trial++ {
@@ -243,16 +281,36 @@ func TestDiagonalMergeMatchesCOO(t *testing.T) {
 		}
 		got, ref := linalg.NewVector(c.N()), linalg.NewVector(c.N())
 		uni.p.MulVec(v, got)
-		p.VecMul(v, ref)
+		vecMul(p, v, ref)
 		assertSameVector(t, "uniformised forward step", got, ref)
 		back.p.MulVec(v, got)
 		mulVec(p, v, ref)
 		assertSameVector(t, "uniformised backward step", got, ref)
-		emb, err := c.Embedded()
+		// The reachability system, with random unknown states (never an
+		// absorbing one: those always have a known value) and random
+		// known values in {0, 1}, against the embedded chain's rows.
+		idx := make([]int, c.N())
+		x := linalg.NewVector(c.N())
+		var unknowns []int
+		for i := range idx {
+			idx[i] = -1
+			switch r.Intn(3) {
+			case 0:
+				if c.Exit[i] > 0 {
+					idx[i] = len(unknowns)
+					unknowns = append(unknowns, i)
+				}
+			case 1:
+				x[i] = 1
+			}
+		}
+		a, b, err := c.splitSystem(nil, x, unknowns, idx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameCSR(t, "Embedded", emb.P, cooEmbedded(c))
+		wantA, wantB := cooReach(cooEmbedded(c), x, unknowns, idx)
+		assertSameSplit(t, "reachability system", a, splitOf(wantA))
+		assertSameVector(t, "reachability right-hand side", b, wantB)
 
 		mask := make([]bool, c.N())
 		for i := range mask {
@@ -282,7 +340,7 @@ func TestDiagonalMergeMatchesCOO(t *testing.T) {
 		}
 
 		// The reward system over the finite non-target states, classified
-		// as reachabilityRewardAll does.
+		// as untilTarget does.
 		target := make([]bool, c.N())
 		target[r.Intn(c.N())] = true
 		var targets, never []int
@@ -297,11 +355,14 @@ func TestDiagonalMergeMatchesCOO(t *testing.T) {
 			}
 		}
 		infinite := graph.CanReach(c.Rates, never, target)
-		idx := make([]int, c.N())
-		var unknowns []int
+		x.Fill(0)
+		unknowns = unknowns[:0]
 		for i := range idx {
 			idx[i] = -1
-			if !infinite[i] && !target[i] {
+			switch {
+			case infinite[i]:
+				x[i] = math.Inf(1)
+			case !target[i]:
 				idx[i] = len(unknowns)
 				unknowns = append(unknowns, i)
 			}
@@ -310,15 +371,58 @@ func TestDiagonalMergeMatchesCOO(t *testing.T) {
 		for i := range reward {
 			reward[i] = r.Float64()
 		}
-		a, b := c.rewardSystem(reward, target, unknowns, idx)
-		wantA, wantB := cooReward(c, reward, target, unknowns, idx)
+		a, b, err = c.splitSystem(reward, x, unknowns, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantA, wantB = cooReward(c, reward, target, unknowns, idx)
 		assertSameSplit(t, "reward system", a, splitOf(wantA))
 		assertSameVector(t, "reward right-hand side", b, wantB)
 	}
 }
 
+// splitSystem builds the reachability system's rows straight into split
+// form; the result is bit-identical to the COO assembly of the same
+// entries over the embedded chain, on chains where every state has a few
+// summed rates out, self-rates included, so that a self-loop sums into the
+// identity's diagonal.
+func TestSplitSystemMatchesCOO(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(30)
+		coo := linalg.NewCOO(n, n)
+		for i := 0; i < n; i++ {
+			for k := 1 + r.Intn(5); k > 0; k-- {
+				coo.Add(i, r.Intn(n), r.ExpFloat64())
+			}
+		}
+		rates := coo.ToCSR()
+		c := &Chain{Rates: rates, Exit: rates.RowSums()}
+		idx := make([]int, n)
+		x := linalg.NewVector(n)
+		var unknowns []int
+		for i := range idx {
+			idx[i] = -1
+			switch r.Intn(3) {
+			case 0:
+				idx[i] = len(unknowns)
+				unknowns = append(unknowns, i)
+			case 1:
+				x[i] = 1
+			}
+		}
+		a, b, err := c.splitSystem(nil, x, unknowns, idx)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		wantA, wantB := cooReach(cooEmbedded(c), x, unknowns, idx)
+		assertSameSplit(t, "reachability system", a, splitOf(wantA))
+		assertSameVector(t, "reachability right-hand side", b, wantB)
+	}
+}
+
 // assertOperatorMatchesP checks both directions of the uniformisation
-// operator for rate q against VecMul and mulVec on the COO-assembled P,
+// operator for rate q against vecMul and mulVec on the COO-assembled P,
 // bit for bit, from v.
 func assertOperatorMatchesP(t *testing.T, what string, c *Chain, q float64, v linalg.Vector) {
 	t.Helper()
@@ -329,7 +433,7 @@ func assertOperatorMatchesP(t *testing.T, what string, c *Chain, q float64, v li
 		t.Fatalf("%s: %v", what, err)
 	}
 	fwd.p.MulVec(v, got)
-	p.VecMul(v, ref)
+	vecMul(p, v, ref)
 	assertSameVector(t, what+": forward step", got, ref)
 	back, err := c.uniformisedAt(q, true)
 	if err != nil {
@@ -413,8 +517,7 @@ func TestBackwardRejectsNonFiniteValues(t *testing.T) {
 	}
 }
 
-// The uniformisation operator keeps the stochasticity check dtmc.New made
-// on P: a q far below the exit rates leaves row sums off by rounding, and
+// The uniformisation operator checks that P is stochastic: a q far below the exit rates leaves row sums off by rounding, and
 // one below the largest exit rate makes a diagonal entry negative.
 func TestUniformisedRejectsMisScaledRate(t *testing.T) {
 	b := NewBuilder(3)
@@ -435,9 +538,47 @@ func TestUniformisedRejectsMisScaledRate(t *testing.T) {
 	} {
 		for _, backward := range []bool{false, true} {
 			_, err := c.uniformisedAt(tc.q, backward)
-			if !errors.Is(err, dtmc.ErrNotStochastic) || !strings.Contains(err.Error(), tc.want) ||
+			if !errors.Is(err, ErrNotStochastic) || !strings.Contains(err.Error(), tc.want) ||
 				!strings.HasPrefix(err.Error(), "ctmc: uniformisation produced invalid DTMC: ") {
 				t.Errorf("q = %v, backward %v: error %v, want ErrNotStochastic with %q", tc.q, backward, err, tc.want)
+			}
+		}
+	}
+}
+
+// The reachability solves check the embedded chain R(i,j)/exit_i row by
+// row: a row summing to 0.5, a negative rate, an exit rate that disagrees
+// with the rates, and an absorbing state (exit 0) that still has a rate
+// each fail with a wrapped ErrNotStochastic, whatever the target.
+func TestEmbeddedRejectsNonStochastic(t *testing.T) {
+	chain := func(exit linalg.Vector, entries ...float64) *Chain {
+		coo := linalg.NewCOO(len(exit), len(exit))
+		for k := 0; k < len(entries); k += 3 {
+			coo.Add(int(entries[k]), int(entries[k+1]), entries[k+2])
+		}
+		return &Chain{Rates: coo.ToCSR(), Exit: exit}
+	}
+	for _, tc := range []struct {
+		name string
+		c    *Chain
+		want string
+	}{
+		{"row sums to 0.5", chain(linalg.Vector{2, 0}, 0, 1, 1), "row 0 sums to 0.5"},
+		{"negative rate", chain(linalg.Vector{1, 1, 0}, 0, 2, 1, 1, 0, -1, 1, 2, 2), "negative transition probability -1"},
+		{"exit disagrees", chain(linalg.Vector{3, 1, 0}, 0, 1, 1, 0, 2, 1, 1, 2, 1), "row 0 sums to"},
+		{"absorbing with a rate", chain(linalg.Vector{1, 0, 0}, 0, 1, 1, 1, 2, 1), "row 1 sums to"},
+	} {
+		n := tc.c.N()
+		for tgt := range n {
+			target := make([]bool, n)
+			target[tgt] = true
+			_, err := tc.c.UnboundedReachabilityVectorContext(t.Context(), target)
+			if !errors.Is(err, ErrNotStochastic) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, target %d: reachability error %v, want ErrNotStochastic with %q", tc.name, tgt, err, tc.want)
+			}
+			_, err = tc.c.ReachabilityRewardVectorContext(t.Context(), linalg.NewVector(n), target)
+			if !errors.Is(err, ErrNotStochastic) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, target %d: reward error %v, want ErrNotStochastic with %q", tc.name, tgt, err, tc.want)
 			}
 		}
 	}

@@ -1,0 +1,431 @@
+package ctmc
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+	"testing/quick"
+
+	"repro/internal/fault"
+	"repro/internal/graph"
+	"repro/internal/linalg"
+	"repro/internal/obs"
+)
+
+// chainFromRates builds a chain from a dense rate table; the diagonal is
+// ignored, as Builder ignores self-loops.
+func chainFromRates(t *testing.T, rates [][]float64) *Chain {
+	t.Helper()
+	b := NewBuilder(len(rates))
+	for i, row := range rates {
+		for j, v := range row {
+			if v != 0 {
+				b.Add(i, j, v)
+			}
+		}
+	}
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func reach(t *testing.T, c *Chain, target []bool) linalg.Vector {
+	t.Helper()
+	x, err := c.UnboundedReachabilityVectorContext(t.Context(), target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// Gambler's ruin on 0..4 with a fair coin, absorbing at 0 and 4:
+// P[reach 4 | start i] = i/4.
+func gamblersRuin(t *testing.T) *Chain {
+	return chainFromRates(t, [][]float64{
+		{0, 0, 0, 0, 0},
+		{1, 0, 1, 0, 0},
+		{0, 1, 0, 1, 0},
+		{0, 0, 1, 0, 1},
+		{0, 0, 0, 0, 0},
+	})
+}
+
+func TestUnboundedReachabilityGamblersRuin(t *testing.T) {
+	x := reach(t, gamblersRuin(t), []bool{false, false, false, false, true})
+	for i := 0; i <= 4; i++ {
+		if want := float64(i) / 4; math.Abs(x[i]-want) > 1e-9 {
+			t.Fatalf("x[%d] = %v, want %v", i, x[i], want)
+		}
+	}
+}
+
+func TestUnboundedReachabilityUnreachableIsZero(t *testing.T) {
+	// 2 disconnected absorbing states.
+	x := reach(t, chainFromRates(t, [][]float64{{0, 0}, {0, 0}}), []bool{false, true})
+	if x[0] != 0 || x[1] != 1 {
+		t.Fatalf("x = %v", x)
+	}
+}
+
+func TestUnboundedReachabilityEmptyTarget(t *testing.T) {
+	x := reach(t, paperExample(t), []bool{false, false, false})
+	if x[0] != 0 || x[1] != 0 || x[2] != 0 {
+		t.Fatalf("x = %v", x)
+	}
+}
+
+func TestUnboundedReachabilityBadMask(t *testing.T) {
+	if _, err := paperExample(t).UnboundedReachabilityVectorContext(t.Context(), []bool{true}); err == nil {
+		t.Fatal("expected error")
+	}
+}
+
+// A state that reaches the target almost surely through an arbitrarily
+// rare escape reports exactly 1: the qualitative classification decides
+// it, no iterative solve could.
+func TestUnboundedReachabilityProb1Precomputation(t *testing.T) {
+	// 0 and 2 swap at rate 1, and 0 escapes to the absorbing target 1 at
+	// rate 1e-12: a sweep would stop at once near 1e-12.
+	x := reach(t, chainFromRates(t, [][]float64{{0, 1e-12, 1}, {0, 0, 0}, {1, 0, 0}}), []bool{false, true, false})
+	if x[0] != 1 || x[2] != 1 {
+		t.Fatalf("P = %v, want exactly 1 from states 0 and 2 (prob-1 precomputation)", x)
+	}
+}
+
+// With a competing absorbing trap the probability is genuinely fractional
+// and must still be solved.
+func TestUnboundedReachabilityFractionalWithBadBSCC(t *testing.T) {
+	x := reach(t, chainFromRates(t, [][]float64{
+		{0, 0.3, 0.7},
+		{0, 0, 0}, // target
+		{0, 0, 0}, // trap (bad BSCC)
+	}), []bool{false, true, false})
+	if math.Abs(x[0]-0.3) > 1e-9 || x[1] != 1 || x[2] != 0 {
+		t.Fatalf("x = %v", x)
+	}
+}
+
+// Unknown states feeding into almost-sure states receive their mass
+// through the right-hand side.
+func TestUnboundedReachabilityMixedKnowns(t *testing.T) {
+	// 3 -> {0 (almost-sure region), 2 (trap)}; 0 surely escapes to
+	// target 1.
+	x := reach(t, chainFromRates(t, [][]float64{
+		{0, 0.1, 0, 0},
+		{0, 0, 0, 0}, // target
+		{0, 0, 0, 0}, // trap
+		{0.5, 0, 0.5, 0},
+	}), []bool{false, true, false, false})
+	if x[0] != 1 {
+		t.Fatalf("x[0] = %v, want 1", x[0])
+	}
+	if math.Abs(x[3]-0.5) > 1e-9 {
+		t.Fatalf("x[3] = %v, want 0.5", x[3])
+	}
+}
+
+// Property: reachability probabilities satisfy the fixed-point equation
+// x = P·x of the embedded chain on non-target states with x = 1 on
+// targets (within solver tolerance), and a prob-0 state sends no mass to
+// positive states.
+func TestQuickUnboundedReachabilityFixedPoint(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 3 + r.Intn(7)
+		c := randomChain(r, n, 3)
+		target := make([]bool, n)
+		target[r.Intn(n)] = true
+		x, err := c.UnboundedReachabilityVectorContext(context.Background(), target)
+		if err != nil {
+			return false
+		}
+		for i := 0; i < n; i++ {
+			if target[i] {
+				if x[i] != 1 {
+					return false
+				}
+				continue
+			}
+			s := x[i] // an absorbing state's self-loop
+			if c.Exit[i] > 0 {
+				s = 0
+				cols, vals := c.Rates.Row(i)
+				for k, j := range cols {
+					s += vals[k] / c.Exit[i] * x[j]
+				}
+			}
+			if x[i] > 0 && math.Abs(s-x[i]) > 1e-6 {
+				return false
+			}
+			if x[i] == 0 && s > 1e-9 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// embeddedReach is the reference reachability solve: P[F target] on the
+// embedded chain's rows (cooEmbedded), classified as the DTMC solve did —
+// 0 where the target is unreachable, 1 on the target and where no bottom
+// SCC free of target states is reachable — with the rest solved by
+// Gauss–Seidel from the COO-assembled system.
+func embeddedReach(t *testing.T, c *Chain, target []bool, opts linalg.IterOpts) linalg.Vector {
+	t.Helper()
+	p := cooEmbedded(c)
+	var targets, bad []int
+	for i, in := range target {
+		if in {
+			targets = append(targets, i)
+		}
+	}
+	_, bsccs := graph.BSCCs(p)
+	for _, set := range bsccs {
+		if !slices.ContainsFunc(set, func(s int) bool { return target[s] }) {
+			bad = append(bad, set...)
+		}
+	}
+	canReach := graph.CanReach(p, targets, nil)
+	canReachBad := graph.CanReach(p, bad, nil)
+	x := linalg.NewVector(c.N())
+	idx := make([]int, c.N())
+	var unknowns []int
+	for i := range idx {
+		idx[i] = -1
+		switch {
+		case target[i] || canReach[i] && !canReachBad[i]:
+			x[i] = 1
+		case canReach[i]:
+			idx[i] = len(unknowns)
+			unknowns = append(unknowns, i)
+		}
+	}
+	if len(unknowns) == 0 {
+		return x
+	}
+	a, b := cooReach(p, x, unknowns, idx)
+	y, err := linalg.GaussSeidel(splitOf(a), b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ui, i := range unknowns {
+		x[i] = clampUnit(y[ui])
+	}
+	return x
+}
+
+// reducibleChain has 3–5 closed classes (absorbing states or strongly
+// connected rings of up to 4 states, with extra internal rates) and up to
+// 20 further states with 1–4 rates each to anywhere, spread over five
+// decades.
+func reducibleChain(t *testing.T, r *rand.Rand) *Chain {
+	t.Helper()
+	rate := func() float64 { return r.ExpFloat64() * math.Pow(10, float64(r.Intn(5)-2)) }
+	var classes [][]int
+	n := 0
+	for k := 3 + r.Intn(3); k > 0; k-- {
+		size := 1 + r.Intn(4)
+		class := make([]int, size)
+		for i := range class {
+			class[i] = n + i
+		}
+		classes = append(classes, class)
+		n += size
+	}
+	closed := n
+	n += 1 + r.Intn(20)
+	b := NewBuilder(n)
+	for _, class := range classes {
+		for k, s := range class {
+			if len(class) > 1 {
+				b.Add(s, class[(k+1)%len(class)], rate())
+				b.Add(s, class[r.Intn(len(class))], rate())
+			}
+		}
+	}
+	for s := closed; s < n; s++ {
+		for k := 1 + r.Intn(4); k > 0; k-- {
+			b.Add(s, r.Intn(n), rate())
+		}
+	}
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// On reducible chains with three or more BSCCs the long-run analyses fold
+// absorption probabilities bit-identical to the embedded-chain reference
+// (a BSCC is closed, so both classifications agree and the systems are the
+// same), unbounded reachability of an arbitrary target stays within 1e-12
+// of it, and every state that reaches the target almost surely reads
+// exactly 1.
+func TestReachabilityMatchesEmbeddedReference(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	ctx := t.Context()
+	for trial := 0; trial < 200; trial++ {
+		c := reducibleChain(t, r)
+		n := c.N()
+		lr := c.longRun(nil)
+		if len(lr.bsccs) < 3 {
+			t.Fatalf("trial %d: %d BSCCs, want at least 3", trial, len(lr.bsccs))
+		}
+		init := linalg.NewVector(n)
+		for i := range init {
+			init[i] = r.Float64()
+		}
+		init.Normalize1()
+		mask := make([]bool, n)
+		for i := range mask {
+			mask[i] = r.Intn(2) == 0
+		}
+		wantPi, wantVec := linalg.NewVector(n), linalg.NewVector(n)
+		for b, set := range lr.bsccs {
+			target := make([]bool, n)
+			for _, s := range set {
+				target[s] = true
+			}
+			ref := embeddedReach(t, c, target, linalg.IterOpts{Tol: 1e-10, MaxIter: 500000})
+			pi, err := lr.stationary(ctx, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var v float64
+			for k, s := range set {
+				if mask[s] {
+					v += pi[k]
+				}
+			}
+			if v != 0 {
+				wantVec.AddScaled(v, ref)
+			}
+			if pAbsorb := init.Dot(ref); pAbsorb != 0 {
+				for k, s := range set {
+					wantPi[s] += pAbsorb * pi[k]
+				}
+			}
+		}
+		wantPi.Normalize1()
+		for i := range wantVec {
+			wantVec[i] = clampUnit(wantVec[i])
+		}
+		gotPi, err := c.SteadyStateContext(ctx, init)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameVector(t, "steady state", gotPi, wantPi)
+		gotVec, err := c.SteadyStateVectorContext(ctx, mask)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameVector(t, "steady-state vector", gotVec, wantVec)
+
+		target := make([]bool, n)
+		for k := 1 + r.Intn(3); k > 0; k-- {
+			target[r.Intn(n)] = true
+		}
+		got := reach(t, c, target)
+		want := embeddedReach(t, c, target, linalg.IterOpts{})
+		for i := range got {
+			if math.Abs(got[i]-want[i]) > 1e-12 {
+				t.Fatalf("trial %d: P[F target] of state %d = %v, reference %v", trial, i, got[i], want[i])
+			}
+		}
+		var targets, never []int
+		for i, in := range target {
+			if in {
+				targets = append(targets, i)
+			}
+		}
+		for i, can := range graph.CanReach(c.Rates, targets, nil) {
+			if !can {
+				never = append(never, i)
+			}
+		}
+		for i, escapes := range graph.CanReach(c.Rates, never, target) {
+			if !escapes && got[i] != 1 {
+				t.Fatalf("trial %d: state %d reaches the target almost surely but reads %v", trial, i, got[i])
+			}
+		}
+	}
+}
+
+// solveSpans records the attributes of every ended span by name and the
+// solver attempts.
+type solveSpans struct {
+	obs.AttemptRecorder
+	mu    sync.Mutex
+	attrs map[string]map[string]any
+}
+
+func (s *solveSpans) Emit(e *obs.Event) {
+	s.AttemptRecorder.Emit(e)
+	if e.Kind != obs.EventSpan {
+		return
+	}
+	attrs := make(map[string]any)
+	for _, a := range e.Attrs {
+		attrs[a.Key] = a.Value()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.attrs[e.Name] = attrs
+}
+
+// With solver divergence injected once, unbounded reachability escalates
+// from Gauss–Seidel to Jacobi, records both attempts and still answers;
+// its span carries the method and attempt count as the reachability-reward
+// span does.
+func TestChaosUnboundedReachabilityEscalates(t *testing.T) {
+	in, err := fault.Parse("solver.diverge:n=1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Enable(in)
+	defer fault.Disable()
+	sink := &solveSpans{attrs: make(map[string]map[string]any)}
+	ctx, root := obs.NewTracer(sink, false).StartSpan(t.Context(), "test")
+	c := gamblersRuin(t)
+	target := []bool{false, false, false, false, true}
+	x, err := c.UnboundedReachabilityVectorContext(ctx, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReachabilityRewardVectorContext(ctx, linalg.Vector{0, 1, 1, 1, 0}, []bool{true, false, false, false, true}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	for i := 0; i <= 4; i++ {
+		if want := float64(i) / 4; math.Abs(x[i]-want) > 1e-9 {
+			t.Fatalf("x[%d] = %v, want %v", i, x[i], want)
+		}
+	}
+	attempts := sink.Attempts()
+	if len(attempts) != 3 || attempts[0].Outcome != obs.AttemptInjected || attempts[1].Outcome != obs.AttemptOK ||
+		attempts[1].Method != linalg.MethodJacobi || attempts[2].Method != linalg.MethodGaussSeidel {
+		t.Fatalf("attempts = %+v, want injected, jacobi, then the reward's gauss-seidel", attempts)
+	}
+	for name, want := range map[string]map[string]any{
+		"ctmc.unbounded_reach":     {"method": linalg.MethodJacobi, "attempts": int64(2), "unknowns": int64(3)},
+		"ctmc.reachability_reward": {"method": linalg.MethodGaussSeidel, "attempts": int64(1), "unknowns": int64(3)},
+	} {
+		got := sink.attrs[name]
+		for k, v := range want {
+			if got[k] != v {
+				t.Errorf("%s: %s = %v, want %v (attrs %v)", name, k, got[k], v, got)
+			}
+		}
+		if _, ok := got["iterations"]; !ok {
+			t.Errorf("%s: no iterations attribute (attrs %v)", name, got)
+		}
+	}
+}

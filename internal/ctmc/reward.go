@@ -46,39 +46,60 @@ func (c *Chain) ReachabilityRewardContext(ctx context.Context, init linalg.Vecto
 // reachabilityRewardAll solves the expected-reward-to-target system for
 // every state at once.
 func (c *Chain) reachabilityRewardAll(ctx context.Context, reward linalg.Vector, target []bool) (linalg.Vector, error) {
-	_, sp := obs.Start(ctx, "ctmc.reachability_reward")
+	ctx, sp := obs.Start(ctx, "ctmc.reachability_reward")
 	defer sp.End()
-	n := c.N()
-	if len(reward) != n {
-		return nil, fmt.Errorf("ctmc: reward vector length %d, want %d", len(reward), n)
+	if len(reward) != c.N() {
+		return nil, fmt.Errorf("ctmc: reward vector length %d, want %d", len(reward), c.N())
 	}
+	sp.Int("states", int64(c.N()))
+	// Slow-mixing chains (rare escapes out of a strongly recurrent secure
+	// region) need generous sweep budgets; the relative tolerance keeps the
+	// criterion meaningful for large expected rewards.
+	return c.untilTarget(ctx, sp, reward, target, linalg.IterOpts{Tol: 1e-10, MaxIter: 2_000_000})
+}
+
+// untilTarget is the one solve behind unbounded reachability, absorption
+// into a BSCC and the reachability reward. With a nil reward it returns
+// P_i[F target] for every state i: 1 on the target and on the states that
+// reach it almost surely, 0 on those that cannot reach it. With a reward
+// it returns the expected reward accumulated until the target: 0 on the
+// target and +Inf where the target is reached with probability < 1. The
+// remaining states are solved for on the embedded chain (see splitSystem)
+// through linalg.RobustSolve under opts; the unknowns and the solver's
+// attempts go on sp.
+func (c *Chain) untilTarget(ctx context.Context, sp *obs.Span, reward linalg.Vector, target []bool, opts linalg.IterOpts) (linalg.Vector, error) {
+	n := c.N()
 	if len(target) != n {
 		return nil, fmt.Errorf("ctmc: target mask length %d, want %d", len(target), n)
 	}
-	sp.Int("states", int64(n))
 	// Classify qualitatively: a state reaches the target with probability
 	// one iff no path avoiding the target leads to a state that cannot
-	// reach it. However rare the escape, such a path makes the expectation
-	// infinite.
+	// reach it. However rare the escape, such a path puts the probability
+	// below 1 and makes the expected reward infinite, which no iterative
+	// solve could tell apart.
 	var targets, never []int
 	for i, t := range target {
 		if t {
 			targets = append(targets, i)
 		}
 	}
-	for i, can := range graph.CanReach(c.Rates, targets, nil) {
+	canReach := graph.CanReach(c.Rates, targets, nil)
+	for i, can := range canReach {
 		if !can {
 			never = append(never, i)
 		}
 	}
-	infinite := graph.CanReach(c.Rates, never, target)
-	idx := make([]int, n)
-	var unknowns []int
+	below1 := graph.CanReach(c.Rates, never, target)
 	x := linalg.NewVector(n)
-	for i := 0; i < n; i++ {
+	idx := make([]int, n) // state -> unknown index, -1 if known
+	var unknowns []int
+	for i := range n {
 		idx[i] = -1
 		switch {
-		case infinite[i]:
+		case reward == nil && !below1[i]: // the target, or reached almost surely
+			x[i] = 1
+		case reward == nil && !canReach[i]: // probability 0
+		case reward != nil && below1[i]:
 			x[i] = math.Inf(1)
 		case !target[i]:
 			idx[i] = len(unknowns)
@@ -86,19 +107,17 @@ func (c *Chain) reachabilityRewardAll(ctx context.Context, reward linalg.Vector,
 		}
 	}
 	sp.Int("unknowns", int64(len(unknowns)))
+	a, b, err := c.splitSystem(reward, x, unknowns, idx)
+	if err != nil {
+		return nil, err
+	}
 	if len(unknowns) == 0 {
 		return x, nil
 	}
-	a, b := c.rewardSystem(reward, target, unknowns, idx)
-	// Slow-mixing chains (rare escapes out of a strongly recurrent secure
-	// region) need generous sweep budgets; the relative tolerance keeps the
-	// criterion meaningful for large expected rewards.
 	var rstats linalg.RobustStats
-	y, err := linalg.RobustSolve(ctx, a, b, linalg.RobustOpts{
-		Opts:  linalg.IterOpts{Tol: 1e-10, MaxIter: 2_000_000},
-		Stats: &rstats,
-	})
+	y, err := linalg.RobustSolve(ctx, a, b, linalg.RobustOpts{Opts: opts, Stats: &rstats})
 	sp.Str("method", rstats.Method)
+	sp.Int("attempts", int64(len(rstats.Attempts)))
 	if n := len(rstats.Attempts); n > 0 {
 		last := rstats.Attempts[n-1]
 		sp.Int("iterations", int64(last.Iterations))
@@ -106,36 +125,65 @@ func (c *Chain) reachabilityRewardAll(ctx context.Context, reward linalg.Vector,
 		sp.Int("trace_points", int64(len(last.Trace)))
 	}
 	if err != nil {
-		return nil, fmt.Errorf("ctmc: reachability-reward solve: %w", err)
+		return nil, fmt.Errorf("ctmc: reachability solve (%d unknowns): %w", len(unknowns), err)
 	}
 	for ui, i := range unknowns {
+		if reward == nil {
+			y[ui] = clampUnit(y[ui])
+		}
 		x[i] = y[ui]
 	}
 	return x, nil
 }
 
-// rewardSystem builds x_u − Σ_j P(u,j)·x_j = r_u/E_u in split form over
-// the finite non-target states u (idx maps a state to its unknown index),
-// with P(i,j) = R(i,j)/E_i and x_j = 0 on target states. Every state a
-// finite state moves to is finite or a target. Unknowns keep the state
-// order, so each row comes out sorted, and a stored self-rate sums into
-// the diagonal as 1 − P(u,u).
-func (c *Chain) rewardSystem(reward linalg.Vector, target []bool, unknowns, idx []int) (*linalg.Split, linalg.Vector) {
+// splitSystem builds, in split form over the unknown states u (idx maps a
+// state to its unknown index, -1 if known),
+//
+//	x_u − Σ_{j unknown} P(u,j)·x_j = r_u/E_u + Σ_{j known} P(u,j)·x_j
+//
+// on the embedded chain P(i,j) = R(i,j)/E_i, with r = 0 when reward is
+// nil; a known x_j of 0 adds nothing. Unknowns keep the state order, so
+// each row comes out sorted, and a stored self-rate sums into the diagonal
+// as 1 − P(u,u). The walk covers every row of P, an absorbing state's row
+// being its self-loop, and checks that P is stochastic (see
+// stochasticRows), so a chain whose Exit disagrees with its rates fails.
+func (c *Chain) splitSystem(reward, x linalg.Vector, unknowns, idx []int) (*linalg.Split, linalg.Vector, error) {
 	a := linalg.NewSplitBuilder(len(unknowns), 0)
 	b := linalg.NewVector(len(unknowns))
-	for ui, i := range unknowns {
-		e := c.Exit[i]
-		a.Diagonal(1)
-		b[ui] = reward[i] / e
-		cols, vals := c.Rates.Row(i)
-		for k, j := range cols {
-			if p := vals[k] / e; !target[j] && p != 0 {
-				a.Add(idx[j], -p)
+	rows := newStochasticRows()
+	for i := range c.N() {
+		e, ui := c.Exit[i], idx[i]
+		if e == 0 {
+			rows.entry(1) // any rate out of an absorbing state breaks the sum
+			e = 1
+		}
+		if ui >= 0 {
+			a.Diagonal(1)
+			if reward != nil {
+				b[ui] = reward[i] / e
 			}
 		}
-		a.EndRow()
+		cols, vals := c.Rates.Row(i)
+		for k, j := range cols {
+			p := vals[k] / e
+			rows.entry(p)
+			switch uj := idx[j]; {
+			case ui < 0 || p == 0:
+			case uj >= 0:
+				a.Add(uj, -p)
+			case x[j] != 0:
+				b[ui] += p * x[j]
+			}
+		}
+		if ui >= 0 {
+			a.EndRow()
+		}
+		rows.endRow(i)
 	}
-	return a.Split(), b
+	if err := rows.err(); err != nil {
+		return nil, nil, fmt.Errorf("ctmc: embedded chain invalid: %w", err)
+	}
+	return a.Split(), b, nil
 }
 
 // ExpectedTimeFractionContext returns the expected fraction of the

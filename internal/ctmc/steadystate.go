@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/dtmc"
 	"repro/internal/graph"
 	"repro/internal/linalg"
 	"repro/internal/obs"
@@ -47,7 +46,7 @@ func (c *Chain) SteadyStateContext(ctx context.Context, init linalg.Vector) (lin
 		return out, nil
 	}
 	for b, set := range lr.bsccs {
-		reach, err := lr.absorption(b)
+		reach, err := lr.absorption(ctx, b)
 		if err != nil {
 			return nil, err
 		}
@@ -74,8 +73,7 @@ func (c *Chain) SteadyStateContext(ctx context.Context, init linalg.Vector) (lin
 type longRun struct {
 	c     *Chain
 	bsccs [][]int
-	pos   []int       // state -> position in its BSCC, -1 for transient states
-	emb   *dtmc.Chain // embedded chain, built by the first absorption solve
+	pos   []int // state -> position in its BSCC, -1 for transient states
 }
 
 // longRun decomposes the chain and records the state and BSCC counts on sp.
@@ -109,20 +107,13 @@ func (l *longRun) stationary(ctx context.Context, b int) (linalg.Vector, error) 
 }
 
 // absorption returns, for every state, the probability of eventually
-// being absorbed into BSCC b.
-func (l *longRun) absorption(b int) (linalg.Vector, error) {
-	if l.emb == nil {
-		emb, err := l.c.Embedded()
-		if err != nil {
-			return nil, err
-		}
-		l.emb = emb
-	}
+// being absorbed into BSCC b: of reaching any of its states.
+func (l *longRun) absorption(ctx context.Context, b int) (linalg.Vector, error) {
 	target := make([]bool, l.c.N())
 	for _, s := range l.bsccs[b] {
 		target[s] = true
 	}
-	return l.emb.Reachability(target, linalg.IterOpts{Tol: 1e-10, MaxIter: 500000})
+	return l.c.untilTarget(ctx, nil, nil, target, linalg.IterOpts{Tol: 1e-10, MaxIter: 500000})
 }
 
 // inSet returns the position of state j in set, given pos (state ->

@@ -33,22 +33,13 @@ func (c *Chain) NextVector(phi []bool) (linalg.Vector, error) {
 }
 
 // UnboundedReachabilityVectorContext computes P_i[F target] for every state
-// via the embedded chain, on a "ctmc.unbounded_reach" span (solver
+// on a "ctmc.unbounded_reach" span (unknowns, solver method, attempts,
 // iterations and residual).
 func (c *Chain) UnboundedReachabilityVectorContext(ctx context.Context, target []bool) (linalg.Vector, error) {
-	_, sp := obs.Start(ctx, "ctmc.unbounded_reach")
+	ctx, sp := obs.Start(ctx, "ctmc.unbounded_reach")
 	defer sp.End()
-	emb, err := c.Embedded()
-	if err != nil {
-		return nil, err
-	}
-	var stats linalg.IterStats
-	out, err := emb.Reachability(target, linalg.IterOpts{Stats: &stats, CollectTrace: true})
 	sp.Int("states", int64(c.N()))
-	sp.Int("iterations", int64(stats.Iterations))
-	sp.Float("residual", stats.Residual)
-	sp.Int("trace_points", int64(len(stats.Trace)))
-	return out, err
+	return c.untilTarget(ctx, sp, nil, target, linalg.IterOpts{})
 }
 
 // SteadyStateVectorContext computes, for every state i, the long-run
@@ -82,7 +73,7 @@ func (c *Chain) SteadyStateVectorContext(ctx context.Context, mask []bool) (lina
 		if v == 0 {
 			continue
 		}
-		reach, err := lr.absorption(b)
+		reach, err := lr.absorption(ctx, b)
 		if err != nil {
 			return nil, err
 		}

@@ -23,22 +23,6 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// DenseFromRows builds a matrix from row slices; all rows must have equal
-// length.
-func DenseFromRows(rows [][]float64) *Dense {
-	if len(rows) == 0 {
-		return NewDense(0, 0)
-	}
-	m := NewDense(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("linalg: ragged rows")
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Dense {
 	m := NewDense(n, n)
@@ -121,31 +105,6 @@ func (m *Dense) MulVec(v Vector, dst Vector) (Vector, error) {
 			s += a * v[j]
 		}
 		dst[i] = s
-	}
-	return dst, nil
-}
-
-// VecMul computes dst = vᵀ·m (row vector times matrix), the orientation used
-// for probability distributions.
-func (m *Dense) VecMul(v Vector, dst Vector) (Vector, error) {
-	if len(v) != m.Rows {
-		return nil, fmt.Errorf("%w: vec(%d) · %dx%d", ErrDimension, len(v), m.Rows, m.Cols)
-	}
-	if dst == nil {
-		dst = NewVector(m.Cols)
-	} else if len(dst) != m.Cols {
-		return nil, fmt.Errorf("%w: dst len %d, want %d", ErrDimension, len(dst), m.Cols)
-	}
-	dst.Fill(0)
-	for i := 0; i < m.Rows; i++ {
-		a := v[i]
-		if a == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, b := range row {
-			dst[j] += a * b
-		}
 	}
 	return dst, nil
 }

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -179,4 +180,45 @@ func TestDenseScaleAndString(t *testing.T) {
 	if !strings.Contains(s, "3") || !strings.Contains(s, "6") {
 		t.Fatalf("String = %q", s)
 	}
+}
+
+// DenseFromRows builds a matrix from row slices; all rows must have equal
+// length.
+func DenseFromRows(rows [][]float64) *Dense {
+	if len(rows) == 0 {
+		return NewDense(0, 0)
+	}
+	m := NewDense(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.Cols {
+			panic("linalg: ragged rows")
+		}
+		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
+	}
+	return m
+}
+
+// VecMul computes dst = vᵀ·m (row vector times matrix), the orientation used
+// for probability distributions.
+func (m *Dense) VecMul(v Vector, dst Vector) (Vector, error) {
+	if len(v) != m.Rows {
+		return nil, fmt.Errorf("%w: vec(%d) · %dx%d", ErrDimension, len(v), m.Rows, m.Cols)
+	}
+	if dst == nil {
+		dst = NewVector(m.Cols)
+	} else if len(dst) != m.Cols {
+		return nil, fmt.Errorf("%w: dst len %d, want %d", ErrDimension, len(dst), m.Cols)
+	}
+	dst.Fill(0)
+	for i := 0; i < m.Rows; i++ {
+		a := v[i]
+		if a == 0 {
+			continue
+		}
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		for j, b := range row {
+			dst[j] += a * b
+		}
+	}
+	return dst, nil
 }

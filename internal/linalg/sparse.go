@@ -166,31 +166,6 @@ func (m *CSR) At(i, j int) float64 {
 	return 0
 }
 
-// VecMul computes dst = vᵀ·m (row-vector orientation), the hot kernel of
-// uniformisation: distributions are row vectors multiplied from the left.
-func (m *CSR) VecMul(v Vector, dst Vector) (Vector, error) {
-	if len(v) != m.Rows {
-		return nil, fmt.Errorf("%w: vec(%d) · %dx%d", ErrDimension, len(v), m.Rows, m.Cols)
-	}
-	if dst == nil {
-		dst = NewVector(m.Cols)
-	} else if len(dst) != m.Cols {
-		return nil, fmt.Errorf("%w: dst len %d, want %d", ErrDimension, len(dst), m.Cols)
-	}
-	dst.Fill(0)
-	for i := 0; i < m.Rows; i++ {
-		a := v[i]
-		if a == 0 {
-			continue
-		}
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		for k := lo; k < hi; k++ {
-			dst[m.ColIdx[k]] += a * m.Val[k]
-		}
-	}
-	return dst, nil
-}
-
 // RowSums returns the vector of row sums (total exit rates for a
 // transition-rate matrix without diagonal).
 func (m *CSR) RowSums() Vector {

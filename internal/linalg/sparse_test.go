@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -128,4 +129,29 @@ func TestCSRAtMissing(t *testing.T) {
 	if m.At(1, 1) != 0 {
 		t.Fatal("missing entry not zero")
 	}
+}
+
+// VecMul computes dst = vᵀ·m (row-vector orientation), the
+// reference product of the tests.
+func (m *CSR) VecMul(v Vector, dst Vector) (Vector, error) {
+	if len(v) != m.Rows {
+		return nil, fmt.Errorf("%w: vec(%d) · %dx%d", ErrDimension, len(v), m.Rows, m.Cols)
+	}
+	if dst == nil {
+		dst = NewVector(m.Cols)
+	} else if len(dst) != m.Cols {
+		return nil, fmt.Errorf("%w: dst len %d, want %d", ErrDimension, len(dst), m.Cols)
+	}
+	dst.Fill(0)
+	for i := 0; i < m.Rows; i++ {
+		a := v[i]
+		if a == 0 {
+			continue
+		}
+		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+		for k := lo; k < hi; k++ {
+			dst[m.ColIdx[k]] += a * m.Val[k]
+		}
+	}
+	return dst, nil
 }

@@ -60,15 +60,6 @@ func (v Vector) Sum() float64 {
 	return s
 }
 
-// Norm1 returns the l1 norm Σ|v_i|.
-func (v Vector) Norm1() float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
 // NormInf returns the l∞ norm max|v_i|.
 func (v Vector) NormInf() float64 {
 	var s float64

@@ -120,3 +120,12 @@ func TestQuickNormalize(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Norm1 returns the l1 norm Σ|v_i|.
+func (v Vector) Norm1() float64 {
+	var s float64
+	for _, x := range v {
+		s += math.Abs(x)
+	}
+	return s
+}

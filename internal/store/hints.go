@@ -79,7 +79,11 @@ func OpenHints(path string, maxPerNode int) (*HintQueue, error) {
 	if path == "" {
 		return q, nil
 	}
+	// order lists keys as they were queued afresh; at holds each key's
+	// latest position there, so a key delivered and queued again is
+	// replayed once, where Add put it the second time.
 	var order []string
+	at := make(map[string]int)
 	live := make(map[string]Hint)
 	keyOf := func(h Hint) string { return h.Node + "\x00" + h.Key }
 	log, err := openLog("hints", path, false, func(hl hintLine) {
@@ -87,6 +91,7 @@ func OpenHints(path string, maxPerNode int) (*HintQueue, error) {
 		switch hl.Op {
 		case hintOpAdd:
 			if _, ok := live[k]; !ok {
+				at[k] = len(order)
 				order = append(order, k)
 			}
 			live[k] = hl.Hint
@@ -95,8 +100,8 @@ func OpenHints(path string, maxPerNode int) (*HintQueue, error) {
 		}
 	}, func() []hintLine {
 		var lines []hintLine
-		for _, k := range order {
-			if h, ok := live[k]; ok {
+		for i, k := range order {
+			if h, ok := live[k]; ok && at[k] == i {
 				q.pending[h.Node] = append(q.pending[h.Node], h)
 				lines = append(lines, hintLine{Op: hintOpAdd, Hint: h})
 			}

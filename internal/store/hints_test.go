@@ -198,3 +198,47 @@ func TestHintsDepthsAndOldest(t *testing.T) {
 		t.Fatalf("drained node still in depths: %v", q.Depths())
 	}
 }
+
+// A hint delivered and then queued again is replayed once after a reopen,
+// at the position of its latest queueing, as the in-memory FIFO holds it.
+func TestHintsRequeuedAfterDeliveryReplaysOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hints.journal")
+	q, err := OpenHints(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		deliver bool
+		key     string
+	}{{false, "a"}, {false, "b"}, {true, "a"}, {false, "a"}} {
+		if step.deliver {
+			err = q.Delivered("n2", step.key)
+		} else {
+			err = q.Add("n2", step.key, json.RawMessage(`{"v":"`+step.key+`"}`), "")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := func(q *HintQueue) string {
+		var ks []string
+		for _, h := range q.PendingFor("n2") {
+			ks = append(ks, h.Key)
+		}
+		return strings.Join(ks, " ")
+	}
+	if got := keys(q); got != "b a" || q.Depth() != 2 {
+		t.Fatalf("in memory: pending [%s], depth %d; want [b a], 2", got, q.Depth())
+	}
+	q.Close()
+	for reopen := 1; reopen <= 2; reopen++ {
+		q, err = OpenHints(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := keys(q); got != "b a" || q.Depth() != 2 {
+			t.Fatalf("reopen %d: pending [%s], depth %d; want [b a], 2", reopen, got, q.Depth())
+		}
+		q.Close()
+	}
+}
