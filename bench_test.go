@@ -131,7 +131,11 @@ func BenchmarkFig5(b *testing.B) {
 // three case-study architectures, nmax 2, with steady state) under a
 // collector, and reports the pipeline work per op taken from its spans:
 // explored states, cumulative-reward (uniformisation) passes and
-// steady-state solves. Cells that share a chain share that work.
+// steady-state solves. Cells that share a chain share that work. stage_ms/op
+// is the summed explore, reward and steady-state span time per op; divided
+// by ns/op it shows how far the stages overlap (a chain's reward pass runs
+// beside its steady-state solve, and an architecture's chains run on
+// GOMAXPROCS workers).
 func BenchmarkFig5Grid(b *testing.B) {
 	col := obs.NewCollector()
 	ctx, root := obs.NewTracer(col, false).StartSpan(context.Background(), "bench.fig5_grid")
@@ -153,6 +157,8 @@ func BenchmarkFig5Grid(b *testing.B) {
 	b.ReportMetric(phases["modular.explore"].Attrs["states"].Sum/n, "states/op")
 	b.ReportMetric(float64(phases["ctmc.cumulative_reward"].Count)/n, "reward_passes/op")
 	b.ReportMetric(float64(phases["ctmc.steadystate"].Count)/n, "steady_solves/op")
+	stages := phases["modular.explore"].Seconds + phases["ctmc.cumulative_reward"].Seconds + phases["ctmc.steadystate"].Seconds
+	b.ReportMetric(1e3*stages/n, "stage_ms/op")
 }
 
 // BenchmarkFig6aPatchSweep regenerates Figure 6 (a): exploitability of m in

@@ -155,7 +155,7 @@ func table2(ctx context.Context, out io.Writer) error {
 // fig5 regenerates the architecture comparison.
 func fig5(ctx context.Context, out io.Writer) error {
 	fmt.Fprintln(out, "## Figure 5 — exploitable time of m within 1 year")
-	an := core.Analyzer{NMax: 2, Horizon: 1, SkipSteadyState: true, Parallel: true}
+	an := core.Analyzer{NMax: 2, Horizon: 1, SkipSteadyState: true}
 	results, err := an.CompareContext(ctx, arch.CaseStudy(), arch.MessageM)
 	if err != nil {
 		return err

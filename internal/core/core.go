@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
@@ -25,7 +24,10 @@ import (
 
 // Analyzer bundles the analysis configuration. The zero value analyses with
 // the paper's settings: nmax = 2, a one-year horizon, engine-default
-// accuracy.
+// accuracy. Grid analyses (AnalyzeAllContext, CompareContext) solve an
+// architecture's chains concurrently on up to GOMAXPROCS workers; each
+// chain is explored and solved by one worker, so results are bitwise
+// identical at any worker count.
 type Analyzer struct {
 	// NMax caps the per-interface exploit count (default 2).
 	NMax int
@@ -62,13 +64,6 @@ type Analyzer struct {
 	// analysis (paper future work): ECUs with configured failure/repair
 	// rates gain hardware-failure state; see transform.Options.
 	IncludeReliability bool
-	// Parallel runs the chains of grid analyses (AnalyzeAllContext,
-	// CompareContext) concurrently, one worker per CPU. Each chain is
-	// explored and solved by one worker (whose reward pass, as always, runs
-	// beside its steady-state solve), so results are bitwise identical to
-	// the sequential order, and a failure reports the lowest failing
-	// chain's error, as the sequential order does.
-	Parallel bool
 }
 
 func (a Analyzer) withDefaults() Analyzer {
@@ -106,8 +101,7 @@ func (a Analyzer) TransformOptions(cat transform.Category, prot transform.Protec
 // horizon, accuracy, state and transition bounds, steady-state and lumping
 // switches — with
 // defaults applied. Together with arch.(*Architecture).CanonicalJSON and
-// transform.Options.Canonical it content-addresses a full analysis;
-// Parallel is excluded because it cannot change results.
+// transform.Options.Canonical it content-addresses a full analysis.
 func (a Analyzer) Canonical() string {
 	a = a.withDefaults()
 	return fmt.Sprintf("horizon=%g&acc=%g&maxstates=%d&maxtrans=%d&steady=%t&lump=%t",
@@ -171,9 +165,11 @@ var Protections = []transform.Protection{
 // AnalyzeAllContext analyses every category × protection combination for
 // one architecture (one column group of Figure 5), with per-chain progress
 // events. The nine cells share two chains (with and without the
-// message-protection variable), each explored and solved once. Parallel
-// workers emit through the same sinks (sinks are required to be
-// concurrency-safe).
+// message-protection variable), each explored and solved once, the two at
+// the same time when GOMAXPROCS allows. Both workers emit through the same
+// sinks (sinks are required to be concurrency-safe). A failure returns the
+// first chain's error when both fail, and cancels the second chain when
+// the first fails.
 func (a Analyzer) AnalyzeAllContext(ctx context.Context, ar *arch.Architecture, msgName string) ([]*Result, error) {
 	ctx, sp := obs.Start(ctx, "core.analyze_all")
 	defer sp.End()
@@ -187,44 +183,24 @@ func (a Analyzer) AnalyzeAllContext(ctx context.Context, ar *arch.Architecture, 
 	return a.analyzeGrouped(ctx, ar, cells, sp)
 }
 
-// atomic64 is a tiny atomic counter for progress accounting across the
-// forEach worker pool.
-type atomic64 struct {
-	mu sync.Mutex
-	n  int64
-}
-
-func (c *atomic64) add(n int64) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.n += n
-	return c.n
-}
-
-// workers is the number of goroutines grid analyses run chains on.
-func (a Analyzer) workers() int {
-	if a.Parallel {
-		return runtime.NumCPU()
+// forEach executes run(ctx, 0..n-1) on up to workers goroutines, the
+// caller being one of them, and returns the error of the lowest failing
+// index, as the sequential order would. Each index runs under its own child
+// of ctx: when index i fails, the indices above i are cancelled (and those
+// not yet started are skipped), so a later index does not outlive an
+// earlier failure. A panic in run is re-raised on the caller once every
+// worker has stopped.
+func forEach(ctx context.Context, n, workers int, run func(context.Context, int) error) error {
+	ctxs := make([]context.Context, n)
+	cancels := make([]context.CancelFunc, n)
+	for i := range ctxs {
+		ctxs[i], cancels[i] = context.WithCancel(ctx)
 	}
-	return 1
-}
-
-// forEach executes run(0..n-1) on up to workers goroutines and returns the
-// error of the lowest failing index, as the sequential order would. Indices
-// above the lowest failure found so far are not started. A panic in run is
-// re-raised on the caller once every worker has stopped.
-func forEach(n, workers int, run func(int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := run(i); err != nil {
-				return err
-			}
+	defer func() {
+		for _, cancel := range cancels {
+			cancel()
 		}
-		return nil
-	}
+	}()
 	var (
 		g      group
 		mu     sync.Mutex
@@ -232,28 +208,33 @@ func forEach(n, workers int, run func(int) error) error {
 		failed = n // lowest failing index so far
 		err    error
 	)
-	for w := 0; w < workers; w++ {
-		g.Go(func() {
-			for {
-				mu.Lock()
-				i := next
-				if i >= failed {
-					mu.Unlock()
-					return
-				}
-				next++
+	work := func() {
+		for {
+			mu.Lock()
+			i := next
+			if i >= failed {
 				mu.Unlock()
-				if e := run(i); e != nil {
-					mu.Lock()
-					if i < failed {
-						failed, err = i, e
-					}
-					mu.Unlock()
-					return
-				}
+				return
 			}
-		})
+			next++
+			mu.Unlock()
+			if e := run(ctxs[i], i); e != nil {
+				mu.Lock()
+				if i < failed {
+					failed, err = i, e
+					for _, cancel := range cancels[i+1:] {
+						cancel()
+					}
+				}
+				mu.Unlock()
+				return
+			}
+		}
 	}
+	for w := 1; w < min(workers, n); w++ {
+		g.Go(work)
+	}
+	g.Run(work)
 	g.Wait()
 	return err
 }

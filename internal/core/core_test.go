@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/modular"
 	"repro/internal/transform"
 )
 
@@ -299,33 +300,35 @@ func TestLumpingReducesStateCount(t *testing.T) {
 	t.Logf("lumping: %d -> %d states", r.States, r.LumpedStates)
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	seq := Analyzer{SkipSteadyState: true}
-	par := Analyzer{SkipSteadyState: true, Parallel: true}
-	rs, err := seq.AnalyzeAllContext(t.Context(), arch.Architecture1(), arch.MessageM)
+// Grid analyses solve their chains concurrently on up to GOMAXPROCS
+// workers; every cell still matches its own AnalyzeContext bit for bit,
+// steady state included.
+func TestCompareMatchesPerCell(t *testing.T) {
+	var an Analyzer
+	archs := arch.CaseStudy()
+	rs, err := an.CompareContext(t.Context(), archs, arch.MessageM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := par.AnalyzeAllContext(t.Context(), arch.Architecture1(), arch.MessageM)
-	if err != nil {
-		t.Fatal(err)
+	if len(rs) != 9*len(archs) {
+		t.Fatalf("%d results, want %d", len(rs), 9*len(archs))
 	}
-	if len(rs) != len(rp) {
-		t.Fatalf("lengths differ: %d vs %d", len(rs), len(rp))
-	}
-	for i := range rs {
-		if rs[i].Category != rp[i].Category || rs[i].Protection != rp[i].Protection {
-			t.Fatalf("ordering differs at %d", i)
-		}
-		if rs[i].TimeFraction != rp[i].TimeFraction {
-			t.Fatalf("values differ at %d: %v vs %v", i, rs[i].TimeFraction, rp[i].TimeFraction)
+	k := 0
+	for _, ar := range archs {
+		for _, cat := range Categories {
+			for _, prot := range Protections {
+				if err := sameResult(rs[k], analyze(t, an, ar, cat, prot)); err != nil {
+					t.Errorf("%s/%s/%s: %v", ar.Name, cat, prot, err)
+				}
+				k++
+			}
 		}
 	}
 }
 
-func TestParallelPropagatesError(t *testing.T) {
-	par := Analyzer{Parallel: true, MaxStates: 5}
-	if _, err := par.AnalyzeAllContext(t.Context(), arch.Architecture1(), arch.MessageM); err == nil {
-		t.Fatal("state limit not propagated from parallel workers")
+func TestAnalyzeAllPropagatesError(t *testing.T) {
+	an := Analyzer{MaxStates: 5}
+	if _, err := an.AnalyzeAllContext(t.Context(), arch.Architecture1(), arch.MessageM); !errors.Is(err, modular.ErrBudgetExceeded) {
+		t.Fatalf("error %v, want the state budget's", err)
 	}
 }

@@ -47,7 +47,7 @@ func TestForEachReturnsLowestFailingIndex(t *testing.T) {
 			ran  = make(map[int]bool)
 			five = make(chan struct{})
 		)
-		run := func(i int) error {
+		run := func(_ context.Context, i int) error {
 			mu.Lock()
 			ran[i] = true
 			mu.Unlock()
@@ -63,7 +63,7 @@ func TestForEachReturnsLowestFailingIndex(t *testing.T) {
 			}
 			return nil
 		}
-		err := forEach(8, workers, run)
+		err := forEach(t.Context(), 8, workers, run)
 		if err == nil || err.Error() != "index 2" {
 			t.Fatalf("workers=%d: error %v, want index 2", workers, err)
 		}
@@ -76,7 +76,7 @@ func TestForEachReturnsLowestFailingIndex(t *testing.T) {
 func TestForEachRepanicsOnCaller(t *testing.T) {
 	start := runtime.NumGoroutine()
 	v := recovered(func() {
-		forEach(4, 4, func(i int) error {
+		forEach(t.Context(), 4, 4, func(_ context.Context, i int) error {
 			if i == 3 {
 				panic("worker 3")
 			}
@@ -87,6 +87,85 @@ func TestForEachRepanicsOnCaller(t *testing.T) {
 		t.Fatalf("recovered %v, want the worker's panic", v)
 	}
 	settleGoroutines(t, start)
+}
+
+// A failing index cancels the indices above it: index 0 fails once index 1
+// has started, and index 1 (with 2 and 3 under four workers) waits on its
+// context, so forEach returns only if the failure cancelled them.
+func TestForEachCancelsLaterIndices(t *testing.T) {
+	start := runtime.NumGoroutine()
+	errFirst := errors.New("index 0")
+	for _, workers := range []int{2, 4} {
+		started := make(chan struct{})
+		err := forEach(t.Context(), 4, workers, func(ctx context.Context, i int) error {
+			switch i {
+			case 0:
+				<-started
+				return errFirst
+			case 1:
+				close(started)
+			}
+			<-ctx.Done()
+			return ctx.Err()
+		})
+		if !errors.Is(err, errFirst) {
+			t.Fatalf("workers=%d: error %v, want index 0's", workers, err)
+		}
+	}
+	settleGoroutines(t, start)
+}
+
+// progressSink records the Done count of the grid's progress events. When
+// both chains have been built by the time the first event arrives, that
+// event waits until the other chain's core.analyze span has ended, so the
+// other chain's event follows it as closely as it can.
+type progressSink struct {
+	mu       sync.Mutex
+	builds   int
+	analyzed int
+	bothDone chan struct{}
+	done     []int64
+}
+
+func (s *progressSink) Emit(e *obs.Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case e.Kind == obs.EventSpan && e.Name == "transform.build":
+		s.builds++
+	case e.Kind == obs.EventSpan && e.Name == "core.analyze":
+		if s.analyzed++; s.analyzed == 2 {
+			close(s.bothDone)
+		}
+	case e.Kind == obs.EventProgress && e.Name == "core.analyze_all":
+		if len(s.done) == 0 && s.builds == 2 {
+			s.mu.Unlock()
+			<-s.bothDone
+			s.mu.Lock()
+		}
+		s.done = append(s.done, e.Done)
+	}
+}
+
+// Progress of a grid rises strictly and ends at its nine cells, whichever
+// chain finishes first.
+func TestAnalyzeAllProgressRises(t *testing.T) {
+	sink := &progressSink{bothDone: make(chan struct{})}
+	ctx, root := obs.NewTracer(sink, false).StartSpan(t.Context(), "test")
+	_, err := Analyzer{}.AnalyzeAllContext(ctx, arch.Architecture1(), arch.MessageM)
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := sink.done
+	if len(done) == 0 || done[len(done)-1] != 9 {
+		t.Fatalf("progress %v, want it to end at 9", done)
+	}
+	for i := 1; i < len(done); i++ {
+		if done[i] <= done[i-1] {
+			t.Fatalf("progress %v does not rise", done)
+		}
+	}
 }
 
 // The reward stage's error wins whichever stage fails first.

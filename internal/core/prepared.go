@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -486,8 +488,9 @@ func (a Analyzer) analyzeChain(ctx context.Context, ar *arch.Architecture, cells
 }
 
 // analyzeGrouped analyses cells grouped by structure key, one chain per
-// group (concurrently under Parallel), and returns the results in cell
-// order. Progress on sp counts finished cells.
+// group, on up to GOMAXPROCS workers, and returns the results in cell
+// order. Progress on sp counts finished cells; it is emitted under the
+// lock that counts them, so sinks see the count rise.
 func (a Analyzer) analyzeGrouped(ctx context.Context, ar *arch.Architecture, cells []cell, sp *obs.Span) ([]*Result, error) {
 	var groups [][]int
 	byKey := make(map[string]int)
@@ -502,8 +505,11 @@ func (a Analyzer) analyzeGrouped(ctx context.Context, ar *arch.Architecture, cel
 		groups[g] = append(groups[g], i)
 	}
 	out := make([]*Result, len(cells))
-	var done atomic64
-	run := func(g int) error {
+	var (
+		mu   sync.Mutex
+		done int64
+	)
+	run := func(ctx context.Context, g int) error {
 		group := make([]cell, len(groups[g]))
 		for k, i := range groups[g] {
 			group[k] = cells[i]
@@ -515,10 +521,13 @@ func (a Analyzer) analyzeGrouped(ctx context.Context, ar *arch.Architecture, cel
 		for k, i := range groups[g] {
 			out[i] = rs[k]
 		}
-		sp.Progress(done.add(int64(len(group))), int64(len(cells)))
+		mu.Lock()
+		defer mu.Unlock()
+		done += int64(len(group))
+		sp.Progress(done, int64(len(cells)))
 		return nil
 	}
-	if err := forEach(len(groups), a.workers(), run); err != nil {
+	if err := forEach(ctx, len(groups), runtime.GOMAXPROCS(0), run); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -148,8 +148,8 @@ func sameResult(got, want *Result) error {
 
 // TestSharedMatchesPerCell runs AnalyzeAllContext (both messages) over the
 // corpus and compares each result with the per-cell reference. Configuration k runs with flag combination
-// k mod 8 of UseLumping, SkipSteadyState and Parallel, so every
-// combination is covered.
+// k mod 4 of UseLumping and SkipSteadyState, so every combination is
+// covered.
 func TestSharedMatchesPerCell(t *testing.T) {
 	configs := 0
 	for _, ar := range sharedCorpus(t) {
@@ -163,7 +163,6 @@ func TestSharedMatchesPerCell(t *testing.T) {
 				}
 				an.UseLumping = configs&1 != 0
 				an.SkipSteadyState = configs&2 != 0
-				an.Parallel = configs&4 != 0
 				configs++
 				name := fmt.Sprintf("%s nmax=%d %+v", ar.Name, nmax, an)
 				want := map[cell]*Result{}
