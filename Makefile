@@ -19,8 +19,11 @@ check: build vet lint test race chaos explore attacktree cluster-smoke
 build:
 	$(GO) build ./...
 
+# vet and test also cover benchmark/, a separate module that ./... skips,
+# so an export the benchmark driver uses cannot vanish unnoticed.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 # lint runs staticcheck when it is on PATH or in GOPATH/bin; otherwise it is
 # a no-op so the gate works on machines without it (CI installs it).
@@ -35,6 +38,7 @@ lint:
 
 test:
 	$(GO) test ./...
+	cd benchmark && $(GO) test ./...
 
 # race runs every test under the race detector, then reruns the grid tests
 # at 1, 2 and 4 workers (GOMAXPROCS), so the recorded solver golden and the

@@ -9,6 +9,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime/metrics"
 	"testing"
 
@@ -50,7 +51,7 @@ func BenchmarkEq15SteadyState(b *testing.B) {
 	c := paperEq15Chain(b)
 	var pi2 float64
 	for i := 0; i < b.N; i++ {
-		pi, err := c.SteadyStateContext(b.Context(), c.DiracInit(0))
+		pi, err := c.SteadyStateContext(b.Context(), []float64{1, 0, 0})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -316,7 +317,8 @@ func BenchmarkFoxGlynnVsNaive(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var sum float64
 			for k := 4500; k <= 5500; k++ {
-				sum += foxglynn.PMF(lambda, k)
+				lg, _ := math.Lgamma(float64(k) + 1)
+				sum += math.Exp(float64(k)*math.Log(lambda) - lambda - lg)
 			}
 			if sum <= 0 {
 				b.Fatal("pmf vanished")
@@ -481,7 +483,7 @@ func BenchmarkPRISMRoundTrip(b *testing.B) {
 	src := res.Model.ExportPRISM()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prismlang.ParseModel(src); err != nil {
+		if _, _, err := prismlang.ParseModel(src, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

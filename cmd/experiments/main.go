@@ -89,7 +89,7 @@ func eq15(ctx context.Context, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	model, consts, err := prismlang.ParseModelFull(string(src))
+	model, consts, err := prismlang.ParseModel(string(src), nil)
 	if err != nil {
 		return err
 	}

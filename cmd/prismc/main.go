@@ -74,7 +74,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		overrides[strings.TrimSpace(name)] = strings.TrimSpace(value)
 	}
-	model, consts, err := prismlang.ParseModelWithConsts(string(data), overrides)
+	model, consts, err := prismlang.ParseModel(string(data), overrides)
 	if err != nil {
 		return fmt.Errorf("parsing %s: %w", fs.Arg(0), err)
 	}

@@ -44,7 +44,11 @@ func TestGridCSV(t *testing.T) {
 
 func TestArchFromFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.json")
-	if err := arch.Architecture2().SaveFile(path); err != nil {
+	data, err := arch.Architecture2().ToJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out, err := runCapture(t, "-arch", path, "-category", "availability",
@@ -207,11 +211,16 @@ func TestTraceAndManifestFlags(t *testing.T) {
 	parents := map[string]uint64{}
 	ids := map[uint64]bool{}
 	for _, ln := range lines[:len(lines)-1] {
-		e, err := obs.DecodeJSONL([]byte(ln))
-		if err != nil {
+		var e struct {
+			Kind   string `json:"kind"`
+			Name   string `json:"name"`
+			ID     uint64 `json:"id"`
+			Parent uint64 `json:"parent"`
+		}
+		if err := json.Unmarshal([]byte(ln), &e); err != nil {
 			t.Fatalf("decode %q: %v", ln, err)
 		}
-		if e.Kind != obs.EventSpan {
+		if e.Kind != "span" {
 			continue
 		}
 		spanNames[e.Name] = true

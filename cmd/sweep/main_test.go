@@ -2,12 +2,11 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 func runCapture(t *testing.T, args ...string) (string, error) {
@@ -87,14 +86,18 @@ func TestSweepTraceEmitsProgress(t *testing.T) {
 	}
 	var batchSpans, progress int
 	for _, ln := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		e, err := obs.DecodeJSONL([]byte(ln))
-		if err != nil {
-			continue // manifest envelope line
+		var e struct {
+			Kind  string `json:"kind"`
+			Name  string `json:"name"`
+			Total int64  `json:"total"`
+		}
+		if err := json.Unmarshal([]byte(ln), &e); err != nil {
+			t.Fatalf("decode %q: %v", ln, err)
 		}
 		switch {
-		case e.Kind == obs.EventSpan && e.Name == "service.batch":
+		case e.Kind == "span" && e.Name == "service.batch":
 			batchSpans++
-		case e.Kind == obs.EventProgress && e.Name == "service.batch" && e.Total == 3:
+		case e.Kind == "progress" && e.Name == "service.batch" && e.Total == 3:
 			progress++
 		}
 	}

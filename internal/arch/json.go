@@ -3,7 +3,6 @@ package arch
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 )
 
@@ -29,15 +28,6 @@ func FromJSON(data []byte) (*Architecture, error) {
 	return &a, nil
 }
 
-// Read parses and validates an architecture from a reader.
-func Read(r io.Reader) (*Architecture, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("arch: reading: %w", err)
-	}
-	return FromJSON(data)
-}
-
 // LoadFile parses and validates an architecture from a JSON file.
 func LoadFile(path string) (*Architecture, error) {
 	data, err := os.ReadFile(path)
@@ -45,13 +35,4 @@ func LoadFile(path string) (*Architecture, error) {
 		return nil, fmt.Errorf("arch: %w", err)
 	}
 	return FromJSON(data)
-}
-
-// SaveFile writes the architecture as JSON.
-func (a *Architecture) SaveFile(path string) error {
-	data, err := a.ToJSON()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

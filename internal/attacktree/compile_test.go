@@ -157,8 +157,15 @@ func check(t *testing.T, c *Compiled, ex *modular.Explored, query string) float6
 // independent exponentials, so P(T ≤ t) = 1 − e^{−(η1+η2)t}. The checker
 // must agree to 1e-9.
 func TestTwoLeafORAnalytic(t *testing.T) {
-	eta1 := cvss.MustParse("AV:N/AC:M/Au:N").Rate() // 7.2888
-	eta2 := cvss.MustParse("AV:A/AC:L/Au:N").Rate() // 5.1579328
+	var etas [2]float64 // 7.2888, 5.1579328
+	for i, s := range []string{"AV:N/AC:M/Au:N", "AV:A/AC:L/Au:N"} {
+		v, err := cvss.Parse(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		etas[i] = v.Rate()
+	}
+	eta1, eta2 := etas[0], etas[1]
 	tr := &Tree{Name: "or_analytic", Root: &Node{Name: "top", Gate: GateOR, Children: []*Node{
 		{Name: "a", CVSS: "AV:N/AC:M/Au:N"},
 		{Name: "b", CVSS: "AV:A/AC:L/Au:N"},
@@ -250,7 +257,7 @@ func TestPatchingCountermeasure(t *testing.T) {
 		t.Fatalf("states = %d, want 2", ex.N())
 	}
 	const horizon = 1.5
-	got := check(t, c, ex, CompromisedTimeQuery(horizon))
+	got := check(t, c, ex, fmt.Sprintf(`R{%q}=? [ C<=%s ]`, RewardCompromised, formatTime(horizon)))
 	lam := eta + mu
 	want := eta / float64(lam) * (horizon + (math.Exp(-float64(lam)*horizon)-1)/float64(lam))
 	if !almost(got, want, 1e-8) {

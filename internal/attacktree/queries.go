@@ -31,10 +31,3 @@ func TopEventQuery(horizon float64) string {
 func MTTAQuery() string {
 	return fmt.Sprintf(`R{%q}=? [ F "goal" ]`, RewardTime)
 }
-
-// CompromisedTimeQuery is the expected time (years) the top event holds
-// within the horizon — distinct from the hitting probability once patching
-// countermeasures can revoke leaves.
-func CompromisedTimeQuery(horizon float64) string {
-	return fmt.Sprintf(`R{%q}=? [ C<=%s ]`, RewardCompromised, formatTime(horizon))
-}

@@ -36,12 +36,10 @@ func TestEveryEntryPointEnforcesTransitionBudget(t *testing.T) {
 		{"AttackPaths", func() error { _, err := a.AttackPaths(ar, msg, cat, prot, 2); return err }},
 		{"MostProbableAttackPath", func() error { _, err := a.MostProbableAttackPath(ar, msg, cat, prot); return err }},
 		{"CriticalComponents", func() error { _, err := a.CriticalComponents(ar, msg, cat, prot); return err }},
-		{"TimeSeries", func() error { _, err := a.TimeSeries(ar, msg, cat, prot, []float64{0.5, 1}); return err }},
 		{"CheckProperty", func() error {
 			_, err := a.CheckPropertyContext(ctx, ar, msg, cat, prot, `P=? [ F<=1 "violated" ]`)
 			return err
 		}},
-		{"Sensitivities", func() error { _, err := a.Sensitivities(ar, msg, cat, prot); return err }},
 		{"Uncertainty", func() error { _, err := a.Uncertainty(ar, msg, cat, prot, UncertaintyOptions{Samples: 2}); return err }},
 	}
 	for _, tc := range cases {

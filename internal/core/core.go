@@ -186,10 +186,10 @@ func (a Analyzer) AnalyzeAllContext(ctx context.Context, ar *arch.Architecture, 
 // forEach executes run(ctx, 0..n-1) on up to workers goroutines, the
 // caller being one of them, and returns the error of the lowest failing
 // index, as the sequential order would. Each index runs under its own child
-// of ctx: when index i fails, the indices above i are cancelled (and those
-// not yet started are skipped), so a later index does not outlive an
-// earlier failure. A panic in run is re-raised on the caller once every
-// worker has stopped.
+// of ctx: when index i fails or panics, the indices above i are cancelled
+// (and those not yet started are skipped), so a later index does not
+// outlive an earlier failure. A panic in run is re-raised on the caller
+// once every worker has stopped.
 func forEach(ctx context.Context, n, workers int, run func(context.Context, int) error) error {
 	ctxs := make([]context.Context, n)
 	cancels := make([]context.CancelFunc, n)
@@ -208,7 +208,23 @@ func forEach(ctx context.Context, n, workers int, run func(context.Context, int)
 		failed = n // lowest failing index so far
 		err    error
 	)
+	fail := func(i int, e error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if i < failed {
+			failed, err = i, e
+			for _, cancel := range cancels[i+1:] {
+				cancel()
+			}
+		}
+	}
 	work := func() {
+		running := -1 // the index whose run has not returned
+		defer func() {
+			if running >= 0 { // run panicked; the panic goes on to group
+				fail(running, nil)
+			}
+		}()
 		for {
 			mu.Lock()
 			i := next
@@ -218,15 +234,11 @@ func forEach(ctx context.Context, n, workers int, run func(context.Context, int)
 			}
 			next++
 			mu.Unlock()
-			if e := run(ctxs[i], i); e != nil {
-				mu.Lock()
-				if i < failed {
-					failed, err = i, e
-					for _, cancel := range cancels[i+1:] {
-						cancel()
-					}
-				}
-				mu.Unlock()
+			running = i
+			e := run(ctxs[i], i)
+			running = -1
+			if e != nil {
+				fail(i, e)
 				return
 			}
 		}

@@ -332,3 +332,22 @@ func TestAnalyzeAllPropagatesError(t *testing.T) {
 		t.Fatalf("error %v, want the state budget's", err)
 	}
 }
+
+func TestReliabilityThroughAnalyzer(t *testing.T) {
+	a := arch.Architecture1()
+	for i := range a.ECUs {
+		a.ECUs[i].FailureRate = 0.5
+		a.ECUs[i].RepairRate = 12
+	}
+	plain := Analyzer{SkipSteadyState: true}
+	rel := Analyzer{SkipSteadyState: true, IncludeReliability: true}
+	rp := analyze(t, plain, a, transform.Availability, transform.Unencrypted)
+	rr := analyze(t, rel, a, transform.Availability, transform.Unencrypted)
+	if rr.States <= rp.States {
+		t.Fatalf("reliability did not grow the model: %d vs %d", rr.States, rp.States)
+	}
+	if rr.TimeFraction <= rp.TimeFraction {
+		t.Fatalf("reliability did not increase availability exposure: %v vs %v",
+			rr.TimeFraction, rp.TimeFraction)
+	}
+}

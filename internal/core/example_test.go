@@ -255,46 +255,6 @@ func ExampleAnalyzer_AttackPaths() {
 	// PS         ecu   8.75e-04%       4.44e-03%
 }
 
-// ExampleAnalyzer_TimeSeries follows message m's exposure over a 15-year
-// vehicle life: instantaneous violation probability, first-violation
-// probability and cumulated exploitable time as the horizon grows.
-func ExampleAnalyzer_TimeSeries() {
-	a := arch.Architecture1()
-	analyzer := core.Analyzer{NMax: 2}
-
-	fmt.Println("Exposure of message m (confidentiality, AES-128) over the vehicle life:")
-	times := []float64{0.25, 0.5, 1, 2, 5, 10, 15}
-	pts, err := analyzer.TimeSeries(a, arch.MessageM,
-		transform.Confidentiality, transform.AES128, times)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tbl := report.NewTable("horizon (years)", "P[violated at T]", "P[ever violated]", "cumulated exploitable time")
-	for _, p := range pts {
-		tbl.AddRow(fmt.Sprintf("%g", p.T),
-			report.Percent(p.ViolatedProbability),
-			report.Percent(p.EverViolated),
-			report.Percent(p.CumulativeFraction))
-	}
-	fmt.Print(tbl)
-	fmt.Println("\nNote how the un-rekeyed AES protection erodes: with no message")
-	fmt.Println("patch rate (paper Table 2), every year of exposure accumulates.")
-	// Output:
-	// Exposure of message m (confidentiality, AES-128) over the vehicle life:
-	// horizon (years)  P[violated at T]  P[ever violated]  cumulated exploitable time
-	// ---------------  ----------------  ----------------  --------------------------
-	// 0.25             1.55%             2.18%             0.756%
-	// 0.5              3.06%             4.7%              1.53%
-	// 1                6%                9.66%             3.03%
-	// 2                11.6%             18.9%             5.93%
-	// 5                26.5%             41.2%             13.9%
-	// 10               45.9%             65.6%             25.3%
-	// 15               60.2%             79.9%             34.7%
-	//
-	// Note how the un-rekeyed AES protection erodes: with no message
-	// patch rate (paper Table 2), every year of exposure accumulates.
-}
-
 // ExampleAnalyzer_AnalyzeContext combines security and reliability, one of
 // the extensions the paper's conclusion announces: random hardware failures
 // of all ECUs are folded into the very same CTMC (failure interrupts the
@@ -331,42 +291,6 @@ func ExampleAnalyzer_AnalyzeContext() {
 	//   security only:          4.96%  (729 states)
 	//   security + reliability: 6.15%  (11664 states)
 	//   hardware failures add 1.19% of downtime-equivalent exposure.
-}
-
-// ExampleAnalyzer_Sensitivities answers the paper's question "how much
-// effort should be invested in ... specific components?" numerically: every
-// rate ranked by the elasticity of the exploitable time.
-func ExampleAnalyzer_Sensitivities() {
-	fmt.Println("Where to invest (elasticity of exploitable time, availability):")
-	sens, err := core.Analyzer{NMax: 1}.Sensitivities(arch.Architecture1(), arch.MessageM,
-		transform.Availability, transform.Unencrypted)
-	if err != nil {
-		log.Fatal(err)
-	}
-	stbl := report.NewTable("component", "parameter", "rate (1/a)", "elasticity")
-	for _, s := range sens {
-		stbl.AddRow(s.Component, s.Param, report.Rate(s.Rate), fmt.Sprintf("%+.3f", s.Elasticity))
-	}
-	fmt.Print(stbl)
-	fmt.Println("\nReading: an elasticity of -0.9 on a patch rate means doubling that")
-	fmt.Println("rate cuts the exploitable time by roughly 2^0.9 ≈ 1.9x.")
-	// Output:
-	// Where to invest (elasticity of exploitable time, availability):
-	// component  parameter     rate (1/a)  elasticity
-	// ---------  ------------  ----------  ----------
-	// 3G         exploit:NET   1.9         +0.956
-	// 3G         patch         52          -0.932
-	// GW         exploit:CAN1  1.2         +0.174
-	// GW         patch         4           -0.124
-	// PA         patch         12          -0.066
-	// PA         exploit:CAN1  1.2         +0.060
-	// 3G         exploit:CAN1  3.8         +0.030
-	// GW         exploit:CAN2  1.2         +0.012
-	// PS         patch         4           -0.011
-	// PS         exploit:CAN2  1.2         +0.011
-	//
-	// Reading: an elasticity of -0.9 on a patch rate means doubling that
-	// rate cuts the exploitable time by roughly 2^0.9 ≈ 1.9x.
 }
 
 // ExampleAnalyzer_AnalyzeAllContext studies a scenario from the

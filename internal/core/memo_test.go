@@ -395,3 +395,45 @@ func TestMemoBeyondBound(t *testing.T) {
 		t.Fatalf("record of %d terms exceeds the %d-transition bound", got["fg_right"]+1, nnz)
 	}
 }
+
+// TestMemoSeriesMatchesPerHorizon extends each chain's reward series over
+// ascending horizons, as fresh horizons on a warm model do, and checks every
+// fraction against a per-horizon ExpectedTimeFractionContext on the same
+// chain, bit for bit. The first input follows message m under AES-128 over
+// a 15-year vehicle life at the engine's default accuracy.
+func TestMemoSeriesMatchesPerHorizon(t *testing.T) {
+	life := memoCase{
+		name: "builtin:1 aes128", ar: arch.Architecture1, cat: transform.Confidentiality, prot: transform.AES128,
+		horizons: []float64{0.25, 0.5, 1, 2, 5, 10, 15}, accs: []float64{0},
+	}
+	for _, mc := range []memoCase{life, memoCases()[0]} {
+		t.Run(mc.name, func(t *testing.T) {
+			cells := labelCells(mc.prepare(t))
+			var (
+				names []string
+				masks [][]bool
+			)
+			for _, p := range cells {
+				names, masks = append(names, p.label), append(masks, p.mask)
+			}
+			ch := cells[0].chain
+			for _, acc := range mc.accs {
+				for _, h := range mc.horizons {
+					got, err := ch.series.FractionsContext(t.Context(), names, masks, h, acc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, mask := range masks {
+						want, err := cells[0].Explored.Chain.ExpectedTimeFractionContext(t.Context(), ch.init, mask, h, acc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !sameFloat(got[i], want) {
+							t.Errorf("%s at t = %g, accuracy %g: series %.17g, per-horizon call %.17g", names[i], h, acc, got[i], want)
+						}
+					}
+				}
+			}
+		})
+	}
+}

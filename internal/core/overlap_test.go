@@ -89,27 +89,43 @@ func TestForEachRepanicsOnCaller(t *testing.T) {
 	settleGoroutines(t, start)
 }
 
-// A failing index cancels the indices above it: index 0 fails once index 1
-// has started, and index 1 (with 2 and 3 under four workers) waits on its
-// context, so forEach returns only if the failure cancelled them.
+// A failing index cancels the indices above it, whether it returns an
+// error or panics: index 0 fails once index 1 has started, and index 1
+// (with 2 and 3 under four workers) waits on its context, so forEach
+// returns only if the failure cancelled them.
 func TestForEachCancelsLaterIndices(t *testing.T) {
 	start := runtime.NumGoroutine()
 	errFirst := errors.New("index 0")
-	for _, workers := range []int{2, 4} {
-		started := make(chan struct{})
-		err := forEach(t.Context(), 4, workers, func(ctx context.Context, i int) error {
-			switch i {
-			case 0:
-				<-started
-				return errFirst
-			case 1:
-				close(started)
+	for _, first := range []struct {
+		name      string
+		fail      func() error
+		wantPanic any
+	}{
+		{"error", func() error { return errFirst }, nil},
+		{"panic", func() error { panic("index 0") }, "index 0"},
+	} {
+		for _, workers := range []int{2, 4} {
+			started := make(chan struct{})
+			var err error
+			v := recovered(func() {
+				err = forEach(t.Context(), 4, workers, func(ctx context.Context, i int) error {
+					switch i {
+					case 0:
+						<-started
+						return first.fail()
+					case 1:
+						close(started)
+					}
+					<-ctx.Done()
+					return ctx.Err()
+				})
+			})
+			if v != first.wantPanic {
+				t.Fatalf("%s, workers=%d: recovered %v, want %v", first.name, workers, v, first.wantPanic)
 			}
-			<-ctx.Done()
-			return ctx.Err()
-		})
-		if !errors.Is(err, errFirst) {
-			t.Fatalf("workers=%d: error %v, want index 0's", workers, err)
+			if first.wantPanic == nil && !errors.Is(err, errFirst) {
+				t.Fatalf("%s, workers=%d: error %v, want index 0's", first.name, workers, err)
+			}
 		}
 	}
 	settleGoroutines(t, start)

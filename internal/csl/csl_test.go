@@ -12,7 +12,7 @@ import (
 // explore parses and explores a model for checker tests.
 func explore(t *testing.T, src string) (*modular.Explored, Environment) {
 	t.Helper()
-	m, consts, err := prismlang.ParseModelFull(src)
+	m, consts, err := prismlang.ParseModel(src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

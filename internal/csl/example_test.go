@@ -27,7 +27,7 @@ rewards "downtime"
   !up : 1;
 endrewards
 `
-	model, consts, err := prismlang.ParseModelFull(src)
+	model, consts, err := prismlang.ParseModel(src, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func TestBackwardTransientMatchesForward(t *testing.T) {
 		for i := range v {
 			v[i] = r.Float64() * 3
 		}
-		init := c.DiracInit(r.Intn(n))
+		init := dirac(c, r.Intn(n))
 		fwd, err := c.TransientContext(t.Context(), init, tt, 1e-12)
 		if err != nil {
 			return false
@@ -120,7 +120,7 @@ func TestTimeBoundedReachabilityVectorMatchesScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := 0; s < 3; s++ {
-		scalar, err := c.TimeBoundedReachabilityContext(t.Context(), c.DiracInit(s), target, 1, 1e-12)
+		scalar, err := c.TimeBoundedReachabilityContext(t.Context(), dirac(c, s), target, 1, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestBoundedUntilVectorMatchesScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := 0; s < 3; s++ {
-		scalar := boundedUntil(t, c, c.DiracInit(s), phi1, phi2, 0.7, 1e-12)
+		scalar := boundedUntil(t, c, dirac(c, s), phi1, phi2, 0.7, 1e-12)
 		if math.Abs(vec[s]-scalar) > 1e-9 {
 			t.Fatalf("state %d: vector %v vs scalar %v", s, vec[s], scalar)
 		}
@@ -212,7 +212,7 @@ func TestCumulativeRewardVectorMatchesScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := 0; s < 3; s++ {
-		scalar, err := c.CumulativeRewardContext(t.Context(), c.DiracInit(s), r, 1.5, 1e-12)
+		scalar, err := c.CumulativeRewardContext(t.Context(), dirac(c, s), r, 1.5, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -239,13 +239,6 @@ func (c *Chain) rowsOfP(q float64, entry func(i, j int, v float64), end func(i i
 	}
 }
 
-// DiracInit returns the point distribution on state s.
-func (c *Chain) DiracInit(s int) linalg.Vector {
-	d := linalg.NewVector(c.N())
-	d[s] = 1
-	return d
-}
-
 func (c *Chain) checkInit(init linalg.Vector) error {
 	if len(init) != c.N() {
 		return fmt.Errorf("%w: length %d, want %d", ErrBadInit, len(init), c.N())

@@ -98,7 +98,7 @@ func TestGeneratorMatchesPaperEq14(t *testing.T) {
 // π = (0.96296, 0.036338, 0.000699) to the printed precision.
 func TestSteadyStatePaperEq15(t *testing.T) {
 	c := paperExample(t)
-	pi, err := c.SteadyStateContext(t.Context(), c.DiracInit(0))
+	pi, err := c.SteadyStateContext(t.Context(), dirac(c, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestSteadyStatePaperEq15(t *testing.T) {
 func TestSteadyStateExactRatios(t *testing.T) {
 	// Closed form for the example: π0 = 26.5·π1, π2 = π1/52.
 	c := paperExample(t)
-	pi, err := c.SteadyStateContext(t.Context(), c.DiracInit(0))
+	pi, err := c.SteadyStateContext(t.Context(), dirac(c, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestTransientTwoStateAnalytic(t *testing.T) {
 	lambda, mu := 3.0, 5.0
 	c := twoState(t, lambda, mu)
 	for _, tt := range []float64{0.01, 0.1, 0.5, 1, 4} {
-		pi, err := c.TransientContext(t.Context(), c.DiracInit(0), tt, 1e-12)
+		pi, err := c.TransientContext(t.Context(), dirac(c, 0), tt, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestTransientTwoStateAnalytic(t *testing.T) {
 
 func TestTransientZeroTime(t *testing.T) {
 	c := twoState(t, 1, 1)
-	pi, err := c.TransientContext(t.Context(), c.DiracInit(1), 0, 0)
+	pi, err := c.TransientContext(t.Context(), dirac(c, 1), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +157,10 @@ func TestTransientRejectsBadInput(t *testing.T) {
 	if _, err := c.TransientContext(t.Context(), linalg.Vector{0.5, 0.2}, 1, 0); !errors.Is(err, ErrBadInit) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := c.TransientContext(t.Context(), c.DiracInit(0), -1, 0); !errors.Is(err, ErrBadTime) {
+	if _, err := c.TransientContext(t.Context(), dirac(c, 0), -1, 0); !errors.Is(err, ErrBadTime) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := c.TransientContext(t.Context(), c.DiracInit(0), math.Inf(1), 0); !errors.Is(err, ErrBadTime) {
+	if _, err := c.TransientContext(t.Context(), dirac(c, 0), math.Inf(1), 0); !errors.Is(err, ErrBadTime) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -171,7 +171,7 @@ func TestTransientNoTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.TransientContext(t.Context(), c.DiracInit(0), 10, 0)
+	pi, err := c.TransientContext(t.Context(), dirac(c, 0), 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestCumulativeRewardTwoStateAnalytic(t *testing.T) {
 	c := twoState(t, lambda, mu)
 	r := linalg.Vector{0, 1} // time spent in state 1
 	for _, tt := range []float64{0.1, 1, 3} {
-		got, err := c.CumulativeRewardContext(t.Context(), c.DiracInit(0), r, tt, 1e-12)
+		got, err := c.CumulativeRewardContext(t.Context(), dirac(c, 0), r, tt, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestCumulativeRewardTwoStateAnalytic(t *testing.T) {
 
 func TestCumulativeRewardZeroHorizon(t *testing.T) {
 	c := twoState(t, 1, 1)
-	got, err := c.CumulativeRewardContext(t.Context(), c.DiracInit(0), linalg.Vector{1, 1}, 0, 0)
+	got, err := c.CumulativeRewardContext(t.Context(), dirac(c, 0), linalg.Vector{1, 1}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestCumulativeRewardConstantRate(t *testing.T) {
 	// Reward 1 everywhere accumulates exactly t.
 	c := paperExample(t)
 	r := linalg.Vector{1, 1, 1}
-	got, err := c.CumulativeRewardContext(t.Context(), c.DiracInit(0), r, 2.5, 1e-12)
+	got, err := c.CumulativeRewardContext(t.Context(), dirac(c, 0), r, 2.5, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestCumulativeRewardConstantRate(t *testing.T) {
 func TestInstantaneousReward(t *testing.T) {
 	lambda, mu := 3.0, 5.0
 	c := twoState(t, lambda, mu)
-	pi, err := c.TransientContext(t.Context(), c.DiracInit(0), 1, 1e-12)
+	pi, err := c.TransientContext(t.Context(), dirac(c, 0), 1, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestTimeBoundedReachabilityPureBirth(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tt := range []float64{0.2, 1, 5} {
-		got, err := c.TimeBoundedReachabilityContext(t.Context(), c.DiracInit(0), []bool{false, true}, tt, 1e-12)
+		got, err := c.TimeBoundedReachabilityContext(t.Context(), dirac(c, 0), []bool{false, true}, tt, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,11 +261,11 @@ func TestTimeBoundedReachabilityCountsRevisits(t *testing.T) {
 	// leaves the target afterwards, the reach probability can't decrease
 	// with t.
 	c := twoState(t, 1, 100) // state 1 left very quickly
-	p1, err := c.TimeBoundedReachabilityContext(t.Context(), c.DiracInit(0), []bool{false, true}, 1, 1e-12)
+	p1, err := c.TimeBoundedReachabilityContext(t.Context(), dirac(c, 0), []bool{false, true}, 1, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := c.TimeBoundedReachabilityContext(t.Context(), c.DiracInit(0), []bool{false, true}, 2, 1e-12)
+	p2, err := c.TimeBoundedReachabilityContext(t.Context(), dirac(c, 0), []bool{false, true}, 2, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestBoundedUntil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reach, err := c.TimeBoundedReachabilityContext(t.Context(), c.DiracInit(0), []bool{false, false, true}, 5, 0)
+	reach, err := c.TimeBoundedReachabilityContext(t.Context(), dirac(c, 0), []bool{false, false, true}, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestReachabilityRewardExpectedHittingTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := linalg.Vector{1, 1, 1}
-	got, err := c.ReachabilityRewardContext(t.Context(), c.DiracInit(0), r, []bool{false, false, true})
+	got, err := c.ReachabilityRewardContext(t.Context(), dirac(c, 0), r, []bool{false, false, true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestReachabilityRewardInfinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.ReachabilityRewardContext(t.Context(), c.DiracInit(0), linalg.Vector{1, 1, 1}, []bool{false, true, false})
+	got, err := c.ReachabilityRewardContext(t.Context(), dirac(c, 0), linalg.Vector{1, 1, 1}, []bool{false, true, false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestReachabilityRewardRareEscapeIsInfinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.ReachabilityRewardContext(t.Context(), c.DiracInit(0), linalg.Vector{1, 1, 1}, []bool{false, true, false})
+	got, err := c.ReachabilityRewardContext(t.Context(), dirac(c, 0), linalg.Vector{1, 1, 1}, []bool{false, true, false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,11 +408,11 @@ func TestExpectedTimeFractionMatchesSteadyStateLongRun(t *testing.T) {
 	// probability.
 	c := paperExample(t)
 	mask := []bool{false, false, true}
-	frac, err := c.ExpectedTimeFractionContext(t.Context(), c.DiracInit(0), mask, 200, 1e-12)
+	frac, err := c.ExpectedTimeFractionContext(t.Context(), dirac(c, 0), mask, 200, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyStateContext(t.Context(), c.DiracInit(0))
+	pi, err := c.SteadyStateContext(t.Context(), dirac(c, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestSteadyStateReducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyStateContext(t.Context(), c.DiracInit(0))
+	pi, err := c.SteadyStateContext(t.Context(), dirac(c, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func TestSteadyStateReducibleWithCycleBSCC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyStateContext(t.Context(), c.DiracInit(0))
+	pi, err := c.SteadyStateContext(t.Context(), dirac(c, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestQuickTransientMatchesMatrixExponential(t *testing.T) {
 		n := 2 + r.Intn(6)
 		c := randomChain(r, n, 4)
 		tt := r.Float64() * 3
-		init := c.DiracInit(r.Intn(n))
+		init := dirac(c, r.Intn(n))
 		got, err := c.TransientContext(t.Context(), init, tt, 1e-12)
 		if err != nil {
 			return false
@@ -524,7 +524,7 @@ func TestQuickSteadyStateBalance(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pi, err := c.SteadyStateContext(t.Context(), c.DiracInit(0))
+		pi, err := c.SteadyStateContext(t.Context(), dirac(c, 0))
 		if err != nil {
 			return false
 		}
@@ -552,7 +552,7 @@ func TestQuickCumulativeMatchesQuadrature(t *testing.T) {
 		n := 2 + r.Intn(4)
 		c := randomChain(r, n, 3)
 		tt := 0.5 + r.Float64()*2
-		init := c.DiracInit(0)
+		init := dirac(c, 0)
 		mask := make([]bool, n)
 		mask[r.Intn(n)] = true
 		rew := linalg.NewVector(n)
@@ -667,7 +667,7 @@ func TestSteadyStateLargeBirthDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyStateContext(t.Context(), c.DiracInit(0))
+	pi, err := c.SteadyStateContext(t.Context(), dirac(c, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -700,7 +700,7 @@ func TestSteadyStateLargeStiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyStateContext(t.Context(), c.DiracInit(0))
+	pi, err := c.SteadyStateContext(t.Context(), dirac(c, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -712,4 +712,11 @@ func TestSteadyStateLargeStiff(t *testing.T) {
 	if res.NormInf() > 1e-8 {
 		t.Fatalf("balance residual %v", res.NormInf())
 	}
+}
+
+// dirac returns the point distribution on state s of c.
+func dirac(c *Chain, s int) linalg.Vector {
+	d := linalg.NewVector(c.N())
+	d[s] = 1
+	return d
 }

@@ -24,19 +24,20 @@ func Example() {
 	}
 
 	ctx := context.Background()
-	pi, err := chain.SteadyStateContext(ctx, chain.DiracInit(0))
+	start := []float64{1, 0, 0} // the chain starts in s0
+	pi, err := chain.SteadyStateContext(ctx, start)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("stationary: (%.5f, %.6f, %.6f)\n", pi[0], pi[1], pi[2])
 
-	frac, err := chain.ExpectedTimeFractionContext(ctx, chain.DiracInit(0), []bool{false, false, true}, 1, 1e-12)
+	frac, err := chain.ExpectedTimeFractionContext(ctx, start, []bool{false, false, true}, 1, 1e-12)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("exploitable within first year: %.4f%%\n", 100*frac)
 
-	reach, err := chain.TimeBoundedReachabilityContext(ctx, chain.DiracInit(0), []bool{false, false, true}, 1, 1e-12)
+	reach, err := chain.TimeBoundedReachabilityContext(ctx, start, []bool{false, false, true}, 1, 1e-12)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func ExampleChain_TimeBoundedReachabilityContext() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := chain.TimeBoundedReachabilityContext(context.Background(), chain.DiracInit(0), []bool{false, true}, 1, 1e-12)
+	p, err := chain.TimeBoundedReachabilityContext(context.Background(), []float64{1, 0}, []bool{false, true}, 1, 1e-12)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,11 +87,12 @@ func ExampleChain_Lump() {
 	// The quotient preserves every analysis exactly.
 	ctx := context.Background()
 	mask := []bool{false, true, true, false}
-	full, err := chain.ExpectedTimeFractionContext(ctx, chain.DiracInit(0), mask, 1, 1e-12)
+	start := []float64{1, 0, 0, 0}
+	full, err := chain.ExpectedTimeFractionContext(ctx, start, mask, 1, 1e-12)
 	if err != nil {
 		log.Fatal(err)
 	}
-	li, err := l.LumpDistribution(chain.DiracInit(0))
+	li, err := l.LumpDistribution(start)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func TestLumpPreservesTransient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	init := c.DiracInit(0)
+	init := dirac(c, 0)
 	linit, err := l.LumpDistribution(init)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestLumpPreservesCumulativeReward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	init := c.DiracInit(0)
+	init := dirac(c, 0)
 	linit, err := l.LumpDistribution(init)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestQuickLumpPreservesReachability(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		init := c.DiracInit(r.Intn(n))
+		init := dirac(c, r.Intn(n))
 		linit, err := l.LumpDistribution(init)
 		if err != nil {
 			return false

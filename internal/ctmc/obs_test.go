@@ -32,7 +32,7 @@ const seedTransientAllocs = 48
 // observability layer must contribute exactly zero allocations.
 func TestTransientNoopObsZeroAllocs(t *testing.T) {
 	c := midChain(t)
-	init := c.DiracInit(0)
+	init := dirac(c, 0)
 	allocs := testing.AllocsPerRun(10, func() {
 		if _, err := c.TransientContext(t.Context(), init, 8, 1e-10); err != nil {
 			t.Fatal(err)
@@ -55,7 +55,7 @@ const parentCumulativeRewardAllocs = 10
 // count with observability disabled.
 func TestCumulativeRewardNoopObsAllocs(t *testing.T) {
 	c := midChain(t)
-	init := c.DiracInit(0)
+	init := dirac(c, 0)
 	reward := make([]float64, c.N())
 	for i := range reward {
 		reward[i] = float64(i % 2)
@@ -76,7 +76,7 @@ func TestCumulativeRewardNoopObsAllocs(t *testing.T) {
 // BenchmarkTransientObsOn to see the cost of a live sink).
 func BenchmarkTransientObsOff(b *testing.B) {
 	c := midChain(b)
-	init := c.DiracInit(0)
+	init := dirac(c, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

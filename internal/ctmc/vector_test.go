@@ -16,7 +16,7 @@ func TestIntervalUntilVectorMatchesScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := 0; s < 3; s++ {
-		scalar := intervalUntil(t, c, c.DiracInit(s), phi1, phi2, 0.3, 1.2, 1e-12)
+		scalar := intervalUntil(t, c, dirac(c, s), phi1, phi2, 0.3, 1.2, 1e-12)
 		if math.Abs(vec[s]-scalar) > 1e-9 {
 			t.Fatalf("state %d: %v vs %v", s, vec[s], scalar)
 		}
@@ -79,7 +79,7 @@ func TestSteadyStateVectorIrreducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.SteadyStateProbabilityContext(t.Context(), c.DiracInit(0), mask)
+	want, err := c.SteadyStateProbabilityContext(t.Context(), dirac(c, 0), mask)
 	if err != nil {
 		t.Fatal(err)
 	}

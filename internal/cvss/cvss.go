@@ -127,15 +127,6 @@ func Parse(s string) (Vector, error) {
 	return v, nil
 }
 
-// MustParse is Parse for known-good literals; it panics on error.
-func MustParse(s string) Vector {
-	v, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 // String renders the vector in standard notation.
 func (v Vector) String() string {
 	av := map[AccessVector]string{AVLocal: "L", AVAdjacent: "A", AVNetwork: "N"}[v.AV]

@@ -11,7 +11,7 @@ func TestPaperSection32Example(t *testing.T) {
 	// "the Access Vector is across multiple networks (AV = 1) ... access
 	// complexity is high (AC = 0.35) ... multiple authentication steps
 	// (Au = 0.45). From Equation (11), σ = 3.15 ... η = 1.85."
-	v := MustParse("AV:N/AC:H/Au:M")
+	v := mustParse(t, "AV:N/AC:H/Au:M")
 	if got := v.Score(); math.Abs(got-3.15) > 1e-12 {
 		t.Fatalf("σ = %v, want 3.15", got)
 	}
@@ -33,7 +33,7 @@ func TestTable2Rates(t *testing.T) {
 		{"AV:L/AC:H/Au:S", 0.2}, // FlexRay bus guardian
 	}
 	for _, c := range cases {
-		v := MustParse(c.vector)
+		v := mustParse(t, c.vector)
 		got := v.Rate()
 		if math.Abs(got-c.want) > 0.06 {
 			t.Fatalf("%s: η = %v, Table 2 says %v", c.vector, got, c.want)
@@ -52,7 +52,7 @@ func TestTable1Weights(t *testing.T) {
 		{"AV:N/AC:L/Au:N", 1.0, 0.71, 0.704},
 	}
 	for _, c := range checks {
-		av, ac, au := MustParse(c.vector).Weights()
+		av, ac, au := mustParse(t, c.vector).Weights()
 		if av != c.av || ac != c.ac || au != c.au {
 			t.Fatalf("%s: weights (%v,%v,%v)", c.vector, av, ac, au)
 		}
@@ -61,7 +61,7 @@ func TestTable1Weights(t *testing.T) {
 
 func TestRateFloor(t *testing.T) {
 	// Weakest possible exposure: σ = 20·0.395·0.35·0.45 = 1.24425 < 1.3.
-	v := MustParse("AV:L/AC:H/Au:M")
+	v := mustParse(t, "AV:L/AC:H/Au:M")
 	if got := v.Rate(); got != 0 {
 		t.Fatalf("η = %v, want floor at 0", got)
 	}
@@ -82,8 +82,8 @@ func TestParseRoundTrip(t *testing.T) {
 }
 
 func TestParseOrderIndependent(t *testing.T) {
-	a := MustParse("AV:N/AC:H/Au:M")
-	b := MustParse("Au:M/AV:N/AC:H")
+	a := mustParse(t, "AV:N/AC:H/Au:M")
+	b := mustParse(t, "Au:M/AV:N/AC:H")
 	if a != b {
 		t.Fatalf("order matters: %v vs %v", a, b)
 	}
@@ -101,20 +101,11 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustParse("garbage")
-}
-
 func TestScoreMonotonicity(t *testing.T) {
 	// More exposure (network, low complexity, no auth) must not decrease
 	// the score.
-	weak := MustParse("AV:L/AC:H/Au:M")
-	strong := MustParse("AV:N/AC:L/Au:N")
+	weak := mustParse(t, "AV:L/AC:H/Au:M")
+	strong := mustParse(t, "AV:N/AC:L/Au:N")
 	if weak.Score() >= strong.Score() {
 		t.Fatalf("monotonicity violated: %v >= %v", weak.Score(), strong.Score())
 	}
@@ -203,4 +194,14 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("Parse(%q): rate %v out of range", s, r)
 		}
 	})
+}
+
+// mustParse is Parse for known-good literals.
+func mustParse(t *testing.T, s string) Vector {
+	t.Helper()
+	v, err := Parse(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

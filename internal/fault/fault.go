@@ -1,7 +1,7 @@
 // Package fault is a deterministic, seed-driven fault-injection registry
 // for exercising the resilience paths of the analysis stack: solver
 // fallback chains, worker panic isolation, retry/backoff and cache-loss
-// behaviour. Production code asks Should/Crash/Sleep/Fail at named
+// behaviour. Production code asks Should/Crash/Sleep at named
 // injection points; with no injector enabled every such call is a single
 // atomic pointer load and allocates nothing, so the hooks can stay in the
 // hot path permanently (the same zero-cost discipline internal/obs follows
@@ -231,12 +231,6 @@ func Enable(in *Injector) {
 // Disable removes any active injector.
 func Disable() { active.Store(nil) }
 
-// Enabled reports whether an injector is active.
-func Enabled() bool { return active.Load() != nil }
-
-// Active returns the current injector, or nil.
-func Active() *Injector { return active.Load() }
-
 // Should reports whether the named point fires for this call. With no
 // injector enabled it is a single atomic load, allocation-free.
 func Should(name string) bool {
@@ -246,14 +240,6 @@ func Should(name string) bool {
 	}
 	_, fire := in.fire(name)
 	return fire
-}
-
-// Fail returns an *InjectedError when the named point fires, nil otherwise.
-func Fail(name string) error {
-	if Should(name) {
-		return &InjectedError{Point: name}
-	}
-	return nil
 }
 
 // Crash panics when the named point fires — the injected-worker-panic hook.

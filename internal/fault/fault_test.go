@@ -109,9 +109,9 @@ func TestFailReturnsInjectedError(t *testing.T) {
 	in, _ := Parse("pt:n=1", 0)
 	Enable(in)
 	defer Disable()
-	err := Fail("pt")
+	err := fail("pt")
 	if err == nil {
-		t.Fatal("Fail did not fire")
+		t.Fatal("fail did not fire")
 	}
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("err %v does not unwrap to ErrInjected", err)
@@ -120,8 +120,8 @@ func TestFailReturnsInjectedError(t *testing.T) {
 	if !errors.As(err, &ie) || ie.Point != "pt" {
 		t.Fatalf("err %v is not an *InjectedError for pt", err)
 	}
-	if Fail("pt") != nil {
-		t.Fatal("Fail fired past its budget")
+	if fail("pt") != nil {
+		t.Fatal("fail fired past its budget")
 	}
 }
 
@@ -161,7 +161,7 @@ func TestDisabledPathAllocates(t *testing.T) {
 		if Should(PointWorkerPanic) {
 			t.Fatal("disabled injector fired")
 		}
-		if Fail(PointSolverDiverge) != nil {
+		if fail(PointSolverDiverge) != nil {
 			t.Fatal("disabled injector failed")
 		}
 		Crash(PointWorkerPanic)
@@ -184,4 +184,13 @@ func BenchmarkDisabledShould(b *testing.B) {
 			b.Fatal("fired")
 		}
 	}
+}
+
+// fail returns an *InjectedError when the named point fires, nil otherwise,
+// as an error-returning fault hook would.
+func fail(name string) error {
+	if Should(name) {
+		return &InjectedError{Point: name}
+	}
+	return nil
 }

@@ -161,20 +161,3 @@ func normalize(w []float64) {
 		w[i] *= inv
 	}
 }
-
-// PMF returns the exact Poisson pmf P[X = k] for X ~ Poisson(lambda),
-// evaluated in log space for numerical robustness. It is the test oracle for
-// Compute and is also used by the naive-summation ablation benchmark.
-func PMF(lambda float64, k int) float64 {
-	if k < 0 || lambda < 0 {
-		return 0
-	}
-	if lambda == 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	lg, _ := math.Lgamma(float64(k) + 1)
-	return math.Exp(float64(k)*math.Log(lambda) - lambda - lg)
-}

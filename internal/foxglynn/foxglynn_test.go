@@ -62,7 +62,7 @@ func TestWeightsMatchExactPMF(t *testing.T) {
 		}
 		for i, w := range r.Weights {
 			k := r.Left + i
-			exact := PMF(lambda, k)
+			exact := pmf(lambda, k)
 			// Relative error where the pmf is non-negligible.
 			if exact > 1e-10 {
 				rel := math.Abs(w-exact) / exact
@@ -83,7 +83,7 @@ func TestTruncationCoversMass(t *testing.T) {
 		}
 		var covered float64
 		for k := r.Left; k <= r.Right; k++ {
-			covered += PMF(lambda, k)
+			covered += pmf(lambda, k)
 		}
 		if covered < 1-10*acc {
 			t.Fatalf("lambda %v: window [%d,%d] covers only %v", lambda, r.Left, r.Right, covered)
@@ -106,16 +106,16 @@ func TestWindowContainsMode(t *testing.T) {
 
 func TestPMFOracle(t *testing.T) {
 	// Hand values: Poisson(2): P[0]=e^-2, P[2]=2e^-2.
-	if got, want := PMF(2, 0), math.Exp(-2); math.Abs(got-want) > 1e-15 {
-		t.Fatalf("PMF(2,0) = %v", got)
+	if got, want := pmf(2, 0), math.Exp(-2); math.Abs(got-want) > 1e-15 {
+		t.Fatalf("pmf(2,0) = %v", got)
 	}
-	if got, want := PMF(2, 2), 2*math.Exp(-2); math.Abs(got-want) > 1e-15 {
-		t.Fatalf("PMF(2,2) = %v", got)
+	if got, want := pmf(2, 2), 2*math.Exp(-2); math.Abs(got-want) > 1e-15 {
+		t.Fatalf("pmf(2,2) = %v", got)
 	}
-	if PMF(2, -1) != 0 {
+	if pmf(2, -1) != 0 {
 		t.Fatal("negative k should have zero pmf")
 	}
-	if PMF(0, 0) != 1 || PMF(0, 3) != 0 {
+	if pmf(0, 0) != 1 || pmf(0, 3) != 0 {
 		t.Fatal("lambda=0 pmf wrong")
 	}
 }
@@ -184,4 +184,20 @@ func TestStatsWindowGrowsWithLambda(t *testing.T) {
 		}
 		prevTerms = st.Terms
 	}
+}
+
+// pmf returns the exact Poisson pmf P[X = k] for X ~ Poisson(lambda),
+// evaluated in log space for numerical robustness: the oracle for Compute.
+func pmf(lambda float64, k int) float64 {
+	if k < 0 || lambda < 0 {
+		return 0
+	}
+	if lambda == 0 {
+		if k == 0 {
+			return 1
+		}
+		return 0
+	}
+	lg, _ := math.Lgamma(float64(k) + 1)
+	return math.Exp(float64(k)*math.Log(lambda) - lambda - lg)
 }

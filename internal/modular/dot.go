@@ -2,7 +2,6 @@ package modular
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -46,15 +45,4 @@ func (e *Explored) ExportDOT(highlightLabel string) (string, error) {
 func dotEscape(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	return strings.ReplaceAll(s, `"`, `\"`)
-}
-
-// SortedLabelNames returns the model's label names in stable order, used by
-// CLI listings.
-func (m *Model) SortedLabelNames() []string {
-	names := make([]string, 0, len(m.Labels))
-	for n := range m.Labels {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

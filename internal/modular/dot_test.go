@@ -56,13 +56,3 @@ func TestExportDOTUnknownLabel(t *testing.T) {
 		t.Fatal("unknown label accepted")
 	}
 }
-
-func TestSortedLabelNames(t *testing.T) {
-	m, x := buildBirthDeath(t, 1, 1, 1)
-	m.SetLabel("zz", Gt(x, IntLit(0)))
-	m.SetLabel("aa", Gt(x, IntLit(0)))
-	got := m.SortedLabelNames()
-	if len(got) != 2 || got[0] != "aa" || got[1] != "zz" {
-		t.Fatalf("names = %v", got)
-	}
-}

@@ -166,7 +166,7 @@ func parseModel(t *testing.T, path string) *modular.Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := prismlang.ParseModel(string(src))
+	m, _, err := prismlang.ParseModel(string(src), nil)
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
@@ -215,7 +215,7 @@ endmodule
 func TestExploreSyncActionOrderDeterministic(t *testing.T) {
 	var first *modular.Explored
 	for run := 0; run < 20; run++ {
-		m, err := prismlang.ParseModel(syncModel)
+		m, _, err := prismlang.ParseModel(syncModel, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -179,7 +179,7 @@ func TestRunFlightManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Active() || r.Flight == nil {
+	if !r.active || r.Flight == nil {
 		t.Fatal("flight run not active or ring not installed")
 	}
 	_, sp := Start(context.Background(), "phase.one")

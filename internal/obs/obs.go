@@ -185,14 +185,6 @@ var defaultTracer atomic.Pointer[Tracer]
 // tracer. CLIs call this once at startup when -trace/-progress is given.
 func SetDefault(t *Tracer) { defaultTracer.Store(t) }
 
-// Default returns the process-wide default tracer (nil when observability
-// is off).
-func Default() *Tracer { return defaultTracer.Load() }
-
-// Enabled reports whether any default sink is installed. Hot loops may use
-// it to skip preparing expensive attributes.
-func Enabled() bool { return defaultTracer.Load() != nil }
-
 type spanKey struct{}
 
 // Span is one timed operation. The zero of the API is the nil span: every
@@ -422,15 +414,6 @@ func Observe(ctx context.Context, name string, v float64) {
 // ObserveDuration emits a duration observation in seconds.
 func ObserveDuration(ctx context.Context, name string, d time.Duration) {
 	Observe(ctx, name, d.Seconds())
-}
-
-// Log emits a free-form annotation. Callers that need formatting should
-// guard the fmt.Sprintf behind Enabled() to keep disabled paths
-// allocation-free.
-func Log(ctx context.Context, msg string) {
-	if tr := resolve(ctx); tr != nil {
-		tr.sink.Emit(&Event{Kind: EventLog, Time: time.Now(), Name: msg})
-	}
 }
 
 // LogAttrs emits a structured annotation: a stable event name plus typed

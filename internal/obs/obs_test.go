@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -130,7 +133,7 @@ func TestJSONLAttemptRoundTrip(t *testing.T) {
 		Trace: []ResidualPoint{{Iteration: 1, Residual: 0.5}, {Iteration: 400, Residual: 3.25e-9}},
 	}
 	NewJSONLSink(&buf).Emit(&Event{Kind: EventAttempt, Time: time.Now(), Name: in.Stage, Attempt: &in})
-	e, err := DecodeJSONL(bytes.TrimSpace(buf.Bytes()))
+	e, err := decodeJSONL(bytes.TrimSpace(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("decode %q: %v", buf.String(), err)
 	}
@@ -172,7 +175,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	sc := bufio.NewScanner(&buf)
 	var got []*Event
 	for sc.Scan() {
-		e, err := DecodeJSONL(sc.Bytes())
+		e, err := decodeJSONL(sc.Bytes())
 		if err != nil {
 			t.Fatalf("decode %q: %v", sc.Text(), err)
 		}
@@ -251,26 +254,6 @@ func TestCollectorManifest(t *testing.T) {
 	}
 }
 
-func TestTextSinkIndentsChildren(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewTextSink(&buf)
-	withSink(t, sink, false)
-	ctx, root := Start(context.Background(), "analyze")
-	_, child := Start(ctx, "check")
-	child.End()
-	root.End()
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("want 2 lines, got %q", buf.String())
-	}
-	if !strings.HasPrefix(lines[0], "  check") {
-		t.Errorf("child not indented: %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "analyze") {
-		t.Errorf("root indented: %q", lines[1])
-	}
-}
-
 func TestProgressPrinterThrottlesAndFinishes(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewProgressPrinter(&buf, time.Hour) // throttle everything mid-run
@@ -300,4 +283,66 @@ func TestAttrFloat(t *testing.T) {
 	if _, ok := (Attr{Kind: KindString, Str: "x"}).Float(); ok {
 		t.Fatal("string attr claims numeric")
 	}
+}
+
+// decodeJSONL parses one line previously written by JSONLSink back into an
+// Event (attribute order is not preserved): the round-trip half of the sink
+// tests.
+func decodeJSONL(line []byte) (*Event, error) {
+	var je jsonEvent
+	if err := json.Unmarshal(line, &je); err != nil {
+		return nil, err
+	}
+	e := &Event{Name: je.Name, ID: je.ID, Parent: je.Parent, Trace: je.Trace, Depth: je.Depth}
+	switch je.Kind {
+	case "span":
+		e.Kind = EventSpan
+		e.Duration = time.Duration(je.DurUS * float64(time.Microsecond))
+		e.Allocs = je.Allocs
+	case "counter":
+		e.Kind = EventCounter
+	case "gauge":
+		e.Kind = EventGauge
+	case "hist":
+		e.Kind = EventHistogram
+	case "progress":
+		e.Kind = EventProgress
+	case "log":
+		e.Kind = EventLog
+	case "attempt":
+		e.Kind = EventAttempt
+		e.Attempt = je.Attempt
+	default:
+		return nil, fmt.Errorf("obs: unknown event kind %q", je.Kind)
+	}
+	if je.Value != nil {
+		e.Value = *je.Value
+	}
+	if je.Done != nil {
+		e.Done = *je.Done
+	}
+	if je.Total != nil {
+		e.Total = *je.Total
+	}
+	t, err := time.Parse(time.RFC3339Nano, je.Time)
+	if err != nil {
+		return nil, fmt.Errorf("obs: bad event time: %w", err)
+	}
+	e.Time = t
+	for k, v := range je.Attrs {
+		switch x := v.(type) {
+		case float64:
+			if x == math.Trunc(x) && math.Abs(x) < 1e15 {
+				e.Attrs = append(e.Attrs, Attr{Key: k, Kind: KindInt, Int: int64(x)})
+			} else {
+				e.Attrs = append(e.Attrs, Attr{Key: k, Kind: KindFloat, Flt: x})
+			}
+		case string:
+			e.Attrs = append(e.Attrs, Attr{Key: k, Kind: KindString, Str: x})
+		default:
+			e.Attrs = append(e.Attrs, Attr{Key: k, Kind: KindString, Str: fmt.Sprint(x)})
+		}
+	}
+	sort.Slice(e.Attrs, func(i, j int) bool { return e.Attrs[i].Key < e.Attrs[j].Key })
+	return e, nil
 }

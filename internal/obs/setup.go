@@ -105,9 +105,6 @@ func StartRun(opts RunOptions) (*Run, error) {
 	return r, nil
 }
 
-// Active reports whether any sink is live.
-func (r *Run) Active() bool { return r.active }
-
 // Sink returns the sink stack the run installed as the default tracer, or
 // nil when the run is inert. Servers that own their tracer (per-request and
 // per-job spans) use it to tee their events into the run's trace and

@@ -4,9 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -79,109 +76,6 @@ func (s *JSONLSink) Emit(e *Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_ = s.enc.Encode(&je) // best effort: tracing must never fail the run
-}
-
-// DecodeJSONL parses one line previously written by JSONLSink back into an
-// Event (attribute order is not preserved). It is the round-trip half used
-// by tests and by trace-consuming tools.
-func DecodeJSONL(line []byte) (*Event, error) {
-	var je jsonEvent
-	if err := json.Unmarshal(line, &je); err != nil {
-		return nil, err
-	}
-	e := &Event{Name: je.Name, ID: je.ID, Parent: je.Parent, Trace: je.Trace, Depth: je.Depth}
-	switch je.Kind {
-	case "span":
-		e.Kind = EventSpan
-		e.Duration = time.Duration(je.DurUS * float64(time.Microsecond))
-		e.Allocs = je.Allocs
-	case "counter":
-		e.Kind = EventCounter
-	case "gauge":
-		e.Kind = EventGauge
-	case "hist":
-		e.Kind = EventHistogram
-	case "progress":
-		e.Kind = EventProgress
-	case "log":
-		e.Kind = EventLog
-	case "attempt":
-		e.Kind = EventAttempt
-		e.Attempt = je.Attempt
-	default:
-		return nil, fmt.Errorf("obs: unknown event kind %q", je.Kind)
-	}
-	if je.Value != nil {
-		e.Value = *je.Value
-	}
-	if je.Done != nil {
-		e.Done = *je.Done
-	}
-	if je.Total != nil {
-		e.Total = *je.Total
-	}
-	t, err := time.Parse(time.RFC3339Nano, je.Time)
-	if err != nil {
-		return nil, fmt.Errorf("obs: bad event time: %w", err)
-	}
-	e.Time = t
-	for k, v := range je.Attrs {
-		switch x := v.(type) {
-		case float64:
-			if x == math.Trunc(x) && math.Abs(x) < 1e15 {
-				e.Attrs = append(e.Attrs, Attr{Key: k, Kind: KindInt, Int: int64(x)})
-			} else {
-				e.Attrs = append(e.Attrs, Attr{Key: k, Kind: KindFloat, Flt: x})
-			}
-		case string:
-			e.Attrs = append(e.Attrs, Attr{Key: k, Kind: KindString, Str: x})
-		default:
-			e.Attrs = append(e.Attrs, Attr{Key: k, Kind: KindString, Str: fmt.Sprint(x)})
-		}
-	}
-	sort.Slice(e.Attrs, func(i, j int) bool { return e.Attrs[i].Key < e.Attrs[j].Key })
-	return e, nil
-}
-
-// TextSink writes human-readable single-line events, indented by span
-// nesting depth. Safe for concurrent Emit.
-type TextSink struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewTextSink returns a plain-text sink writing to w.
-func NewTextSink(w io.Writer) *TextSink {
-	return &TextSink{w: w}
-}
-
-// Emit implements Sink.
-func (s *TextSink) Emit(e *Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch e.Kind {
-	case EventSpan:
-		var attrs strings.Builder
-		for _, a := range e.Attrs {
-			fmt.Fprintf(&attrs, " %s=%v", a.Key, a.Value())
-		}
-		fmt.Fprintf(s.w, "%s%-28s %12v  allocs=%d%s\n",
-			strings.Repeat("  ", e.Depth), e.Name, e.Duration.Round(time.Microsecond), e.Allocs, attrs.String())
-	case EventCounter:
-		fmt.Fprintf(s.w, "counter %s += %g\n", e.Name, e.Value)
-	case EventGauge:
-		fmt.Fprintf(s.w, "gauge %s = %g\n", e.Name, e.Value)
-	case EventHistogram:
-		fmt.Fprintf(s.w, "hist %s <- %g\n", e.Name, e.Value)
-	case EventProgress:
-		if e.Total > 0 {
-			fmt.Fprintf(s.w, "progress %s %d/%d\n", e.Name, e.Done, e.Total)
-		} else {
-			fmt.Fprintf(s.w, "progress %s %d\n", e.Name, e.Done)
-		}
-	case EventLog:
-		fmt.Fprintf(s.w, "log %s\n", e.Name)
-	}
 }
 
 // MultiSink fans events out to several sinks.

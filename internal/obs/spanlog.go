@@ -53,9 +53,8 @@ func NewSpanLog(node string, size int) *SpanLog {
 	return &SpanLog{node: node, size: size, ring: make([]SpanRecord, size)}
 }
 
-// Tee additionally writes every span event to w as JSON lines (the standard
-// sink encoding, re-decodable with DecodeJSONL). Call before the log is
-// installed as a sink.
+// Tee additionally writes every span event to w as JSON lines (the
+// JSONLSink encoding). Call before the log is installed as a sink.
 func (l *SpanLog) Tee(w io.Writer) *SpanLog {
 	l.tee = NewJSONLSink(w)
 	return l

@@ -38,7 +38,7 @@ func FuzzParseModel(f *testing.F) {
 		if len(src) > 4096 || strings.Count(src, "module") > 8 {
 			return
 		}
-		m, err := ParseModel(src)
+		m, _, err := ParseModel(src, nil)
 		if err != nil {
 			return
 		}

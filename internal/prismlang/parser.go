@@ -6,27 +6,16 @@ import (
 	"repro/internal/modular"
 )
 
-// ParseModel parses PRISM CTMC source into a modular model. Supported
-// declarations: the `ctmc` model type, typed constants with defining
-// expressions, formulas, modules (including module renaming), labels and
-// reward structures.
-func ParseModel(src string) (*modular.Model, error) {
-	m, _, err := ParseModelFull(src)
-	return m, err
-}
-
-// ParseModelFull additionally returns the declared constants, which property
-// parsers need to resolve identifiers like time bounds and thresholds.
-func ParseModelFull(src string) (*modular.Model, map[string]modular.Value, error) {
-	return ParseModelWithConsts(src, nil)
-}
-
-// ParseModelWithConsts parses PRISM source in which constants may be left
-// undefined (`const double eta;`), supplying their values externally — the
-// PRISM `-const name=value` convention. Every undefined constant must be
-// covered by the overrides map; overrides may also replace defined
-// constants.
-func ParseModelWithConsts(src string, overrides map[string]string) (*modular.Model, map[string]modular.Value, error) {
+// ParseModel parses PRISM CTMC source into a modular model and returns the
+// declared constants, which property parsers need to resolve identifiers
+// like time bounds and thresholds. Supported declarations: the `ctmc` model
+// type, typed constants with defining expressions, formulas, modules
+// (including module renaming), labels and reward structures. Constants may
+// be left undefined (`const double eta;`) and supplied through overrides —
+// the PRISM `-const name=value` convention. Every undefined constant must
+// be covered by overrides; overrides may also replace defined constants.
+// A nil overrides map supplies nothing.
+func ParseModel(src string, overrides map[string]string) (*modular.Model, map[string]modular.Value, error) {
 	toks, err := Lex(src)
 	if err != nil {
 		return nil, nil, err

@@ -84,7 +84,7 @@ endrewards
 `
 
 func TestParseBirthDeath(t *testing.T) {
-	m, err := ParseModel(birthDeathSrc)
+	m, _, err := ParseModel(birthDeathSrc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ endmodule
 
 label "exploited" = s3g & smc;
 `
-	m, err := ParseModel(src)
+	m, _, err := ParseModel(src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ module m1
 endmodule
 module m2 = m1 [x=y] endmodule
 `
-	m, err := ParseModel(src)
+	m, _, err := ParseModel(src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ module b
   [go] !y -> 3 : (y'=true);
 endmodule
 `
-	m, err := ParseModel(src)
+	m, _, err := ParseModel(src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ module m
   [] !x -> (x'=true);
 endmodule
 `
-	m, err := ParseModel(src)
+	m, _, err := ParseModel(src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ module m
   [] x=0 -> 1 : (x'=1) + 4 : (x'=2);
 endmodule
 `
-	m, err := ParseModel(src)
+	m, _, err := ParseModel(src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ module m
   [] !x -> 5 : true;
 endmodule
 `
-	m, err := ParseModel(src)
+	m, _, err := ParseModel(src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ module m
   [] !x -> r + pow(2, 2) + min(1, 5) + mod(7, 3) + floor(1.9) + ceil(0.1) : (x'=true);
 endmodule
 `
-	m, err := ParseModel(src)
+	m, _, err := ParseModel(src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestParseErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := ParseModel(c.src)
+			_, _, err := ParseModel(c.src, nil)
 			if err == nil {
 				t.Fatalf("no error for %q", c.src)
 			}
@@ -344,7 +344,7 @@ module m
   [] !active -> 1 : (x'=1);
 endmodule
 `
-	m, err := ParseModel(src)
+	m, _, err := ParseModel(src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,12 +360,12 @@ endmodule
 func TestRoundTripExportParse(t *testing.T) {
 	// A modular model exported to PRISM source and re-parsed must produce
 	// the same state space and rates.
-	orig, err := ParseModel(birthDeathSrc)
+	orig, _, err := ParseModel(birthDeathSrc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := orig.ExportPRISM()
-	re, err := ParseModel(src)
+	re, _, err := ParseModel(src, nil)
 	if err != nil {
 		t.Fatalf("re-parse failed: %v\nsource:\n%s", err, src)
 	}
@@ -411,7 +411,7 @@ func TestExpressionOperators(t *testing.T) {
 	}
 	for _, c := range cases {
 		src := "ctmc\nmodule m\nx : bool init false;\n[] !x -> " + c.expr + " : (x'=true);\nendmodule\n"
-		m, err := ParseModel(src)
+		m, _, err := ParseModel(src, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.expr, err)
 		}

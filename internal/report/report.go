@@ -34,9 +34,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // WriteTo renders the table with aligned columns. It implements
 // io.WriterTo.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {

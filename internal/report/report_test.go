@@ -31,8 +31,8 @@ func TestTableAlignment(t *testing.T) {
 func TestTableShortRowPadded(t *testing.T) {
 	tb := NewTable("a", "b", "c")
 	tb.AddRow("x")
-	if tb.NumRows() != 1 {
-		t.Fatalf("rows = %d", tb.NumRows())
+	if len(tb.rows) != 1 {
+		t.Fatalf("rows = %d", len(tb.rows))
 	}
 	if !strings.Contains(tb.String(), "x") {
 		t.Fatal("row lost")

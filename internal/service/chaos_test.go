@@ -113,7 +113,7 @@ func TestChaosWorkerPanicRetries(t *testing.T) {
 	}
 
 	// The retried success reset the failure streak: the daemon reports ok.
-	h, err := cl.Health(ctx)
+	h, err := health(ctx, cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestHealthDegradesOnConsecutiveFailures(t *testing.T) {
 	submit(&AnalysisRequest{Architecture: "builtin:1", WaitSeconds: 30})
 	submit(&AnalysisRequest{Architecture: "builtin:2", WaitSeconds: 30})
 
-	h, err := cl.Health(ctx)
+	h, err := health(ctx, cl)
 	if err != nil {
 		t.Fatal(err) // degraded must stay HTTP 200
 	}
@@ -407,7 +407,7 @@ func TestHealthDegradesOnConsecutiveFailures(t *testing.T) {
 
 	fail.Store(false)
 	submit(&AnalysisRequest{Architecture: "builtin:3", WaitSeconds: 30})
-	if h, err = cl.Health(ctx); err != nil {
+	if h, err = health(ctx, cl); err != nil {
 		t.Fatal(err)
 	}
 	if h.Status != "ok" || h.ConsecutiveFailures != 0 {

@@ -279,15 +279,6 @@ func (c *Client) Analyze(ctx context.Context, req *AnalysisRequest) (*JobView, e
 	return v, nil
 }
 
-// Health checks /v1/healthz.
-func (c *Client) Health(ctx context.Context) (*Health, error) {
-	var h Health
-	if err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, &h); err != nil {
-		return nil, err
-	}
-	return &h, nil
-}
-
 // Metrics fetches /v1/metrics.
 func (c *Client) Metrics(ctx context.Context) (*Metrics, error) {
 	var m Metrics

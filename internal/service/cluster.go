@@ -209,7 +209,7 @@ func (s *Server) gatherCluster() ([]NodeStatus, []UnreachableNode) {
 func (s *Server) scrapeNode(node string) (*NodeStatus, error) {
 	ctx, cancel := context.WithTimeout(s.baseCtx, clusterScrapeTimeout)
 	defer cancel()
-	resp, err := s.cfg.Shard.Forward(ctx, node, http.MethodGet, "/v1/node/status", nil, "")
+	resp, err := s.cfg.Shard.Forward(ctx, node, http.MethodGet, "/v1/node/status", nil, "", nil)
 	if err != nil {
 		return nil, err
 	}

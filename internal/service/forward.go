@@ -63,7 +63,7 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, req *Analy
 		if t := r.Header.Get(TenantHeader); t != "" {
 			extra = http.Header{TenantHeader: []string{t}}
 		}
-		resp, err = rt.ForwardHeaders(ctx, node, http.MethodPost, "/v1/analyses", body, "application/json", extra)
+		resp, err = rt.Forward(ctx, node, http.MethodPost, "/v1/analyses", body, "application/json", extra)
 		if errors.Is(err, shard.ErrBreakerOpen) {
 			// Another call took the owner's half-open trial after the
 			// lookup: fail over to this node.
@@ -137,7 +137,7 @@ func (s *Server) proxyJobGet(w http.ResponseWriter, r *http.Request, id string) 
 	}
 	// An open breaker fails the forward fast instead of paying the
 	// transport timeout for a node already known to be down.
-	resp, err := rt.Forward(r.Context(), node, http.MethodGet, r.URL.Path, nil, "")
+	resp, err := rt.Forward(r.Context(), node, http.MethodGet, r.URL.Path, nil, "", nil)
 	if err != nil {
 		s.tracer.Count("service.shard.forward_failed", 1)
 		s.stampNode(w)

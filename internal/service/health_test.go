@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -38,7 +39,7 @@ func TestHealthDegradedEntryBoundary(t *testing.T) {
 
 	fail(1)
 	fail(2)
-	h, err := cl.Health(ctx)
+	h, err := health(ctx, cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestHealthDegradedEntryBoundary(t *testing.T) {
 	}
 
 	fail(3)
-	if h, err = cl.Health(ctx); err != nil {
+	if h, err = health(ctx, cl); err != nil {
 		t.Fatal(err)
 	}
 	if h.Status != "degraded" || h.ConsecutiveFailures != 3 {
@@ -85,7 +86,7 @@ func TestHealthDegradesOnQueuePressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
-		h, err := cl.Health(ctx)
+		h, err := health(ctx, cl)
 		return err == nil && h.JobsRunning == 1 && h.QueueDepth == 0
 	}, "first job running")
 
@@ -104,7 +105,7 @@ func TestHealthDegradesOnQueuePressure(t *testing.T) {
 			jobs = append(jobs, j)
 		}
 	}
-	h, err := cl.Health(ctx)
+	h, err := health(ctx, cl)
 	if err != nil {
 		t.Fatal(err) // degraded must stay HTTP 200
 	}
@@ -121,7 +122,7 @@ func TestHealthDegradesOnQueuePressure(t *testing.T) {
 		<-j.Done()
 	}
 	waitFor(t, func() bool {
-		h, err := cl.Health(ctx)
+		h, err := health(ctx, cl)
 		return err == nil && h.Status == "ok" && h.QueueDepth == 0
 	}, "health ok after queue drained")
 }
@@ -137,4 +138,13 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// health fetches /v1/healthz through c.
+func health(ctx context.Context, c *Client) (*Health, error) {
+	var h Health
+	if err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, &h); err != nil {
+		return nil, err
+	}
+	return &h, nil
 }

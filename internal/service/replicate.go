@@ -112,7 +112,7 @@ func (s *Server) replicateOutcome(job *Job, out *Outcome, cache CacheState) {
 // pushReplica attempts one replica write, falling back to a hint when the
 // peer's breaker refuses the call or the call fails.
 func (s *Server) pushReplica(ctx context.Context, node, key string, payload []byte) {
-	resp, err := s.cfg.Shard.Forward(ctx, node, http.MethodPut, "/v1/replica/"+key, payload, "application/json")
+	resp, err := s.cfg.Shard.Forward(ctx, node, http.MethodPut, "/v1/replica/"+key, payload, "application/json", nil)
 	if errors.Is(err, shard.ErrBreakerOpen) {
 		s.queueHint(ctx, node, key, payload)
 		return
@@ -276,7 +276,7 @@ func (s *Server) deliverHints() {
 			dctx, sp := s.tracer.StartSpan(ctx, "service.handoff.deliver")
 			sp.Str("peer", node)
 			sp.Str("key", h.Key)
-			resp, err := rt.Forward(dctx, node, http.MethodPut, "/v1/replica/"+h.Key, h.Payload, "application/json")
+			resp, err := rt.Forward(dctx, node, http.MethodPut, "/v1/replica/"+h.Key, h.Payload, "application/json", nil)
 			if err == nil {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()

@@ -99,7 +99,7 @@ func TestEndToEndMatchesPipeline(t *testing.T) {
 		t.Fatalf("jobs completed = %d, want ≥2", m.JobsCompleted)
 	}
 
-	h, err := client.Health(ctx)
+	h, err := health(ctx, client)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,14 +194,9 @@ func (r *Router) URL(node string) (string, bool) {
 // wrapping ErrBreakerOpen means it was refused without touching the
 // network. A transport error or 5xx response counts as a failure, anything
 // else as a success; a 5xx response is still returned to the caller, who
-// owns its body.
-func (r *Router) Forward(ctx context.Context, node, method, path string, body []byte, contentType string) (*http.Response, error) {
-	return r.ForwardHeaders(ctx, node, method, path, body, contentType, nil)
-}
-
-// ForwardHeaders is Forward with extra request headers (tenant identity,
-// replica metadata) copied onto the peer call.
-func (r *Router) ForwardHeaders(ctx context.Context, node, method, path string, body []byte, contentType string, extra http.Header) (*http.Response, error) {
+// owns its body. The extra headers (tenant identity, replica metadata; nil
+// for none) are copied onto the peer call.
+func (r *Router) Forward(ctx context.Context, node, method, path string, body []byte, contentType string, extra http.Header) (*http.Response, error) {
 	if r == nil {
 		return nil, fmt.Errorf("shard: no router")
 	}

@@ -94,7 +94,7 @@ func TestForwardMarksAndTraces(t *testing.T) {
 	col := obs.NewCollector()
 	tr := obs.NewTracer(col, false)
 	ctx, sp := tr.StartSpan(context.Background(), "test.forward")
-	resp, err := r.Forward(ctx, "n2", http.MethodPost, "/v1/analyses", []byte(`{"x":1}`), "application/json")
+	resp, err := r.Forward(ctx, "n2", http.MethodPost, "/v1/analyses", []byte(`{"x":1}`), "application/json", nil)
 	sp.End()
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestForwardUnknownNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Forward(context.Background(), "nope", http.MethodGet, "/", nil, ""); err == nil {
+	if _, err := r.Forward(context.Background(), "nope", http.MethodGet, "/", nil, "", nil); err == nil {
 		t.Fatal("unknown node accepted")
 	}
 }
@@ -134,7 +134,7 @@ func TestForwardUnreachableFailsFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Forward(context.Background(), "n2", http.MethodGet, "/v1/healthz", nil, ""); err == nil {
+	if _, err := r.Forward(context.Background(), "n2", http.MethodGet, "/v1/healthz", nil, "", nil); err == nil {
 		t.Fatal("forward to dead peer succeeded")
 	}
 }

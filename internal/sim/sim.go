@@ -4,7 +4,8 @@
 // independent method: the expected time a security property is violated,
 // reachability probabilities and steady-state fractions are estimated from
 // sampled attack/patch trajectories and compared against uniformisation
-// within statistical tolerance (DESIGN.md §7).
+// within statistical tolerance (DESIGN.md §7). It is a test oracle only: no
+// production code calls it.
 package sim
 
 import (

@@ -46,7 +46,7 @@ func TestTimeFractionMatchesNumeric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := c.ExpectedTimeFractionContext(t.Context(), c.DiracInit(0), mask, 4, 1e-12)
+	exact, err := c.ExpectedTimeFractionContext(t.Context(), []float64{1, 0}, mask, 4, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -328,7 +328,7 @@ func sameExcept(a, b []int, idx int) bool {
 func TestExportedModelRoundTrips(t *testing.T) {
 	res, ex := build(t, arch.Architecture3(), Options{Category: Confidentiality, Protection: AES128})
 	src := res.Model.ExportPRISM()
-	re, err := prismlang.ParseModel(src)
+	re, _, err := prismlang.ParseModel(src, nil)
 	if err != nil {
 		t.Fatalf("re-parse: %v\n%s", err, src)
 	}
