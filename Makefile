@@ -42,10 +42,11 @@ test:
 
 # race runs every test under the race detector, then reruns the grid tests
 # at 1, 2 and 4 workers (GOMAXPROCS), so the recorded solver golden and the
-# per-cell references pin bit-identical results at each worker count.
+# per-cell references pin bit-identical results at each worker count, and
+# the overlapped-stage and error-propagation tests meet each scheduling.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2,4 -run 'TestSolverGolden|TestSharedMatchesPerCell|TestForEach|Progress' ./internal/core/
+	$(GO) test -race -cpu 1,2,4 -run 'TestSolverGolden|TestSharedMatchesPerCell|TestForEach|Progress|Overlap|PropagatesError' ./internal/core/
 
 # fleet-race hammers the fleet-resilience paths — circuit breakers, the
 # health prober, replication/hinted handoff and tenant admission, and the

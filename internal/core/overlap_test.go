@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/ctmc"
@@ -17,15 +18,18 @@ import (
 	"repro/internal/transform"
 )
 
-// settleGoroutines yields until the goroutine count is back to start: a
-// joined goroutine may still be returning after its WaitGroup.Done.
+// settleGoroutines waits until the goroutine count is back to start: a
+// joined goroutine may still be returning after its WaitGroup.Done, and
+// under -race with more Ps than CPUs that can take many scheduler rounds.
+// The deadline only bounds a real leak, a worker that never exits.
 func settleGoroutines(t *testing.T, start int) {
 	t.Helper()
-	for i := 0; i < 10000 && runtime.NumGoroutine() > start; i++ {
-		runtime.Gosched()
-	}
-	if n := runtime.NumGoroutine(); n > start {
-		t.Fatalf("%d goroutines after the join, %d before", n, start)
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > start {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the join, %d before", runtime.NumGoroutine(), start)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

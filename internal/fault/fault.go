@@ -21,7 +21,6 @@
 package fault
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -48,24 +47,6 @@ const (
 	// queue pressure.
 	PointSolveSlow = "solve.slow"
 )
-
-// ErrInjected is the sentinel all injected errors unwrap to, so retry
-// policies can classify them with errors.Is.
-var ErrInjected = errors.New("fault: injected failure")
-
-// InjectedError is an error produced at a named injection point.
-type InjectedError struct {
-	// Point is the injection point that fired.
-	Point string
-}
-
-// Error implements error.
-func (e *InjectedError) Error() string {
-	return fmt.Sprintf("fault: injected failure at %s", e.Point)
-}
-
-// Unwrap makes errors.Is(err, ErrInjected) succeed.
-func (e *InjectedError) Unwrap() error { return ErrInjected }
 
 // DefaultDelay is the sleep applied by delaying points with no d= parameter.
 const DefaultDelay = 100 * time.Millisecond

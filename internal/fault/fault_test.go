@@ -2,7 +2,6 @@ package fault
 
 import (
 	"context"
-	"errors"
 	"testing"
 	"time"
 )
@@ -105,26 +104,6 @@ func TestProbabilisticDeterminism(t *testing.T) {
 	}
 }
 
-func TestFailReturnsInjectedError(t *testing.T) {
-	in, _ := Parse("pt:n=1", 0)
-	Enable(in)
-	defer Disable()
-	err := fail("pt")
-	if err == nil {
-		t.Fatal("fail did not fire")
-	}
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("err %v does not unwrap to ErrInjected", err)
-	}
-	var ie *InjectedError
-	if !errors.As(err, &ie) || ie.Point != "pt" {
-		t.Fatalf("err %v is not an *InjectedError for pt", err)
-	}
-	if fail("pt") != nil {
-		t.Fatal("fail fired past its budget")
-	}
-}
-
 func TestCrashPanics(t *testing.T) {
 	in, _ := Parse("boom:n=1", 0)
 	Enable(in)
@@ -161,9 +140,6 @@ func TestDisabledPathAllocates(t *testing.T) {
 		if Should(PointWorkerPanic) {
 			t.Fatal("disabled injector fired")
 		}
-		if fail(PointSolverDiverge) != nil {
-			t.Fatal("disabled injector failed")
-		}
 		Crash(PointWorkerPanic)
 		if Sleep(context.Background(), PointSolveSlow) {
 			t.Fatal("disabled injector slept")
@@ -184,13 +160,4 @@ func BenchmarkDisabledShould(b *testing.B) {
 			b.Fatal("fired")
 		}
 	}
-}
-
-// fail returns an *InjectedError when the named point fires, nil otherwise,
-// as an error-returning fault hook would.
-func fail(name string) error {
-	if Should(name) {
-		return &InjectedError{Point: name}
-	}
-	return nil
 }

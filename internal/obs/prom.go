@@ -75,8 +75,10 @@ func (p *PromWriter) write(s string) {
 // explicit observations alike) as one `<ns>_stage_duration_seconds` family
 // labelled by stage, with cumulative `_bucket` series, `_sum` and `_count`.
 // Output is byte-stable for a given collector state: names are emitted in
-// sorted order.
-func WritePrometheus(w io.Writer, c *Collector, namespace string) error {
+// sorted order. skip, when non-nil, reports the counters the caller has
+// already rendered under families of its own; they are left out so each
+// count appears once.
+func WritePrometheus(w io.Writer, c *Collector, namespace string, skip func(counter string) bool) error {
 	if namespace == "" {
 		namespace = "obs"
 	}
@@ -89,6 +91,9 @@ func WritePrometheus(w io.Writer, c *Collector, namespace string) error {
 
 	p := NewPromWriter(w)
 	for _, k := range sortedKeys(counters) {
+		if skip != nil && skip(k) {
+			continue
+		}
 		name := ns + "_" + promName(k) + "_total"
 		p.Family(name, "counter", "")
 		p.Float(name, counters[k])

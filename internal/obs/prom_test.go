@@ -35,7 +35,7 @@ func promCollector(t *testing.T) *Collector {
 
 func TestWritePrometheusFormat(t *testing.T) {
 	var b strings.Builder
-	if err := WritePrometheus(&b, promCollector(t), "secserved"); err != nil {
+	if err := WritePrometheus(&b, promCollector(t), "secserved", nil); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -76,10 +76,10 @@ func TestWritePrometheusFormat(t *testing.T) {
 func TestWritePrometheusDeterministic(t *testing.T) {
 	col := promCollector(t)
 	var a, b strings.Builder
-	if err := WritePrometheus(&a, col, "secserved"); err != nil {
+	if err := WritePrometheus(&a, col, "secserved", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := WritePrometheus(&b, col, "secserved"); err != nil {
+	if err := WritePrometheus(&b, col, "secserved", nil); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {

@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -430,5 +433,88 @@ func TestRetryDelayBounds(t *testing.T) {
 				t.Fatalf("attempt %d: delay %s outside [%s, %s)", attempt, d, target/2, target)
 			}
 		}
+	}
+}
+
+// TestChaosSharedPanicCountedOnce: two identical concurrent submissions
+// share one single-flight solve that trips worker.panic:n=1. Both jobs
+// fail that attempt and retry, but there was one panic, so
+// panics_recovered reads 1 on /v1/metrics, /v1/healthz and /metrics.
+func TestChaosSharedPanicCountedOnce(t *testing.T) {
+	inj, err := fault.Parse("worker.panic:n=1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fault.Disable)
+	srv := New(Config{
+		Workers:        2,
+		RetryBaseDelay: time.Millisecond,
+		RetryMaxDelay:  5 * time.Millisecond,
+	})
+	defer srv.Close()
+	// The leader's solve arms the fault and reaches the panic point only
+	// once the second job has joined its flight, so the two always share
+	// the panic.
+	joined := make(chan struct{}, 1)
+	srv.engine.results.flight.joined = func(string) {
+		select {
+		case joined <- struct{}{}:
+		default:
+		}
+	}
+	var first sync.Once
+	srv.engine.run = func(ctx context.Context, rr *resolvedRequest) (*Outcome, error) {
+		first.Do(func() {
+			<-joined
+			fault.Enable(inj)
+			fault.Crash(fault.PointWorkerPanic)
+		})
+		return srv.engine.analyze(ctx, rr)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var jobs []*Job
+	for i := 0; i < 2; i++ {
+		job, err := srv.Submit(&AnalysisRequest{Architecture: "builtin:1", Property: `P=? [ F<=1 "violated" ]`})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
+	}
+	for _, job := range jobs {
+		<-job.Done()
+		if v := job.View(); v.Status != StatusDone || v.Attempts != 2 {
+			t.Fatalf("job %s: status=%s attempts=%d error=%q, want done after one retry", v.ID, v.Status, v.Attempts, v.Error)
+		}
+	}
+
+	cl := NewClient(ts.URL)
+	ctx := context.Background()
+	m, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.PanicsRecovered != 1 || m.JobsRetried != 2 {
+		t.Fatalf("metrics panics=%d retried=%d, want 1 and 2", m.PanicsRecovered, m.JobsRetried)
+	}
+	h, err := health(ctx, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.PanicsRecovered != 1 {
+		t.Fatalf("health panics recovered = %d, want 1", h.PanicsRecovered)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(page), "\nsecserved_panics_recovered_total 1\n") {
+		t.Fatalf("/metrics does not count the panic once:\n%s", page)
 	}
 }

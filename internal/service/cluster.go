@@ -127,7 +127,7 @@ func (s *Server) healthSnapshot() Health {
 		QueueDepth:          len(s.queue),
 		QueueCapacity:       s.cfg.QueueDepth,
 		ConsecutiveFailures: s.consecFailures.Load(),
-		PanicsRecovered:     s.panics.Load(),
+		PanicsRecovered:     s.counted("service.panic.recovered"),
 		RetriesPending:      pending,
 	}
 	if s.cfg.QueueDepth > 0 {

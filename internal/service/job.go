@@ -262,13 +262,16 @@ func (j *Job) requeued() {
 // finish publishes the terminal state exactly once, reporting whether this
 // call was the one that finished the job (false when it was already
 // terminal — the last-resort panic recovery can race a normal finish).
-func (j *Job) finish(out *Outcome, cache CacheState, err error, m *obs.Manifest) bool {
+// count runs only on that call, before the state is published, so a reader
+// that sees the job finished also sees what count recorded.
+func (j *Job) finish(out *Outcome, cache CacheState, err error, m *obs.Manifest, count func()) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch j.status {
 	case StatusDone, StatusFailed, StatusCanceled:
 		return false
 	}
+	count()
 	j.finished = time.Now()
 	j.outcome = out
 	j.err = err
@@ -326,8 +329,7 @@ type JobView struct {
 	Attempts int    `json:"attempts,omitempty"`
 	Error    string `json:"error,omitempty"`
 	// ErrorKind classifies a failure: "bad_request", "budget_exceeded",
-	// "no_convergence", "panic", "injected_fault", "timeout", "canceled"
-	// or "internal".
+	// "no_convergence", "panic", "timeout", "canceled" or "internal".
 	ErrorKind string           `json:"error_kind,omitempty"`
 	Results   []AnalysisResult `json:"results,omitempty"`
 	Property  *PropertyResult  `json:"property,omitempty"`

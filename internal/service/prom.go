@@ -8,10 +8,11 @@ import (
 )
 
 // handleProm serves GET /metrics in the Prometheus text exposition format:
-// the server's own worker-pool/job/engine counters followed by the
-// collector's aggregate — obs counters, gauges and per-stage latency
+// the server's own worker-pool/job/engine/tier families followed by the rest
+// of the collector's aggregate — obs counters, gauges and per-stage latency
 // histograms (solve, transform, cache lookups, queue wait) — so one scrape
-// covers the whole service.
+// covers the whole service. A collector count with a family of its own is
+// rendered there alone, never again as secserved_<event>_total.
 func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.PromContentType)
 	m := s.Metrics()
@@ -24,18 +25,23 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 		p.Family("secserved_"+name, "gauge", help)
 		p.Float("secserved_"+name, v)
 	}
+	rendered := make(map[string]bool)
+	counted := func(name, event, help string) {
+		counter(name, s.counted(event), help)
+		rendered[event] = true
+	}
 	gauge("uptime_seconds", m.UptimeSeconds, "Seconds since the server started.")
 	gauge("workers", float64(m.Workers), "Size of the analysis worker pool.")
 	gauge("queue_depth", float64(m.QueueDepth), "Jobs accepted but not yet running.")
 	gauge("queue_capacity", float64(m.QueueCapacity), "Bound on the job queue.")
 	gauge("jobs_running", float64(m.JobsRunning), "Jobs currently executing.")
 	gauge("retries_pending", float64(m.RetriesPending), "Jobs waiting out a retry backoff.")
-	counter("jobs_accepted_total", m.JobsAccepted, "Jobs accepted into the queue.")
-	counter("jobs_completed_total", m.JobsCompleted, "Jobs finished successfully.")
-	counter("jobs_failed_total", m.JobsFailed, "Jobs finished in error.")
-	counter("jobs_rejected_total", m.JobsRejected, "Submissions rejected by a full queue.")
-	counter("jobs_retried_total", m.JobsRetried, "Transient-failure re-enqueues.")
-	counter("panics_recovered_total", m.PanicsRecovered, "Solve-path panics converted to job failures.")
+	counted("jobs_accepted_total", "service.jobs.accepted", "Jobs accepted into the queue.")
+	counted("jobs_completed_total", "service.jobs.completed", "Jobs finished successfully.")
+	counted("jobs_failed_total", "service.jobs.failed", "Jobs finished in error.")
+	counted("jobs_rejected_total", "service.jobs.rejected", "Submissions rejected by a full queue.")
+	counted("jobs_retried_total", "service.jobs.retried", "Transient-failure re-enqueues.")
+	counted("panics_recovered_total", "service.panic.recovered", "Job-path panics recovered; one panic shared by single-flight waiters counts once.")
 	counter("engine_solves_total", m.Engine.Solves, "Full pipeline executions.")
 	counter("engine_result_cache_hits_total", m.Engine.ResultCache.Hits, "Outcomes served from the result cache.")
 	counter("engine_result_cache_misses_total", m.Engine.ResultCache.Misses, "Outcomes computed from scratch.")
@@ -57,12 +63,12 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	}
 	if sh := m.Shard; sh != nil {
 		gauge("shard_nodes", float64(len(sh.Nodes)), "Nodes in the consistent-hash ring.")
-		counter("shard_owned_total", sh.Owned, "Submissions this node owned and ran.")
-		counter("shard_forwarded_total", sh.Forwarded, "Submissions proxied to their owning node.")
-		counter("shard_received_forwarded_total", sh.ReceivedForwarded, "Submissions received pre-routed from a peer.")
-		counter("shard_forward_failed_total", sh.ForwardFailed, "Forwards that fell back to local compute.")
-		counter("shard_failover_total", sh.Failovers, "Submissions routed past an open-breaker owner to a ring successor.")
-		counter("shard_breaker_transitions_total", sh.BreakerTransitions, "Peer circuit-breaker state changes.")
+		counted("shard_owned_total", "service.shard.owned", "Submissions this node owned and ran.")
+		counted("shard_forwarded_total", "service.shard.forwarded", "Submissions proxied to their owning node.")
+		counted("shard_received_forwarded_total", "service.shard.received_forwarded", "Submissions received pre-routed from a peer.")
+		counted("shard_forward_failed_total", "service.shard.forward_failed", "Forwards that fell back to local compute.")
+		counted("shard_failover_total", "service.shard.failover", "Submissions routed past an open-breaker owner to a ring successor.")
+		counted("shard_breaker_transitions_total", "service.fleet.breaker.transition", "Peer circuit-breaker state changes.")
 		counter("shard_probes_total", sh.Probes, "Active peer health probes issued.")
 		counter("shard_probe_failures_total", sh.ProbeFailures, "Active peer health probes that failed.")
 		if len(sh.Breakers) > 0 {
@@ -74,9 +80,9 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	}
 	if rp := m.Replication; rp != nil {
 		gauge("replication_factor", float64(rp.Factor), "Effective result replication factor.")
-		counter("replica_pushed_total", rp.Pushed, "Replica writes delivered to peers.")
-		counter("replica_push_failed_total", rp.Failed, "Replica writes that fell back to a hinted-handoff record.")
-		counter("replica_received_total", rp.Received, "Replica writes accepted from peers.")
+		counted("replica_pushed_total", "service.replica.pushed", "Replica writes delivered to peers.")
+		counted("replica_push_failed_total", "service.replica.failed", "Replica writes that fell back to a hinted-handoff record.")
+		counted("replica_received_total", "service.replica.received", "Replica writes accepted from peers.")
 		gauge("handoff_pending", float64(rp.HandoffPending), "Hinted-handoff records awaiting delivery.")
 		counter("handoff_queued_total", rp.HandoffQueued, "Hinted-handoff records queued for unreachable replicas.")
 		counter("handoff_delivered_total", rp.HandoffDelivered, "Hinted-handoff records replayed to recovered nodes.")
@@ -102,11 +108,11 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	}
 	if jn := m.Journal; jn != nil {
 		gauge("journal_pending_at_open", float64(jn.PendingAtOpen), "Replay backlog found when the journal opened.")
-		counter("journal_replayed_total", jn.Replayed, "Jobs re-enqueued from the journal at startup.")
+		counted("journal_replayed_total", "service.journal.replayed", "Jobs re-enqueued from the journal at startup.")
 		counter("journal_appends_total", jn.Appends, "Journal entries written since open.")
-		counter("journal_errors_total", jn.Errors, "Journal appends that failed (persistence degraded).")
+		counted("journal_errors_total", "service.journal.errors", "Journal appends that failed (persistence degraded).")
 	}
-	_ = obs.WritePrometheus(w, s.collector, "secserved")
+	_ = obs.WritePrometheus(w, s.collector, "secserved", func(event string) bool { return rendered[event] })
 }
 
 // breakerStateValue maps a breaker state name to its numeric gauge value.

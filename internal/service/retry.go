@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/linalg"
 	"repro/internal/modular"
 )
@@ -36,7 +35,6 @@ const (
 	errKindBudget      = "budget_exceeded"
 	errKindConvergence = "no_convergence"
 	errKindPanic       = "panic"
-	errKindInjected    = "injected_fault"
 	errKindTimeout     = "timeout"
 	errKindCanceled    = "canceled"
 	errKindInternal    = "internal"
@@ -54,8 +52,6 @@ func errorKind(err error) string {
 		return errKindBudget
 	case errors.Is(err, linalg.ErrNoConvergence):
 		return errKindConvergence
-	case errors.Is(err, fault.ErrInjected):
-		return errKindInjected
 	case errors.Is(err, context.DeadlineExceeded):
 		return errKindTimeout
 	case errors.Is(err, context.Canceled):
@@ -71,12 +67,12 @@ func errorKind(err error) string {
 
 // retryable reports whether a failure is transient enough to re-enqueue:
 // convergence exhaustion (a different cache/load state may take the dense
-// fallback), recovered panics, and injected faults. Budget violations and
-// bad requests are deterministic, and context errors mean the job's own
-// deadline or the server's shutdown — retrying those wastes the budget.
+// fallback) and recovered panics. Budget violations and bad requests are
+// deterministic, and context errors mean the job's own deadline or the
+// server's shutdown — retrying those wastes the budget.
 func retryable(err error) bool {
 	switch errorKind(err) {
-	case errKindConvergence, errKindPanic, errKindInjected:
+	case errKindConvergence, errKindPanic:
 		return true
 	}
 	return false

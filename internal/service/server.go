@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/store"
@@ -49,11 +48,10 @@ type Config struct {
 	// are dropped first (default 1024).
 	RetainJobs int
 	// MaxAttempts bounds executions per job, including the first (default
-	// 3). Transient failures — convergence exhaustion, recovered panics,
-	// injected faults — are re-enqueued with capped exponential backoff
-	// and jitter until the budget is spent; deterministic failures (bad
-	// requests, exceeded exploration budgets) and context errors fail
-	// immediately.
+	// 3). Transient failures — convergence exhaustion and recovered panics
+	// — are re-enqueued with capped exponential backoff and jitter until
+	// the budget is spent; deterministic failures (bad requests, exceeded
+	// exploration budgets) and context errors fail immediately.
 	MaxAttempts int
 	// RetryBaseDelay / RetryMaxDelay shape the backoff (defaults 100ms /
 	// 5s).
@@ -224,15 +222,10 @@ type Server struct {
 	wg      sync.WaitGroup
 	started time.Time
 
-	accepted       atomic.Int64
-	completed      atomic.Int64
-	failed         atomic.Int64
-	rejected       atomic.Int64
+	// The two levels the health decision reads. Every count lives in the
+	// collector instead (see counted).
 	running        atomic.Int64
-	retried        atomic.Int64
-	panics         atomic.Int64
 	consecFailures atomic.Int64
-	journalErrors  atomic.Int64 // journal appends that failed (persistence degraded)
 
 	// Fleet-resilience machinery (see replicate.go; zero when Shard is nil).
 	admission   *admission
@@ -450,7 +443,7 @@ func (s *Server) runJob(job *Job) {
 	// this job, never the worker goroutine.
 	defer func() {
 		if r := recover(); r != nil {
-			s.panics.Add(1)
+			s.tracer.Count("service.panic.recovered", 1)
 			s.finishJob(job, nil, "", &PanicError{Value: fmt.Sprint(r), Stack: string(debug.Stack())})
 		}
 	}()
@@ -496,13 +489,11 @@ func (s *Server) runJob(job *Job) {
 		rec.Outcome = obs.AttemptError
 		rec.Error = err.Error()
 		var pe *PanicError
-		switch {
-		case errors.As(err, &pe):
+		if errors.As(err, &pe) {
+			// The engine counted the panic where it recovered it, once
+			// for all single-flight waiters.
 			rec.Outcome = obs.AttemptPanic
 			rec.Stack = pe.Stack
-			s.panics.Add(1)
-		case errors.Is(err, fault.ErrInjected):
-			rec.Outcome = obs.AttemptInjected
 		}
 	}
 	obs.RecordAttempt(ctx, rec)
@@ -532,26 +523,30 @@ func (s *Server) finishJob(job *Job, out *Outcome, cache CacheState, err error) 
 		m.Flight = s.flight.Snapshot()
 		m.FlightDropped = s.flight.Dropped()
 	}
-	if !job.finish(out, cache, err, m) {
+	finished := job.finish(out, cache, err, m, func() {
+		if err != nil {
+			s.tracer.Count("service.jobs.failed", 1)
+			s.consecFailures.Add(1)
+		} else {
+			s.tracer.Count("service.jobs.completed", 1)
+			s.consecFailures.Store(0)
+		}
+	})
+	if !finished {
 		return // already terminal: a panic raced a normal finish
 	}
 	if job.release != nil {
 		job.release()
 	}
 	s.usage.record(job.tenant, job.elapsed().Seconds(), cache, err != nil)
-	if err != nil {
-		s.failed.Add(1)
-		s.consecFailures.Add(1)
-	} else {
-		s.completed.Add(1)
-		s.consecFailures.Store(0)
+	if err == nil {
 		s.replicateOutcome(job, out, cache)
 	}
 	if s.cfg.Journal != nil {
 		// Any terminal state — success, failure, cancellation — retires the
 		// journal entry; replay is for work that never finished.
 		if jerr := s.cfg.Journal.Done(job.id); jerr != nil {
-			s.journalErrors.Add(1)
+			s.tracer.Count("service.journal.errors", 1)
 		}
 	}
 	s.maybeLogSlow(job, m, cache, err)
@@ -559,10 +554,10 @@ func (s *Server) finishJob(job *Job, out *Outcome, cache CacheState, err error) 
 }
 
 // flightTriggered decides whether this job's manifest should carry a flight
-// dump: any recovered panic or injected fault in the attempt history (even
-// if a retry then succeeded), a terminal panic/injection/deadline breach,
-// or a failure that leaves the service at (or beyond) its degraded-health
-// threshold.
+// dump: any recovered panic or injected solver divergence in the attempt
+// history (even if a retry then succeeded), a terminal panic or deadline
+// breach, or a failure that leaves the service at (or beyond) its
+// degraded-health threshold.
 func (s *Server) flightTriggered(err error, attempts []obs.Attempt) bool {
 	for _, at := range attempts {
 		if at.Outcome == obs.AttemptPanic || at.Outcome == obs.AttemptInjected {
@@ -573,7 +568,7 @@ func (s *Server) flightTriggered(err error, attempts []obs.Attempt) bool {
 		return false
 	}
 	var pe *PanicError
-	if errors.As(err, &pe) || errors.Is(err, fault.ErrInjected) || errors.Is(err, context.DeadlineExceeded) {
+	if errors.As(err, &pe) || errors.Is(err, context.DeadlineExceeded) {
 		return true
 	}
 	// This failure is about to be counted; +1 anticipates the increment in
@@ -600,7 +595,7 @@ func (s *Server) scheduleRetry(job *Job, lastErr error, attempt int) bool {
 	pr.timer = time.AfterFunc(delay, func() { s.requeue(job.id) })
 	s.retries[job.id] = pr
 	s.mu.Unlock()
-	s.retried.Add(1)
+	s.tracer.Count("service.jobs.retried", 1)
 	return true
 }
 
@@ -721,12 +716,12 @@ func (s *Server) submitMeta(req *AnalysisRequest, tc obs.TraceContext, meta subm
 	case s.queue <- job:
 	default:
 		s.mu.Unlock()
-		s.rejected.Add(1)
+		s.tracer.Count("service.jobs.rejected", 1)
 		return nil, ErrQueueFull
 	}
 	s.jobs[id] = job
 	s.mu.Unlock()
-	s.accepted.Add(1)
+	s.tracer.Count("service.jobs.accepted", 1)
 	s.journalSubmit(job)
 	return job, nil
 }
@@ -742,7 +737,7 @@ func (s *Server) journalSubmit(job *Job) {
 		err = s.cfg.Journal.Submit(job.id, body)
 	}
 	if err != nil {
-		s.journalErrors.Add(1)
+		s.tracer.Count("service.journal.errors", 1)
 	}
 }
 
@@ -796,7 +791,7 @@ func (s *Server) ReplayJournal() int {
 		s.seq = maxSeq
 	}
 	s.mu.Unlock()
-	s.accepted.Add(int64(replayed))
+	s.tracer.Count("service.jobs.accepted", int64(replayed))
 	sp.Int("replayed", int64(replayed))
 	s.tracer.Count("service.journal.replayed", int64(replayed))
 	return replayed
@@ -876,7 +871,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.admission != nil && r.Header.Get(shard.ForwardedHeader) == "" {
 		rel, retryIn, reason := s.admission.admit(tenant, s.queuePressure())
 		if rel == nil {
-			s.rejected.Add(1)
+			s.tracer.Count("service.jobs.rejected", 1)
 			s.usage.recordShed(tenant)
 			obs.Count(r.Context(), "service.tenant.shed", 1)
 			obs.LogAttrs(r.Context(), "tenant.shed",
@@ -1024,8 +1019,9 @@ type Health struct {
 	// ConsecutiveFailures counts job failures since the last success;
 	// reaching the configured DegradedAfter threshold degrades.
 	ConsecutiveFailures int64 `json:"consecutive_failures"`
-	// PanicsRecovered counts solve-path panics converted to job failures
-	// over the server's lifetime.
+	// PanicsRecovered counts panics recovered on the job path over the
+	// server's lifetime; one panic shared by single-flight waiters counts
+	// once.
 	PanicsRecovered int64 `json:"panics_recovered"`
 	// RetriesPending counts jobs currently waiting out a backoff.
 	RetriesPending int `json:"retries_pending,omitempty"`
@@ -1054,7 +1050,8 @@ type Metrics struct {
 	JobsRejected  int64   `json:"jobs_rejected"`
 	JobsRunning   int64   `json:"jobs_running"`
 	// JobsRetried counts transient-failure re-enqueues; PanicsRecovered
-	// counts solve-path panics converted to job failures.
+	// counts recovered panics, once per panic however many single-flight
+	// waiters shared it.
 	JobsRetried     int64       `json:"jobs_retried"`
 	PanicsRecovered int64       `json:"panics_recovered"`
 	RetriesPending  int         `json:"retries_pending"`
@@ -1127,8 +1124,9 @@ type JournalMetrics struct {
 	Errors int64 `json:"errors"`
 }
 
-// Metrics snapshots the server counters. Quantities the server also emits as
-// events are counted once, in the collector, and read back from it.
+// Metrics snapshots the server counters. Every count is kept once, in the
+// collector, and read back from it; only the running and failure-streak
+// levels are atomics.
 func (s *Server) Metrics() Metrics {
 	s.mu.Lock()
 	pending := len(s.retries)
@@ -1138,13 +1136,13 @@ func (s *Server) Metrics() Metrics {
 		Workers:         s.cfg.Workers,
 		QueueDepth:      len(s.queue),
 		QueueCapacity:   s.cfg.QueueDepth,
-		JobsAccepted:    s.accepted.Load(),
-		JobsCompleted:   s.completed.Load(),
-		JobsFailed:      s.failed.Load(),
-		JobsRejected:    s.rejected.Load(),
+		JobsAccepted:    s.counted("service.jobs.accepted"),
+		JobsCompleted:   s.counted("service.jobs.completed"),
+		JobsFailed:      s.counted("service.jobs.failed"),
+		JobsRejected:    s.counted("service.jobs.rejected"),
 		JobsRunning:     s.running.Load(),
-		JobsRetried:     s.retried.Load(),
-		PanicsRecovered: s.panics.Load(),
+		JobsRetried:     s.counted("service.jobs.retried"),
+		PanicsRecovered: s.counted("service.panic.recovered"),
 		RetriesPending:  pending,
 		Engine:          s.engine.Stats(),
 	}
@@ -1186,7 +1184,7 @@ func (s *Server) Metrics() Metrics {
 			PendingAtOpen: js.PendingAtOpen,
 			Replayed:      s.counted("service.journal.replayed"),
 			Appends:       js.Appends,
-			Errors:        s.journalErrors.Load(),
+			Errors:        s.counted("service.journal.errors"),
 		}
 	}
 	return m
