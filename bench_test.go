@@ -51,11 +51,11 @@ func BenchmarkEq15SteadyState(b *testing.B) {
 	c := paperEq15Chain(b)
 	var pi2 float64
 	for i := 0; i < b.N; i++ {
-		pi, err := c.SteadyStateContext(b.Context(), []float64{1, 0, 0})
+		p, err := c.SteadyStateProbabilityContext(b.Context(), []float64{1, 0, 0}, []bool{false, false, true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		pi2 = pi[2]
+		pi2 = p
 	}
 	b.ReportMetric(100*pi2, "pct_s2") // paper: 0.0699 %
 }

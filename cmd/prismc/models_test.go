@@ -26,6 +26,9 @@ func TestShippedModels(t *testing.T) {
 		{"tandem_queue.pm", `P=? [ F<=1 "station1_blocked" ]`, 0.014214, 5e-5},
 		// TMR: cross-validated against the simulator (0.0919 ± 0.0007).
 		{"tmr_system.pm", `P=? [ F<=1 !"operational" ]`, 0.092383, 5e-5},
+		// Reducible: two absorbing outcomes and a recurrent patch cycle,
+		// 3/8 + 4/8·1/4 exactly.
+		{"disclosure_outcomes.pm", `S=? [ "exposed" ]`, 0.5, 1e-12},
 	}
 	for _, c := range cases {
 		t.Run(c.model+"/"+c.prop, func(t *testing.T) {

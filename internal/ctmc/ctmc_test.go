@@ -98,10 +98,7 @@ func TestGeneratorMatchesPaperEq14(t *testing.T) {
 // π = (0.96296, 0.036338, 0.000699) to the printed precision.
 func TestSteadyStatePaperEq15(t *testing.T) {
 	c := paperExample(t)
-	pi, err := c.SteadyStateContext(t.Context(), dirac(c, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pi := steadyState(t, c, dirac(c, 0))
 	want := []float64{0.96296, 0.036338, 0.000699}
 	tol := []float64{5e-6, 5e-7, 5e-7}
 	for i := range want {
@@ -114,10 +111,7 @@ func TestSteadyStatePaperEq15(t *testing.T) {
 func TestSteadyStateExactRatios(t *testing.T) {
 	// Closed form for the example: π0 = 26.5·π1, π2 = π1/52.
 	c := paperExample(t)
-	pi, err := c.SteadyStateContext(t.Context(), dirac(c, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pi := steadyState(t, c, dirac(c, 0))
 	if math.Abs(pi[0]/pi[1]-26.5) > 1e-9 {
 		t.Fatalf("π0/π1 = %v", pi[0]/pi[1])
 	}
@@ -412,10 +406,7 @@ func TestExpectedTimeFractionMatchesSteadyStateLongRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyStateContext(t.Context(), dirac(c, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pi := steadyState(t, c, dirac(c, 0))
 	if math.Abs(frac-pi[2]) > 1e-5 {
 		t.Fatalf("fraction %v vs stationary %v", frac, pi[2])
 	}
@@ -431,10 +422,7 @@ func TestSteadyStateReducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyStateContext(t.Context(), dirac(c, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pi := steadyState(t, c, dirac(c, 0))
 	if math.Abs(pi[0]) > 1e-12 || math.Abs(pi[1]-0.25) > 1e-9 || math.Abs(pi[2]-0.75) > 1e-9 {
 		t.Fatalf("π = %v", pi)
 	}
@@ -450,10 +438,7 @@ func TestSteadyStateReducibleWithCycleBSCC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyStateContext(t.Context(), dirac(c, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pi := steadyState(t, c, dirac(c, 0))
 	// Two-state cycle with rates 1 and 3: π1 = 3/4, π2 = 1/4.
 	if math.Abs(pi[1]-0.75) > 1e-9 || math.Abs(pi[2]-0.25) > 1e-9 {
 		t.Fatalf("π = %v", pi)
@@ -524,10 +509,7 @@ func TestQuickSteadyStateBalance(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pi, err := c.SteadyStateContext(t.Context(), dirac(c, 0))
-		if err != nil {
-			return false
-		}
+		pi := steadyState(t, c, dirac(c, 0))
 		if math.Abs(pi.Sum()-1) > 1e-9 {
 			return false
 		}
@@ -667,10 +649,7 @@ func TestSteadyStateLargeBirthDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyStateContext(t.Context(), dirac(c, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pi := steadyState(t, c, dirac(c, 0))
 	rho := lambda / mu
 	// π_k ∝ ρ^k; normalisation (1-ρ)/(1-ρ^n).
 	z := (1 - math.Pow(rho, n)) / (1 - rho)
@@ -700,10 +679,7 @@ func TestSteadyStateLargeStiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.SteadyStateContext(t.Context(), dirac(c, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pi := steadyState(t, c, dirac(c, 0))
 	// Verify the balance equations directly.
 	res, err := generator(c).ToDense().Transpose().MulVec(pi, nil)
 	if err != nil {
@@ -712,6 +688,22 @@ func TestSteadyStateLargeStiff(t *testing.T) {
 	if res.NormInf() > 1e-8 {
 		t.Fatalf("balance residual %v", res.NormInf())
 	}
+}
+
+// steadyState returns the long-run distribution from init: the long-run
+// probability of every single state.
+func steadyState(t *testing.T, c *Chain, init linalg.Vector) linalg.Vector {
+	t.Helper()
+	masks := make([][]bool, c.N())
+	for s := range masks {
+		masks[s] = make([]bool, c.N())
+		masks[s][s] = true
+	}
+	pi, err := c.SteadyStateProbabilitiesContext(t.Context(), init, masks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pi
 }
 
 // dirac returns the point distribution on state s of c.

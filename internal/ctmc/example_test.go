@@ -25,7 +25,7 @@ func Example() {
 
 	ctx := context.Background()
 	start := []float64{1, 0, 0} // the chain starts in s0
-	pi, err := chain.SteadyStateContext(ctx, start)
+	pi, err := chain.SteadyStateProbabilitiesContext(ctx, start, [][]bool{{true, false, false}, {false, true, false}, {false, false, true}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -178,7 +178,7 @@ func TestQuickUnboundedReachabilityFixedPoint(t *testing.T) {
 // 0 where the target is unreachable, 1 on the target and where no bottom
 // SCC free of target states is reachable — with the rest solved by
 // Gauss–Seidel from the COO-assembled system.
-func embeddedReach(t *testing.T, c *Chain, target []bool, opts linalg.IterOpts) linalg.Vector {
+func embeddedReach(t *testing.T, c *Chain, target []bool) linalg.Vector {
 	t.Helper()
 	p := cooEmbedded(c)
 	var targets, bad []int
@@ -212,7 +212,7 @@ func embeddedReach(t *testing.T, c *Chain, target []bool, opts linalg.IterOpts) 
 		return x
 	}
 	a, b := cooReach(p, x, unknowns, idx)
-	y, err := linalg.GaussSeidel(splitOf(a), b, opts)
+	y, err := linalg.GaussSeidel(splitOf(a), b, linalg.IterOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,21 +263,109 @@ func reducibleChain(t *testing.T, r *rand.Rand) *Chain {
 	return c
 }
 
-// On reducible chains with three or more BSCCs the long-run analyses fold
-// absorption probabilities bit-identical to the embedded-chain reference
-// (a BSCC is closed, so both classifications agree and the systems are the
-// same), unbounded reachability of an arbitrary target stays within 1e-12
-// of it, and every state that reaches the target almost surely reads
-// exactly 1.
+// denseLongRun is the per-BSCC oracle of the long-run vector of mask:
+// each BSCC's π_B from stationaryDirect and, for each BSCC, a dense solve
+// of the probability of being absorbed into it from every transient state
+// of the embedded chain.
+func denseLongRun(t *testing.T, c *Chain, mask []bool) linalg.Vector {
+	t.Helper()
+	n := c.N()
+	p := cooEmbedded(c)
+	_, bsccs := graph.BSCCs(c.Rates)
+	pos, idx := make([]int, n), make([]int, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for _, set := range bsccs {
+		for k, s := range set {
+			pos[s] = k
+		}
+	}
+	var transient []int
+	for i := range idx {
+		idx[i] = -1
+		if pos[i] < 0 {
+			idx[i] = len(transient)
+			transient = append(transient, i)
+		}
+	}
+	out := linalg.NewVector(n)
+	for _, set := range bsccs {
+		pi, err := c.stationaryDirect(set, pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v float64
+		for k, s := range set {
+			if mask[s] {
+				v += pi[k]
+			}
+		}
+		for _, s := range set {
+			out[s] = v
+		}
+		if v == 0 || len(transient) == 0 {
+			continue
+		}
+		a := linalg.NewDense(len(transient), len(transient))
+		b := linalg.NewVector(len(transient))
+		for u, s := range transient {
+			a.Add(u, u, 1)
+			cols, vals := p.Row(s)
+			for k, j := range cols {
+				switch {
+				case idx[j] >= 0:
+					a.Add(u, idx[j], -vals[k])
+				case slices.Contains(set, int(j)):
+					b[u] += vals[k]
+				}
+			}
+		}
+		x, err := linalg.SolveDense(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u, s := range transient {
+			out[s] += v * x[u]
+		}
+	}
+	return out
+}
+
+// assertDiracMatchesVector checks that vec, the long-run vector of mask,
+// lies in [0, 1] and that the long-run probability of mask from each
+// single state is vec's entry bit for bit.
+func assertDiracMatchesVector(t *testing.T, c *Chain, mask []bool, vec linalg.Vector) {
+	t.Helper()
+	for i, v := range vec {
+		if !(v >= 0 && v <= 1) {
+			t.Fatalf("long-run vector entry %d = %v, outside [0, 1]", i, v)
+		}
+		p, err := c.SteadyStateProbabilityContext(t.Context(), dirac(c, i), mask)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitsEqual(p, v) {
+			t.Fatalf("long-run probability from state %d = %v, vector entry %v", i, p, v)
+		}
+	}
+}
+
+// On reducible chains with three or more BSCCs the long-run vector and
+// probability stay within 1e-5 of the dense per-BSCC oracle (the fold's
+// transient solve stops on Gauss–Seidel's change between sweeps, not on
+// its error) and agree with each other bit for bit; unbounded
+// reachability of an arbitrary target stays within 1e-12 of the
+// embedded-chain reference, and every state that reaches the target
+// almost surely reads exactly 1.
 func TestReachabilityMatchesEmbeddedReference(t *testing.T) {
 	r := rand.New(rand.NewSource(26))
 	ctx := t.Context()
 	for trial := 0; trial < 200; trial++ {
 		c := reducibleChain(t, r)
 		n := c.N()
-		lr := c.longRun(nil)
-		if len(lr.bsccs) < 3 {
-			t.Fatalf("trial %d: %d BSCCs, want at least 3", trial, len(lr.bsccs))
+		if _, bsccs := graph.BSCCs(c.Rates); len(bsccs) < 3 {
+			t.Fatalf("trial %d: %d BSCCs, want at least 3", trial, len(bsccs))
 		}
 		init := linalg.NewVector(n)
 		for i := range init {
@@ -288,53 +376,31 @@ func TestReachabilityMatchesEmbeddedReference(t *testing.T) {
 		for i := range mask {
 			mask[i] = r.Intn(2) == 0
 		}
-		wantPi, wantVec := linalg.NewVector(n), linalg.NewVector(n)
-		for b, set := range lr.bsccs {
-			target := make([]bool, n)
-			for _, s := range set {
-				target[s] = true
-			}
-			ref := embeddedReach(t, c, target, linalg.IterOpts{Tol: 1e-10, MaxIter: 500000})
-			pi, err := lr.stationary(ctx, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var v float64
-			for k, s := range set {
-				if mask[s] {
-					v += pi[k]
-				}
-			}
-			if v != 0 {
-				wantVec.AddScaled(v, ref)
-			}
-			if pAbsorb := init.Dot(ref); pAbsorb != 0 {
-				for k, s := range set {
-					wantPi[s] += pAbsorb * pi[k]
-				}
-			}
-		}
-		wantPi.Normalize1()
-		for i := range wantVec {
-			wantVec[i] = clampUnit(wantVec[i])
-		}
-		gotPi, err := c.SteadyStateContext(ctx, init)
+		oracle := denseLongRun(t, c, mask)
+		vec, err := c.SteadyStateVectorContext(ctx, mask)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameVector(t, "steady state", gotPi, wantPi)
-		gotVec, err := c.SteadyStateVectorContext(ctx, mask)
+		for i := range vec {
+			if math.Abs(vec[i]-oracle[i]) > 1e-5 {
+				t.Fatalf("trial %d: long-run value of state %d = %v, dense oracle %v", trial, i, vec[i], oracle[i])
+			}
+		}
+		p, err := c.SteadyStateProbabilityContext(ctx, init, mask)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameVector(t, "steady-state vector", gotVec, wantVec)
+		if math.Abs(p-init.Dot(oracle)) > 1e-5 {
+			t.Fatalf("trial %d: long-run probability %v, dense oracle %v", trial, p, init.Dot(oracle))
+		}
+		assertDiracMatchesVector(t, c, mask, vec)
 
 		target := make([]bool, n)
 		for k := 1 + r.Intn(3); k > 0; k-- {
 			target[r.Intn(n)] = true
 		}
 		got := reach(t, c, target)
-		want := embeddedReach(t, c, target, linalg.IterOpts{})
+		want := embeddedReach(t, c, target)
 		for i := range got {
 			if math.Abs(got[i]-want[i]) > 1e-12 {
 				t.Fatalf("trial %d: P[F target] of state %d = %v, reference %v", trial, i, got[i], want[i])
@@ -426,6 +492,149 @@ func TestChaosUnboundedReachabilityEscalates(t *testing.T) {
 		}
 		if _, ok := got["iterations"]; !ok {
 			t.Errorf("%s: no iterations attribute (attrs %v)", name, got)
+		}
+	}
+}
+
+// ergodicChain has 2–31 states on a ring, with 0–3 further rates out of
+// each state to anywhere, spread over five decades.
+func ergodicChain(t *testing.T, r *rand.Rand) *Chain {
+	t.Helper()
+	rate := func() float64 { return r.ExpFloat64() * math.Pow(10, float64(r.Intn(5)-2)) }
+	n := 2 + r.Intn(30)
+	b := NewBuilder(n)
+	for s := 0; s < n; s++ {
+		b.Add(s, (s+1)%n, rate())
+		for k := r.Intn(4); k > 0; k-- {
+			b.Add(s, r.Intn(n), rate())
+		}
+	}
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// Every long-run value lies in [0, 1], S=? [true] included, and the
+// probability from a single state is the vector's entry bit for bit, on
+// seeded ergodic and reducible chains.
+func TestLongRunInUnitInterval(t *testing.T) {
+	r := rand.New(rand.NewSource(32))
+	for trial := 0; trial < 600; trial++ {
+		var c *Chain
+		if trial < 500 {
+			c = ergodicChain(t, r)
+		} else {
+			c = reducibleChain(t, r)
+		}
+		all, some := make([]bool, c.N()), make([]bool, c.N())
+		for i := range all {
+			all[i], some[i] = true, r.Intn(2) == 0
+		}
+		for _, mask := range [][]bool{all, some} {
+			vec, err := c.SteadyStateVectorContext(t.Context(), mask)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertDiracMatchesVector(t, c, mask, vec)
+		}
+	}
+}
+
+// eightBSCCChain has 40 transient states on a ring, each leaking into one
+// of 8 BSCCs, BSCC b a two-state cycle whose second state has stationary
+// probability 1/(b+2). Its mask holds those second states, so every BSCC
+// gives it a distinct non-zero value.
+func eightBSCCChain(t *testing.T) (*Chain, []bool) {
+	t.Helper()
+	const transient, bsccs = 40, 8
+	b := NewBuilder(transient + 2*bsccs)
+	mask := make([]bool, transient+2*bsccs)
+	for s := 0; s < transient; s++ {
+		b.Add(s, (s+1)%transient, 1)
+		b.Add(s, transient+2*(s%bsccs), 0.1)
+	}
+	for k := 0; k < bsccs; k++ {
+		first := transient + 2*k
+		b.Add(first, first+1, 1)
+		b.Add(first+1, first, float64(k+1))
+		mask[first+1] = true
+	}
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, mask
+}
+
+// The long-run analyses run one reachability solve per mask whose BSCC
+// values differ, however many BSCCs there are, and none for a mask every
+// BSCC gives the same value.
+func TestLongRunOneSolvePerMask(t *testing.T) {
+	c, mask := eightBSCCChain(t)
+	all := make([]bool, c.N())
+	for i := range all {
+		all[i] = true
+	}
+	for _, tc := range []struct {
+		name string
+		mask []bool
+		want int
+	}{{"distinct", mask, 1}, {"equal", all, 0}} {
+		for _, entry := range []struct {
+			name string
+			call func(ctx context.Context) error
+		}{
+			{"vector", func(ctx context.Context) error {
+				_, err := c.SteadyStateVectorContext(ctx, tc.mask)
+				return err
+			}},
+			{"probability", func(ctx context.Context) error {
+				_, err := c.SteadyStateProbabilityContext(ctx, dirac(c, 0), tc.mask)
+				return err
+			}},
+		} {
+			rec := &obs.AttemptRecorder{}
+			ctx, root := obs.NewTracer(rec, false).StartSpan(t.Context(), "test")
+			if err := entry.call(ctx); err != nil {
+				t.Fatal(err)
+			}
+			root.End()
+			if got := len(rec.Attempts()); got != tc.want {
+				t.Errorf("%s, %s mask: %d solver attempts, want %d", entry.name, tc.name, got, tc.want)
+			}
+		}
+	}
+}
+
+// With solver divergence injected once, the long-run vector of a chain
+// with 8 BSCCs escalates its one solve from Gauss–Seidel to Jacobi,
+// records both attempts and still matches the dense oracle.
+func TestChaosLongRunEscalates(t *testing.T) {
+	in, err := fault.Parse("solver.diverge:n=1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Enable(in)
+	defer fault.Disable()
+	c, mask := eightBSCCChain(t)
+	rec := &obs.AttemptRecorder{}
+	ctx, root := obs.NewTracer(rec, false).StartSpan(t.Context(), "test")
+	vec, err := c.SteadyStateVectorContext(ctx, mask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	attempts := rec.Attempts()
+	if len(attempts) != 2 || attempts[0].Outcome != obs.AttemptInjected ||
+		attempts[1].Outcome != obs.AttemptOK || attempts[1].Method != linalg.MethodJacobi {
+		t.Fatalf("attempts = %+v, want injected, then jacobi", attempts)
+	}
+	oracle := denseLongRun(t, c, mask)
+	for i := range vec {
+		if math.Abs(vec[i]-oracle[i]) > 1e-5 {
+			t.Fatalf("state %d: long-run value %v, dense oracle %v", i, vec[i], oracle[i])
 		}
 	}
 }

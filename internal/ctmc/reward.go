@@ -58,15 +58,13 @@ func (c *Chain) reachabilityRewardAll(ctx context.Context, reward linalg.Vector,
 	return c.untilTarget(ctx, sp, reward, target, linalg.IterOpts{Tol: 1e-10, MaxIter: 2_000_000})
 }
 
-// untilTarget is the one solve behind unbounded reachability, absorption
-// into a BSCC and the reachability reward. With a nil reward it returns
-// P_i[F target] for every state i: 1 on the target and on the states that
-// reach it almost surely, 0 on those that cannot reach it. With a reward
-// it returns the expected reward accumulated until the target: 0 on the
-// target and +Inf where the target is reached with probability < 1. The
-// remaining states are solved for on the embedded chain (see splitSystem)
-// through linalg.RobustSolve under opts; the unknowns and the solver's
-// attempts go on sp.
+// untilTarget is the one solve behind unbounded reachability and the
+// reachability reward. With a nil reward it returns P_i[F target] for
+// every state i: 1 on the target and on the states that reach it almost
+// surely, 0 on those that cannot reach it. With a reward it returns the
+// expected reward accumulated until the target: 0 on the target and +Inf
+// where the target is reached with probability < 1. The remaining states
+// are solved for on the embedded chain (see solveUnknowns).
 func (c *Chain) untilTarget(ctx context.Context, sp *obs.Span, reward linalg.Vector, target []bool, opts linalg.IterOpts) (linalg.Vector, error) {
 	n := c.N()
 	if len(target) != n {
@@ -106,6 +104,15 @@ func (c *Chain) untilTarget(ctx context.Context, sp *obs.Span, reward linalg.Vec
 			unknowns = append(unknowns, i)
 		}
 	}
+	return c.solveUnknowns(ctx, sp, reward, x, unknowns, idx, opts)
+}
+
+// solveUnknowns fills in x, whose known entries are set, on the unknown
+// states (idx maps a state to its unknown index, -1 if known): it solves
+// splitSystem's system through linalg.RobustSolve under opts and clamps a
+// probability (nil reward) to [0, 1]. The unknowns and the solver's
+// attempts go on sp.
+func (c *Chain) solveUnknowns(ctx context.Context, sp *obs.Span, reward, x linalg.Vector, unknowns, idx []int, opts linalg.IterOpts) (linalg.Vector, error) {
 	sp.Int("unknowns", int64(len(unknowns)))
 	a, b, err := c.splitSystem(reward, x, unknowns, idx)
 	if err != nil {

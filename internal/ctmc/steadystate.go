@@ -15,105 +15,93 @@ import (
 // iterative balance-equation solve.
 const directSolveThreshold = 256
 
-// SteadyStateContext computes the long-run state distribution from the
-// given initial distribution. For an irreducible chain this is the
-// classical solution of πQ = 0, Σπ = 1; for a reducible chain the
-// distribution decomposes over the bottom strongly connected components:
-// π∞(s) = Σ_B P[absorb into B | init] · π_B(s). A "ctmc.steadystate" span
-// records state and BSCC counts, with one child span per iterative
-// balance-equation solve carrying the solver's iteration count and final
-// residual.
-func (c *Chain) SteadyStateContext(ctx context.Context, init linalg.Vector) (linalg.Vector, error) {
-	ctx, sp := obs.Start(ctx, "ctmc.steadystate")
-	defer sp.End()
-	if err := c.checkInit(init); err != nil {
-		return nil, err
-	}
-	lr := c.longRun(sp)
-	out := linalg.NewVector(c.N())
-	if len(lr.bsccs) == 1 {
-		// Irreducible, or a single BSCC that absorbs all probability mass
-		// regardless of the initial distribution: the (potentially
-		// ill-conditioned) reachability solve is only needed when the mass
-		// splits between several BSCCs.
-		pi, err := lr.stationary(ctx, 0)
-		if err != nil {
-			return nil, err
-		}
-		for k, s := range lr.bsccs[0] {
-			out[s] = pi[k]
-		}
-		return out, nil
-	}
-	for b, set := range lr.bsccs {
-		reach, err := lr.absorption(ctx, b)
-		if err != nil {
-			return nil, err
-		}
-		pAbsorb := init.Dot(reach)
-		if pAbsorb == 0 {
-			continue
-		}
-		pi, err := lr.stationary(ctx, b)
-		if err != nil {
-			return nil, err
-		}
-		for k, s := range set {
-			out[s] += pAbsorb * pi[k]
-		}
-	}
-	// Numerical cleanup: the BSCC absorption probabilities sum to 1.
-	out.Normalize1()
-	return out, nil
-}
-
 // longRun is the bottom-SCC decomposition the long-run analyses share:
-// π∞ folds each BSCC's stationary distribution π_B with the probability of
-// being absorbed into B.
+// every BSCC's stationary distribution π_B, solved once. The long-run
+// probability of a mask from state s is π_B(mask) on the states of a BSCC
+// B and, on a transient state, Σ_B P_s[absorb into B]·π_B(mask).
 type longRun struct {
 	c     *Chain
-	bsccs [][]int
-	pos   []int // state -> position in its BSCC, -1 for transient states
+	bscc  []int         // state -> its BSCC, -1 for transient states
+	pi    linalg.Vector // state -> π_B(s) in its BSCC B, 0 if transient
+	count int           // number of BSCCs
 }
 
-// longRun decomposes the chain and records the state and BSCC counts on sp.
-func (c *Chain) longRun(sp *obs.Span) *longRun {
+// longRun decomposes the chain, records the state and BSCC counts on sp
+// and solves every BSCC's stationary distribution.
+func (c *Chain) longRun(ctx context.Context, sp *obs.Span) (*longRun, error) {
 	n := c.N()
 	_, bsccs := graph.BSCCs(c.Rates)
 	sp.Int("states", int64(n))
 	sp.Int("bsccs", int64(len(bsccs)))
-	pos := make([]int, n)
+	l := &longRun{c: c, bscc: make([]int, n), pi: linalg.NewVector(n), count: len(bsccs)}
+	pos := make([]int, n) // state -> position in its BSCC, -1 if transient
 	for i := range pos {
-		pos[i] = -1
+		pos[i], l.bscc[i] = -1, -1
 	}
-	for _, set := range bsccs {
+	for b, set := range bsccs {
 		for k, s := range set {
-			pos[s] = k
+			pos[s], l.bscc[s] = k, b
 		}
 	}
-	return &longRun{c: c, bsccs: bsccs, pos: pos}
+	for _, set := range bsccs {
+		pi, err := linalg.Vector{1}, error(nil) // a one-state BSCC
+		switch {
+		case len(set) > directSolveThreshold:
+			pi, err = c.stationaryIterative(ctx, set, pos)
+		case len(set) > 1:
+			pi, err = c.stationaryDirect(set, pos)
+		}
+		if err != nil {
+			return nil, err
+		}
+		for k, s := range set {
+			l.pi[s] = pi[k]
+		}
+	}
+	return l, nil
 }
 
-// stationary returns π_B of BSCC b, indexed like its member slice.
-func (l *longRun) stationary(ctx context.Context, b int) (linalg.Vector, error) {
-	set := l.bsccs[b]
-	if len(set) == 1 {
-		return linalg.Vector{1}, nil
+// values returns π_B(mask) of every BSCC B, summed over its states in
+// state order and clamped to [0, 1]; a chain without states has one
+// value, 0.
+func (l *longRun) values(mask []bool) []float64 {
+	v := make([]float64, max(l.count, 1))
+	for s, in := range mask {
+		if b := l.bscc[s]; in && b >= 0 {
+			v[b] += l.pi[s]
+		}
 	}
-	if len(set) <= directSolveThreshold {
-		return l.c.stationaryDirect(set, l.pos)
+	for b := range v {
+		v[b] = clampUnit(v[b])
 	}
-	return l.c.stationaryIterative(ctx, set, l.pos)
+	return v
 }
 
-// absorption returns, for every state, the probability of eventually
-// being absorbed into BSCC b: of reaching any of its states.
-func (l *longRun) absorption(ctx context.Context, b int) (linalg.Vector, error) {
-	target := make([]bool, l.c.N())
-	for _, s := range l.bsccs[b] {
-		target[s] = true
+// fold returns the long-run probability of mask from every state. When
+// every BSCC has the same value, that value is every state's answer: fold
+// returns it and a nil vector without solving. Otherwise one reachability
+// solve over the transient states, with every BSCC state fixed at its
+// BSCC's value, gives the vector, each entry in [0, 1].
+func (l *longRun) fold(ctx context.Context, mask []bool) (float64, linalg.Vector, error) {
+	v := l.values(mask)
+	if !slices.ContainsFunc(v, func(w float64) bool { return w != v[0] }) {
+		return v[0], nil, nil
 	}
-	return l.c.untilTarget(ctx, nil, nil, target, linalg.IterOpts{Tol: 1e-10, MaxIter: 500000})
+	n := l.c.N()
+	x := linalg.NewVector(n)
+	idx := make([]int, n) // state -> unknown index, -1 on BSCC states
+	var unknowns []int
+	for s, b := range l.bscc {
+		idx[s] = -1
+		if b >= 0 {
+			x[s] = v[b]
+		} else {
+			idx[s] = len(unknowns)
+			unknowns = append(unknowns, s)
+		}
+	}
+	x, err := l.c.solveUnknowns(ctx, nil, nil, x, unknowns, idx, linalg.IterOpts{Tol: 1e-10, MaxIter: 500000})
+	return 0, x, err
 }
 
 // inSet returns the position of state j in set, given pos (state ->
@@ -318,24 +306,40 @@ func (c *Chain) SteadyStateProbabilityContext(ctx context.Context, init linalg.V
 }
 
 // SteadyStateProbabilitiesContext returns the long-run probability of
-// every mask from one steady-state solve.
+// every mask from the given initial distribution. For an irreducible chain
+// this is the classical solution of πQ = 0, Σπ = 1 summed over the mask;
+// for a reducible chain it folds each bottom SCC's stationary
+// distribution with the probability of being absorbed into it, from one
+// BSCC decomposition and at most one reachability solve per mask (none
+// when every BSCC gives the mask the same value). A "ctmc.steadystate"
+// span records state and BSCC counts, with one child span per iterative
+// balance-equation solve carrying the solver's iteration count and final
+// residual.
 func (c *Chain) SteadyStateProbabilitiesContext(ctx context.Context, init linalg.Vector, masks [][]bool) ([]float64, error) {
+	ctx, sp := obs.Start(ctx, "ctmc.steadystate")
+	defer sp.End()
+	if err := c.checkInit(init); err != nil {
+		return nil, err
+	}
 	for _, mask := range masks {
 		if len(mask) != c.N() {
 			return nil, fmt.Errorf("ctmc: mask length %d, want %d", len(mask), c.N())
 		}
 	}
-	pi, err := c.SteadyStateContext(ctx, init)
+	lr, err := c.longRun(ctx, sp)
 	if err != nil {
 		return nil, err
 	}
 	ps := make([]float64, len(masks))
 	for j, mask := range masks {
-		for i, in := range mask {
-			if in {
-				ps[j] += pi[i]
-			}
+		p, x, err := lr.fold(ctx, mask)
+		if err != nil {
+			return nil, err
 		}
+		if x != nil {
+			p = clampUnit(init.Dot(x))
+		}
+		ps[j] = p
 	}
 	return ps, nil
 }

@@ -44,7 +44,8 @@ func (c *Chain) UnboundedReachabilityVectorContext(ctx context.Context, target [
 
 // SteadyStateVectorContext computes, for every state i, the long-run
 // probability of being in the masked set when starting from i: the BSCC
-// decomposition value_i = Σ_B P_i[absorb into B] · π_B(mask).
+// decomposition value_i = Σ_B P_i[absorb into B] · π_B(mask), from at
+// most one reachability solve (see longRun.fold), each entry in [0, 1].
 func (c *Chain) SteadyStateVectorContext(ctx context.Context, mask []bool) (linalg.Vector, error) {
 	ctx, sp := obs.Start(ctx, "ctmc.steadystate_vec")
 	defer sp.End()
@@ -52,37 +53,16 @@ func (c *Chain) SteadyStateVectorContext(ctx context.Context, mask []bool) (lina
 	if len(mask) != n {
 		return nil, fmt.Errorf("ctmc: mask length %d, want %d", len(mask), n)
 	}
-	lr := c.longRun(sp)
-	out := linalg.NewVector(n)
-	for b, set := range lr.bsccs {
-		pi, err := lr.stationary(ctx, b)
-		if err != nil {
-			return nil, err
-		}
-		var v float64
-		for k, s := range set {
-			if mask[s] {
-				v += pi[k]
-			}
-		}
-		if len(lr.bsccs) == 1 {
-			// Every state is absorbed into the one BSCC.
-			out.Fill(v)
-			return out, nil
-		}
-		if v == 0 {
-			continue
-		}
-		reach, err := lr.absorption(ctx, b)
-		if err != nil {
-			return nil, err
-		}
-		out.AddScaled(v, reach)
+	lr, err := c.longRun(ctx, sp)
+	if err != nil {
+		return nil, err
 	}
-	for i := range out {
-		out[i] = clampUnit(out[i])
+	v, x, err := lr.fold(ctx, mask)
+	if x == nil && err == nil {
+		x = linalg.NewVector(n)
+		x.Fill(v)
 	}
-	return out, nil
+	return x, err
 }
 
 // ReachabilityRewardVectorContext computes, for every state, the expected

@@ -131,7 +131,7 @@ func TestExploreDifferential(t *testing.T) {
 		states, transitions int
 	}
 	cases := []sized{{"synthetic", syntheticModel(t), 19683, 235422}}
-	want := map[string][2]int{"paper_fig3.pm": {3, 5}, "tandem_queue.pm": {36, 85}, "tmr_system.pm": {8, 24}}
+	want := map[string][2]int{"paper_fig3.pm": {3, 5}, "tandem_queue.pm": {36, 85}, "tmr_system.pm": {8, 24}, "disclosure_outcomes.pm": {5, 5}}
 	files, err := filepath.Glob("../../models/*.pm")
 	if err != nil || len(files) != len(want) {
 		t.Fatalf("models/*.pm = %v, %v; want %d files", files, err, len(want))

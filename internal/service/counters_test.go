@@ -109,11 +109,21 @@ var publicCounts = map[string]string{
 	"service.journal.errors":           "secserved_journal_errors_total",
 }
 
+// engineCounts are the collector counts whose /metrics families
+// (secserved_engine_*, secserved_tenant_shed_total) read EngineStats and
+// the tenant usage table instead of the collector.
+var engineCounts = []string{
+	"service.cache.result.hit", "service.cache.result.miss", "service.cache.result.evict",
+	"service.cache.model.hit", "service.cache.model.miss", "service.cache.model.evict",
+	"service.singleflight.shared", "service.tenant.shed",
+}
+
 // TestCountedOnceOnProm: on a sharded, replicated, journaled ring, after
 // one forwarded job (n1 → n2) and its replica put (n2 → n1), every count
 // with a public family appears on /metrics under that family alone, with
 // the collector's value, and never again under its generic
-// secserved_<event>_total name.
+// secserved_<event>_total name; nor does any of engineCounts, whose
+// families read the same counts elsewhere.
 func TestCountedOnceOnProm(t *testing.T) {
 	nodes := bootGoldenRing(t)
 	n1, n2 := nodes["n1"], nodes["n2"]
@@ -125,6 +135,9 @@ func TestCountedOnceOnProm(t *testing.T) {
 		return n1.srv.counted("service.replica.received") == 1
 	})
 
+	if got := n2.srv.counted("service.cache.result.miss"); got != 1 {
+		t.Fatalf("n2 counted %d result-cache misses, want 1", got)
+	}
 	want := map[string]map[string]int64{
 		"n1": {"service.shard.forwarded": 1, "service.replica.received": 1},
 		"n2": {"service.jobs.accepted": 1, "service.jobs.completed": 1,
@@ -148,6 +161,11 @@ func TestCountedOnceOnProm(t *testing.T) {
 				types[family]++
 			} else if fam, v, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
 				values[fam] = v
+			}
+		}
+		for _, event := range engineCounts {
+			if generic := "secserved_" + strings.ReplaceAll(event, ".", "_") + "_total"; types[generic] != 0 {
+				t.Errorf("%s: %s is rendered twice, as %s", name, event, generic)
 			}
 		}
 		for event, family := range publicCounts {

@@ -25,7 +25,13 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 		p.Family("secserved_"+name, "gauge", help)
 		p.Float("secserved_"+name, v)
 	}
-	rendered := make(map[string]bool)
+	// The engine cache and single-flight families and the per-tenant shed
+	// family below read these collector counts from EngineStats and usage.
+	rendered := map[string]bool{
+		"service.cache.result.hit": true, "service.cache.result.miss": true, "service.cache.result.evict": true,
+		"service.cache.model.hit": true, "service.cache.model.miss": true, "service.cache.model.evict": true,
+		"service.singleflight.shared": true, "service.tenant.shed": true,
+	}
 	counted := func(name, event, help string) {
 		counter(name, s.counted(event), help)
 		rendered[event] = true
@@ -44,10 +50,10 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	counted("panics_recovered_total", "service.panic.recovered", "Job-path panics recovered; one panic shared by single-flight waiters counts once.")
 	counter("engine_solves_total", m.Engine.Solves, "Full pipeline executions.")
 	counter("engine_result_cache_hits_total", m.Engine.ResultCache.Hits, "Outcomes served from the result cache.")
-	counter("engine_result_cache_misses_total", m.Engine.ResultCache.Misses, "Outcomes computed from scratch.")
+	counter("engine_result_cache_misses_total", m.Engine.ResultCache.Misses, "Result-cache lookups that found no entry.")
 	counter("engine_result_cache_evictions_total", m.Engine.ResultCache.Evictions, "Outcomes pushed out of the result cache by its bound.")
 	counter("engine_model_cache_hits_total", m.Engine.ModelCache.Hits, "Prepared models served from cache.")
-	counter("engine_model_cache_misses_total", m.Engine.ModelCache.Misses, "Prepared models built from scratch.")
+	counter("engine_model_cache_misses_total", m.Engine.ModelCache.Misses, "Model-cache lookups that found no entry.")
 	counter("engine_model_cache_evictions_total", m.Engine.ModelCache.Evictions, "Prepared models pushed out of the model cache by its bound.")
 	counter("engine_singleflight_shared_total", m.Engine.Shared, "Jobs that joined an identical in-flight solve.")
 	counter("engine_disk_hits_total", m.Engine.DiskHits, "Outcomes served from the persistent store.")

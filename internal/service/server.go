@@ -871,7 +871,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.admission != nil && r.Header.Get(shard.ForwardedHeader) == "" {
 		rel, retryIn, reason := s.admission.admit(tenant, s.queuePressure())
 		if rel == nil {
-			s.tracer.Count("service.jobs.rejected", 1)
 			s.usage.recordShed(tenant)
 			obs.Count(r.Context(), "service.tenant.shed", 1)
 			obs.LogAttrs(r.Context(), "tenant.shed",
