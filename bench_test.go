@@ -451,6 +451,29 @@ func BenchmarkPaperScale(b *testing.B) {
 	b.ReportMetric(float64(r.States), "states")
 }
 
+// BenchmarkExplorePaperScale is one PrepareContext per op of the synthetic
+// architecture with 10 ECUs on 2 buses: the transformation, the
+// exploration of its 531,441 states and the labelling of the chain. It
+// reports states and ms per op; -benchmem gives the bytes, which at this
+// size are mostly the rate CSR as it grows.
+func BenchmarkExplorePaperScale(b *testing.B) {
+	ar, err := arch.Synthetic(arch.SyntheticSpec{ECUs: 10, Buses: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	an := core.Analyzer{NMax: 2, Horizon: 1}
+	var p *core.Prepared
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p, err = an.PrepareContext(b.Context(), ar, arch.MessageM, transform.Availability, transform.Unencrypted); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/op")
+	b.ReportMetric(float64(p.Explored.N()), "states")
+}
+
 // BenchmarkEngineExplore isolates state-space exploration.
 func BenchmarkEngineExplore(b *testing.B) {
 	res, err := transform.Build(arch.Architecture2(), arch.MessageM, transform.Options{

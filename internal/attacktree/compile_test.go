@@ -79,9 +79,10 @@ func TestGateGoldenFragments(t *testing.T) {
 				t.Fatalf("states = %d, want %d", ex.N(), len(tc.states))
 			}
 			for i, want := range tc.states {
+				st := ex.State(i, nil)
 				for v := range want {
-					if ex.States[i][v] != want[v] {
-						t.Fatalf("state %d = %v, want %v", i, ex.States[i], want)
+					if st[v] != want[v] {
+						t.Fatalf("state %d = %v, want %v", i, st, want)
 					}
 				}
 			}

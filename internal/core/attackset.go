@@ -32,16 +32,18 @@ func (a Analyzer) AttackPaths(ar *arch.Architecture, msgName string, cat transfo
 		return nil, fmt.Errorf("%w (%s, %s, %s)", ErrNoAttackPath, ar.Name, cat, prot)
 	}
 	out := make([]*AttackPath, 0, len(routes))
+	var fromSt, toSt []int
 	for _, route := range routes {
 		path := &AttackPath{Probability: math.Exp(-route.dist)}
 		for i := 1; i < len(route.nodes); i++ {
 			from, to := route.nodes[i-1], route.nodes[i]
+			fromSt, toSt = ex.State(from, fromSt), ex.State(to, toSt)
 			rate := ex.Chain.Rates.At(from, to)
 			path.Steps = append(path.Steps, AttackStep{
-				Description: describeTransition(model, ex.States[from], ex.States[to]),
+				Description: describeTransition(model, fromSt, toSt),
 				Rate:        rate,
 				Probability: rate / ex.Chain.Exit[from],
-				State:       model.FormatState(ex.States[to]),
+				State:       model.FormatState(toSt),
 			})
 		}
 		out = append(out, path)

@@ -42,81 +42,30 @@ func Compile(e Expr) EvalFunc {
 			return applyUnary(op, v)
 		}
 	case Binary:
-		l := Compile(x.L)
-		op := x.Op
-		// Short-circuit operators must not pre-evaluate the right side.
-		switch op {
-		case OpAnd:
-			r := Compile(x.R)
+		if f := compileBinaryBool(x); f != nil {
 			return func(st []int) (Value, error) {
-				lv, err := l(st)
+				b, err := f(st)
 				if err != nil {
 					return Value{}, err
 				}
-				lb, err := lv.Bool()
-				if err != nil {
-					return Value{}, err
-				}
-				if !lb {
-					return BoolV(false), nil
-				}
-				rv, err := r(st)
-				if err != nil {
-					return Value{}, err
-				}
-				rb, err := rv.Bool()
-				if err != nil {
-					return Value{}, err
-				}
-				return BoolV(rb), nil
-			}
-		case OpOr:
-			r := Compile(x.R)
-			return func(st []int) (Value, error) {
-				lv, err := l(st)
-				if err != nil {
-					return Value{}, err
-				}
-				lb, err := lv.Bool()
-				if err != nil {
-					return Value{}, err
-				}
-				if lb {
-					return BoolV(true), nil
-				}
-				rv, err := r(st)
-				if err != nil {
-					return Value{}, err
-				}
-				rb, err := rv.Bool()
-				if err != nil {
-					return Value{}, err
-				}
-				return BoolV(rb), nil
+				return BoolV(b), nil
 			}
 		}
-		r := Compile(x.R)
-		// Specialise the hottest comparison shapes the transformation
-		// generates: <var> OP <int literal>.
-		if vr, ok := x.L.(VarRef); ok && !vr.IsBool {
-			if lit, ok := x.R.(Lit); ok && lit.V.Kind == KindInt {
-				idx, c := vr.Index, lit.V.I
-				switch op {
-				case OpGt:
-					return func(st []int) (Value, error) { return BoolV(st[idx] > c), nil }
-				case OpLt:
-					return func(st []int) (Value, error) { return BoolV(st[idx] < c), nil }
-				case OpGe:
-					return func(st []int) (Value, error) { return BoolV(st[idx] >= c), nil }
-				case OpLe:
-					return func(st []int) (Value, error) { return BoolV(st[idx] <= c), nil }
-				case OpEq:
-					return func(st []int) (Value, error) { return BoolV(st[idx] == c), nil }
-				case OpNeq:
-					return func(st []int) (Value, error) { return BoolV(st[idx] != c), nil }
+		// Specialise the counter updates the transformation generates:
+		// <var> ± <int literal>. Subtracting c wraps as adding -c does.
+		if vr, c, ok := varIntLit(x); ok && (x.Op == OpAdd || x.Op == OpSub) {
+			idx := vr.Index
+			if x.Op == OpSub {
+				c = -c
+			}
+			return func(st []int) (Value, error) {
+				if idx >= len(st) {
+					return vr.Eval(st)
 				}
+				return IntV(st[idx] + c), nil
 			}
 		}
+		l, r, op := Compile(x.L), Compile(x.R), x.Op
 		return func(st []int) (Value, error) {
 			lv, err := l(st)
 			if err != nil {
@@ -174,8 +123,123 @@ func Compile(e Expr) EvalFunc {
 	}
 }
 
-// CompileBool wraps Compile with a boolean projection for guard evaluation.
+// varIntLit reports whether x is <int var> OP <int literal>, the shape of
+// most guards and assignments the transformation generates, and returns the
+// variable and the literal.
+func varIntLit(x Binary) (vr VarRef, c int, ok bool) {
+	vr, ok = x.L.(VarRef)
+	if !ok || vr.IsBool || vr.Index < 0 {
+		return VarRef{}, 0, false
+	}
+	lit, ok := x.R.(Lit)
+	if !ok || lit.V.Kind != KindInt {
+		return VarRef{}, 0, false
+	}
+	return vr, lit.V.I, true
+}
+
+// compileBinaryBool compiles the binary shapes that have a boolean closure
+// of their own: & and |, which must not evaluate the right side when the
+// left decides, with Expr.Eval's error order, and the hottest comparisons
+// the transformation generates, <int var> OP <int literal>. It returns nil
+// for every other expression.
+func compileBinaryBool(x Binary) func([]int) (bool, error) {
+	if x.Op == OpAnd || x.Op == OpOr {
+		// The left value that decides the result: false for &, true for |.
+		l, r, decides := CompileBool(x.L), CompileBool(x.R), x.Op == OpOr
+		return func(st []int) (bool, error) {
+			lb, err := l(st)
+			if err != nil {
+				return false, err
+			}
+			if lb == decides {
+				return lb, nil
+			}
+			return r(st)
+		}
+	}
+	vr, c, ok := varIntLit(x)
+	if !ok {
+		return nil
+	}
+	idx := vr.Index
+	switch x.Op {
+	case OpGt:
+		return func(st []int) (bool, error) {
+			if idx >= len(st) {
+				return shortState(vr, st)
+			}
+			return st[idx] > c, nil
+		}
+	case OpLt:
+		return func(st []int) (bool, error) {
+			if idx >= len(st) {
+				return shortState(vr, st)
+			}
+			return st[idx] < c, nil
+		}
+	case OpGe:
+		return func(st []int) (bool, error) {
+			if idx >= len(st) {
+				return shortState(vr, st)
+			}
+			return st[idx] >= c, nil
+		}
+	case OpLe:
+		return func(st []int) (bool, error) {
+			if idx >= len(st) {
+				return shortState(vr, st)
+			}
+			return st[idx] <= c, nil
+		}
+	case OpEq:
+		return func(st []int) (bool, error) {
+			if idx >= len(st) {
+				return shortState(vr, st)
+			}
+			return st[idx] == c, nil
+		}
+	case OpNeq:
+		return func(st []int) (bool, error) {
+			if idx >= len(st) {
+				return shortState(vr, st)
+			}
+			return st[idx] != c, nil
+		}
+	}
+	return nil
+}
+
+// shortState fails a comparison on variable vr in a state too short to hold
+// it, as VarRef.Eval does.
+func shortState(vr VarRef, st []int) (bool, error) {
+	_, err := vr.Eval(st)
+	return false, err
+}
+
+// CompileBool compiles a boolean expression for guard and label
+// evaluation. Conjunctions, disjunctions, negations and the int comparison
+// shapes compile to boolean closures directly, with Expr.Eval's
+// short-circuit and error order; anything else is Compile with a boolean
+// projection.
 func CompileBool(e Expr) func(state []int) (bool, error) {
+	switch x := e.(type) {
+	case Binary:
+		if f := compileBinaryBool(x); f != nil {
+			return f
+		}
+	case Unary:
+		if x.Op == OpNot {
+			inner := CompileBool(x.X)
+			return func(st []int) (bool, error) {
+				b, err := inner(st)
+				if err != nil {
+					return false, err
+				}
+				return !b, nil
+			}
+		}
+	}
 	f := Compile(e)
 	return func(st []int) (bool, error) {
 		v, err := f(st)
@@ -186,8 +250,15 @@ func CompileBool(e Expr) func(state []int) (bool, error) {
 	}
 }
 
-// CompileNum wraps Compile with a numeric projection for rate evaluation.
+// CompileNum compiles a numeric expression for rate evaluation: a literal
+// rate becomes a constant, anything else is Compile with a numeric
+// projection.
 func CompileNum(e Expr) func(state []int) (float64, error) {
+	if lit, ok := e.(Lit); ok {
+		if c, err := lit.V.Num(); err == nil {
+			return func([]int) (float64, error) { return c, nil }
+		}
+	}
 	f := Compile(e)
 	return func(st []int) (float64, error) {
 		v, err := f(st)

@@ -22,7 +22,9 @@ func (e *Explored) ExportDOT(highlightLabel string) (string, error) {
 	b.WriteString("digraph ctmc {\n")
 	b.WriteString("  rankdir=LR;\n")
 	b.WriteString("  node [shape=ellipse, fontsize=10];\n")
-	for i, st := range e.States {
+	var st []int
+	for i := range e.N() {
+		st = e.State(i, st)
 		attrs := fmt.Sprintf("label=\"s%d\\n%s\"", i, dotEscape(e.Model.FormatState(st)))
 		if i == e.InitIndex() {
 			attrs += ", penwidth=2"

@@ -79,14 +79,12 @@ func (opts ExploreOpts) budgets() (maxStates, maxTransitions int) {
 }
 
 // Explored is the result of state-space exploration: the reachable states,
-// the compiled CTMC over them, and evaluators for labels and rewards.
+// the compiled CTMC over them, and evaluators for labels and rewards. A
+// state is stored only as its packed key; State decodes its vector.
 type Explored struct {
 	Model *Model
-	// States[i] is the vector of state i, a capped view into one slab
-	// shared by all states; callers must not modify it.
-	States [][]int
-	Chain  *ctmc.Chain
-	keys   *stateIndex
+	Chain *ctmc.Chain
+	keys  *stateIndex
 }
 
 // ExploreContext performs breadth-first exploration of the composed model
@@ -97,10 +95,12 @@ type Explored struct {
 // expanded states it polls ctx and, once ctx is done, returns ctx's error
 // wrapped and no Explored.
 //
-// States are numbered in BFS order and indexed by packed keys (statekey.go);
-// each state's outgoing row is sorted, merged and appended to the CSR as soon
-// as the state is expanded, so exploration allocates only when one of its
-// flat buffers grows.
+// States are numbered in BFS order and stored only as packed keys
+// (statekey.go). Expanding a state decodes its key once for the guards and
+// rates, and writes each successor as the source key with only its assigned
+// variables rewritten. Each state's outgoing row is sorted, merged and
+// appended to the CSR as soon as the state is expanded, so exploration
+// allocates only when one of its flat buffers grows.
 func (m *Model) ExploreContext(ctx context.Context, opts ExploreOpts) (*Explored, error) {
 	_, sp := obs.Start(ctx, "modular.explore")
 	defer sp.End()
@@ -108,35 +108,34 @@ func (m *Model) ExploreContext(ctx context.Context, opts ExploreOpts) (*Explored
 		return nil, err
 	}
 	maxStates, maxTransitions := opts.budgets()
-	n := len(m.Vars)
 	idx := newStateIndex(m.Vars)
-	key := make([]uint64, idx.layout.words)
-	slab := m.InitState()
-	idx.layout.pack(slab, key)
+	w := idx.layout.words
+	st := m.InitState()
+	key := make([]uint64, w)
+	idx.layout.pack(st, key)
 	_, slot := idx.find(key)
 	idx.insert(slot, key)
 
-	gen := m.newSuccessorGen()
+	gen := m.newSuccessorGen(&idx.layout)
 	rates := &linalg.CSR{RowPtr: []int32{0}}
 	var exit linalg.Vector
 	var row []rowEntry
 	transitions, dedupHits := 0, 0
 	for head := 0; head < idx.len(); head++ {
-		st := slab[head*n : (head+1)*n]
-		if err := gen.successors(st); err != nil {
+		src := idx.key(head)
+		idx.layout.decode(src, st)
+		if err := gen.successors(st, src); err != nil {
 			return nil, fmt.Errorf("modular: exploring state %s: %w", m.FormatState(st), err)
 		}
 		row = row[:0]
 		for k, rate := range gen.rates {
-			next := gen.succ[k*n : (k+1)*n]
-			idx.layout.pack(next, key)
-			to, slot := idx.find(key)
+			next := gen.keys[k*w : (k+1)*w]
+			to, slot := idx.find(next)
 			if to < 0 {
 				if idx.len() >= maxStates {
 					return nil, &BudgetError{Resource: "states", Limit: maxStates}
 				}
-				to = idx.insert(slot, key)
-				slab = append(grow(slab, n), next...)
+				to = idx.insert(slot, next)
 			} else {
 				dedupHits++
 			}
@@ -166,16 +165,7 @@ func (m *Model) ExploreContext(ctx context.Context, opts ExploreOpts) (*Explored
 	sp.Int("transitions", int64(transitions))
 	sp.Int("dedup_hits", int64(dedupHits))
 	rates.Rows, rates.Cols = idx.len(), idx.len()
-	ex := &Explored{
-		Model:  m,
-		States: make([][]int, idx.len()),
-		Chain:  &ctmc.Chain{Rates: rates, Exit: exit},
-		keys:   idx,
-	}
-	for i := range ex.States {
-		ex.States[i] = slab[i*n : (i+1)*n : (i+1)*n]
-	}
-	return ex, nil
+	return &Explored{Model: m, Chain: &ctmc.Chain{Rates: rates, Exit: exit}, keys: idx}, nil
 }
 
 // rowEntry is one raw transition of the row being built.
@@ -195,7 +185,15 @@ func appendRow(m *linalg.CSR, from int, row []rowEntry) (float64, error) {
 			return 0, fmt.Errorf("%w: rate(%d→%d) = %v", ctmc.ErrBadRate, from, e.to, e.rate)
 		}
 	}
-	slices.SortStableFunc(row, func(a, b rowEntry) int { return cmp.Compare(a.to, b.to) })
+	// Stable insertion sort on the target: rows hold about a dozen entries,
+	// and equal targets keep their generation order for the sums below.
+	for i := 1; i < len(row); i++ {
+		e, j := row[i], i
+		for ; j > 0 && row[j-1].to > e.to; j-- {
+			row[j] = row[j-1]
+		}
+		row[j] = e
+	}
 	m.ColIdx, m.Val = grow(m.ColIdx, len(row)), grow(m.Val, len(row))
 	var exit float64
 	for k := 0; k < len(row); {
@@ -216,7 +214,7 @@ func appendRow(m *linalg.CSR, from int, row []rowEntry) (float64, error) {
 
 // grow returns s with room for n more elements, at least doubling its
 // capacity when it must reallocate. Past a few hundred elements append
-// grows a slice by only about 1.25×, which copies a multi-megabyte slab or
+// grows a slice by only about 1.25×, which copies a multi-megabyte key or
 // CSR array four to five times over while it is built; doubling copies it
 // about once.
 func grow[T any](s []T, n int) []T {
@@ -296,12 +294,14 @@ func (m *Model) compileCommands() [][]compiledCommand {
 }
 
 // successorGen enumerates successors into buffers owned by one exploration:
-// after successors(st), successor k is succ[k*n:(k+1)*n] with rate rates[k].
+// after successors(st, key), successor k has the packed key
+// keys[k*words:(k+1)*words] and rate rates[k].
 type successorGen struct {
 	m        *Model
+	layout   *keyLayout
 	compiled [][]compiledCommand
 	actions  []syncAction
-	succ     []int
+	keys     []uint64
 	rates    []float64
 	written  []uint64 // bitset of variables assigned by the current update
 	// Synchronised-action scratch: the enabled updates of participating
@@ -313,18 +313,20 @@ type successorGen struct {
 	combo   []*compiledUpdate
 }
 
-func (m *Model) newSuccessorGen() *successorGen {
+func (m *Model) newSuccessorGen(layout *keyLayout) *successorGen {
 	return &successorGen{
 		m:        m,
+		layout:   layout,
 		compiled: m.compileCommands(),
 		actions:  m.syncActions(),
 		written:  make([]uint64, (len(m.Vars)+63)/64),
 	}
 }
 
-// successors enumerates all rate-weighted successor states of st.
-func (g *successorGen) successors(st []int) error {
-	g.succ, g.rates = g.succ[:0], g.rates[:0]
+// successors enumerates all rate-weighted successor states of st, whose
+// packed key is key.
+func (g *successorGen) successors(st []int, key []uint64) error {
+	g.keys, g.rates = g.keys[:0], g.rates[:0]
 	// Asynchronous commands.
 	for mi := range g.compiled {
 		for ci := range g.compiled[mi] {
@@ -341,7 +343,7 @@ func (g *successorGen) successors(st []int) error {
 			}
 			for ui := range cmd.updates {
 				g.combo = append(g.combo[:0], &cmd.updates[ui])
-				if err := g.applyUpdate(st, g.combo); err != nil {
+				if err := g.applyUpdate(st, key, g.combo); err != nil {
 					return err
 				}
 			}
@@ -381,7 +383,7 @@ actions:
 			for d := range g.pick {
 				g.combo[d] = g.enabled[g.bounds[d]+g.pick[d]]
 			}
-			if err := g.applyUpdate(st, g.combo); err != nil {
+			if err := g.applyUpdate(st, key, g.combo); err != nil {
 				return err
 			}
 			d := depth - 1
@@ -401,12 +403,14 @@ actions:
 
 // applyUpdate evaluates the combined updates in state st, multiplying rates
 // and merging assignments, and appends the successor to the buffers unless
-// its rate is zero.
-func (g *successorGen) applyUpdate(st []int, updates []*compiledUpdate) error {
+// its rate is zero. The successor's key starts as key, the source's, and
+// each assignment rewrites only its variable's bits once its write-conflict
+// and range checks have passed.
+func (g *successorGen) applyUpdate(st []int, key []uint64, updates []*compiledUpdate) error {
 	rate := 1.0
-	base := len(g.succ)
-	g.succ = append(g.succ, st...)
-	next := g.succ[base:]
+	base := len(g.keys)
+	g.keys = append(g.keys, key...)
+	next := g.keys[base:]
 	clear(g.written)
 	for _, u := range updates {
 		r, err := u.rate(st)
@@ -438,32 +442,23 @@ func (g *successorGen) applyUpdate(st []int, updates []*compiledUpdate) error {
 			default:
 				return fmt.Errorf("%w: assignment to %q must be int or bool, got %s", ErrType, g.m.Vars[a.varIdx].Name, v.Kind)
 			}
-			d := g.m.Vars[a.varIdx]
-			if iv < d.Min || iv > d.Max {
+			if !g.layout.set(next, a.varIdx, iv) {
+				d := g.m.Vars[a.varIdx]
 				return fmt.Errorf("%w: %q := %d outside [%d..%d]", ErrRangeViolation, d.Name, iv, d.Min, d.Max)
 			}
-			next[a.varIdx] = iv
 		}
 	}
 	if rate == 0 {
-		g.succ = g.succ[:base]
+		g.keys = g.keys[:base]
 		return nil
 	}
 	g.rates = append(g.rates, rate)
 	return nil
 }
 
-func evalGuard(g Expr, st []int) (bool, error) {
-	v, err := g.Eval(st)
-	if err != nil {
-		return false, err
-	}
-	return v.Bool()
-}
-
 // WithModel returns a view of the explored state space whose labels and
 // rewards resolve against m, a model sharing e.Model's variables and
-// commands (one from Relabel). States, chain and state index are shared.
+// commands (one from Relabel). The chain and the state index are shared.
 func (e *Explored) WithModel(m *Model) *Explored {
 	v := *e
 	v.Model = m
@@ -471,7 +466,15 @@ func (e *Explored) WithModel(m *Model) *Explored {
 }
 
 // N returns the number of reachable states.
-func (e *Explored) N() int { return len(e.States) }
+func (e *Explored) N() int { return e.keys.len() }
+
+// State decodes the vector of state i into st, reusing its storage when it
+// has room, and returns it.
+func (e *Explored) State(i int, st []int) []int {
+	st = slices.Grow(st[:0], len(e.keys.layout.fields))[:len(e.keys.layout.fields)]
+	e.keys.layout.decode(e.keys.key(i), st)
+	return st
+}
 
 // InitIndex returns the index of the initial state (always 0).
 func (e *Explored) InitIndex() int { return 0 }
@@ -485,15 +488,14 @@ func (e *Explored) InitDistribution() linalg.Vector {
 
 // ExprMask evaluates a boolean expression in every reachable state.
 func (e *Explored) ExprMask(expr Expr) ([]bool, error) {
+	f := CompileBool(expr)
 	mask := make([]bool, e.N())
-	for i, st := range e.States {
-		v, err := expr.Eval(st)
+	var st []int
+	for i := range mask {
+		st = e.State(i, st)
+		b, err := f(st)
 		if err != nil {
 			return nil, fmt.Errorf("modular: evaluating %s in state %s: %w", expr, e.Model.FormatState(st), err)
-		}
-		b, err := v.Bool()
-		if err != nil {
-			return nil, err
 		}
 		mask[i] = b
 	}
@@ -515,21 +517,24 @@ func (e *Explored) RewardVector(name string) (linalg.Vector, error) {
 	if !ok {
 		return nil, fmt.Errorf("modular: unknown reward structure %q", name)
 	}
+	guards := make([]func([]int) (bool, error), len(items))
+	values := make([]func([]int) (float64, error), len(items))
+	for k, item := range items {
+		guards[k], values[k] = CompileBool(item.Guard), CompileNum(item.Value)
+	}
 	r := linalg.NewVector(e.N())
-	for i, st := range e.States {
-		for _, item := range items {
-			g, err := evalGuard(item.Guard, st)
+	var st []int
+	for i := range r {
+		st = e.State(i, st)
+		for k := range items {
+			g, err := guards[k](st)
 			if err != nil {
 				return nil, err
 			}
 			if !g {
 				continue
 			}
-			v, err := item.Value.Eval(st)
-			if err != nil {
-				return nil, err
-			}
-			f, err := v.Num()
+			f, err := values[k](st)
 			if err != nil {
 				return nil, err
 			}
@@ -539,7 +544,9 @@ func (e *Explored) RewardVector(name string) (linalg.Vector, error) {
 	return r, nil
 }
 
-// StateIndex looks up a state vector, returning -1 when unreachable.
+// StateIndex looks up a state vector, returning -1 when unreachable. It
+// allocates nothing for keys of up to four words and is safe for
+// concurrent use.
 func (e *Explored) StateIndex(st []int) int {
 	return e.keys.lookup(st)
 }

@@ -60,9 +60,9 @@ func explore(tb testing.TB, m *modular.Model) *modular.Explored {
 // transitions.
 func checkExplored(t *testing.T, name string, ex *modular.Explored) {
 	t.Helper()
-	for i, st := range ex.States {
-		if got := ex.StateIndex(st); got != i {
-			t.Fatalf("%s: StateIndex(States[%d]) = %d", name, i, got)
+	for i := range ex.N() {
+		if got := ex.StateIndex(ex.State(i, nil)); got != i {
+			t.Fatalf("%s: StateIndex(State(%d)) = %d", name, i, got)
 		}
 	}
 	b := ctmc.NewBuilder(ex.N())
@@ -89,6 +89,15 @@ func checkExplored(t *testing.T, name string, ex *modular.Explored) {
 		t.Fatalf("%s: %v", name, err)
 	}
 	assertSameChain(t, name, ex.Chain, want)
+}
+
+// states decodes every state of ex, in state order.
+func states(ex *modular.Explored) [][]int {
+	out := make([][]int, ex.N())
+	for i := range out {
+		out[i] = ex.State(i, nil)
+	}
+	return out
 }
 
 func assertSameChain(t *testing.T, name string, got, want *ctmc.Chain) {
@@ -225,8 +234,8 @@ func TestExploreSyncActionOrderDeterministic(t *testing.T) {
 			checkExplored(t, "sync", ex)
 			continue
 		}
-		if !slices.EqualFunc(ex.States, first.States, slices.Equal[[]int]) {
-			t.Fatalf("run %d: state order differs: %v vs %v", run, ex.States, first.States)
+		if !slices.EqualFunc(states(ex), states(first), slices.Equal[[]int]) {
+			t.Fatalf("run %d: state order differs: %v vs %v", run, states(ex), states(first))
 		}
 		assertSameChain(t, fmt.Sprintf("run %d", run), ex.Chain, first.Chain)
 	}
@@ -260,8 +269,9 @@ func TestCompiledExprsZeroAlloc(t *testing.T) {
 			}
 		}
 	}
+	all := states(ex)
 	allocs := testing.AllocsPerRun(3, func() {
-		for _, st := range ex.States {
+		for _, st := range all {
 			for _, f := range fns {
 				if _, err := f(st); err != nil {
 					t.Fatal(err)

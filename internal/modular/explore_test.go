@@ -9,15 +9,12 @@ import (
 	"repro/internal/ctmc"
 )
 
-// A token ring over 70 boolean variables plus one variable spanning the
-// whole int range needs keys of three words; exploration and StateIndex
-// must still tell every state apart.
-func TestExploreWideKeys(t *testing.T) {
-	const ring = 70
+// wideRing is a token ring over ring boolean variables plus one variable
+// spanning the whole int range.
+func wideRing(ring int) (*Model, error) {
 	m := NewModel("wide")
-	_, err := m.AddVar(VarDecl{Name: "wide", Min: math.MinInt, Max: math.MaxInt, Init: -7})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := m.AddVar(VarDecl{Name: "wide", Min: math.MinInt, Max: math.MaxInt, Init: -7}); err != nil {
+		return nil, err
 	}
 	xs := make([]VarRef, ring)
 	for i := range xs {
@@ -25,8 +22,9 @@ func TestExploreWideKeys(t *testing.T) {
 		if i == 0 {
 			init = 1
 		}
+		var err error
 		if xs[i], err = m.AddVar(VarDecl{Name: fmt.Sprintf("x%d", i), IsBool: true, Init: init}); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
 	mod := m.AddModule("ring")
@@ -40,6 +38,18 @@ func TestExploreWideKeys(t *testing.T) {
 			}}},
 		})
 	}
+	return m, nil
+}
+
+// A token ring over 70 boolean variables plus one variable spanning the
+// whole int range needs keys of three words; exploration and StateIndex
+// must still tell every state apart.
+func TestExploreWideKeys(t *testing.T) {
+	const ring = 70
+	m, err := wideRing(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ex, err := m.ExploreContext(t.Context(), ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
@@ -50,9 +60,10 @@ func TestExploreWideKeys(t *testing.T) {
 	if ex.N() != ring || ex.Chain.Rates.NNZ() != ring {
 		t.Fatalf("states, transitions = %d, %d, want %d, %d", ex.N(), ex.Chain.Rates.NNZ(), ring, ring)
 	}
-	for i, st := range ex.States {
+	for i := range ex.N() {
+		st := ex.State(i, nil)
 		if got := ex.StateIndex(st); got != i {
-			t.Fatalf("StateIndex(States[%d]) = %d", i, got)
+			t.Fatalf("StateIndex(State(%d)) = %d", i, got)
 		}
 		// BFS from x0 moves the token one step per state.
 		if st[0] != -7 || st[1+i] != 1 {
@@ -61,14 +72,14 @@ func TestExploreWideKeys(t *testing.T) {
 	}
 	// Two tokens is a valid vector but unreachable; a value outside its
 	// range and a vector of the wrong length are not states at all.
-	st := append([]int(nil), ex.States[0]...)
+	st := ex.State(0, nil)
 	st[ring] = 1
-	for _, probe := range [][]int{st, append([]int{0}, make([]int, ring)...), {-7, 2}, ex.States[0][:ring]} {
+	for _, probe := range [][]int{st, append([]int{0}, make([]int, ring)...), {-7, 2}, ex.State(0, nil)[:ring]} {
 		if got := ex.StateIndex(probe); got != -1 {
 			t.Fatalf("StateIndex(%v) = %d, want -1", probe, got)
 		}
 	}
-	st = append([]int(nil), ex.States[0]...)
+	st = ex.State(0, nil)
 	st[2] = 2
 	if got := ex.StateIndex(st); got != -1 {
 		t.Fatalf("StateIndex of an out-of-range bool = %d, want -1", got)
@@ -117,8 +128,8 @@ func TestExploreMergesRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// BFS numbers x=2 before x=1 (first seen first).
-	if ex.N() != 3 || ex.States[1][0] != 2 || ex.States[2][0] != 1 {
-		t.Fatalf("states = %v", ex.States)
+	if ex.N() != 3 || ex.State(1, nil)[0] != 2 || ex.State(2, nil)[0] != 1 {
+		t.Fatalf("%d states, state 1 = %v, state 2 = %v", ex.N(), ex.State(1, nil), ex.State(2, nil))
 	}
 	cols, vals := ex.Chain.Rates.Row(0)
 	if fmt.Sprint(cols, vals) != "[1 2] [0.75 3]" || ex.Chain.Exit[0] != 3.75 {

@@ -3,6 +3,7 @@ package modular
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -122,6 +123,18 @@ func TestExploreRangeViolation(t *testing.T) {
 	})
 	if _, err := m.ExploreContext(t.Context(), ExploreOpts{}); !errors.Is(err, ErrRangeViolation) {
 		t.Fatalf("err = %v", err)
+	}
+	// The range check runs before the successor's key is written: the
+	// failed successor still holds the source key.
+	l := newKeyLayout(m.Vars)
+	key := []uint64{0}
+	l.pack([]int{1}, key)
+	gen := m.newSuccessorGen(&l)
+	if err := gen.successors([]int{1}, key); !errors.Is(err, ErrRangeViolation) {
+		t.Fatalf("successors of x=1: err = %v", err)
+	}
+	if !slices.Equal(gen.keys, key) {
+		t.Fatalf("successor key %x, want the source key %x", gen.keys, key)
 	}
 }
 

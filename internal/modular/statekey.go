@@ -6,26 +6,27 @@ import (
 )
 
 // keyLayout packs a state vector into fixed-width uint64 words. Variable i
-// stores st[i]-Min in bits.Len64(Max-Min) bits at shift[i] of word[i]; a
-// variable never straddles two words, so any number of variables of any
-// declared range packs the same way. Two in-range states are equal exactly
-// when their packed keys are.
+// stores st[i]-Min in bits.Len64(Max-Min) bits at fields[i].shift of word
+// fields[i].word; a variable never straddles two words, so any number of
+// variables of any declared range packs the same way. Two in-range states
+// are equal exactly when their packed keys are, and bits no variable owns
+// stay zero.
 type keyLayout struct {
-	words int
-	word  []int
-	shift []uint
-	min   []int
-	span  []uint64 // Max-Min
+	words  int
+	fields []keyField
+}
+
+// keyField is where one variable lives in a packed key.
+type keyField struct {
+	word  int
+	shift uint
+	min   int
+	span  uint64 // Max-Min
+	mask  uint64 // the variable's bits within its word
 }
 
 func newKeyLayout(vars []VarDecl) keyLayout {
-	l := keyLayout{
-		words: 1,
-		word:  make([]int, len(vars)),
-		shift: make([]uint, len(vars)),
-		min:   make([]int, len(vars)),
-		span:  make([]uint64, len(vars)),
-	}
+	l := keyLayout{words: 1, fields: make([]keyField, len(vars))}
 	used := uint(0) // bits taken in the current word
 	for i, d := range vars {
 		span := uint64(d.Max) - uint64(d.Min)
@@ -34,7 +35,8 @@ func newKeyLayout(vars []VarDecl) keyLayout {
 			l.words++
 			used = 0
 		}
-		l.word[i], l.shift[i], l.min[i], l.span[i] = l.words-1, used, d.Min, span
+		mask := ^uint64(0) >> (64 - width) << used // 0 when width is 0
+		l.fields[i] = keyField{word: l.words - 1, shift: used, min: d.Min, span: span, mask: mask}
 		used += width
 	}
 	return l
@@ -44,23 +46,49 @@ func newKeyLayout(vars []VarDecl) keyLayout {
 // has the model's length and every value lies in its declared range.
 func (l *keyLayout) pack(st []int, key []uint64) bool {
 	clear(key)
-	if len(st) != len(l.min) {
+	if len(st) != len(l.fields) {
 		return false
 	}
 	for i, v := range st {
+		f := &l.fields[i]
 		// Unsigned wrap-around maps every out-of-range value above span.
-		d := uint64(v) - uint64(l.min[i])
-		if d > l.span[i] {
+		d := uint64(v) - uint64(f.min)
+		if d > f.span {
 			return false
 		}
-		key[l.word[i]] |= d << l.shift[i]
+		key[f.word] |= d << f.shift
 	}
 	return true
 }
 
+// decode writes the state vector of key into st (len of the layout's
+// variables): the inverse of pack.
+func (l *keyLayout) decode(key []uint64, st []int) {
+	st = st[:len(l.fields)]
+	for i := range l.fields {
+		f := &l.fields[i]
+		st[i] = f.min + int((key[f.word]&f.mask)>>f.shift)
+	}
+}
+
+// set rewrites variable i of key to v, leaving every other variable as it
+// is, so the result equals pack of the modified vector. When v lies outside
+// the variable's range it reports false and leaves key untouched.
+func (l *keyLayout) set(key []uint64, i, v int) bool {
+	f := &l.fields[i]
+	d := uint64(v) - uint64(f.min)
+	if d > f.span {
+		return false
+	}
+	key[f.word] = key[f.word]&^f.mask | d<<f.shift
+	return true
+}
+
 // stateIndex maps packed keys to state numbers with an open-addressed,
-// linearly probed table. keys[s*words:(s+1)*words] is the key of state s;
-// a slot holds s+1, or 0 when empty. The table stays at most half full.
+// linearly probed table. keys[s*words:(s+1)*words] is the key of state s
+// and the only per-state storage: a state's vector is decoded from its key
+// on demand. A slot holds s+1, or 0 when empty. The table stays at most
+// half full.
 type stateIndex struct {
 	layout keyLayout
 	keys   []uint64
@@ -79,6 +107,12 @@ func newStateIndex(vars []VarDecl) *stateIndex {
 
 // len returns the number of indexed states.
 func (x *stateIndex) len() int { return len(x.keys) / x.layout.words }
+
+// key returns the packed key of state s, a view into the index.
+func (x *stateIndex) key(s int) []uint64 {
+	w := x.layout.words
+	return x.keys[s*w : (s+1)*w : (s+1)*w]
+}
 
 func (x *stateIndex) home(key []uint64) int {
 	h := uint64(0x9e3779b97f4a7c15)
@@ -120,9 +154,8 @@ func (x *stateIndex) insert(slot int, key []uint64) int {
 func (x *stateIndex) resize(n int) {
 	x.slots = make([]int32, n)
 	x.shift = uint(64 - bits.TrailingZeros(uint(n)))
-	w := x.layout.words
 	for s := 0; s < x.len(); s++ {
-		_, slot := x.find(x.keys[s*w : (s+1)*w])
+		_, slot := x.find(x.key(s))
 		x.slots[slot] = int32(s + 1)
 	}
 }
@@ -136,9 +169,16 @@ func keysEqual(a, b []uint64) bool {
 	return true
 }
 
-// lookup returns the state number of st, or -1 when st is not indexed.
+// lookup returns the state number of st, or -1 when st is not indexed. It
+// only reads the index, so concurrent lookups are safe, and keys of up to
+// four words are packed on the stack.
 func (x *stateIndex) lookup(st []int) int {
-	key := make([]uint64, x.layout.words)
+	var buf [4]uint64
+	key := buf[:]
+	if x.layout.words > len(buf) {
+		key = make([]uint64, x.layout.words)
+	}
+	key = key[:x.layout.words]
 	if !x.layout.pack(st, key) {
 		return -1
 	}

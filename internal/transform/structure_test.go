@@ -154,9 +154,11 @@ func sameChain(a, b *modular.Explored) error {
 	if a.N() != b.N() {
 		return fmt.Errorf("%d vs %d states", a.N(), b.N())
 	}
-	for i := range a.States {
-		if !slices.Equal(a.States[i], b.States[i]) {
-			return fmt.Errorf("state %d: %v vs %v", i, a.States[i], b.States[i])
+	var sa, sb []int
+	for i := range a.N() {
+		sa, sb = a.State(i, sa), b.State(i, sb)
+		if !slices.Equal(sa, sb) {
+			return fmt.Errorf("state %d: %v vs %v", i, sa, sb)
 		}
 	}
 	ra, rb := a.Chain.Rates, b.Chain.Rates

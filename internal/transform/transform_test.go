@@ -93,7 +93,8 @@ func TestEntryPointOnlyInitialTransition(t *testing.T) {
 		t.Fatalf("initial state has %d successors, want 1 (3G exploit only)", len(cols))
 	}
 	// The successor must set x_3G_NET to 1.
-	succ := ex.States[cols[0]]
+	states := vectors(ex)
+	succ := states[cols[0]]
 	netVar := res.InterfaceVars["3G/NET"]
 	if succ[netVar.Index] != 1 {
 		t.Fatalf("first transition is not the 3G internet exploit: %v", res.Model.FormatState(succ))
@@ -172,9 +173,10 @@ func TestInstantViolationWhenUncovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	states := vectors(ex)
 	for i := range violated {
 		if (can1[i] || can2[i]) && !violated[i] {
-			t.Fatalf("state %s: route exploitable but not violated", res.Model.FormatState(ex.States[i]))
+			t.Fatalf("state %s: route exploitable but not violated", res.Model.FormatState(states[i]))
 		}
 	}
 }
@@ -192,15 +194,16 @@ func TestEndpointCompromiseBypassesCrypto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	states := vectors(ex)
 	for i := range violated {
 		if pa[i] && !violated[i] {
-			t.Fatalf("state %s: PA exploited but message still confidential", res.Model.FormatState(ex.States[i]))
+			t.Fatalf("state %s: PA exploited but message still confidential", res.Model.FormatState(states[i]))
 		}
 	}
 	// And the converse: with intact protection and no endpoint exploited,
 	// the message is secure.
 	prot := res.ProtVar
-	for i, st := range ex.States {
+	for i, st := range states {
 		if violated[i] && st[prot.Index] == 1 {
 			// must have an endpoint exploited
 			ps, err := ex.LabelMask("exp_" + arch.PowerSteering)
@@ -208,7 +211,7 @@ func TestEndpointCompromiseBypassesCrypto(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !pa[i] && !ps[i] {
-				t.Fatalf("state %s: violated with intact crypto and secure endpoints", res.Model.FormatState(ex.States[i]))
+				t.Fatalf("state %s: violated with intact crypto and secure endpoints", res.Model.FormatState(states[i]))
 			}
 		}
 	}
@@ -219,13 +222,14 @@ func TestEndpointCompromiseBypassesCrypto(t *testing.T) {
 func TestProtectionBreakIsPermanent(t *testing.T) {
 	res, ex := build(t, arch.Architecture1(), Options{Category: Integrity, Protection: CMAC128})
 	prot := res.ProtVar
-	for i, st := range ex.States {
+	states := vectors(ex)
+	for i, st := range states {
 		if st[prot.Index] != 0 {
 			continue
 		}
 		cols, _ := ex.Chain.Rates.Row(i)
 		for _, j := range cols {
-			if ex.States[j][prot.Index] == 1 {
+			if states[j][prot.Index] == 1 {
 				t.Fatal("broken protection healed without a patch rate")
 			}
 		}
@@ -240,13 +244,14 @@ func TestMessagePatchRateEnablesRepair(t *testing.T) {
 	})
 	prot := res.ProtVar
 	repaired := false
-	for i, st := range ex.States {
+	states := vectors(ex)
+	for i, st := range states {
 		if st[prot.Index] != 0 {
 			continue
 		}
 		cols, _ := ex.Chain.Rates.Row(i)
 		for _, j := range cols {
-			if ex.States[j][prot.Index] == 1 {
+			if states[j][prot.Index] == 1 {
 				repaired = true
 			}
 		}
@@ -296,13 +301,14 @@ func TestLinearPatchRates(t *testing.T) {
 	// Find a state with x_3G_NET = 2 and check the patch transition rate is
 	// 2·52.
 	netVar := res.InterfaceVars["3G/NET"]
-	for i, st := range ex.States {
+	states := vectors(ex)
+	for i, st := range states {
 		if st[netVar.Index] != 2 {
 			continue
 		}
 		cols, vals := ex.Chain.Rates.Row(i)
 		for k, j := range cols {
-			to := ex.States[j]
+			to := states[j]
 			if to[netVar.Index] == 1 && sameExcept(st, to, netVar.Index) {
 				if vals[k] != 104 {
 					t.Fatalf("linear patch rate = %v, want 104", vals[k])
@@ -385,10 +391,11 @@ func TestReliabilityAddsFailureState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	states := vectors(ex)
 	for i := range violated {
 		if paFailed[i] && !violated[i] {
 			t.Fatalf("state %s: sender failed but availability intact",
-				res.Model.FormatState(ex.States[i]))
+				res.Model.FormatState(states[i]))
 		}
 	}
 }
@@ -410,7 +417,8 @@ func TestReliabilityFailureSilencesECU(t *testing.T) {
 		t.Fatal(err)
 	}
 	netVar := res.InterfaceVars["3G/NET"]
-	for i, st := range ex.States {
+	states := vectors(ex)
+	for i, st := range states {
 		if st[teleFailed.Index] == 0 {
 			continue
 		}
@@ -421,7 +429,7 @@ func TestReliabilityFailureSilencesECU(t *testing.T) {
 		// No exploit transition on its interfaces while failed.
 		cols, _ := ex.Chain.Rates.Row(i)
 		for _, j := range cols {
-			if ex.States[j][netVar.Index] > st[netVar.Index] {
+			if states[j][netVar.Index] > st[netVar.Index] {
 				t.Fatalf("exploit of failed ECU in %s", res.Model.FormatState(st))
 			}
 		}
@@ -442,7 +450,8 @@ func TestReliabilityConfidentialityUnaffectedByFailureAlone(t *testing.T) {
 	}
 	// A state where only the PA is failed (no exploits, protection intact)
 	// must not violate confidentiality.
-	for i, st := range ex.States {
+	states := vectors(ex)
+	for i, st := range states {
 		allZero := true
 		for _, v := range res.InterfaceVars {
 			if st[v.Index] != 0 {
@@ -496,4 +505,13 @@ func TestReliabilityValidation(t *testing.T) {
 	if err := a.Validate(); err == nil {
 		t.Fatal("negative failure rate accepted")
 	}
+}
+
+// vectors decodes every state of ex, in state order.
+func vectors(ex *modular.Explored) [][]int {
+	out := make([][]int, ex.N())
+	for i := range out {
+		out[i] = ex.State(i, nil)
+	}
+	return out
 }
