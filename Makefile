@@ -60,11 +60,12 @@ fleet-race:
 
 # chaos drives the fault-injection stack end to end under the race detector:
 # injected worker panics, solver divergence (in RobustSolve and through the
-# ctmc reachability solve), slow solves, exploration-budget violations, and
-# retry/backoff (see README "Resilience").
+# ctmc reachability solve, with the fallback chain Gauss–Seidel → dense and
+# the fallback's residual in the slow log), slow solves, exploration-budget
+# violations, and retry/backoff (see README "Resilience").
 chaos:
 	$(GO) test -race ./internal/fault/
-	$(GO) test -race -run 'TestChaos|Budget|TestQueueFullRetryAfter|TestClientRetries|TestHealthDegrades|TestRetryDelay|TestRobustSolve' ./internal/linalg/ ./internal/ctmc/ ./internal/modular/ ./internal/service/
+	$(GO) test -race -run 'TestChaos|Budget|TestQueueFullRetryAfter|TestClientRetries|TestHealthDegrades|TestRetryDelay|TestRobustSolve|TestSlowLogFallback' ./internal/linalg/ ./internal/ctmc/ ./internal/modular/ ./internal/service/
 
 # explore smoke-runs the design-space search on a tiny budget: the default
 # protection space of the checked-in architecture, then a two-wide beam over

@@ -103,7 +103,7 @@ func TestBackwardTransientZeroTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.MaxDiff(v) != 0 {
+	if maxDiff(out, v) != 0 {
 		t.Fatalf("out = %v", out)
 	}
 	out[0] = 99

@@ -484,7 +484,7 @@ func TestQuickTransientMatchesMatrixExponential(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return got.MaxDiff(want) < 1e-7
+		return maxDiff(got, want) < 1e-7
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -704,6 +704,15 @@ func steadyState(t *testing.T, c *Chain, init linalg.Vector) linalg.Vector {
 		t.Fatal(err)
 	}
 	return pi
+}
+
+// maxDiff returns max_i |v_i − w_i|.
+func maxDiff(v, w linalg.Vector) float64 {
+	var m float64
+	for i := range v {
+		m = max(m, math.Abs(v[i]-w[i]))
+	}
+	return m
 }
 
 // dirac returns the point distribution on state s of c.

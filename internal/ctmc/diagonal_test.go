@@ -229,6 +229,25 @@ func splitOf(m *linalg.CSR) *linalg.Split {
 	return &linalg.Split{Off: *b.CSR(), Diag: diag}
 }
 
+// assertMMatrixSigns checks the sign pattern of the systems RobustSolve
+// receives: a positive diagonal and no positive off-diagonal entry. On
+// such a split M-matrix Jacobi converges only where Gauss–Seidel does
+// (Stein–Rosenberg), which is why the fallback chain goes from
+// Gauss–Seidel straight to the dense step.
+func assertMMatrixSigns(t *testing.T, what string, a *linalg.Split) {
+	t.Helper()
+	for i, d := range a.Diag {
+		if !(d > 0) {
+			t.Fatalf("%s: diagonal entry %d = %v, want > 0", what, i, d)
+		}
+	}
+	for k, v := range a.Off.Val {
+		if !(v <= 0) {
+			t.Fatalf("%s: off-diagonal entry %d = %v, want ≤ 0", what, k, v)
+		}
+	}
+}
+
 func assertSameVector(t *testing.T, what string, got, want linalg.Vector) {
 	t.Helper()
 	if !slices.EqualFunc(got, want, bitsEqual) {
@@ -253,7 +272,8 @@ func assertSameCSR(t *testing.T, what string, got, want *linalg.CSR) {
 // Every matrix derived row by row from Rates — Absorbing, and the
 // restricted reachability, reachability-reward and balance systems (in
 // split form) — is bit-identical to assembling the same entries through a
-// COO, and both directions of the uniformisation operator equal vecMul and
+// COO, the balance and reward systems are split M-matrices in sign, and
+// both directions of the uniformisation operator equal vecMul and
 // mulVec on the COO-assembled P bit for bit, on chains with and without a
 // stored diagonal.
 func TestDiagonalMergeMatchesCOO(t *testing.T) {
@@ -343,6 +363,7 @@ func TestDiagonalMergeMatchesCOO(t *testing.T) {
 			wantA, wantB := cooBalance(c, set, ref)
 			assertSameSplit(t, "balance system", a, splitOf(wantA))
 			assertSameVector(t, "balance right-hand side", b, wantB)
+			assertMMatrixSigns(t, "balance system", a)
 		}
 
 		// The reward system over the finite non-target states, classified
@@ -384,6 +405,7 @@ func TestDiagonalMergeMatchesCOO(t *testing.T) {
 		wantA, wantB = cooReward(c, reward, target, unknowns, idx)
 		assertSameSplit(t, "reward system", a, splitOf(wantA))
 		assertSameVector(t, "reward right-hand side", b, wantB)
+		assertMMatrixSigns(t, "reward system", a)
 	}
 }
 

@@ -2,6 +2,7 @@ package ctmc
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -212,7 +213,7 @@ func embeddedReach(t *testing.T, c *Chain, target []bool) linalg.Vector {
 		return x
 	}
 	a, b := cooReach(p, x, unknowns, idx)
-	y, err := linalg.GaussSeidel(splitOf(a), b, linalg.IterOpts{})
+	y, _, err := linalg.GaussSeidel(splitOf(a), b, linalg.IterOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,10 @@ func reducibleChain(t *testing.T, r *rand.Rand) *Chain {
 // denseLongRun is the per-BSCC oracle of the long-run vector of mask:
 // each BSCC's π_B from stationaryDirect and, for each BSCC, a dense solve
 // of the probability of being absorbed into it from every transient state
-// of the embedded chain.
+// of the embedded chain. Each entry is a probability and is clamped to
+// [0, 1], as the fold clamps its own: on an ill-conditioned transient
+// system the dense solves' round-off can exceed 1 (by 1.7e-11 on
+// stalledFoldChain).
 func denseLongRun(t *testing.T, c *Chain, mask []bool) linalg.Vector {
 	t.Helper()
 	n := c.N()
@@ -329,6 +333,9 @@ func denseLongRun(t *testing.T, c *Chain, mask []bool) linalg.Vector {
 			out[s] += v * x[u]
 		}
 	}
+	for i := range out {
+		out[i] = clampUnit(out[i])
+	}
 	return out
 }
 
@@ -351,31 +358,51 @@ func assertDiracMatchesVector(t *testing.T, c *Chain, mask []bool, vec linalg.Ve
 	}
 }
 
+// embeddedReferenceSeed seeds TestReachabilityMatchesEmbeddedReference's
+// trials (see embeddedReferenceTrial).
+const embeddedReferenceSeed = 26
+
+// embeddedReferenceTrial draws one trial of
+// TestReachabilityMatchesEmbeddedReference from r: a reducible chain with
+// at least three BSCCs, an initial distribution, a long-run mask and a
+// reachability target.
+func embeddedReferenceTrial(t *testing.T, r *rand.Rand) (c *Chain, init linalg.Vector, mask, target []bool) {
+	t.Helper()
+	c = reducibleChain(t, r)
+	n := c.N()
+	if _, bsccs := graph.BSCCs(c.Rates); len(bsccs) < 3 {
+		t.Fatalf("%d BSCCs, want at least 3", len(bsccs))
+	}
+	init = linalg.NewVector(n)
+	for i := range init {
+		init[i] = r.Float64()
+	}
+	init.Normalize1()
+	mask = make([]bool, n)
+	for i := range mask {
+		mask[i] = r.Intn(2) == 0
+	}
+	target = make([]bool, n)
+	for k := 1 + r.Intn(3); k > 0; k-- {
+		target[r.Intn(n)] = true
+	}
+	return c, init, mask, target
+}
+
 // On reducible chains with three or more BSCCs the long-run vector and
 // probability stay within 1e-5 of the dense per-BSCC oracle (the fold's
 // transient solve stops on Gauss–Seidel's change between sweeps, not on
 // its error) and agree with each other bit for bit; unbounded
 // reachability of an arbitrary target stays within 1e-12 of the
-// embedded-chain reference, and every state that reaches the target
-// almost surely reads exactly 1.
+// embedded-chain reference, every state that reaches the target almost
+// surely reads exactly 1, and the system solved for the rest has the
+// sign pattern of a split M-matrix.
 func TestReachabilityMatchesEmbeddedReference(t *testing.T) {
-	r := rand.New(rand.NewSource(26))
+	r := rand.New(rand.NewSource(embeddedReferenceSeed))
 	ctx := t.Context()
 	for trial := 0; trial < 200; trial++ {
-		c := reducibleChain(t, r)
+		c, init, mask, target := embeddedReferenceTrial(t, r)
 		n := c.N()
-		if _, bsccs := graph.BSCCs(c.Rates); len(bsccs) < 3 {
-			t.Fatalf("trial %d: %d BSCCs, want at least 3", trial, len(bsccs))
-		}
-		init := linalg.NewVector(n)
-		for i := range init {
-			init[i] = r.Float64()
-		}
-		init.Normalize1()
-		mask := make([]bool, n)
-		for i := range mask {
-			mask[i] = r.Intn(2) == 0
-		}
 		oracle := denseLongRun(t, c, mask)
 		vec, err := c.SteadyStateVectorContext(ctx, mask)
 		if err != nil {
@@ -395,10 +422,6 @@ func TestReachabilityMatchesEmbeddedReference(t *testing.T) {
 		}
 		assertDiracMatchesVector(t, c, mask, vec)
 
-		target := make([]bool, n)
-		for k := 1 + r.Intn(3); k > 0; k-- {
-			target[r.Intn(n)] = true
-		}
 		got := reach(t, c, target)
 		want := embeddedReach(t, c, target)
 		for i := range got {
@@ -412,16 +435,35 @@ func TestReachabilityMatchesEmbeddedReference(t *testing.T) {
 				targets = append(targets, i)
 			}
 		}
-		for i, can := range graph.CanReach(c.Rates, targets, nil) {
+		canReach := graph.CanReach(c.Rates, targets, nil)
+		for i, can := range canReach {
 			if !can {
 				never = append(never, i)
 			}
 		}
+		// The unknowns classified as untilTarget does.
+		x := linalg.NewVector(n)
+		idx := make([]int, n)
+		var unknowns []int
 		for i, escapes := range graph.CanReach(c.Rates, never, target) {
 			if !escapes && got[i] != 1 {
 				t.Fatalf("trial %d: state %d reaches the target almost surely but reads %v", trial, i, got[i])
 			}
+			idx[i] = -1
+			switch {
+			case !escapes:
+				x[i] = 1
+			case !canReach[i]:
+			case !target[i]:
+				idx[i] = len(unknowns)
+				unknowns = append(unknowns, i)
+			}
 		}
+		a, _, err := c.splitSystem(nil, x, unknowns, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMMatrixSigns(t, fmt.Sprintf("trial %d: reachability system", trial), a)
 	}
 }
 
@@ -448,7 +490,7 @@ func (s *solveSpans) Emit(e *obs.Event) {
 }
 
 // With solver divergence injected once, unbounded reachability escalates
-// from Gauss–Seidel to Jacobi, records both attempts and still answers;
+// from Gauss–Seidel to the dense step, records both attempts and still answers;
 // its span carries the method and attempt count as the reachability-reward
 // span does.
 func TestChaosUnboundedReachabilityEscalates(t *testing.T) {
@@ -477,11 +519,11 @@ func TestChaosUnboundedReachabilityEscalates(t *testing.T) {
 	}
 	attempts := sink.Attempts()
 	if len(attempts) != 3 || attempts[0].Outcome != obs.AttemptInjected || attempts[1].Outcome != obs.AttemptOK ||
-		attempts[1].Method != linalg.MethodJacobi || attempts[2].Method != linalg.MethodGaussSeidel {
-		t.Fatalf("attempts = %+v, want injected, jacobi, then the reward's gauss-seidel", attempts)
+		attempts[1].Method != linalg.MethodDense || attempts[2].Method != linalg.MethodGaussSeidel {
+		t.Fatalf("attempts = %+v, want injected, dense, then the reward's gauss-seidel", attempts)
 	}
 	for name, want := range map[string]map[string]any{
-		"ctmc.unbounded_reach":     {"method": linalg.MethodJacobi, "attempts": int64(2), "unknowns": int64(3)},
+		"ctmc.unbounded_reach":     {"method": linalg.MethodDense, "attempts": int64(2), "unknowns": int64(3)},
 		"ctmc.reachability_reward": {"method": linalg.MethodGaussSeidel, "attempts": int64(1), "unknowns": int64(3)},
 	} {
 		got := sink.attrs[name]
@@ -608,33 +650,66 @@ func TestLongRunOneSolvePerMask(t *testing.T) {
 	}
 }
 
-// With solver divergence injected once, the long-run vector of a chain
-// with 8 BSCCs escalates its one solve from Gauss–Seidel to Jacobi,
-// records both attempts and still matches the dense oracle.
+// stalledFoldChain returns trial 19 of
+// TestReachabilityMatchesEmbeddedReference and its mask: the long-run
+// fold's system over its 7 transient states is one on which Gauss–Seidel
+// stalls (a change between sweeps of 2.67e-7 after its 500,000 sweeps), so
+// the solve escalates to the dense step with no fault injected.
+func stalledFoldChain(t *testing.T) (*Chain, []bool) {
+	t.Helper()
+	r := rand.New(rand.NewSource(embeddedReferenceSeed))
+	for range 19 {
+		embeddedReferenceTrial(t, r)
+	}
+	c, _, mask, _ := embeddedReferenceTrial(t, r)
+	return c, mask
+}
+
+// The long-run vector escalates its one solve from Gauss–Seidel to the
+// dense step, records both attempts and matches the dense oracle within
+// 1e-12: on a chain with 8 BSCCs whose Gauss–Seidel attempt fails by an
+// injected divergence, and on a chain whose transient system Gauss–Seidel
+// cannot solve within its budget.
 func TestChaosLongRunEscalates(t *testing.T) {
-	in, err := fault.Parse("solver.diverge:n=1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fault.Enable(in)
-	defer fault.Disable()
-	c, mask := eightBSCCChain(t)
-	rec := &obs.AttemptRecorder{}
-	ctx, root := obs.NewTracer(rec, false).StartSpan(t.Context(), "test")
-	vec, err := c.SteadyStateVectorContext(ctx, mask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root.End()
-	attempts := rec.Attempts()
-	if len(attempts) != 2 || attempts[0].Outcome != obs.AttemptInjected ||
-		attempts[1].Outcome != obs.AttemptOK || attempts[1].Method != linalg.MethodJacobi {
-		t.Fatalf("attempts = %+v, want injected, then jacobi", attempts)
-	}
-	oracle := denseLongRun(t, c, mask)
-	for i := range vec {
-		if math.Abs(vec[i]-oracle[i]) > 1e-5 {
-			t.Fatalf("state %d: long-run value %v, dense oracle %v", i, vec[i], oracle[i])
-		}
+	eight, eightMask := eightBSCCChain(t)
+	stalled, stalledMask := stalledFoldChain(t)
+	for _, tc := range []struct {
+		name   string
+		c      *Chain
+		mask   []bool
+		faults string // fault spec armed for the solve, if any
+		first  string // outcome of the Gauss–Seidel attempt
+	}{
+		{"injected", eight, eightMask, "solver.diverge:n=1", obs.AttemptInjected},
+		{"stalled", stalled, stalledMask, "", obs.AttemptError},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.faults != "" {
+				in, err := fault.Parse(tc.faults, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fault.Enable(in)
+				defer fault.Disable()
+			}
+			rec := &obs.AttemptRecorder{}
+			ctx, root := obs.NewTracer(rec, false).StartSpan(t.Context(), "test")
+			vec, err := tc.c.SteadyStateVectorContext(ctx, tc.mask)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root.End()
+			attempts := rec.Attempts()
+			if len(attempts) != 2 || attempts[0].Method != linalg.MethodGaussSeidel || attempts[0].Outcome != tc.first ||
+				attempts[1].Method != linalg.MethodDense || attempts[1].Outcome != obs.AttemptOK {
+				t.Fatalf("attempts = %+v, want gauss-seidel (%s), then dense (ok)", attempts, tc.first)
+			}
+			oracle := denseLongRun(t, tc.c, tc.mask)
+			for i := range vec {
+				if math.Abs(vec[i]-oracle[i]) > 1e-12 {
+					t.Fatalf("state %d: long-run value %v, dense oracle %v", i, vec[i], oracle[i])
+				}
+			}
+		})
 	}
 }

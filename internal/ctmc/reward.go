@@ -109,9 +109,8 @@ func (c *Chain) untilTarget(ctx context.Context, sp *obs.Span, reward linalg.Vec
 
 // solveUnknowns fills in x, whose known entries are set, on the unknown
 // states (idx maps a state to its unknown index, -1 if known): it solves
-// splitSystem's system through linalg.RobustSolve under opts and clamps a
-// probability (nil reward) to [0, 1]. The unknowns and the solver's
-// attempts go on sp.
+// splitSystem's system through robustSolve under opts and clamps a
+// probability (nil reward) to [0, 1]. The unknowns and the solve go on sp.
 func (c *Chain) solveUnknowns(ctx context.Context, sp *obs.Span, reward, x linalg.Vector, unknowns, idx []int, opts linalg.IterOpts) (linalg.Vector, error) {
 	sp.Int("unknowns", int64(len(unknowns)))
 	a, b, err := c.splitSystem(reward, x, unknowns, idx)
@@ -121,16 +120,7 @@ func (c *Chain) solveUnknowns(ctx context.Context, sp *obs.Span, reward, x linal
 	if len(unknowns) == 0 {
 		return x, nil
 	}
-	var rstats linalg.RobustStats
-	y, err := linalg.RobustSolve(ctx, a, b, linalg.RobustOpts{Opts: opts, Stats: &rstats})
-	sp.Str("method", rstats.Method)
-	sp.Int("attempts", int64(len(rstats.Attempts)))
-	if n := len(rstats.Attempts); n > 0 {
-		last := rstats.Attempts[n-1]
-		sp.Int("iterations", int64(last.Iterations))
-		sp.Float("residual", last.Residual)
-		sp.Int("trace_points", int64(len(last.Trace)))
-	}
+	y, err := robustSolve(ctx, sp, a, b, opts)
 	if err != nil {
 		return nil, fmt.Errorf("ctmc: reachability solve (%d unknowns): %w", len(unknowns), err)
 	}
@@ -141,6 +131,31 @@ func (c *Chain) solveUnknowns(ctx context.Context, sp *obs.Span, reward, x linal
 		x[i] = y[ui]
 	}
 	return x, nil
+}
+
+// robustSolve solves A·x = b through linalg.RobustSolve and puts the
+// outcome on sp: the method that solved it ("" on failure), the attempts
+// made and the last attempt's iterations, residual and trace length.
+func robustSolve(ctx context.Context, sp *obs.Span, a *linalg.Split, b linalg.Vector, opts linalg.IterOpts) (linalg.Vector, error) {
+	y, method, st, err := linalg.RobustSolve(ctx, a, b, opts)
+	attempts := 0
+	switch method {
+	case linalg.MethodGaussSeidel:
+		attempts = 1
+	case linalg.MethodDense: // only after Gauss–Seidel failed
+		attempts = 2
+	}
+	if err != nil {
+		method = ""
+	}
+	sp.Str("method", method)
+	sp.Int("attempts", int64(attempts))
+	if attempts > 0 {
+		sp.Int("iterations", int64(st.Iterations))
+		sp.Float("residual", st.Residual)
+		sp.Int("trace_points", int64(len(st.Trace)))
+	}
+	return y, err
 }
 
 // splitSystem builds, in split form over the unknown states u (idx maps a

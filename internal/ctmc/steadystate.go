@@ -180,20 +180,9 @@ func (c *Chain) stationaryIterative(ctx context.Context, set, pos []int) (linalg
 	if err != nil {
 		return nil, err
 	}
-	// The fallback chain escalates gauss-seidel → jacobi → dense on
+	// The fallback chain escalates gauss-seidel → dense on
 	// *ConvergenceError; each attempt lands in the run manifest.
-	var rstats linalg.RobustStats
-	y, err := linalg.RobustSolve(ctx, a, b, linalg.RobustOpts{
-		Opts:  linalg.IterOpts{Tol: 1e-11, MaxIter: 500000},
-		Stats: &rstats,
-	})
-	sp.Str("method", rstats.Method)
-	if n := len(rstats.Attempts); n > 0 {
-		last := rstats.Attempts[n-1]
-		sp.Int("iterations", int64(last.Iterations))
-		sp.Float("residual", last.Residual)
-		sp.Int("trace_points", int64(len(last.Trace)))
-	}
+	y, err := robustSolve(ctx, sp, a, b, linalg.IterOpts{Tol: 1e-11, MaxIter: 500000})
 	if err != nil {
 		// On exhausted fallback chains err still unwraps to the final
 		// *linalg.ConvergenceError carrying the sweep count and residual;

@@ -142,7 +142,7 @@ func TestQuickSolveDenseResidual(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return ax.MaxDiff(b) < 1e-9
+		return maxDiff(ax, b) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

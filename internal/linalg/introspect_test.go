@@ -10,14 +10,14 @@ import (
 	"repro/internal/obs"
 )
 
-// TestTraceSamplingConverged: a converging solve with CollectTrace yields a
+// TestTraceSamplingConverged: a converging solve yields a
 // monotone-iteration trace whose final point is the reported result.
 func TestTraceSamplingConverged(t *testing.T) {
 	a := diagonallyDominantCSR(rand.New(rand.NewSource(21)), 24)
 	b := NewVector(24)
 	b[0] = 1
-	var stats IterStats
-	if _, err := Jacobi(splitCSR(a), b, IterOpts{Stats: &stats, CollectTrace: true}); err != nil {
+	_, stats, err := GaussSeidel(splitCSR(a), b, IterOpts{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(stats.Trace) == 0 {
@@ -38,16 +38,15 @@ func TestTraceSamplingConverged(t *testing.T) {
 // points, not thousands — the property that makes always-on collection in
 // RobustSolve affordable.
 func TestTraceSamplingIsLogSpaced(t *testing.T) {
-	// A barely-contractive system (Jacobi iteration-matrix spectral radius
-	// 0.9999): converging to 1e-12 would need ~276k sweeps, so a 10000-sweep
-	// budget always runs out — without overflow.
+	// A barely-contractive system (Gauss–Seidel iteration-matrix spectral
+	// radius 0.9999² ≈ 0.9998): converging to 1e-12 would need ~138k
+	// sweeps, so a 10000-sweep budget always runs out — without overflow.
 	coo := NewCOO(2, 2)
 	coo.Add(0, 0, 1)
 	coo.Add(0, 1, -0.9999)
 	coo.Add(1, 0, -0.9999)
 	coo.Add(1, 1, 1)
-	var stats IterStats
-	_, err := Jacobi(splitCSR(coo.ToCSR()), Vector{1, 0}, IterOpts{MaxIter: 10000, Stats: &stats, CollectTrace: true})
+	_, stats, err := GaussSeidel(splitCSR(coo.ToCSR()), Vector{1, 0}, IterOpts{MaxIter: 10000})
 	var ce *ConvergenceError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want ConvergenceError", err)
@@ -57,19 +56,6 @@ func TestTraceSamplingIsLogSpaced(t *testing.T) {
 	}
 	if last := stats.Trace[len(stats.Trace)-1]; last.Iteration != 10000 {
 		t.Fatalf("trace tail iteration = %d, want 10000", last.Iteration)
-	}
-}
-
-// TestTraceDisabledByDefault: without CollectTrace the stats carry no trace
-// (and the loops pay no sampling cost).
-func TestTraceDisabledByDefault(t *testing.T) {
-	a := diagonallyDominantCSR(rand.New(rand.NewSource(25)), 8)
-	var stats IterStats
-	if _, err := GaussSeidel(splitCSR(a), NewVector(8), IterOpts{Stats: &stats}); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Trace != nil {
-		t.Fatalf("trace collected without CollectTrace: %+v", stats.Trace)
 	}
 }
 
@@ -94,26 +80,26 @@ func TestDetectStagnation(t *testing.T) {
 		{"too-short", mk(1, 1, 1), false},
 	}
 	for _, tc := range cases {
-		sg, got := DetectStagnation(tc.trace, 0, 0)
+		sg, got := detectStagnation(tc.trace)
 		if got != tc.want {
 			t.Errorf("%s: detected = %v, want %v (%+v)", tc.name, got, tc.want, sg)
 		}
-		if got && sg.ToIteration != tc.trace[len(tc.trace)-1].Iteration {
-			t.Errorf("%s: window end %d, want trace tail", tc.name, sg.ToIteration)
+		if got && sg.toIteration != tc.trace[len(tc.trace)-1].Iteration {
+			t.Errorf("%s: window end %d, want trace tail", tc.name, sg.toIteration)
 		}
 	}
 }
 
-// TestRobustSolveAttemptTraces is the tentpole's forced-divergence
-// acceptance test at the linalg layer: a genuinely diverging system (not
-// fault injection, which never runs a solver) fails both iterative steps,
-// each failed attempt carries its sampled convergence curve plus a detected
-// stagnation, and the stagnation events land in the black box *before* the
-// fallback attempt fires.
+// TestRobustSolveAttemptTraces is the forced-divergence acceptance test
+// at the linalg layer: a genuinely diverging system (not fault injection,
+// which never runs a solver) fails the iterative step, its failed attempt
+// carries its sampled convergence curve, the detected stagnation lands in
+// the black box *before* the fallback attempt fires, and the dense
+// fallback's attempt carries the residual of its answer.
 func TestRobustSolveAttemptTraces(t *testing.T) {
-	// A 2x2 system that is far from diagonally dominant: both Jacobi and
-	// Gauss–Seidel diverge geometrically, while dense elimination solves it
-	// exactly (det = -5).
+	// A 2x2 system that is far from diagonally dominant: Gauss–Seidel
+	// diverges geometrically, while dense elimination solves it exactly
+	// (det = -5).
 	coo := NewCOO(2, 2)
 	coo.Add(0, 0, 1)
 	coo.Add(0, 1, 2)
@@ -128,48 +114,34 @@ func TestRobustSolveAttemptTraces(t *testing.T) {
 	ctx, root := tracer.StartSpan(context.Background(), "test")
 	defer root.End()
 
-	var stats RobustStats
-	x, err := RobustSolve(ctx, splitCSR(a), b, RobustOpts{
-		// 100 sweeps diverge to ~6^100 without overflowing to Inf.
-		Opts:  IterOpts{MaxIter: 100},
-		Stats: &stats,
-	})
+	// 100 sweeps diverge to ~6^100 without overflowing to Inf.
+	x, method, st, err := RobustSolve(ctx, splitCSR(a), b, IterOpts{MaxIter: 100})
 	if err != nil {
 		t.Fatalf("RobustSolve: %v", err)
 	}
-	if stats.Method != MethodDense || len(stats.Attempts) != 3 {
-		t.Fatalf("method %q with %d attempts, want dense after 3", stats.Method, len(stats.Attempts))
+	attempts := rec.Attempts()
+	if method != MethodDense || len(attempts) != 2 {
+		t.Fatalf("method %q with %d attempts, want dense after 2", method, len(attempts))
 	}
 	// x = A⁻¹·(1,1): exact solution (0.2, 0.4).
 	if math.Abs(x[0]-0.2) > 1e-9 || math.Abs(x[1]-0.4) > 1e-9 {
 		t.Fatalf("x = %v, want (0.2, 0.4)", x)
 	}
-	for _, at := range stats.Attempts[:2] {
-		if len(at.Trace) < StagnationWindow {
-			t.Fatalf("%s attempt trace has %d points, want >= %d", at.Method, len(at.Trace), StagnationWindow)
-		}
-		if at.Stagnation == nil {
-			t.Fatalf("%s attempt has no detected stagnation: %+v", at.Method, at)
-		}
-		if at.Stagnation.Improvement >= 1 {
-			t.Errorf("%s improvement = %v, want < 1 (diverging)", at.Method, at.Stagnation.Improvement)
-		}
+	// The recorded attempts carry the curves and residuals, so they reach
+	// job manifests: the failed sweep its trace, the dense step the
+	// residual of its answer.
+	if gs := attempts[0]; len(gs.Trace) < StagnationWindow || gs.Residual == 0 {
+		t.Fatalf("gauss-seidel attempt trace has %d points (want >= %d), residual %v: %+v", len(gs.Trace), StagnationWindow, gs.Residual, gs)
+	}
+	if sg, ok := detectStagnation(attempts[0].Trace); !ok || sg.improvement >= 1 {
+		t.Errorf("gauss-seidel stagnation = %+v, %v; want diverging (improvement < 1)", sg, ok)
+	}
+	if dense := attempts[1]; dense.Residual != st.Residual || len(dense.Trace) != 0 {
+		t.Errorf("dense attempt %+v, want residual %v and no trace", dense, st.Residual)
 	}
 
-	// The recorded obs attempts must carry the same curves and residuals, so
-	// they reach job manifests unchanged.
-	attempts := rec.Attempts()
-	if len(attempts) != 3 {
-		t.Fatalf("recorded %d attempts, want 3", len(attempts))
-	}
-	for _, at := range attempts[:2] {
-		if len(at.Trace) == 0 || at.Residual == 0 {
-			t.Fatalf("recorded attempt missing trace/residual: %+v", at)
-		}
-	}
-
-	// Black-box ordering: each stagnation event precedes the attempt record
-	// of the *next* (fallback) solver.
+	// Black-box ordering: the stagnation event precedes the attempt record
+	// of the fallback solver.
 	events := flight.Snapshot()
 	seqOfAttempt := map[float64]uint64{} // try number -> seq
 	var stagnationSeqs []uint64
@@ -181,14 +153,11 @@ func TestRobustSolveAttemptTraces(t *testing.T) {
 			stagnationSeqs = append(stagnationSeqs, ev.Seq)
 		}
 	}
-	if len(stagnationSeqs) != 2 {
-		t.Fatalf("flight has %d stagnation events, want 2: %+v", len(stagnationSeqs), events)
+	if len(stagnationSeqs) != 1 {
+		t.Fatalf("flight has %d stagnation events, want 1: %+v", len(stagnationSeqs), events)
 	}
 	if stagnationSeqs[0] >= seqOfAttempt[2] {
-		t.Errorf("first stagnation (seq %d) not before fallback attempt 2 (seq %d)", stagnationSeqs[0], seqOfAttempt[2])
-	}
-	if stagnationSeqs[1] >= seqOfAttempt[3] {
-		t.Errorf("second stagnation (seq %d) not before fallback attempt 3 (seq %d)", stagnationSeqs[1], seqOfAttempt[3])
+		t.Errorf("stagnation (seq %d) not before fallback attempt 2 (seq %d)", stagnationSeqs[0], seqOfAttempt[2])
 	}
 }
 
@@ -208,7 +177,7 @@ func TestRobustSolveAttemptReachesRunFlight(t *testing.T) {
 	coo.Add(0, 1, 2)
 	coo.Add(1, 0, 3)
 	coo.Add(1, 1, 1)
-	if _, err := RobustSolve(context.Background(), splitCSR(coo.ToCSR()), Vector{1, 1}, RobustOpts{Opts: IterOpts{MaxIter: 100}}); err != nil {
+	if _, _, _, err := RobustSolve(context.Background(), splitCSR(coo.ToCSR()), Vector{1, 1}, IterOpts{MaxIter: 100}); err != nil {
 		t.Fatalf("RobustSolve: %v", err)
 	}
 	var tries []float64

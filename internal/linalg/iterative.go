@@ -18,7 +18,7 @@ var ErrNoConvergence = errors.New("linalg: iteration limit reached without conve
 // the tolerance it stopped. It unwraps to ErrNoConvergence, so existing
 // errors.Is checks keep working.
 type ConvergenceError struct {
-	// Method is the solver name ("jacobi", "gauss-seidel").
+	// Method is the solver name (a Method* constant).
 	Method string
 	// Iterations is the number of sweeps performed (the MaxIter budget).
 	Iterations int
@@ -37,8 +37,8 @@ func (e *ConvergenceError) Error() string {
 // Unwrap makes errors.Is(err, ErrNoConvergence) succeed.
 func (e *ConvergenceError) Unwrap() error { return ErrNoConvergence }
 
-// IterStats reports what an iterative solve actually did. Point IterOpts at
-// one to collect it; the solver fills it on both success and failure.
+// IterStats reports what an iterative solve did, on success and failure
+// alike.
 type IterStats struct {
 	// Iterations is the number of sweeps performed.
 	Iterations int
@@ -46,13 +46,13 @@ type IterStats struct {
 	Residual float64
 	// Converged records whether the tolerance was met.
 	Converged bool
-	// Trace is the sampled convergence curve (log-spaced, so a 10k-iteration
-	// solve yields ~50 points), filled when IterOpts.CollectTrace is set.
-	// The final iteration is always included.
+	// Trace is the sampled convergence curve, log-spaced so that a
+	// 10k-iteration solve yields ~50 points. The final iteration is always
+	// included.
 	Trace []obs.ResidualPoint
 }
 
-// IterOpts configures the iterative solvers. The zero value selects the
+// IterOpts configures the iterative solver. The zero value selects the
 // defaults below.
 type IterOpts struct {
 	// Tol is the termination tolerance on the max-norm change between
@@ -61,13 +61,6 @@ type IterOpts struct {
 	Tol float64
 	// MaxIter bounds the number of sweeps. Default 100000.
 	MaxIter int
-	// Stats, when non-nil, receives iteration count and final residual —
-	// the instrumentation hook used by internal/ctmc spans.
-	Stats *IterStats
-	// CollectTrace samples the per-iteration residual into Stats.Trace
-	// (requires Stats). Sampling is log-spaced: the interval grows ~25% per
-	// sample, bounding the trace at O(log MaxIter) points.
-	CollectTrace bool
 }
 
 func (o IterOpts) withDefaults() IterOpts {
@@ -80,69 +73,6 @@ func (o IterOpts) withDefaults() IterOpts {
 	return o
 }
 
-// Jacobi solves A·x = b for a split system A with nonzero diagonal using
-// Jacobi iteration: x_i ← (b_i − Σ_{j≠i} a_ij x_j) / a_ii.
-func Jacobi(a *Split, b Vector, opts IterOpts) (Vector, error) {
-	if err := a.check("Jacobi", b); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults()
-	n := a.Off.Rows
-	x := NewVector(n)
-	next := NewVector(n)
-	smp := opts.sampler()
-	var lastDelta float64
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		for i := 0; i < n; i++ {
-			s := b[i]
-			cols, vals := a.Off.Row(i)
-			for k, j := range cols {
-				s -= vals[k] * x[j]
-			}
-			next[i] = s / a.Diag[i]
-		}
-		d := x.MaxDiff(next)
-		x, next = next, x
-		lastDelta = d
-		smp.observe(iter+1, d)
-		if d <= opts.Tol*(1+x.NormInf()) {
-			if !x.AllFinite() {
-				return nil, ErrSingular
-			}
-			opts.report(iter+1, d, true, smp)
-			return x, nil
-		}
-	}
-	opts.report(opts.MaxIter, lastDelta, false, smp)
-	return nil, &ConvergenceError{Method: "jacobi", Iterations: opts.MaxIter, Residual: lastDelta, Tol: opts.Tol}
-}
-
-// report fills the caller-provided stats block, if any, attaching the
-// sampled convergence curve (with the final iteration appended if the
-// sampler's stride skipped it).
-func (o IterOpts) report(iterations int, residual float64, converged bool, smp *residualSampler) {
-	if o.Stats == nil {
-		return
-	}
-	st := IterStats{Iterations: iterations, Residual: residual, Converged: converged}
-	if smp != nil {
-		if n := len(smp.pts); n == 0 || smp.pts[n-1].Iteration != iterations {
-			smp.pts = append(smp.pts, obs.ResidualPoint{Iteration: iterations, Residual: residual})
-		}
-		st.Trace = smp.pts
-	}
-	*o.Stats = st
-}
-
-// sampler returns a residual sampler when tracing is requested, else nil (a
-// nil sampler's observe is a no-op, so the solver loops stay branch-cheap).
-func (o IterOpts) sampler() *residualSampler {
-	if !o.CollectTrace || o.Stats == nil {
-		return nil
-	}
-	return &residualSampler{}
-}
-
 // residualSampler records (iteration, residual) pairs at log-spaced
 // intervals: each recorded sample pushes the next sample point ~25% further
 // out, so the trace grows with the log of the iteration count.
@@ -152,26 +82,35 @@ type residualSampler struct {
 }
 
 func (s *residualSampler) observe(iter int, residual float64) {
-	if s == nil || iter < s.next {
+	if iter < s.next {
 		return
 	}
 	s.pts = append(s.pts, obs.ResidualPoint{Iteration: iter, Residual: residual})
 	s.next = iter + iter/4 + 1
 }
 
+// stats returns the solve's stats with the sampled curve, the final
+// iteration appended if the sampler's stride skipped it.
+func (s *residualSampler) stats(iterations int, residual float64, converged bool) IterStats {
+	if n := len(s.pts); n == 0 || s.pts[n-1].Iteration != iterations {
+		s.pts = append(s.pts, obs.ResidualPoint{Iteration: iterations, Residual: residual})
+	}
+	return IterStats{Iterations: iterations, Residual: residual, Converged: converged, Trace: s.pts}
+}
+
 // GaussSeidel solves A·x = b for a split system A with nonzero diagonal
-// using Gauss–Seidel sweeps (in-place updates, typically ~2x faster than
-// Jacobi on the diagonally dominant systems produced by Markov models).
-// Each row subtracts its off-diagonal terms in column order and divides by
-// its diagonal, so the split form needs no per-entry diagonal test.
-func GaussSeidel(a *Split, b Vector, opts IterOpts) (Vector, error) {
+// using Gauss–Seidel sweeps (in-place updates) and returns the solve's
+// stats, its sampled convergence curve included. Each row subtracts its
+// off-diagonal terms in column order and divides by its diagonal, so the
+// split form needs no per-entry diagonal test.
+func GaussSeidel(a *Split, b Vector, opts IterOpts) (Vector, IterStats, error) {
 	if err := a.check("GaussSeidel", b); err != nil {
-		return nil, err
+		return nil, IterStats{}, err
 	}
 	opts = opts.withDefaults()
 	n := a.Off.Rows
 	x := NewVector(n)
-	smp := opts.sampler()
+	var smp residualSampler
 	var lastDelta float64
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		var maxDelta, maxAbs float64
@@ -195,12 +134,10 @@ func GaussSeidel(a *Split, b Vector, opts IterOpts) (Vector, error) {
 		smp.observe(iter+1, maxDelta)
 		if maxDelta <= opts.Tol*(1+maxAbs) {
 			if !x.AllFinite() {
-				return nil, ErrSingular
+				return nil, IterStats{}, ErrSingular
 			}
-			opts.report(iter+1, maxDelta, true, smp)
-			return x, nil
+			return x, smp.stats(iter+1, maxDelta, true), nil
 		}
 	}
-	opts.report(opts.MaxIter, lastDelta, false, smp)
-	return nil, &ConvergenceError{Method: "gauss-seidel", Iterations: opts.MaxIter, Residual: lastDelta, Tol: opts.Tol}
+	return nil, smp.stats(opts.MaxIter, lastDelta, false), &ConvergenceError{Method: MethodGaussSeidel, Iterations: opts.MaxIter, Residual: lastDelta, Tol: opts.Tol}
 }

@@ -29,7 +29,7 @@ func diagonallyDominantCSR(r *rand.Rand, n int) *CSR {
 	return coo.ToCSR()
 }
 
-func TestJacobiAndGaussSeidelAgreeWithDirect(t *testing.T) {
+func TestGaussSeidelAgreesWithDirect(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
 		n := 3 + r.Intn(15)
@@ -42,19 +42,12 @@ func TestJacobiAndGaussSeidelAgreeWithDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jac, err := Jacobi(splitCSR(a), b, IterOpts{})
-		if err != nil {
-			t.Fatalf("Jacobi: %v", err)
-		}
-		gs, err := GaussSeidel(splitCSR(a), b, IterOpts{})
+		gs, _, err := GaussSeidel(splitCSR(a), b, IterOpts{})
 		if err != nil {
 			t.Fatalf("GaussSeidel: %v", err)
 		}
-		if jac.MaxDiff(direct) > 1e-8 {
-			t.Fatalf("Jacobi off by %v", jac.MaxDiff(direct))
-		}
-		if gs.MaxDiff(direct) > 1e-8 {
-			t.Fatalf("GaussSeidel off by %v", gs.MaxDiff(direct))
+		if maxDiff(gs, direct) > 1e-8 {
+			t.Fatalf("GaussSeidel off by %v", maxDiff(gs, direct))
 		}
 	}
 }
@@ -64,21 +57,18 @@ func TestIterativeZeroDiagonal(t *testing.T) {
 	coo.Add(0, 1, 1)
 	coo.Add(1, 0, 1)
 	a := coo.ToCSR()
-	if _, err := Jacobi(splitCSR(a), Vector{1, 1}, IterOpts{}); !errors.Is(err, ErrSingular) {
-		t.Fatalf("Jacobi err = %v, want ErrSingular", err)
-	}
-	if _, err := GaussSeidel(splitCSR(a), Vector{1, 1}, IterOpts{}); !errors.Is(err, ErrSingular) {
+	if _, _, err := GaussSeidel(splitCSR(a), Vector{1, 1}, IterOpts{}); !errors.Is(err, ErrSingular) {
 		t.Fatalf("GaussSeidel err = %v, want ErrSingular", err)
 	}
 }
 
 func TestIterativeDimensionErrors(t *testing.T) {
 	a := NewCOO(2, 3).ToCSR()
-	if _, err := Jacobi(splitCSR(a), Vector{1, 1}, IterOpts{}); !errors.Is(err, ErrDimension) {
+	if _, _, err := GaussSeidel(splitCSR(a), Vector{1, 1}, IterOpts{}); !errors.Is(err, ErrDimension) {
 		t.Fatalf("err = %v", err)
 	}
 	sq := NewCOO(2, 2).ToCSR()
-	if _, err := GaussSeidel(splitCSR(sq), Vector{1}, IterOpts{}); !errors.Is(err, ErrDimension) {
+	if _, _, err := GaussSeidel(splitCSR(sq), Vector{1}, IterOpts{}); !errors.Is(err, ErrDimension) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -91,7 +81,7 @@ func TestIterativeNoConvergence(t *testing.T) {
 	coo.Add(1, 0, -10)
 	coo.Add(1, 1, 1)
 	a := coo.ToCSR()
-	if _, err := Jacobi(splitCSR(a), Vector{1, 1}, IterOpts{MaxIter: 5}); !errors.Is(err, ErrNoConvergence) {
+	if _, _, err := GaussSeidel(splitCSR(a), Vector{1, 1}, IterOpts{MaxIter: 5}); !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("err = %v, want ErrNoConvergence", err)
 	}
 }
@@ -105,8 +95,7 @@ func TestConvergenceErrorContext(t *testing.T) {
 	coo.Add(1, 0, -10)
 	coo.Add(1, 1, 1)
 	a := coo.ToCSR()
-	var stats IterStats
-	_, err := GaussSeidel(splitCSR(a), Vector{1, 1}, IterOpts{MaxIter: 7, Stats: &stats})
+	_, stats, err := GaussSeidel(splitCSR(a), Vector{1, 1}, IterOpts{MaxIter: 7})
 	var ce *ConvergenceError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %T %v, want *ConvergenceError", err, err)
@@ -129,16 +118,8 @@ func TestIterStatsOnSuccess(t *testing.T) {
 	for i := range b {
 		b[i] = r.Float64()
 	}
-	for name, solve := range map[string]func() error{
-		"jacobi":       func() error { _, err := Jacobi(splitCSR(a), b, IterOpts{Stats: nil}); return err },
-		"gauss-seidel": func() error { _, err := GaussSeidel(splitCSR(a), b, IterOpts{Stats: nil}); return err },
-	} {
-		if err := solve(); err != nil {
-			t.Fatalf("%s without stats: %v", name, err)
-		}
-	}
-	var st IterStats
-	if _, err := GaussSeidel(splitCSR(a), b, IterOpts{Stats: &st}); err != nil {
+	_, st, err := GaussSeidel(splitCSR(a), b, IterOpts{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !st.Converged || st.Iterations <= 0 || st.Iterations >= 100000 {

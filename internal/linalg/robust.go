@@ -14,7 +14,6 @@ import (
 // Solver method names, as recorded in attempt records.
 const (
 	MethodGaussSeidel = "gauss-seidel"
-	MethodJacobi      = "jacobi"
 	MethodDense       = "dense"
 )
 
@@ -22,137 +21,77 @@ const (
 // (an n×n expansion; 1024² floats ≈ 8 MB).
 const DefaultDenseLimit = 1024
 
-// fallbackChain is RobustSolve's escalation: the fast sweep first, then
-// Jacobi with a doubled iteration budget and a relaxed tolerance (Jacobi
-// converges on some systems where the Gauss–Seidel sweep order cycles), and
-// finally dense Gaussian elimination, which does not iterate at all but only
-// fits systems up to DefaultDenseLimit.
-var fallbackChain = []struct {
-	method     string
-	iterFactor int     // multiplies the base MaxIter
-	tolFactor  float64 // multiplies the base Tol
-	solve      func(*Split, Vector, IterOpts) (Vector, error)
-}{
-	{MethodGaussSeidel, 1, 1, GaussSeidel},
-	{MethodJacobi, 2, 10, Jacobi},
-	{MethodDense, 1, 1, func(a *Split, b Vector, _ IterOpts) (Vector, error) { return SolveDense(a.ToDense(), b) }},
-}
-
-// RobustOpts configures RobustSolve.
-type RobustOpts struct {
-	// Opts is the base iterative budget; chain steps relax it.
-	Opts IterOpts
-	// Stats, when non-nil, receives the attempt history.
-	Stats *RobustStats
-}
-
-// SolveAttempt reports one executed step of a fallback chain.
-type SolveAttempt struct {
-	// Method is the solver that ran.
-	Method string
-	// Iterations and Residual report what the iterative solver did (zero
-	// for the dense method).
-	Iterations int
-	Residual   float64
-	// Trace is the attempt's sampled convergence curve (empty for the dense
-	// method and for injected failures, which never run a solver).
-	Trace []obs.ResidualPoint
-	// Stagnation is the detected residual plateau, when the attempt failed
-	// and its trace shows one.
-	Stagnation *Stagnation
-	// Err is the step's failure, nil on success.
-	Err error
-	// Injected marks a failure synthesised by fault injection
-	// (fault.PointSolverDiverge) rather than a real solve.
-	Injected bool
-}
-
-// RobustStats is RobustSolve's attempt history.
-type RobustStats struct {
-	// Attempts lists the executed steps in order.
-	Attempts []SolveAttempt
-	// Method is the step that produced the returned solution (empty on
-	// failure).
-	Method string
-}
-
-// RobustSolve solves A·x = b through a fixed fallback chain: each step
-// runs its method under (possibly relaxed) budgets, and a step failing with
-// a *ConvergenceError escalates to the next; any other error (singular
-// matrix, dimension mismatch) aborts immediately since no amount of
-// escalation repairs it. The dense step is skipped for systems larger than
-// DefaultDenseLimit. Every executed step is recorded in opts.Stats and
-// emitted as an attempt event (obs.RecordAttempt), so run manifests and the
-// flight ring show which solvers were tried. The fault.PointSolverDiverge injection point, when armed,
-// replaces a step's real solve with a synthetic convergence failure.
-func RobustSolve(ctx context.Context, a *Split, b Vector, opts RobustOpts) (Vector, error) {
-	base := opts.Opts.withDefaults()
+// RobustSolve solves A·x = b by Gauss–Seidel under opts and, when that
+// fails with a *ConvergenceError and A has at most DefaultDenseLimit rows,
+// by dense Gaussian elimination, which does not iterate at all. Any other
+// error (singular matrix, dimension mismatch) aborts at once, since no
+// other method repairs it. The systems it receives — the pinned balance
+// system and I − P_uu — have a positive diagonal and no positive
+// off-diagonal entry, so by the Stein–Rosenberg theorem Jacobi would
+// converge only where Gauss–Seidel does; the chain has no Jacobi step.
+//
+// RobustSolve returns the method of the last step that ran (the one that
+// produced x when err is nil, "" when none ran) and that step's stats: a
+// dense step reports no iterations and the residual ‖b − A·x‖∞ of its
+// answer. Every step is emitted as an attempt event (obs.RecordAttempt),
+// so run manifests, the flight ring and the slow log show which solvers
+// were tried. The fault.PointSolverDiverge injection point, when armed,
+// replaces a step's solve with a synthetic convergence failure.
+func RobustSolve(ctx context.Context, a *Split, b Vector, opts IterOpts) (Vector, string, IterStats, error) {
+	opts = opts.withDefaults()
 	ctx, sp := obs.Start(ctx, "linalg.robust_solve")
 	defer sp.End()
-	var lastErr error
-	try := 0
-	for _, step := range fallbackChain {
+	steps := []string{MethodGaussSeidel, MethodDense}
+	if a.Off.Rows > DefaultDenseLimit {
+		steps = steps[:1]
+	}
+	var (
+		method  string
+		stats   IterStats
+		lastErr error
+	)
+	for i, step := range steps {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, method, stats, err
 		}
-		if step.method == MethodDense && a.Off.Rows > DefaultDenseLimit {
-			continue
-		}
-		try++
-		stepOpts := base
-		stepOpts.MaxIter = base.MaxIter * step.iterFactor
-		stepOpts.Tol = base.Tol * step.tolFactor
-		var stats IterStats
-		stepOpts.Stats = &stats
-		// Convergence curves are always collected here: the chain only runs
-		// once per analysis and the log-spaced trace is O(log MaxIter) points,
-		// so the post-mortem value outweighs the cost.
-		stepOpts.CollectTrace = true
+		method, stats = step, IterStats{}
 		start := time.Now()
 		var (
 			x        Vector
 			err      error
-			injected bool
+			injected = fault.Should(fault.PointSolverDiverge)
 		)
-		if fault.Should(fault.PointSolverDiverge) {
-			injected = true
-			err = &ConvergenceError{Method: step.method, Iterations: stepOpts.MaxIter, Residual: math.Inf(1), Tol: stepOpts.Tol}
-		} else {
-			x, err = step.solve(a, b, stepOpts)
-		}
-		attempt := SolveAttempt{
-			Method:     step.method,
-			Iterations: stats.Iterations,
-			Residual:   stats.Residual,
-			Trace:      stats.Trace,
-			Err:        err,
-			Injected:   injected,
+		switch {
+		case injected:
+			err = &ConvergenceError{Method: step, Iterations: opts.MaxIter, Residual: math.Inf(1), Tol: opts.Tol}
+		case step == MethodGaussSeidel:
+			x, stats, err = GaussSeidel(a, b, opts)
+		default:
+			if x, err = SolveDense(a.ToDense(), b); err == nil {
+				stats = IterStats{Residual: a.residual(x, b), Converged: true}
+			}
 		}
 		// Diagnose a failed iterative attempt before anything else reacts to
 		// it: a residual plateau (or divergence) in the trace becomes a
 		// structured event ahead of the attempt record and the fallback that
 		// follows, so a trace reader sees "stagnated at 3e-9 from sweep 41"
-		// before "escalated to jacobi".
+		// before "escalated to dense".
 		if err != nil && !injected {
-			if sg, ok := DetectStagnation(stats.Trace, 0, 0); ok {
-				attempt.Stagnation = &sg
+			if sg, ok := detectStagnation(stats.Trace); ok {
 				obs.Count(ctx, "solver.stagnation", 1)
 				obs.LogAttrs(ctx, "solver.stagnation",
-					obs.Attr{Key: "method", Kind: obs.KindString, Str: step.method},
-					obs.Attr{Key: "from_iteration", Kind: obs.KindInt, Int: int64(sg.FromIteration)},
-					obs.Attr{Key: "to_iteration", Kind: obs.KindInt, Int: int64(sg.ToIteration)},
-					obs.Attr{Key: "residual", Kind: obs.KindFloat, Flt: sg.ToResidual},
-					obs.Attr{Key: "improvement", Kind: obs.KindFloat, Flt: sg.Improvement},
+					obs.Attr{Key: "method", Kind: obs.KindString, Str: step},
+					obs.Attr{Key: "from_iteration", Kind: obs.KindInt, Int: int64(sg.fromIteration)},
+					obs.Attr{Key: "to_iteration", Kind: obs.KindInt, Int: int64(sg.toIteration)},
+					obs.Attr{Key: "residual", Kind: obs.KindFloat, Flt: sg.toResidual},
+					obs.Attr{Key: "improvement", Kind: obs.KindFloat, Flt: sg.improvement},
 				)
 			}
 		}
-		if opts.Stats != nil {
-			opts.Stats.Attempts = append(opts.Stats.Attempts, attempt)
-		}
 		rec := obs.Attempt{
 			Stage:      "solver",
-			Try:        try,
-			Method:     step.method,
+			Try:        i + 1,
+			Method:     step,
 			Outcome:    obs.AttemptOK,
 			Iterations: stats.Iterations,
 			Seconds:    time.Since(start).Seconds(),
@@ -168,21 +107,18 @@ func RobustSolve(ctx context.Context, a *Split, b Vector, opts RobustOpts) (Vect
 		}
 		obs.RecordAttempt(ctx, rec)
 		if err == nil {
-			if opts.Stats != nil {
-				opts.Stats.Method = step.method
-			}
-			sp.Str("method", step.method)
-			sp.Int("attempts", int64(try))
+			sp.Str("method", step)
+			sp.Int("attempts", int64(i+1))
 			sp.Int("iterations", int64(stats.Iterations))
 			sp.Float("residual", stats.Residual)
 			sp.Int("trace_points", int64(len(stats.Trace)))
-			return x, nil
+			return x, step, stats, nil
 		}
 		var ce *ConvergenceError
 		if !errors.As(err, &ce) {
-			return nil, err
+			return nil, method, stats, err
 		}
 		lastErr = err
 	}
-	return nil, fmt.Errorf("linalg: fallback chain exhausted after %d attempts: %w", try, lastErr)
+	return nil, method, stats, fmt.Errorf("linalg: fallback chain exhausted after %d attempts: %w", len(steps), lastErr)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -11,42 +12,45 @@ import (
 )
 
 // TestRobustSolveEscalationOrder pins the chain: gauss-seidel first, then
-// jacobi with a relaxed budget, then dense direct. A one-sweep iteration
-// budget at an unreachable tolerance forces both iterative steps to fail.
+// dense direct. A one-sweep iteration budget at an unreachable tolerance
+// forces the iterative step to fail.
 func TestRobustSolveEscalationOrder(t *testing.T) {
 	a := diagonallyDominantCSR(rand.New(rand.NewSource(3)), 8)
 	b := NewVector(8)
 	for i := range b {
 		b[i] = float64(i + 1)
 	}
-	var stats RobustStats
-	x, err := RobustSolve(context.Background(), splitCSR(a), b, RobustOpts{
-		Opts:  IterOpts{Tol: 1e-15, MaxIter: 1},
-		Stats: &stats,
-	})
+	rec := &obs.AttemptRecorder{}
+	ctx, root := obs.NewTracer(rec, false).StartSpan(context.Background(), "test")
+	defer root.End()
+	x, method, st, err := RobustSolve(ctx, splitCSR(a), b, IterOpts{Tol: 1e-15, MaxIter: 1})
 	if err != nil {
 		t.Fatalf("RobustSolve: %v", err)
 	}
-	want := []string{MethodGaussSeidel, MethodJacobi, MethodDense}
-	if len(stats.Attempts) != len(want) {
-		t.Fatalf("got %d attempts, want %d: %+v", len(stats.Attempts), len(want), stats.Attempts)
+	attempts := rec.Attempts()
+	want := []string{MethodGaussSeidel, MethodDense}
+	if len(attempts) != len(want) {
+		t.Fatalf("got %d attempts, want %d: %+v", len(attempts), len(want), attempts)
 	}
-	for i, at := range stats.Attempts {
+	for i, at := range attempts {
 		if at.Method != want[i] {
 			t.Errorf("attempt %d method = %s, want %s", i, at.Method, want[i])
 		}
 	}
-	for _, at := range stats.Attempts[:2] {
-		var ce *ConvergenceError
-		if !errors.As(at.Err, &ce) {
-			t.Errorf("%s attempt error = %v, want *ConvergenceError", at.Method, at.Err)
-		}
+	if at := attempts[0]; at.Outcome != obs.AttemptError || !strings.Contains(at.Error, "did not converge") {
+		t.Errorf("gauss-seidel attempt = %+v, want a convergence failure", at)
 	}
-	if stats.Attempts[1].Iterations != 2 {
-		t.Errorf("jacobi ran %d sweeps, want 2 (doubled budget)", stats.Attempts[1].Iterations)
+	if method != MethodDense || attempts[1].Outcome != obs.AttemptOK {
+		t.Fatalf("final method = %q (attempt %+v), want dense success", method, attempts[1])
 	}
-	if stats.Method != MethodDense || stats.Attempts[2].Err != nil {
-		t.Fatalf("final method = %q (err %v), want dense success", stats.Method, stats.Attempts[2].Err)
+	// The dense step reports the max-norm residual of its answer, on its
+	// attempt and in the returned stats.
+	res := splitCSR(a).residual(x, b)
+	if st.Iterations != 0 || st.Residual != res || attempts[1].Residual != res {
+		t.Errorf("dense stats %+v, attempt residual %v; want no iterations and residual %v", st, attempts[1].Residual, res)
+	}
+	if res > 1e-12 {
+		t.Errorf("dense residual %v, want ~machine precision", res)
 	}
 	// The dense result must actually solve the system.
 	direct, err := SolveDense(a.ToDense(), b)
@@ -66,12 +70,18 @@ func TestRobustSolveFirstMethodWins(t *testing.T) {
 	a := diagonallyDominantCSR(rand.New(rand.NewSource(5)), 12)
 	b := NewVector(12)
 	b[0] = 1
-	var stats RobustStats
-	if _, err := RobustSolve(context.Background(), splitCSR(a), b, RobustOpts{Stats: &stats}); err != nil {
+	rec := &obs.AttemptRecorder{}
+	ctx, root := obs.NewTracer(rec, false).StartSpan(context.Background(), "test")
+	defer root.End()
+	_, method, st, err := RobustSolve(ctx, splitCSR(a), b, IterOpts{})
+	if err != nil {
 		t.Fatalf("RobustSolve: %v", err)
 	}
-	if len(stats.Attempts) != 1 || stats.Method != MethodGaussSeidel {
-		t.Fatalf("attempts = %+v method = %q, want single gauss-seidel", stats.Attempts, stats.Method)
+	if attempts := rec.Attempts(); len(attempts) != 1 || method != MethodGaussSeidel {
+		t.Fatalf("attempts = %+v method = %q, want single gauss-seidel", attempts, method)
+	}
+	if !st.Converged || st.Iterations == 0 {
+		t.Fatalf("stats = %+v, want the converged gauss-seidel sweep count", st)
 	}
 }
 
@@ -88,19 +98,15 @@ func TestRobustSolveInjectedDivergence(t *testing.T) {
 	a := diagonallyDominantCSR(rand.New(rand.NewSource(7)), 6)
 	b := NewVector(6)
 	b[2] = 1
-	var stats RobustStats
 	rec := &obs.AttemptRecorder{}
 	ctx, root := obs.NewTracer(rec, false).StartSpan(context.Background(), "test")
 	defer root.End()
-	x, err := RobustSolve(ctx, splitCSR(a), b, RobustOpts{Stats: &stats})
+	x, method, _, err := RobustSolve(ctx, splitCSR(a), b, IterOpts{})
 	if err != nil {
 		t.Fatalf("RobustSolve: %v", err)
 	}
-	if len(stats.Attempts) != 2 || !stats.Attempts[0].Injected || stats.Attempts[1].Err != nil {
-		t.Fatalf("attempts = %+v, want injected failure then success", stats.Attempts)
-	}
-	if stats.Method != MethodJacobi {
-		t.Fatalf("method = %q, want jacobi fallback", stats.Method)
+	if method != MethodDense {
+		t.Fatalf("method = %q, want dense fallback", method)
 	}
 	direct, err := SolveDense(a.ToDense(), b)
 	if err != nil {
@@ -123,39 +129,38 @@ func TestRobustSolveFatalErrorsDoNotEscalate(t *testing.T) {
 	coo := NewCOO(2, 2)
 	coo.Add(0, 1, 1) // zero diagonal at row 0
 	coo.Add(1, 1, 1)
-	var stats RobustStats
-	_, err := RobustSolve(context.Background(), splitCSR(coo.ToCSR()), Vector{1, 1}, RobustOpts{Stats: &stats})
+	rec := &obs.AttemptRecorder{}
+	ctx, root := obs.NewTracer(rec, false).StartSpan(context.Background(), "test")
+	defer root.End()
+	_, _, _, err := RobustSolve(ctx, splitCSR(coo.ToCSR()), Vector{1, 1}, IterOpts{})
 	if !errors.Is(err, ErrSingular) {
 		t.Fatalf("err = %v, want ErrSingular", err)
 	}
-	if len(stats.Attempts) != 1 {
-		t.Fatalf("attempts = %+v, want exactly one", stats.Attempts)
+	if attempts := rec.Attempts(); len(attempts) != 1 {
+		t.Fatalf("attempts = %+v, want exactly one", attempts)
 	}
 }
 
 // TestRobustSolveDenseSkippedAboveLimit: systems beyond DefaultDenseLimit
-// exhaust the chain without attempting the dense expansion, and the error
-// still unwraps to ErrNoConvergence.
+// exhaust the chain after the one iterative attempt, without the dense
+// expansion, and the error still unwraps to ErrNoConvergence.
 func TestRobustSolveDenseSkippedAboveLimit(t *testing.T) {
 	n := DefaultDenseLimit + 1
 	a := diagonallyDominantCSR(rand.New(rand.NewSource(9)), n)
 	b := NewVector(n)
 	b[0] = 1
-	var stats RobustStats
-	_, err := RobustSolve(context.Background(), splitCSR(a), b, RobustOpts{
-		Opts:  IterOpts{Tol: 1e-15, MaxIter: 1},
-		Stats: &stats,
-	})
+	rec := &obs.AttemptRecorder{}
+	ctx, root := obs.NewTracer(rec, false).StartSpan(context.Background(), "test")
+	defer root.End()
+	_, method, st, err := RobustSolve(ctx, splitCSR(a), b, IterOpts{Tol: 1e-15, MaxIter: 1})
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("err = %v, want ErrNoConvergence", err)
 	}
-	if len(stats.Attempts) != 2 {
-		t.Fatalf("attempts = %+v, want iterative steps only", stats.Attempts)
+	if attempts := rec.Attempts(); len(attempts) != 1 || attempts[0].Method != MethodGaussSeidel {
+		t.Fatalf("attempts = %+v, want the gauss-seidel step only", attempts)
 	}
-	for _, at := range stats.Attempts {
-		if at.Method == MethodDense {
-			t.Fatal("dense attempted above its size limit")
-		}
+	if method != MethodGaussSeidel || st.Iterations != 1 {
+		t.Fatalf("method %q with stats %+v, want the failed gauss-seidel step", method, st)
 	}
 }
 
@@ -164,12 +169,14 @@ func TestRobustSolveHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	a := diagonallyDominantCSR(rand.New(rand.NewSource(13)), 4)
-	var stats RobustStats
-	_, err := RobustSolve(ctx, splitCSR(a), NewVector(4), RobustOpts{Stats: &stats})
+	rec := &obs.AttemptRecorder{}
+	ctx, root := obs.NewTracer(rec, false).StartSpan(ctx, "test")
+	defer root.End()
+	_, method, _, err := RobustSolve(ctx, splitCSR(a), NewVector(4), IterOpts{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(stats.Attempts) != 0 {
-		t.Fatalf("attempts = %+v, want none", stats.Attempts)
+	if attempts := rec.Attempts(); len(attempts) != 0 || method != "" {
+		t.Fatalf("attempts = %+v, method %q, want none", attempts, method)
 	}
 }

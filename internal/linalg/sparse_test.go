@@ -80,8 +80,8 @@ func TestCSRVecMulMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sp.MaxDiff(de) > 1e-12 {
-			t.Fatalf("CSR.VecMul disagrees with dense by %v", sp.MaxDiff(de))
+		if maxDiff(sp, de) > 1e-12 {
+			t.Fatalf("CSR.VecMul disagrees with dense by %v", maxDiff(sp, de))
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package linalg
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Split is a square system A in split form, as the iterative solvers sweep
 // it: Off holds the off-diagonal entries of each row in column order and
@@ -74,4 +77,18 @@ func (b *SplitBuilder) EndRow() { b.rows.EndRow() }
 // Split returns the system; every row must have been closed by EndRow.
 func (b *SplitBuilder) Split() *Split {
 	return &Split{Off: *b.rows.CSR(), Diag: b.diag}
+}
+
+// residual returns ‖b − A·x‖∞.
+func (a *Split) residual(x, b Vector) float64 {
+	var r float64
+	for i := range b {
+		s := b[i] - a.Diag[i]*x[i]
+		cols, vals := a.Off.Row(i)
+		for k, j := range cols {
+			s -= vals[k] * x[j]
+		}
+		r = max(r, math.Abs(s))
+	}
+	return r
 }

@@ -32,13 +32,13 @@ func splitCSR(a *CSR) *Split {
 // refGaussSeidel is the Gauss–Seidel sweep over the row-with-diagonal
 // form that the split form replaced: each row skips its diagonal entry by
 // a column test and divides by a diagonal looked up beforehand.
-func refGaussSeidel(a *CSR, b Vector, opts IterOpts) (Vector, error) {
+func refGaussSeidel(a *CSR, b Vector, opts IterOpts) (Vector, IterStats, error) {
 	opts = opts.withDefaults()
 	n := a.Rows
 	diag := NewVector(n)
 	for i := range diag {
 		if diag[i] = a.At(i, i); diag[i] == 0 {
-			return nil, ErrSingular
+			return nil, IterStats{}, ErrSingular
 		}
 	}
 	x := NewVector(n)
@@ -64,47 +64,10 @@ func refGaussSeidel(a *CSR, b Vector, opts IterOpts) (Vector, error) {
 		}
 		lastDelta = maxDelta
 		if maxDelta <= opts.Tol*(1+maxAbs) {
-			opts.report(iter+1, maxDelta, true, nil)
-			return x, nil
+			return x, IterStats{Iterations: iter + 1, Residual: maxDelta, Converged: true}, nil
 		}
 	}
-	opts.report(opts.MaxIter, lastDelta, false, nil)
-	return nil, ErrNoConvergence
-}
-
-// refJacobi is Jacobi iteration over the row-with-diagonal form.
-func refJacobi(a *CSR, b Vector, opts IterOpts) (Vector, error) {
-	opts = opts.withDefaults()
-	n := a.Rows
-	diag := NewVector(n)
-	for i := range diag {
-		if diag[i] = a.At(i, i); diag[i] == 0 {
-			return nil, ErrSingular
-		}
-	}
-	x, next := NewVector(n), NewVector(n)
-	var lastDelta float64
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		for i := 0; i < n; i++ {
-			s := b[i]
-			cols, vals := a.Row(i)
-			for k, j := range cols {
-				if int(j) != i {
-					s -= vals[k] * x[j]
-				}
-			}
-			next[i] = s / diag[i]
-		}
-		d := x.MaxDiff(next)
-		x, next = next, x
-		lastDelta = d
-		if d <= opts.Tol*(1+x.NormInf()) {
-			opts.report(iter+1, d, true, nil)
-			return x, nil
-		}
-	}
-	opts.report(opts.MaxIter, lastDelta, false, nil)
-	return nil, ErrNoConvergence
+	return nil, IterStats{Iterations: opts.MaxIter, Residual: lastDelta}, ErrNoConvergence
 }
 
 // balanceLike is a seeded system shaped like the CTMC balance and
@@ -127,9 +90,9 @@ func balanceLike(r *rand.Rand, n int) *CSR {
 	return coo.ToCSR()
 }
 
-// The split-form sweeps are the row-with-diagonal sweeps they replaced:
-// on seeded systems both solvers return the same bits after the same
-// number of iterations, converged or not.
+// The split-form sweep is the row-with-diagonal sweep it replaced: on
+// seeded systems both return the same bits after the same number of
+// iterations, converged or not.
 func TestSplitSweepsMatchRowWithDiagonal(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 60; trial++ {
@@ -146,34 +109,22 @@ func TestSplitSweepsMatchRowWithDiagonal(t *testing.T) {
 		if trial%5 == 4 {
 			opts.MaxIter = 3 // fails to converge: the failures must agree too
 		}
-		for _, tc := range []struct {
-			name      string
-			got, want func(IterOpts) (Vector, error)
-		}{
-			{"gauss-seidel", func(o IterOpts) (Vector, error) { return GaussSeidel(splitCSR(a), b, o) }, func(o IterOpts) (Vector, error) { return refGaussSeidel(a, b, o) }},
-			{"jacobi", func(o IterOpts) (Vector, error) { return Jacobi(splitCSR(a), b, o) }, func(o IterOpts) (Vector, error) { return refJacobi(a, b, o) }},
-		} {
-			var gs, ws IterStats
-			o := opts
-			o.Stats = &gs
-			got, gerr := tc.got(o)
-			o.Stats = &ws
-			want, werr := tc.want(o)
-			if (gerr == nil) != (werr == nil) {
-				t.Fatalf("trial %d %s: err %v, reference %v", trial, tc.name, gerr, werr)
-			}
-			if gs.Iterations != ws.Iterations || math.Float64bits(gs.Residual) != math.Float64bits(ws.Residual) {
-				t.Fatalf("trial %d %s: %d iterations, residual %v; reference %d, %v", trial, tc.name, gs.Iterations, gs.Residual, ws.Iterations, ws.Residual)
-			}
-			if !slices.EqualFunc(got, want, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
-				t.Fatalf("trial %d %s: solution differs from the reference sweep:\n got %v\nwant %v", trial, tc.name, got, want)
-			}
+		got, gs, gerr := GaussSeidel(splitCSR(a), b, opts)
+		want, ws, werr := refGaussSeidel(a, b, opts)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("trial %d: err %v, reference %v", trial, gerr, werr)
+		}
+		if gs.Iterations != ws.Iterations || math.Float64bits(gs.Residual) != math.Float64bits(ws.Residual) {
+			t.Fatalf("trial %d: %d iterations, residual %v; reference %d, %v", trial, gs.Iterations, gs.Residual, ws.Iterations, ws.Residual)
+		}
+		if !slices.EqualFunc(got, want, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			t.Fatalf("trial %d: solution differs from the reference sweep:\n got %v\nwant %v", trial, got, want)
 		}
 	}
 }
 
 // A diagonal that cancels to zero in the builder leaves the system
-// singular: both sweeps and the fallback chain refuse it.
+// singular: the sweep and the fallback chain refuse it.
 func TestSplitZeroDiagonalIsSingular(t *testing.T) {
 	bld := NewSplitBuilder(2, 2)
 	bld.Diagonal(1)
@@ -187,13 +138,10 @@ func TestSplitZeroDiagonalIsSingular(t *testing.T) {
 		t.Fatalf("split system = %+v %v", a.Off, a.Diag)
 	}
 	b := Vector{1, 1}
-	if _, err := GaussSeidel(a, b, IterOpts{}); !errors.Is(err, ErrSingular) || !strings.Contains(err.Error(), "zero diagonal at row 0") {
+	if _, _, err := GaussSeidel(a, b, IterOpts{}); !errors.Is(err, ErrSingular) || !strings.Contains(err.Error(), "zero diagonal at row 0") {
 		t.Fatalf("GaussSeidel err = %v, want ErrSingular at row 0", err)
 	}
-	if _, err := Jacobi(a, b, IterOpts{}); !errors.Is(err, ErrSingular) {
-		t.Fatalf("Jacobi err = %v, want ErrSingular", err)
-	}
-	if _, err := RobustSolve(context.Background(), a, b, RobustOpts{}); !errors.Is(err, ErrSingular) {
+	if _, _, _, err := RobustSolve(context.Background(), a, b, IterOpts{}); !errors.Is(err, ErrSingular) {
 		t.Fatalf("RobustSolve err = %v, want ErrSingular", err)
 	}
 }

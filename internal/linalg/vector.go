@@ -1,7 +1,7 @@
 // Package linalg provides the small dense and sparse linear-algebra kernel
 // used by the probabilistic model-checking engine: vectors, dense matrices,
-// compressed-sparse-row matrices, direct elimination and the classical
-// stationary iterative solvers (Jacobi, Gauss–Seidel).
+// compressed-sparse-row matrices, direct elimination and the Gauss–Seidel
+// iterative solver.
 //
 // Everything is float64 and allocation-conscious: the model checker calls
 // these kernels thousands of times per property, so the hot paths accept
@@ -100,21 +100,6 @@ func (v Vector) Normalize1() float64 {
 		v[i] *= inv
 	}
 	return s
-}
-
-// MaxDiff returns max_i |v_i - w_i|, the convergence criterion used by the
-// iterative solvers.
-func (v Vector) MaxDiff(w Vector) float64 {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("linalg: MaxDiff length mismatch %d != %d", len(v), len(w)))
-	}
-	var m float64
-	for i := range v {
-		if d := math.Abs(v[i] - w[i]); d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 // AllFinite reports whether every component is a finite number.

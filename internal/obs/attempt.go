@@ -42,11 +42,14 @@ type Attempt struct {
 	// Seconds is the attempt's wall time.
 	Seconds float64 `json:"seconds,omitempty"`
 	// Residual is the attempt's final residual, when the stage is a solver.
+	// Its meaning depends on the method: for Gauss–Seidel it is the max-norm
+	// change between the last two sweeps (what the stopping test reads), for
+	// the dense step the true max-norm residual ‖b − A·x‖∞ of its answer.
 	Residual float64 `json:"residual,omitempty"`
 	// Trace is the attempt's sampled convergence curve (log-spaced residual
-	// samples), when the stage is a solver. It is what turns "jacobi failed
-	// after 200000 sweeps" into "jacobi plateaued at 1e-9 from sweep 31000
-	// on" in a post-mortem.
+	// samples), when the stage is a solver. It is what turns "gauss-seidel
+	// failed after 500000 sweeps" into "gauss-seidel plateaued at 1e-9 from
+	// sweep 31000 on" in a post-mortem.
 	Trace []ResidualPoint `json:"trace,omitempty"`
 }
 

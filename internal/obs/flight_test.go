@@ -55,9 +55,9 @@ func TestFlightEmitFlattens(t *testing.T) {
 	f.Emit(&Event{Kind: EventSpan, Time: time.Unix(0, 42), Name: "ctmc.solve",
 		ID: 7, Duration: 1500 * time.Microsecond})
 	f.Emit(&Event{Kind: EventCounter, Name: "solver.stagnation", Value: 1,
-		Attrs: []Attr{{Key: "method", Kind: KindString, Str: "jacobi"}}})
+		Attrs: []Attr{{Key: "method", Kind: KindString, Str: "dense"}}})
 	for _, a := range []Attempt{
-		{Stage: "solver", Try: 2, Method: "jacobi", Seconds: 0.25},
+		{Stage: "solver", Try: 2, Method: "dense", Seconds: 0.25},
 		{Stage: "solver", Try: 1, Method: "gauss-seidel", Error: "no convergence"},
 	} {
 		f.Emit(&Event{Kind: EventAttempt, Name: a.Stage, Attempt: &a})
@@ -71,11 +71,11 @@ func TestFlightEmitFlattens(t *testing.T) {
 	if sp.Kind != "span" || sp.Span != 7 || sp.DurationUS != 1500 || sp.TimeUnixNano != 42 {
 		t.Errorf("span event = %+v", sp)
 	}
-	if c := got[1]; c.Kind != "counter" || c.Value != 1 || c.Detail != "jacobi" {
+	if c := got[1]; c.Kind != "counter" || c.Value != 1 || c.Detail != "dense" {
 		t.Errorf("counter event = %+v", c)
 	}
 	if at := got[2]; at.Kind != "attempt" || at.Name != "solver" || at.Value != 2 ||
-		at.Detail != "jacobi" || at.DurationUS != 250000 {
+		at.Detail != "dense" || at.DurationUS != 250000 {
 		t.Errorf("attempt event = %+v", at)
 	}
 	if at := got[3]; at.Detail != "no convergence" {
@@ -93,7 +93,7 @@ func TestFlightAppendZeroAlloc(t *testing.T) {
 		t.Fatalf("Append allocates %v objects per call, want 0", n)
 	}
 	e := &Event{Kind: EventCounter, Name: "hot", Value: 1,
-		Attrs: []Attr{{Key: "method", Kind: KindString, Str: "jacobi"}}}
+		Attrs: []Attr{{Key: "method", Kind: KindString, Str: "dense"}}}
 	if n := testing.AllocsPerRun(1000, func() { f.Emit(e) }); n != 0 {
 		t.Fatalf("Emit allocates %v objects per call, want 0", n)
 	}

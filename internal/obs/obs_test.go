@@ -56,7 +56,7 @@ func TestDisabledPathIsZeroAlloc(t *testing.T) {
 		sp.End()
 		Count(cctx, "c", 1)
 		Gauge(cctx, "g", 1)
-		RecordAttempt(cctx, Attempt{Stage: "solver", Try: 1, Method: "jacobi"})
+		RecordAttempt(cctx, Attempt{Stage: "solver", Try: 1, Method: "dense"})
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled obs path allocates %v times per op, want 0", allocs)
@@ -128,7 +128,7 @@ func TestCountersAndGauges(t *testing.T) {
 func TestJSONLAttemptRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := Attempt{
-		Stage: "solver", Try: 2, Method: "jacobi", Outcome: AttemptError,
+		Stage: "solver", Try: 2, Method: "dense", Outcome: AttemptError,
 		Error: "no convergence", Iterations: 400, Seconds: 0.5, Residual: 3.25e-9,
 		Trace: []ResidualPoint{{Iteration: 1, Residual: 0.5}, {Iteration: 400, Residual: 3.25e-9}},
 	}
